@@ -35,6 +35,7 @@ from .config import (
 )
 from .data_io import (
     DataFormatError,
+    _fmt,
     export_trace,
     read_irradiance_csv,
     read_signal_csv,
@@ -56,7 +57,7 @@ from .market import (
     pv_statistic,
     settle,
 )
-from .oracle import OracleProblem, solve as solve_oracle
+from .oracle import OracleProblem, rule_objective, solve as solve_oracle
 from .simulation import run_guarded, simulate
 
 EXIT_OK = 0
@@ -69,10 +70,6 @@ _SWEEP_COLUMNS = (
     "season", "hour", "statistic", "n_samples",
     "pv_stat_mw", "capacity_mw", "score", "qualified", "payment_usd",
 )
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".15g")
 
 
 @contextlib.contextmanager
@@ -218,10 +215,7 @@ def cmd_track(args) -> int:
         problem = OracleProblem(fleet, cfg.capacity_mw, r, np.asarray(pv), cfg.soc0)
         warm = [rec.p_batt for rec in records]
         sol = solve_oracle(problem, warm_start_p_batt=warm)
-        t = problem.targets()
-        rule_obj = float(
-            sum(abs(t[k] - (rec.p_hes - rec.p0)) for k, rec in enumerate(records))
-        )
+        rule_obj = rule_objective(problem, records)
         pairs.update(
             rule_objective_mw=rule_obj,
             oracle_objective_mw=sol.objective,

@@ -19,24 +19,26 @@ Strategy, cheapest first:
 
 1. A state-free lower bound: no step can beat
    max(0, |C r_k| - (p_batt_max + CL/2)).
-2. A myopic greedy pass respecting state-of-charge budgets; when its
-   cost meets the lower bound the result is provably optimal.
-3. Exact branch and bound over per-step battery modes (discharge or
-   charge). Node bounds come from a convex relaxation that allows
-   time-sharing the two modes within a step; its value functions are
-   convex piecewise-linear in the state of charge and propagate
-   backwards by infimal convolution, so bounds are exact convex
-   analysis rather than a grid.
-4. For horizons too long for branch and bound, dynamic programming on
-   a uniform state-of-charge grid with a continuous forward pass. The
-   returned trajectory is always feasible and its cost is evaluated
-   exactly, but grid resolution limits how close it gets, so results
-   from this backend are not certified.
+2. A myopic greedy pass respecting state-of-charge budgets, and the
+   caller's warm start if given; when the better one meets the lower
+   bound the result is provably optimal.
+3. Otherwise an exact backward dynamic program over the SoC. The stage
+   cost phi_k of a SoC drop d is convex piecewise-linear on each side of
+   d = 0 (one side per battery mode, discharge or charge), so the only
+   non-convexity is the choice of mode, and the value functions on the
+   SoC window
+
+       V_n = 0,  V_k = phi_k [] V_k+1
+
+   ([] is infimal convolution) are continuous piecewise-linear. They are
+   computed without a grid, by convolving convex runs and taking exact
+   lower envelopes. A forward pass then commits the drops that attain
+   them. The answer is certified when its objective is within 1e-9
+   (relative, floor 1) of V_0(soc0), which holds to float rounding.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,16 +57,11 @@ __all__ = [
     "certificate_lower_bound",
     "solve",
     "compare_with_rule",
-    "BNB_MAX_STEPS",
+    "rule_objective",
 ]
 
-BNB_MAX_STEPS = 120  # auto backend switch: exact tree search up to here
-_CERT_TOL = 1e-12
-_PURE_MATCH_TOL = 1e-11  # relaxed vs pure step value match
-
-_DIS = "dis"
-_CHG = "chg"
-_BOTH = "both"
+_CERT_TOL = 1e-12  # greedy or warm start on the state-free bound
+_EXACT_REL_TOL = 1e-9  # dynamic program objective on its own bound
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,7 @@ class OracleProblem:
 
     ``pv`` may be a scalar (held constant) or a per-step series; it
     shifts the baseline but not the optimum, which only depends on the
-    battery and load. ``soc_grid`` is the grid-DP resolution.
+    battery and load. Every number must be finite.
     """
 
     fleet: AssetFleet
@@ -81,13 +78,16 @@ class OracleProblem:
     signal: np.ndarray
     pv: np.ndarray = 0.0
     soc0: float = 0.5
-    soc_grid: int = 2001
 
     def __post_init__(self):
         sig = np.atleast_1d(np.asarray(self.signal, dtype=float))
         if sig.ndim != 1 or sig.size < 1:
             raise ValueError("signal must be a nonempty 1-D array")
         pv = np.asarray(self.pv, dtype=float)
+        for name, value in (("signal", sig), ("pv", pv), ("capacity", self.capacity),
+                            ("soc0", self.soc0)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         if pv.ndim == 0:
             pv = np.full(sig.size, float(pv))
         if pv.shape != sig.shape:
@@ -99,8 +99,6 @@ class OracleProblem:
         b = self.fleet.battery
         if not (b.e_min <= self.soc0 <= b.e_max):
             raise ValueError("soc0 must start inside the battery window")
-        if self.soc_grid < 3:
-            raise ValueError("soc_grid needs at least 3 points")
         object.__setattr__(self, "signal", sig)
         object.__setattr__(self, "pv", pv)
 
@@ -117,10 +115,10 @@ class OracleProblem:
 class OracleSolution:
     """Best trajectory found plus its optimality status.
 
-    ``certified_optimal`` is True only when the objective provably
-    matches the optimum (lower-bound certificate hit, or the search
-    tree was exhausted). ``soc_step`` is the grid resolution when the
-    grid backend produced the answer. ``context`` is a reminder that
+    ``backend`` names the path that produced the answer:
+    "greedy-certificate", "warm-start-certificate" or "exact-dp".
+    ``certified_optimal`` is True only when the objective is within
+    float tolerance of ``lower_bound``. ``context`` is a reminder that
     this is an after-the-fact benchmark.
     """
 
@@ -129,7 +127,6 @@ class OracleSolution:
     backend: str
     lower_bound: float
     certified_optimal: bool
-    soc_step: float | None = None
     context: str = "offline-benchmark"
 
 
@@ -148,9 +145,9 @@ class _Stage:
     Sign conventions: battery power p > 0 discharges and drops the SoC
     by alpha * p / eta_d; p < 0 charges and raises it by
     alpha * eta_c * |p| (both with alpha = dt / e_cap), so d > 0 on
-    discharge. The relaxed stage allows time-sharing both modes inside
-    one step, whose reachable (p, d) set is the triangle spanned by the
-    two pure-mode segments; it only ever helps the bound.
+    discharge. The cost is convex in d on each side of d = 0, one side
+    per mode; at d = 0 it is concave when the target asks for more
+    charging than the load can absorb, convex otherwise.
     """
 
     def __init__(self, problem: OracleProblem):
@@ -163,62 +160,27 @@ class _Stage:
         self.t = problem.targets()
         self.d_hi = self.alpha * self.pmax / self.eta
         self.d_lo = -self.alpha * self.eta * self.pmax
-        self._cache: dict[tuple[int, str], _pwl.Pwl] = {}
+        self.phi = [self._build(k) for k in range(self.t.size)]
 
     def drop(self, p: float) -> float:
         a, e = self.alpha, self.eta
         return a * p / e if p >= 0.0 else a * e * p
 
-    def to_power(self, mode: str, d: float) -> float:
+    def to_power(self, d: float) -> float:
         a, e = self.alpha, self.eta
-        p = d * e / a if mode == _DIS else d / (a * e)
+        p = d * e / a if d >= 0.0 else d / (a * e)
         return min(max(p, -self.pmax), self.pmax)
 
     def cost(self, k: int, p: float) -> float:
         return max(0.0, abs(self.t[k] - p) - self.half_cl)
 
-    def phi(self, k: int, mode: str) -> _pwl.Pwl:
-        key = (k, mode)
-        f = self._cache.get(key)
-        if f is None:
-            f = self._build_relaxed(k) if mode == _BOTH else self._build_pure(k, mode)
-            self._cache[key] = f
-        return f
-
-    def _build_pure(self, k: int, mode: str) -> _pwl.Pwl:
-        t, hcl, a, e = self.t[k], self.half_cl, self.alpha, self.eta
-        if mode == _DIS:
-            lo, hi = 0.0, self.d_hi
-            kinks = ((t - hcl) * a / e, (t + hcl) * a / e)
-        else:
-            lo, hi = self.d_lo, 0.0
-            kinks = ((t - hcl) * a * e, (t + hcl) * a * e)
-        cands = {lo, hi}
-        cands.update(d for d in kinks if lo < d < hi)
-        pts = [(d, self.cost(k, self.to_power(mode, d))) for d in cands]
-        return _pwl.from_points(pts)
-
-    def _build_relaxed(self, k: int) -> _pwl.Pwl:
-        t, hcl, a, e, pmax = self.t[k], self.half_cl, self.alpha, self.eta, self.pmax
-        lo, hi = self.d_lo, self.d_hi
-        # mixing edge between full charge and full discharge: d = m p + c
-        m = a * (1.0 / e + e) / 2.0
-        c = a * pmax * (1.0 / e - e) / 2.0
-
-        def value(d: float) -> float:
-            p_left = (d - c) / m
-            p_right = min(d * e / a, d / (a * e))
-            return max(0.0, p_left - (t + hcl), (t - hcl) - p_right)
-
-        cands = {lo, hi, 0.0}
-        cands.add(m * (t + hcl) + c)  # left edge meets zero cost
-        cands.add((t - hcl) * a / e)  # discharge edge meets zero cost
-        cands.add((t - hcl) * a * e)  # charge edge meets zero cost
-        base = 2.0 * t + c / m
-        cands.add(base / (1.0 / m + e / a))
-        cands.add(base / (1.0 / m + 1.0 / (a * e)))
-        pts = [(d, value(d)) for d in cands if lo <= d <= hi]
-        return _pwl.from_points(pts)
+    def _build(self, k: int) -> _pwl.Pwl:
+        # cost and drop are both linear in p between -p_max, the band
+        # edges t -+ CL/2, 0 and p_max, so phi is linear between their drops
+        t, hcl = self.t[k], self.half_cl
+        kinks = (self.drop(t - hcl), self.drop(t + hcl))
+        xs = sorted({self.d_lo, 0.0, self.d_hi, *(d for d in kinks if self.d_lo < d < self.d_hi)})
+        return _pwl.Pwl(tuple(xs), tuple(self.cost(k, self.to_power(d)) for d in xs))
 
 
 def certificate_lower_bound(problem: OracleProblem) -> float:
@@ -234,13 +196,6 @@ def _objective_of_powers(problem: OracleProblem, p_batt) -> float:
     return float(np.maximum(0.0, np.abs(t - np.asarray(p_batt, dtype=float)) - hcl).sum())
 
 
-def _budget(b, alpha: float, eta: float, soc: float) -> tuple[float, float]:
-    """Power interval that keeps the post-step SoC inside the window."""
-    p_hi = min(b.p_max, (soc - b.e_min) * eta / alpha)
-    p_lo = max(-b.p_max, -(b.e_max - soc) / (alpha * eta))
-    return p_lo, p_hi
-
-
 def _greedy_battery(problem: OracleProblem) -> np.ndarray:
     """One forward pass: stay in the zero-cost band when the budget
     allows it (preferring the smallest |p|), else saturate towards it."""
@@ -253,7 +208,9 @@ def _greedy_battery(problem: OracleProblem) -> np.ndarray:
     soc = problem.soc0
     out = np.empty(t.size)
     for k in range(t.size):
-        p_lo, p_hi = _budget(b, alpha, eta, soc)
+        # power interval that keeps the post-step SoC inside the window
+        p_hi = min(b.p_max, (soc - b.e_min) * eta / alpha)
+        p_lo = max(-b.p_max, -(b.e_max - soc) / (alpha * eta))
         lo = max(p_lo, t[k] - hcl)
         hi = min(p_hi, t[k] + hcl)
         if lo <= hi:
@@ -307,20 +264,20 @@ def _check_warm_start(problem: OracleProblem, p_batt) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact branch and bound
+# exact dynamic programming over piecewise-linear value functions
 # ---------------------------------------------------------------------------
 
 
-def _backward(stage: _Stage, modes, e_min: float, e_max: float) -> list[_pwl.Pwl]:
-    n = len(modes)
-    values: list[_pwl.Pwl | None] = [None] * (n + 1)
-    v = _pwl.Pwl((e_min, e_max), (0.0, 0.0))
-    values[n] = v
+def _value_functions(stage: _Stage, n: int, e_min: float, e_max: float) -> list[_pwl.Pwl]:
+    """V_n = 0 and V_k = phi_k [] V_k+1 on the SoC window, where [] is
+    infimal convolution. Both operands are minima of their convex runs
+    and [] distributes over minima, so every pair of runs is convolved
+    and the results are merged exactly."""
+    values: list[_pwl.Pwl] = [_pwl.Pwl((e_min, e_max), (0.0, 0.0))] * (n + 1)
     for k in range(n - 1, -1, -1):
-        v = _pwl.clip(_pwl.inf_convolve(stage.phi(k, modes[k]), v), e_min, e_max)
-        if v is None:  # cannot happen: d = 0 is always admissible
-            raise AssertionError("relaxation became infeasible")
-        values[k] = v
+        parts = [_pwl.inf_convolve(f, g) for f in _pwl.convex_runs(stage.phi[k])
+                 for g in _pwl.convex_runs(values[k + 1])]
+        values[k] = _pwl.lower_envelope(parts, e_min, e_max)
     return values
 
 
@@ -328,152 +285,28 @@ def _d_candidates(phi: _pwl.Pwl, v_next: _pwl.Pwl, s: float):
     """Kink-complete candidate drops for min_d phi(d) + V(s - d)."""
     lo = max(phi.x_lo, s - v_next.x_hi)
     hi = min(phi.x_hi, s - v_next.x_lo)
-    if lo > hi:
-        return None
     cands = {lo, hi}
     cands.update(x for x in phi.xs if lo < x < hi)
     cands.update(s - x for x in v_next.xs if lo < s - x < hi)
     return [(phi(d) + v_next(s - d), d) for d in cands]
 
 
-def _forward(problem: OracleProblem, stage: _Stage, modes, values):
-    """Walk the relaxed value functions committing pure-mode choices.
-
-    Returns (powers, cost, fractional) where ``fractional`` is the first
-    step whose best pure choice is strictly worse than the relaxed step
-    value (the step to branch on), or -1 when the walk is tight."""
+def _optimal_powers(problem: OracleProblem, stage: _Stage, values) -> np.ndarray:
+    """Walk forward committing, per step, the drop that attains V_k
+    (the smallest |p| among exact ties)."""
     b = problem.fleet.battery
     s = problem.soc0
-    n = len(modes)
-    powers = np.empty(n)
-    total = 0.0
-    fractional = -1
-    for k in range(n):
-        v_next = values[k + 1]
-        allowed = (_DIS, _CHG) if modes[k] == _BOTH else (modes[k],)
+    powers = np.empty(problem.horizon)
+    for k in range(problem.horizon):
         pool = []
-        for mode in allowed:
-            cl = _d_candidates(stage.phi(k, mode), v_next, s)
-            if cl is None:
-                continue
-            for v, d in cl:
-                p = stage.to_power(mode, d)
-                pool.append((v, abs(p), p))
-        vmin = min(e[0] for e in pool)
-        _, _, p = min((e for e in pool if e[0] <= vmin + 1e-12), key=lambda e: e[1])
-        if modes[k] == _BOTH and fractional < 0:
-            if vmin > values[k](s) + _PURE_MATCH_TOL:
-                fractional = k
+        for v, d in _d_candidates(stage.phi[k], values[k + 1], s):
+            p = stage.to_power(d)
+            pool.append((v, abs(p), p))
+        _, _, p = min(pool)
         powers[k] = p
-        total += stage.cost(k, p)
         s -= stage.drop(p)
         s = min(max(s, b.e_min), b.e_max)  # float dust only
-    return powers, total, fractional
-
-
-def _solve_bnb(problem: OracleProblem, stage: _Stage, inc_p, inc_obj: float, node_limit: int):
-    b = problem.fleet.battery
-    root = (_BOTH,) * problem.horizon
-    stack = [root]
-    best_p, best_obj = inc_p, inc_obj
-    root_bound = 0.0
-    nodes = 0
-    certified = True
-    while stack:
-        if nodes >= node_limit:
-            certified = False
-            break
-        modes = stack.pop()
-        nodes += 1
-        values = _backward(stage, modes, b.e_min, b.e_max)
-        bound = values[0](problem.soc0)
-        if modes is root:
-            root_bound = bound
-        if bound >= best_obj - _CERT_TOL:
-            continue
-        powers, total, fractional = _forward(problem, stage, modes, values)
-        if total < best_obj - _CERT_TOL:
-            best_p, best_obj = powers, total
-        if fractional >= 0:
-            head, tail = modes[:fractional], modes[fractional + 1:]
-            stack.append(head + (_CHG,) + tail)
-            stack.append(head + (_DIS,) + tail)
-    return best_p, best_obj, certified, root_bound
-
-
-# ---------------------------------------------------------------------------
-# grid dynamic programming
-# ---------------------------------------------------------------------------
-
-
-def _solve_grid_dp(problem: OracleProblem, stage: _Stage):
-    b = problem.fleet.battery
-    n = problem.horizon
-    grid = np.linspace(b.e_min, b.e_max, problem.soc_grid)
-    ds = grid[1] - grid[0]
-    alpha, eta, pmax, hcl = stage.alpha, stage.eta, stage.pmax, stage.half_cl
-    t = stage.t
-
-    def drops_of(p):
-        return np.where(p >= 0.0, alpha * p / eta, alpha * eta * p)
-
-    # drops that land exactly on grid nodes; when one step spans many
-    # nodes (coarse time steps), thin the set to keep the work bounded
-    m_up = int(math.ceil(stage.d_hi / ds))
-    m_dn = int(math.ceil(-stage.d_lo / ds))
-    stride = max(1, (m_up + m_dn) // 2048)
-    core = []
-    for i in range(-m_dn, m_up + 1, stride):
-        d = i * ds
-        p = d * eta / alpha if d >= 0.0 else d / (alpha * eta)
-        core.append(min(max(p, -pmax), pmax))
-
-    p_hi_budget = np.minimum(pmax, (grid - b.e_min) * eta / alpha)
-    p_lo_budget = np.maximum(-pmax, -(b.e_max - grid) / (alpha * eta))
-
-    values = np.zeros((n + 1, grid.size))
-    for k in range(n - 1, -1, -1):
-        v_next = values[k + 1]
-        best = np.full(grid.size, np.inf)
-        scalars = set(core)
-        for p in (0.0, t[k] - hcl, t[k], t[k] + hcl):
-            scalars.add(min(max(p, -pmax), pmax))
-        for pc in scalars:
-            p = np.clip(pc, p_lo_budget, p_hi_budget)
-            cost = np.maximum(0.0, np.abs(t[k] - p) - hcl)
-            cost += np.interp(grid - drops_of(p), grid, v_next)
-            np.minimum(best, cost, out=best)
-        for p in (p_hi_budget, p_lo_budget):
-            cost = np.maximum(0.0, np.abs(t[k] - p) - hcl)
-            cost += np.interp(grid - drops_of(p), grid, v_next)
-            np.minimum(best, cost, out=best)
-        values[k] = best
-
-    # continuous forward pass: exact dynamics, grid used only as guidance
-    s = problem.soc0
-    powers = np.empty(n)
-    for k in range(n):
-        v_next = values[k + 1]
-        p_lo, p_hi = _budget(b, alpha, eta, s)
-        cands = {0.0, p_lo, p_hi}
-        for p in (t[k] - hcl, t[k], t[k] + hcl):
-            cands.add(min(max(p, p_lo), p_hi))
-        j0 = int(np.searchsorted(grid, s - stage.d_hi, side="left"))
-        j1 = min(int(np.searchsorted(grid, s - stage.d_lo, side="right")), grid.size)
-        for j in range(j0, j1, max(1, (j1 - j0) // 2048)):
-            d = s - grid[j]
-            p = d * eta / alpha if d >= 0.0 else d / (alpha * eta)
-            if p_lo - 1e-15 <= p <= p_hi + 1e-15:
-                cands.add(min(max(p, p_lo), p_hi))
-        best_v, best_p = math.inf, 0.0
-        for p in cands:
-            v = max(0.0, abs(t[k] - p) - hcl) + float(np.interp(s - stage.drop(p), grid, v_next))
-            if v < best_v - 1e-12 or (v <= best_v + 1e-12 and abs(p) < abs(best_p)):
-                best_v, best_p = v, p
-        powers[k] = best_p
-        s -= stage.drop(best_p)
-        s = min(max(s, b.e_min), b.e_max)
-    return powers, _objective_of_powers(problem, powers), ds
+    return powers
 
 
 # ---------------------------------------------------------------------------
@@ -481,24 +314,14 @@ def _solve_grid_dp(problem: OracleProblem, stage: _Stage):
 # ---------------------------------------------------------------------------
 
 
-def solve(
-    problem: OracleProblem,
-    backend: str | None = None,
-    warm_start_p_batt=None,
-    node_limit: int = 500,
-) -> OracleSolution:
-    """Best-known (usually provably optimal) dispatch for the instance.
+def solve(problem: OracleProblem, warm_start_p_batt=None) -> OracleSolution:
+    """Optimal dispatch for the instance, certified to float tolerance.
 
-    ``backend`` forces "branch-and-bound" or "grid-dp"; by default the
-    tree search handles horizons up to ``BNB_MAX_STEPS`` and the grid
-    takes over beyond that. Either way the greedy/certificate path runs
-    first and short-circuits when it is already optimal. A feasible
-    ``warm_start_p_batt`` (for example a rule-based trajectory) caps the
-    returned objective from above.
+    The greedy/certificate path runs first and short-circuits when it
+    is already optimal; otherwise the exact dynamic program solves the
+    instance. A feasible ``warm_start_p_batt`` (for example a rule-based
+    trajectory) caps the returned objective from above.
     """
-    if backend not in (None, "branch-and-bound", "grid-dp"):
-        raise ValueError(f"unknown backend {backend!r}")
-    stage = _Stage(problem)
     lb = certificate_lower_bound(problem)
     best_p = _greedy_battery(problem)
     best_obj = _objective_of_powers(problem, best_p)
@@ -513,42 +336,40 @@ def solve(
             _records_from_battery(problem, best_p),
             best_obj, f"{used}-certificate", lb, True,
         )
-    if backend is None:
-        backend = "branch-and-bound" if problem.horizon <= BNB_MAX_STEPS else "grid-dp"
-    soc_step = None
-    if backend == "branch-and-bound":
-        best_p, best_obj, certified, root_bound = _solve_bnb(
-            problem, stage, best_p, best_obj, node_limit
-        )
-        lower = best_obj if certified else max(lb, root_bound)
-    else:
-        dp_p, dp_obj, soc_step = _solve_grid_dp(problem, stage)
-        if dp_obj < best_obj:
-            best_p, best_obj = dp_p, dp_obj
-        certified = best_obj <= lb + _CERT_TOL
-        lower = lb
+    b = problem.fleet.battery
+    stage = _Stage(problem)
+    values = _value_functions(stage, problem.horizon, b.e_min, b.e_max)
+    dp_p = _optimal_powers(problem, stage, values)
+    dp_obj = _objective_of_powers(problem, dp_p)
+    if dp_obj < best_obj:
+        best_p, best_obj = dp_p, dp_obj
+    lower = max(lb, values[0](problem.soc0))
+    certified = best_obj - lower <= _EXACT_REL_TOL * max(1.0, best_obj)
     return OracleSolution(
         _records_from_battery(problem, best_p),
-        best_obj, backend, lower, certified, soc_step,
+        best_obj, "exact-dp", lower, certified,
     )
+
+
+def rule_objective(problem: OracleProblem, records) -> float:
+    """Total tracking error sum_k |C r_k - (p_hes - p0)| of dispatch
+    records on the instance, summed in step order."""
+    t = problem.targets()
+    return float(sum(abs(t[k] - (r.p_hes - r.p0)) for k, r in enumerate(records)))
 
 
 def compare_with_rule(
     problem: OracleProblem,
     guard: GuardConfig | None = None,
-    backend: str | None = None,
-    node_limit: int = 500,
 ) -> RuleOracleComparison:
     """Run the rule-based dispatcher on the instance, then the oracle
     warm-started with the rule's battery trajectory. The warm start
     makes oracle <= rule hold by construction, so the gap is what the
     rule leaves on the table."""
-    dp_req = problem.targets()
     records = simulate(
-        problem.fleet, Scenario.S1, dp_req, problem.pv, problem.soc0, guard=guard
+        problem.fleet, Scenario.S1, problem.targets(), problem.pv, problem.soc0, guard=guard
     )
-    t = problem.targets()
-    rule_obj = float(sum(abs(t[k] - (r.p_hes - r.p0)) for k, r in enumerate(records)))
+    rule_obj = rule_objective(problem, records)
     warm = np.array([r.p_batt for r in records])
-    sol = solve(problem, backend=backend, warm_start_p_batt=warm, node_limit=node_limit)
+    sol = solve(problem, warm_start_p_batt=warm)
     return RuleOracleComparison(rule_obj, sol, rule_obj - sol.objective)

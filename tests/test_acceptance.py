@@ -82,7 +82,7 @@ def test_criterion_04_oracle_dominates_when_soc_binds():
         n = int(rng.integers(20, 61))
         r = np.clip(rng.normal(rng.uniform(-0.5, 0.5), 0.5, n), -1.0, 1.0)
         prob = OracleProblem(fleet, 6.5, r, 2.0, float(rng.uniform(0.2, 0.8)))
-        comp = compare_with_rule(prob, node_limit=800)
+        comp = compare_with_rule(prob)
         assert comp.oracle.objective <= comp.rule_objective + 1e-12, trial
         if comp.gap > 1e-6:
             strict += 1

@@ -1,9 +1,10 @@
-"""Convex piecewise-linear helper: evaluation, hulls, inf-convolution."""
+"""Piecewise-linear helper: evaluation, hulls, inf-convolution, convex
+runs and exact lower envelopes."""
 
 import numpy as np
 import pytest
 
-from hesflex._pwl import Pwl, clip, from_points, inf_convolve
+from hesflex._pwl import Pwl, convex_runs, from_points, inf_convolve, lower_envelope
 
 
 def test_interpolation_and_endpoint_hold():
@@ -21,7 +22,6 @@ def test_single_point_function():
     f = Pwl((1.5,), (0.7,))
     assert f(1.5) == 0.7
     assert f(-3.0) == 0.7
-    assert f.min_point() == (1.5, 0.7)
 
 
 def test_breakpoints_must_increase():
@@ -29,11 +29,6 @@ def test_breakpoints_must_increase():
         Pwl((0.0, 0.0), (1.0, 2.0))
     with pytest.raises(ValueError):
         Pwl((1.0, 0.5), (1.0, 2.0))
-
-
-def test_min_point():
-    f = Pwl((0.0, 1.0, 3.0), (2.0, 0.0, 4.0))
-    assert f.min_point() == (1.0, 0.0)
 
 
 def test_from_points_sorts_and_dedupes():
@@ -111,13 +106,47 @@ def test_inf_convolve_of_vees():
     assert h2(2.5) == pytest.approx(3.0, abs=1e-12)
 
 
-def test_clip_restricts_domain():
-    f = Pwl((0.0, 1.0, 3.0), (2.0, 0.0, 4.0))
-    g = clip(f, 0.5, 2.0)
-    assert g.x_lo == 0.5 and g.x_hi == 2.0
-    assert g(0.5) == pytest.approx(f(0.5), abs=1e-12)
-    assert g(2.0) == pytest.approx(f(2.0), abs=1e-12)
-    assert clip(f, 5.0, 6.0) is None
-    # degenerate single-point clip is legal
-    h = clip(f, 1.0, 1.0)
-    assert h is not None and h(1.0) == 0.0
+def test_convex_runs_split_at_concave_kinks():
+    # slopes -1, 1, 0, 2, -3: concave at x = 2 and x = 4
+    f = Pwl((0.0, 1.0, 2.0, 3.0, 4.0, 5.0), (1.0, 0.0, 1.0, 1.0, 3.0, 0.0))
+    runs = convex_runs(f)
+    assert [r.xs for r in runs] == [(0.0, 1.0, 2.0), (2.0, 3.0, 4.0), (4.0, 5.0)]
+    for r in runs:
+        assert r.ys == tuple(f(x) for x in r.xs)
+    convex = Pwl((0.0, 1.0, 2.0), (1.0, 0.0, 2.0))
+    assert convex_runs(convex) == [convex]
+
+
+def _random_pwl(rng, lo, hi, n):
+    xs = np.unique(np.concatenate(([lo, hi], rng.uniform(lo, hi, n - 2))))
+    return Pwl(tuple(xs), tuple(rng.uniform(-2.0, 2.0, xs.size)))
+
+
+def test_lower_envelope_matches_dense_minimum(rng):
+    """Against the minimum sampled on a fine grid, which the exact
+    envelope must equal at every sample (crossings included). Two
+    functions cover the whole interval; two more cover part of it and
+    start and end above the first two, so the minimum stays continuous."""
+    for _ in range(20):
+        full = [_random_pwl(rng, -rng.uniform(0.0, 0.5), 1.0 + rng.uniform(0.0, 0.5), 6)
+                for _ in range(2)]
+        fs = list(full)
+        for _ in range(2):
+            g = _random_pwl(rng, *np.sort(rng.uniform(0.0, 1.0, 2)), 5)
+            lift = max(0.0, *(min(f(x) for f in full) - g(x) for x in (g.x_lo, g.x_hi)))
+            fs.append(Pwl(g.xs, tuple(y + lift for y in g.ys)))
+        env = lower_envelope(fs, 0.0, 1.0)
+        assert env.x_lo == 0.0 and env.x_hi == 1.0
+        for x in np.linspace(0.0, 1.0, 401):
+            want = min(f(x) for f in fs if f.x_lo <= x <= f.x_hi)
+            assert env(float(x)) == pytest.approx(want, abs=1e-12)
+
+
+def test_lower_envelope_inserts_crossings_and_drops_collinear_points():
+    # two lines crossing at x = 0.5, and a third that touches neither
+    up = Pwl((0.0, 0.25, 1.0), (0.0, 0.25, 1.0))
+    down = Pwl((0.0, 1.0), (1.0, 0.0))
+    high = Pwl((0.0, 1.0), (5.0, 5.0))
+    env = lower_envelope([up, down, high], 0.0, 1.0)
+    assert env.xs == (0.0, 0.5, 1.0)
+    assert env.ys == (0.0, 0.5, 0.0)
