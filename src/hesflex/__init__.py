@@ -39,12 +39,11 @@ from .data_io import (
     write_signal_csv,
 )
 from .dispatch import (
-    DispatchRecord,
     InfeasibleDispatchError,
+    Trajectory,
     allocate,
     allocate_green_load,
     allocate_priority_load,
-    delivered_deviation,
     validate_records,
 )
 from .flexibility import FlexEnvelope, Scenario, envelope
@@ -72,8 +71,8 @@ from .oracle import (
     compare_with_rule,
 )
 from .oracle import solve as solve_oracle
-from .simulation import run_guarded, simulate
-from .soc_guard import GuardConfig, check_band, containment_ratio, guard_power_cap, guard_step
+from .simulation import simulate
+from .soc_guard import GuardConfig, check_band, containment_ratio, guard_power_cap
 
 __version__ = "0.1.0"
 
@@ -83,7 +82,6 @@ __all__ = [
     "BatteryState",
     "ConfigError",
     "DataFormatError",
-    "DispatchRecord",
     "FlexEnvelope",
     "GuardConfig",
     "InfeasibleDispatchError",
@@ -102,6 +100,7 @@ __all__ = [
     "Scenario",
     "SignalSeries",
     "SocBoundsError",
+    "Trajectory",
     "allocate",
     "allocate_green_load",
     "allocate_priority_load",
@@ -114,13 +113,11 @@ __all__ = [
     "containment_ratio",
     "decomposed_bid",
     "default_fleet",
-    "delivered_deviation",
     "envelope",
     "export_report",
     "export_trace",
     "group_by_season_hour",
     "guard_power_cap",
-    "guard_step",
     "load_config",
     "load_feasible",
     "max_flex_bid",
@@ -136,7 +133,6 @@ __all__ = [
     "read_trace_csv",
     "report_lines",
     "resample_zoh",
-    "run_guarded",
     "season_of_timestamp",
     "settle",
     "simulate",

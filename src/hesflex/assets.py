@@ -286,24 +286,20 @@ def battery_step(
     p_charge: float,
     p_discharge: float,
     dt: float,
-    *,
-    eta_charge: float | None = None,
-    eta_discharge: float | None = None,
 ) -> BatteryState:
     """Advance the SoC by one step.
 
     ``p_charge`` must lie in [-p_max, 0], ``p_discharge`` in [0, p_max],
     and at most one of them may be nonzero. The update is
 
-        soc' = soc - (dt / e_cap) * (eta_c * p_charge + p_discharge / eta_d)
+        soc' = soc - (dt / e_cap) * (eta * p_charge + p_discharge / eta)
 
     so charging raises the SoC and discharging lowers it, both penalized
-    by the inverter efficiency. Per-direction efficiencies default to
-    ``params.eta_inv``. A step that would exit [e_min, e_max] raises
-    :class:`SocBoundsError` carrying the clipped state.
+    by the inverter efficiency ``eta = params.eta_inv``. A step that would
+    exit [e_min, e_max] raises :class:`SocBoundsError` carrying the
+    clipped state.
     """
-    eta_c = params.eta_inv if eta_charge is None else eta_charge
-    eta_d = params.eta_inv if eta_discharge is None else eta_discharge
+    eta = params.eta_inv
     if dt <= 0:
         raise ValueError("dt must be > 0 hours")
     if not (-params.p_max - 1e-9 <= p_charge <= 0.0):
@@ -312,7 +308,7 @@ def battery_step(
         raise ValueError("p_discharge must lie in [0, p_max] MW")
     if abs(p_charge) > 1e-12 and abs(p_discharge) > 1e-12:
         raise ValueError("simultaneous charge and discharge is not allowed")
-    soc_next = state.soc - (dt / params.e_cap) * (eta_c * p_charge + p_discharge / eta_d)
+    soc_next = state.soc - (dt / params.e_cap) * (eta * p_charge + p_discharge / eta)
     lo, hi = params.e_min, params.e_max
     if soc_next < lo - _SOC_SNAP or soc_next > hi + _SOC_SNAP:
         raise SocBoundsError(soc_next, BatteryState(min(max(soc_next, lo), hi)))

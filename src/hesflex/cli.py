@@ -45,7 +45,7 @@ from .data_io import (
     synth_signal,
     write_signal_csv,
 )
-from .dispatch import InfeasibleDispatchError, delivered_deviation
+from .dispatch import InfeasibleDispatchError
 from .flexibility import Scenario, envelope
 from .market import (
     STATISTICS,
@@ -58,7 +58,7 @@ from .market import (
     settle,
 )
 from .oracle import OracleProblem, rule_objective, solve as solve_oracle
-from .simulation import run_guarded, simulate
+from .simulation import simulate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -130,17 +130,30 @@ def _load_signal(cfg: RunConfig, path):
     return synth_signal(cfg.seed, n, cadence=cfg.dt_s, bias=cfg.bias)
 
 
-def _load_pv(cfg: RunConfig, fleet, path, n: int):
-    if path:
-        irr = read_irradiance_csv(path)
+def _load_pv(cfg: RunConfig, fleet, path, n: int, times=None):
+    """PV power per signal step. A PV file is looked up at the signal's
+    ``times`` by zero-order hold, each sample held until the next (the
+    last one for one cadence); without a clock (a synthetic signal) its
+    first ``n`` samples at the run step are taken."""
+    if not path:
+        return np.full(n, pv_power(fleet.pv, cfg.irradiance_wm2))
+    irr = read_irradiance_csv(path)
+    if times is None:
         if irr.cadence > cfg.dt_s + 1e-9:
             irr = resample_zoh(irr, cfg.dt_s)
         if len(irr.values) < n:
             raise DataFormatError(
                 f"{path}: {len(irr.values)} PV steps cannot cover a {n}-step signal"
             )
-        return pv_power_series(fleet.pv, irr.values[:n])
-    return [pv_power(fleet.pv, cfg.irradiance_wm2)] * n
+        return np.asarray(pv_power_series(fleet.pv, irr.values[:n]))
+    held = irr.cadence if irr.cadence > 0 else cfg.dt_s
+    idx = np.searchsorted(irr.timestamps, times, side="right") - 1
+    uncovered = np.flatnonzero((idx < 0) | (times >= irr.timestamps[-1] + held))
+    if uncovered.size:
+        raise DataFormatError(
+            f"{path}: no PV sample covers signal timestamp {int(times[uncovered[0]])}"
+        )
+    return np.asarray(pv_power_series(fleet.pv, irr.values[idx]))
 
 
 def cmd_envelope(args) -> int:
@@ -178,25 +191,16 @@ def cmd_track(args) -> int:
     series = _load_signal(cfg, args.signal_csv)
     r = series.values
     n = len(r)
-    pv = _load_pv(cfg, fleet, args.pv_csv, n)
-    dp_req = cfg.capacity_mw * r
-    if guard is not None:
-        records = run_guarded(guard, fleet, scenario, dp_req, pv, cfg.soc0)
-    else:
-        records = simulate(fleet, scenario, dp_req, pv, cfg.soc0)
+    pv = _load_pv(cfg, fleet, args.pv_csv, n, series.timestamps if args.signal_csv else None)
+    traj = simulate(fleet, scenario, cfg.capacity_mw * r, pv, cfg.soc0, guard)
     sig = RegSignal(r, cfg.dt_s)
     outcome = settle(
-        cfg.capacity_mw, sig, delivered_deviation(records),
+        cfg.capacity_mw, sig, traj.p_hes - traj.p0,
         MarketPrices(cfg.lambda_capacity, cfg.lambda_mileage),
     )
-    residual = max(
-        abs(rec.p_hes - ((rec.p_pv - rec.p_curtailed) - rec.p_cl + rec.p_batt))
-        for rec in records
-    )
-    reach = [
-        max(abs(e.dp_lo), e.dp_hi)
-        for e in (envelope(scenario, fleet, p) for p in pv)
-    ]
+    residual = np.abs(traj.p_hes - ((traj.p_pv - traj.p_curtailed) - traj.p_cl + traj.p_batt))
+    env = envelope(scenario, fleet, pv)
+    reach = np.maximum(np.abs(env.dp_lo), env.dp_hi)
     pairs: dict[str, object] = dict(config_mapping(cfg))
     pairs.update(
         steps=n,
@@ -205,17 +209,16 @@ def cmd_track(args) -> int:
         mileage=outcome.mileage,
         qualified=outcome.qualified,
         payment_usd=outcome.payment,
-        soc_final=records[-1].soc_after,
-        max_balance_residual_mw=residual,
+        soc_final=float(traj.soc[-1]),
+        max_balance_residual_mw=float(residual.max()),
         max_flex_bid_mw=max_flex_bid(reach, sig),
     )
     if args.oracle:
         if scenario is not Scenario.S1:
             raise ConfigError(["--oracle compares against the baseline mode; use scenario S1"])
-        problem = OracleProblem(fleet, cfg.capacity_mw, r, np.asarray(pv), cfg.soc0)
-        warm = [rec.p_batt for rec in records]
-        sol = solve_oracle(problem, warm_start_p_batt=warm)
-        rule_obj = rule_objective(problem, records)
+        problem = OracleProblem(fleet, cfg.capacity_mw, r, pv, cfg.soc0)
+        sol = solve_oracle(problem, warm_start_p_batt=traj.p_batt)
+        rule_obj = rule_objective(problem, traj)
         pairs.update(
             rule_objective_mw=rule_obj,
             oracle_objective_mw=sol.objective,
@@ -225,7 +228,7 @@ def cmd_track(args) -> int:
             oracle_certified=sol.certified_optimal,
         )
     if args.trace:
-        export_trace(records, args.trace, times=series.timestamps, signal=r, dt_s=cfg.dt_s)
+        export_trace(traj, args.trace, times=series.timestamps, signal=r, dt_s=cfg.dt_s)
     _emit_report(pairs, args.out)
     return EXIT_OK
 
@@ -265,12 +268,12 @@ def bid_sweep_rows(cfg: RunConfig, days: int, eval_steps: int = 900, statistics=
             cfg.seed + 7919 * (idx + 1), eval_steps, cadence=cfg.dt_s, full_scale=True
         )
         sig = RegSignal(eval_sig.values, cfg.dt_s)
-        pv_eval = [float(np.mean(samples))] * eval_steps
+        pv_eval = np.full(eval_steps, float(np.mean(samples)))
         for stat in stats:
             stat_mw = pv_statistic(samples, stat)
             bid = decomposed_bid(fleet.battery, stat_mw)
-            records = simulate(fleet, Scenario.S2, bid * eval_sig.values, pv_eval, cfg.soc0)
-            outcome = settle(bid, sig, delivered_deviation(records), prices)
+            traj = simulate(fleet, Scenario.S2, bid * eval_sig.values, pv_eval, cfg.soc0)
+            outcome = settle(bid, sig, traj.p_hes - traj.p0, prices)
             rows.append(
                 (season, hour, stat, samples.size, stat_mw, bid,
                  outcome.score, outcome.qualified, outcome.payment)

@@ -7,11 +7,12 @@ comments. All problems in a file are reported together in a single
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .assets import AssetFleet, BatteryParams, LoadParams, PvParams
 from .flexibility import Scenario
-from .soc_guard import GuardConfig
+from .soc_guard import GuardConfig, containment_ratio
 
 __all__ = [
     "RunConfig",
@@ -149,6 +150,9 @@ def config_from_mapping(mapping: dict[str, str], source: str = "<config>") -> Ru
 def validate(cfg: RunConfig) -> list[str]:
     """Range checks; returns messages instead of raising."""
     out: list[str] = []
+    for key, (name, conv) in _KEYS.items():
+        if conv is float and not math.isfinite(getattr(cfg, name)):
+            out.append(f"{key} must be finite")
     if cfg.scenario not in Scenario.__members__:
         out.append(f"scenario must be one of {list(Scenario.__members__)}, got '{cfg.scenario}'")
     for name in ("capacity_mw", "hours", "dt_s", "pv_rated_mw", "batt_p_max_mw",
@@ -182,25 +186,39 @@ def load_config(path) -> RunConfig:
     return config_from_mapping(parse_config_text(text, str(path)), str(path))
 
 
+def _battery(cfg: RunConfig) -> BatteryParams:
+    return BatteryParams(
+        p_max=cfg.batt_p_max_mw,
+        e_cap=cfg.batt_e_cap_mwh,
+        eta_inv=cfg.eta_inv,
+        e_min=cfg.soc_min,
+        e_max=cfg.soc_max,
+    )
+
+
 def build_fleet(cfg: RunConfig) -> AssetFleet:
     return AssetFleet(
         pv=PvParams.scaled_to_rating(cfg.pv_rated_mw),
-        battery=BatteryParams(
-            p_max=cfg.batt_p_max_mw,
-            e_cap=cfg.batt_e_cap_mwh,
-            eta_inv=cfg.eta_inv,
-            e_min=cfg.soc_min,
-            e_max=cfg.soc_max,
-        ),
+        battery=_battery(cfg),
         load=LoadParams(p_max=cfg.load_max_mw),
         dt=cfg.dt_s / 3600.0,
     )
 
 
 def build_guard(cfg: RunConfig) -> GuardConfig | None:
+    """The configured guard, or None when it is off. Raises ConfigError
+    when one step at full power can carry the SoC across the buffer, so
+    the taper could not keep it inside the band."""
     if not cfg.guard_enabled:
         return None
-    return GuardConfig(cfg.guard_upper, cfg.guard_lower, cfg.guard_buffer)
+    guard = GuardConfig(cfg.guard_upper, cfg.guard_lower, cfg.guard_buffer)
+    ratio = containment_ratio(guard, _battery(cfg), cfg.dt_s / 3600.0)
+    if ratio > 1.0:
+        raise ConfigError([
+            f"guard.buffer = {cfg.guard_buffer:g} cannot contain one signal.dt_s = "
+            f"{cfg.dt_s:g} s step at full power (containment ratio {ratio:.3g} > 1)"
+        ])
+    return guard
 
 
 def config_mapping(cfg: RunConfig) -> dict[str, object]:

@@ -5,9 +5,10 @@ CSV inputs use UTC epoch-second integer timestamps:
 - signal files:      header ``timestamp,r``        with r in [-1, 1]
 - irradiance files:  header ``timestamp,ghi_wm2``  with ghi >= 0
 
-Dispatch traces are CSV with the fixed column set
-``k,t,r,p_hes,p0,dp_req,p_pv,p_cl,p_batt,p_curtailed,soc`` and reports
-are flat ``key = value`` text. All floats are serialized with 15
+Every value must be finite. Dispatch traces are CSV with the step ``k``,
+the time ``t`` and the signal ``r`` followed by the :class:`Trajectory`
+columns, ``k,t,r,p_hes,p0,dp_req,p_pv,p_cl,p_batt,p_curtailed,soc``, and
+reports are flat ``key = value`` text. All floats are serialized with 15
 significant digits so a round trip stays well inside 1e-9.
 """
 
@@ -15,15 +16,16 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .dispatch import DispatchRecord
+from .dispatch import Trajectory
 
 _FLOAT_FMT = ".15g"
-TRACE_COLUMNS = ("k", "t", "r", "p_hes", "p0", "dp_req", "p_pv", "p_cl", "p_batt", "p_curtailed", "soc")
+_TRAJECTORY_COLUMNS = tuple(f.name for f in fields(Trajectory))
+TRACE_COLUMNS = ("k", "t", "r") + _TRAJECTORY_COLUMNS
 
 
 class DataFormatError(ValueError):
@@ -78,6 +80,8 @@ def _read_two_columns(path, header: tuple[str, str]):
                 v = float(row[1])
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: unparsable row {row!r}") from None
+            if not (math.isfinite(t_raw) and math.isfinite(v)):
+                raise DataFormatError(f"{path}:{lineno}: non-finite value in row {row!r}")
             if abs(t_raw - round(t_raw)) > 1e-6:
                 raise DataFormatError(f"{path}:{lineno}: timestamp must be integer seconds")
             t = int(round(t_raw))
@@ -245,50 +249,34 @@ def synth_irradiance(
     return IrradianceSeries(ts, ghi, float(cadence), ())
 
 
-def export_trace(records: list[DispatchRecord], path, *, times=None, signal=None, dt_s: float = 2.0) -> None:
-    """Write a dispatch trajectory as CSV.
+def export_trace(traj: Trajectory, path, *, times=None, signal=None, dt_s: float = 2.0) -> None:
+    """Write a dispatch trajectory as CSV, one row per step.
 
     ``times`` (epoch seconds) and ``signal`` (normalized r) default to
     the step index scaled by ``dt_s`` and zero respectively when the
     run has no real-world clock or signal attached.
     """
-    n = len(records)
+    n = len(traj)
     if times is None:
-        times = [r.step * dt_s for r in records]
+        times = np.arange(n) * dt_s
     if signal is None:
-        signal = [0.0] * n
+        signal = np.zeros(n)
     if len(times) != n or len(signal) != n:
-        raise ValueError("times and signal must match the number of records")
+        raise ValueError("times and signal must match the number of steps")
+    columns = [times, signal] + [getattr(traj, name) for name in _TRAJECTORY_COLUMNS]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRACE_COLUMNS)
-        for r, t, rr in zip(records, times, signal):
-            w.writerow(
-                [
-                    r.step,
-                    _fmt(t),
-                    _fmt(rr),
-                    _fmt(r.p_hes),
-                    _fmt(r.p0),
-                    _fmt(r.dp_req),
-                    _fmt(r.p_pv),
-                    _fmt(r.p_cl),
-                    _fmt(r.p_batt),
-                    _fmt(r.p_curtailed),
-                    _fmt(r.soc_after),
-                ]
-            )
+        w.writerows(zip(range(n), *(map(_fmt, col) for col in columns)))
 
 
 def read_trace_csv(path):
     """Read back an exported trace.
 
-    Returns ``(records, times, signal)`` with the same column meanings
-    as :func:`export_trace`.
+    Returns ``(traj, times, signal)`` with the same column meanings as
+    :func:`export_trace`; the steps must run 0, 1, 2, ...
     """
-    records: list[DispatchRecord] = []
-    times: list[float] = []
-    signal: list[float] = []
+    rows: list[list[float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -304,13 +292,14 @@ def read_trace_csv(path):
                 raise DataFormatError(f"{path}:{lineno}: expected {len(TRACE_COLUMNS)} columns")
             try:
                 k = int(row[0])
-                t, rr, p_hes, p0, dp_req, p_pv, p_cl, p_batt, p_curt, soc = map(float, row[1:])
+                values = [float(x) for x in row[1:]]
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: unparsable row {row!r}") from None
-            records.append(DispatchRecord(k, p_hes, p0, dp_req, p_pv, p_cl, p_batt, p_curt, soc))
-            times.append(t)
-            signal.append(rr)
-    return records, times, signal
+            if k != len(rows):
+                raise DataFormatError(f"{path}:{lineno}: expected step {len(rows)}, got {k}")
+            rows.append(values)
+    cols = np.array(rows, dtype=float).reshape(-1, len(TRACE_COLUMNS) - 1).T
+    return Trajectory(*cols[2:]), cols[0], cols[1]
 
 
 def report_lines(pairs: dict) -> list[str]:

@@ -1,4 +1,5 @@
-"""Rule-based allocation of a requested deviation to the fleet assets.
+"""Rule-based allocation of a requested deviation, and the trajectory it
+produces.
 
 Given a scenario, the available PV power, and a deviation request ``dp``
 inside the scenario envelope, the allocation rules split the implied net
@@ -9,12 +10,19 @@ curtailment such that the power balance
 
 holds exactly with ``p_hes = p0 + dp``. Two closed-form rules exist: the
 priority-load rule serves the load first and lets the battery take the
-residual, and the green-load rule keeps the load fed from PV alone.
+residual, and the green-load rule keeps the load fed from PV alone. Every
+rule takes one step as floats or a whole horizon as arrays and returns
+the same kind.
+
+A :class:`Trajectory` holds an executed run as equal-length columns, one
+row per step; :func:`validate_records` audits it column by column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .assets import AssetFleet
 from .flexibility import FlexEnvelope, Scenario, envelope
@@ -35,33 +43,47 @@ class InfeasibleDispatchError(ValueError):
         self.envelope = env
 
 
-@dataclass(frozen=True, slots=True)
-class DispatchRecord:
-    """One executed step of a dispatch trajectory.
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """An executed dispatch run as read-only float64 columns (MW, and
+    per-unit SoC); the step is the row index.
 
     ``dp_req`` is the deviation requested before any envelope clipping
     or battery saturation; the delivered deviation is ``p_hes - p0``.
-    ``soc_after`` is the battery SoC once the step has been applied.
+    ``soc`` is the battery SoC once the step has been applied.
     """
 
-    step: int
-    p_hes: float
-    p0: float
-    dp_req: float
-    p_pv: float
-    p_cl: float
-    p_batt: float
-    p_curtailed: float
-    soc_after: float
+    p_hes: np.ndarray
+    p0: np.ndarray
+    dp_req: np.ndarray
+    p_pv: np.ndarray
+    p_cl: np.ndarray
+    p_batt: np.ndarray
+    p_curtailed: np.ndarray
+    soc: np.ndarray
+
+    def __post_init__(self):
+        n = None
+        for f in fields(self):
+            col = np.array(getattr(self, f.name), dtype=float)
+            if col.ndim != 1 or (n is not None and col.size != n):
+                raise ValueError(f"column {f.name} must be 1-D with one value per step")
+            n = col.size
+            col.flags.writeable = False
+            object.__setattr__(self, f.name, col)
+
+    def __len__(self) -> int:
+        return self.p_hes.size
 
 
-def _clamp(x: float, lo: float, hi: float) -> float:
-    return lo if x < lo else hi if x > hi else x
+def _floats(*xs):
+    """Python floats for one step, the arrays themselves for a horizon."""
+    if all(np.ndim(x) == 0 for x in xs):
+        return tuple(float(x) for x in xs)
+    return xs
 
 
-def allocate_priority_load(
-    fleet: AssetFleet, p_pv: float, p0: float, dp: float
-) -> tuple[float, float]:
+def allocate_priority_load(fleet: AssetFleet, p_pv, p0, dp):
     """Load-first split of the target ``p0 + dp``.
 
     The load soaks up PV beyond the target, the battery covers whatever
@@ -70,116 +92,121 @@ def allocate_priority_load(
         p_cl   = clamp(p_pv - p0 - dp, 0, load.p_max)
         p_batt = clamp(p0 + dp - p_pv + p_cl, -batt.p_max, batt.p_max)
     """
-    cl = fleet.load.p_max
     pb = fleet.battery.p_max
-    p_cl = _clamp(p_pv - p0 - dp, 0.0, cl)
-    p_batt = _clamp(p0 + dp - p_pv + p_cl, -pb, pb)
-    return p_cl, p_batt
+    p_cl = np.clip(p_pv - p0 - dp, 0.0, fleet.load.p_max)
+    p_batt = np.clip(p0 + dp - p_pv + p_cl, -pb, pb)
+    return _floats(p_cl, p_batt)
 
 
-def allocate_green_load(fleet: AssetFleet, p_pv: float, dp: float) -> tuple[float, float]:
+def allocate_green_load(fleet: AssetFleet, p_pv, dp):
     """Sustainable-load split: the load consumes PV energy only.
 
     Valid when the load can absorb all available PV (p_pv <= load.p_max).
-    With ``D = 2 * batt.p_max + p_pv``:
+    With ``D = 2 * batt.p_max + p_pv`` (> 0, the battery rating is):
 
         p_cl   = clamp(p_pv * (batt.p_max + p_pv / 2 - dp) / D, 0, load.p_max)
         p_batt = clamp(batt.p_max * 2 * dp / D, -batt.p_max, batt.p_max)
-
-    The degenerate fleet D = 0 idles both assets.
     """
-    cl = fleet.load.p_max
     pb = fleet.battery.p_max
     den = 2.0 * pb + p_pv
-    if den <= 0.0:
-        return 0.0, 0.0
-    p_cl = _clamp(p_pv * (pb + 0.5 * p_pv - dp) / den, 0.0, cl)
-    p_batt = _clamp(pb * 2.0 * dp / den, -pb, pb)
-    return p_cl, p_batt
+    p_cl = np.clip(p_pv * (pb + 0.5 * p_pv - dp) / den, 0.0, fleet.load.p_max)
+    p_batt = np.clip(pb * 2.0 * dp / den, -pb, pb)
+    return _floats(p_cl, p_batt)
 
 
-def allocate(
-    scenario: Scenario, fleet: AssetFleet, p_pv: float, dp: float
-) -> tuple[float, float, float]:
-    """Route a deviation request to the scenario's allocation rule.
+def _curtailment(p_pv, p_cl, p_batt, target):
+    """PV to curtail so the net power lands on ``target``: the surplus
+    the load and battery leave, clamped to [0, p_pv]."""
+    surplus = (p_pv - p_cl + p_batt) - target
+    return np.clip(surplus, 0.0, p_pv)
 
-    Returns ``(p_cl, p_batt, p_curtailed)``. Raises
-    :class:`InfeasibleDispatchError` when ``dp`` is outside the envelope
-    and ``ValueError`` for S2 with more PV than the load can absorb (the
-    green-load rule has no consistent split there).
-    """
-    env = envelope(scenario, fleet, p_pv)
-    if not env.contains(dp):
-        raise InfeasibleDispatchError(scenario, dp, env)
+
+def _split(scenario: Scenario, fleet: AssetFleet, p_pv, p0, dp):
+    """The scenario's rule for an in-envelope ``dp`` around ``p0``."""
     cl = fleet.load.p_max
     pb = fleet.battery.p_max
     if scenario is Scenario.S2:
-        if p_pv > cl + 1e-9:
+        over = np.flatnonzero(np.atleast_1d(p_pv) > cl + 1e-9)
+        if over.size:
             raise ValueError(
                 "green-load allocation requires p_pv <= load.p_max "
-                f"(got p_pv = {p_pv:.9g}, load = {cl:.9g} MW)"
+                f"(got p_pv = {np.atleast_1d(p_pv)[over[0]]:.9g}, load = {cl:.9g} MW)"
             )
         p_cl, p_batt = allocate_green_load(fleet, p_pv, dp)
-        return p_cl, p_batt, 0.0
+        return p_cl, p_batt, np.zeros_like(p_cl)
     if scenario is Scenario.S3:
-        p_cl = min(p_pv, cl)
-        p_batt = _clamp(dp - p_pv + p_cl, -pb, pb)
-        return p_cl, p_batt, 0.0
-    p_cl, p_batt = allocate_priority_load(fleet, p_pv, env.p0, dp)
+        p_cl = np.minimum(p_pv, cl)
+        p_batt = np.clip(dp - p_pv + p_cl, -pb, pb)
+        return p_cl, p_batt, np.zeros_like(p_cl)
+    p_cl, p_batt = allocate_priority_load(fleet, p_pv, p0, dp)
     if scenario is Scenario.S1:
-        return p_cl, p_batt, 0.0
+        return p_cl, p_batt, np.zeros_like(p_cl)
     # S4/S5: load first, then battery, curtail the remaining surplus.
-    surplus = (p_pv - p_cl + p_batt) - (env.p0 + dp)
-    p_curt = _clamp(surplus, 0.0, p_pv)
-    return p_cl, p_batt, p_curt
+    return p_cl, p_batt, _curtailment(p_pv, p_cl, p_batt, p0 + dp)
 
 
-def delivered_deviation(records: list[DispatchRecord]) -> list[float]:
-    """Delivered flexible power of each step, ``p_hes - p0``."""
-    return [r.p_hes - r.p0 for r in records]
+def allocate(scenario: Scenario, fleet: AssetFleet, p_pv, dp):
+    """Route a deviation request to the scenario's allocation rule.
+
+    Returns ``(p_cl, p_batt, p_curtailed)``, floats for one step and
+    arrays for array inputs. Raises :class:`InfeasibleDispatchError` when
+    some ``dp`` is outside the envelope and ``ValueError`` for S2 with more
+    PV than the load can absorb (the green-load rule has no consistent
+    split there).
+    """
+    env = envelope(scenario, fleet, p_pv)
+    outside = np.flatnonzero(~np.atleast_1d(env.contains(dp)))
+    if outside.size:
+        k = outside[0]
+        at = [float(np.atleast_1d(x)[k]) for x in (dp, env.p0, env.dp_lo, env.dp_hi)]
+        raise InfeasibleDispatchError(scenario, at[0], FlexEnvelope(*at[1:]))
+    return _floats(*_split(scenario, fleet, p_pv, env.p0, dp))
 
 
 def validate_records(
-    records: list[DispatchRecord],
+    traj: Trajectory,
     fleet: AssetFleet,
     *,
     scenario: Scenario | None = None,
     soc0: float | None = None,
-    eta_charge: float | None = None,
-    eta_discharge: float | None = None,
     tol: float = _BALANCE_TOL,
 ) -> None:
-    """Audit a trajectory row by row; raises ValueError on the first violation.
+    """Audit a trajectory; raises ValueError naming the first bad step.
 
     Checks the power balance residual, asset box constraints, the SoC
     window, and (when ``soc0`` is given) the SoC recursion under the
-    fleet's efficiencies.
+    battery inverter efficiency. A non-finite value fails every check
+    it takes part in.
     """
     batt = fleet.battery
     cl = fleet.load.p_max
-    eta_c = batt.eta_inv if eta_charge is None else eta_charge
-    eta_d = batt.eta_inv if eta_discharge is None else eta_discharge
-    soc_prev = soc0
-    for r in records:
-        residual = (r.p_pv - r.p_curtailed) - r.p_cl + r.p_batt - r.p_hes
-        if abs(residual) > tol:
-            raise ValueError(f"step {r.step}: power balance residual {residual:.3e} MW")
-        if not (-tol <= r.p_cl <= cl + tol):
-            raise ValueError(f"step {r.step}: load setpoint {r.p_cl:.9g} outside [0, {cl}]")
-        if abs(r.p_batt) > batt.p_max + tol:
-            raise ValueError(f"step {r.step}: battery power {r.p_batt:.9g} beyond rating")
-        if r.p_curtailed < -tol or r.p_curtailed > r.p_pv + tol:
-            raise ValueError(f"step {r.step}: curtailment {r.p_curtailed:.9g} outside [0, p_pv]")
-        if scenario in (Scenario.S1, Scenario.S2, Scenario.S3) and r.p_curtailed > tol:
-            raise ValueError(f"step {r.step}: curtailment not allowed in {scenario.value}")
-        if not (batt.e_min - tol <= r.soc_after <= batt.e_max + tol):
-            raise ValueError(f"step {r.step}: SoC {r.soc_after:.9g} outside the window")
-        if soc_prev is not None:
-            expect = soc_prev - (fleet.dt / batt.e_cap) * (
-                eta_c * min(r.p_batt, 0.0) + max(r.p_batt, 0.0) / eta_d
-            )
-            if abs(expect - r.soc_after) > tol:
-                raise ValueError(
-                    f"step {r.step}: SoC recursion off by {expect - r.soc_after:.3e}"
-                )
-            soc_prev = r.soc_after
+    t = traj
+    residual = (t.p_pv - t.p_curtailed) - t.p_cl + t.p_batt - t.p_hes
+    checks = [
+        (np.abs(residual) <= tol,
+         lambda k: f"power balance residual {residual[k]:.3e} MW"),
+        ((-tol <= t.p_cl) & (t.p_cl <= cl + tol),
+         lambda k: f"load setpoint {t.p_cl[k]:.9g} outside [0, {cl}]"),
+        (np.abs(t.p_batt) <= batt.p_max + tol,
+         lambda k: f"battery power {t.p_batt[k]:.9g} beyond rating"),
+        ((-tol <= t.p_curtailed) & (t.p_curtailed <= t.p_pv + tol),
+         lambda k: f"curtailment {t.p_curtailed[k]:.9g} outside [0, p_pv]"),
+    ]
+    if scenario in (Scenario.S1, Scenario.S2, Scenario.S3):
+        checks.append((t.p_curtailed <= tol,
+                       lambda k: f"curtailment not allowed in {scenario.value}"))
+    checks.append(((batt.e_min - tol <= t.soc) & (t.soc <= batt.e_max + tol),
+                   lambda k: f"SoC {t.soc[k]:.9g} outside the window"))
+    if soc0 is not None:
+        prev = np.concatenate(([soc0], t.soc[:-1]))
+        eta = batt.eta_inv
+        expect = prev - (fleet.dt / batt.e_cap) * (
+            eta * np.minimum(t.p_batt, 0.0) + np.maximum(t.p_batt, 0.0) / eta
+        )
+        off = expect - t.soc
+        checks.append((np.abs(off) <= tol, lambda k: f"SoC recursion off by {off[k]:.3e}"))
+    failing = np.flatnonzero(~np.logical_and.reduce([ok for ok, _ in checks]))
+    if failing.size:
+        k = failing[0]
+        message = next(message for ok, message in checks if not ok[k])
+        raise ValueError(f"step {k}: {message(k)}")

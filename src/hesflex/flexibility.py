@@ -12,13 +12,17 @@ controllable load is parked and whether PV may be curtailed:
 - S5  one-sided pricing of the resources: full load + battery down, battery
       plus available PV up (asymmetric)
 
-All powers are MW. ``p_pv`` is the currently available PV power.
+All powers are MW. ``p_pv`` is the currently available PV power, one
+value or one per step: the envelope is closed-form, so a whole horizon is
+evaluated in one numpy pass.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
+import numpy as np
 
 from .assets import AssetFleet
 
@@ -35,43 +39,50 @@ class Scenario(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class FlexEnvelope:
-    """Nominal power and admissible deviation interval for one step."""
+    """Nominal power and admissible deviation interval: floats for one
+    step, equal-length arrays for a horizon."""
 
-    p0: float
-    dp_lo: float
-    dp_hi: float
+    p0: float | np.ndarray
+    dp_lo: float | np.ndarray
+    dp_hi: float | np.ndarray
 
     def __post_init__(self):
-        if not (self.dp_lo <= 0.0 <= self.dp_hi):
+        if not (np.all(self.dp_lo <= 0.0) and np.all(0.0 <= self.dp_hi)):
             raise ValueError("envelope must contain dp = 0")
 
-    def contains(self, dp: float) -> bool:
-        """Closed-interval membership test."""
-        return self.dp_lo <= dp <= self.dp_hi
+    def contains(self, dp):
+        """Closed-interval membership test, elementwise for arrays."""
+        return (self.dp_lo <= dp) & (dp <= self.dp_hi)
 
     @property
     def width(self) -> float:
         return self.dp_hi - self.dp_lo
 
 
-def envelope(scenario: Scenario, fleet: AssetFleet, p_pv: float) -> FlexEnvelope:
-    """Envelope of the fleet for one step at PV availability ``p_pv``."""
-    if p_pv < 0.0:
+def envelope(scenario: Scenario, fleet: AssetFleet, p_pv) -> FlexEnvelope:
+    """Envelope of the fleet at PV availability ``p_pv``: floats for a
+    scalar ``p_pv``, arrays of its shape for an array."""
+    p = np.asarray(p_pv, dtype=float)
+    if np.any(p < 0.0):
         raise ValueError("p_pv must be >= 0 MW")
     pb = fleet.battery.p_max
     cl = fleet.load.p_max
     if scenario is Scenario.S1:
         half = pb + 0.5 * cl
-        return FlexEnvelope(p_pv - 0.5 * cl, -half, half)
-    if scenario is Scenario.S2:
-        base = 0.5 * min(p_pv, cl)
+        p0, lo, hi = p - 0.5 * cl, -half, half
+    elif scenario is Scenario.S2:
+        base = 0.5 * np.minimum(p, cl)
         half = pb + base
-        return FlexEnvelope(base, -half, half)
-    if scenario is Scenario.S3:
-        return FlexEnvelope(0.0, -pb, pb)
-    if scenario is Scenario.S4:
-        half = pb + 0.5 * (p_pv + cl)
-        return FlexEnvelope(0.5 * (p_pv - cl), -half, half)
-    if scenario is Scenario.S5:
-        return FlexEnvelope(0.0, -(pb + cl), pb + p_pv)
-    raise ValueError(f"unknown scenario: {scenario!r}")
+        p0, lo, hi = base, -half, half
+    elif scenario is Scenario.S3:
+        p0, lo, hi = 0.0, -pb, pb
+    elif scenario is Scenario.S4:
+        half = pb + 0.5 * (p + cl)
+        p0, lo, hi = 0.5 * (p - cl), -half, half
+    elif scenario is Scenario.S5:
+        p0, lo, hi = 0.0, -(pb + cl), pb + p
+    else:
+        raise ValueError(f"unknown scenario: {scenario!r}")
+    if p.ndim == 0:
+        return FlexEnvelope(float(p0), float(lo), float(hi))
+    return FlexEnvelope(*(np.broadcast_to(x, p.shape) for x in (p0, lo, hi)))

@@ -47,6 +47,8 @@ class RegSignal:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 2:
             raise ValueError("a signal needs at least two samples")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("signal values must be finite")
         if np.any(np.abs(v) > 1.0 + 1e-12):
             raise ValueError("normalized signal must stay within [-1, 1]")
         if self.dt <= 0:

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import _pwl
 from .assets import AssetFleet, BatteryState, battery_step
-from .dispatch import DispatchRecord
+from .dispatch import Trajectory
 from .flexibility import Scenario, envelope
 from .simulation import simulate
 from .soc_guard import GuardConfig
@@ -122,7 +122,7 @@ class OracleSolution:
     this is an after-the-fact benchmark.
     """
 
-    records: tuple[DispatchRecord, ...]
+    records: Trajectory
     objective: float
     backend: str
     lower_bound: float
@@ -143,8 +143,8 @@ class _Stage:
     """Per-step stage costs as functions of the SoC drop d.
 
     Sign conventions: battery power p > 0 discharges and drops the SoC
-    by alpha * p / eta_d; p < 0 charges and raises it by
-    alpha * eta_c * |p| (both with alpha = dt / e_cap), so d > 0 on
+    by alpha * p / eta; p < 0 charges and raises it by alpha * eta * |p|
+    (alpha = dt / e_cap, eta the inverter efficiency), so d > 0 on
     discharge. The cost is convex in d on each side of d = 0, one side
     per mode; at d = 0 it is concave when the target asks for more
     charging than the load can absorb, convex otherwise.
@@ -224,26 +224,23 @@ def _greedy_battery(problem: OracleProblem) -> np.ndarray:
     return out
 
 
-def _records_from_battery(problem: OracleProblem, p_batt) -> tuple[DispatchRecord, ...]:
-    """Expand a battery trajectory into full dispatch records, choosing
-    the load that minimizes each step's tracking error."""
+def _records_from_battery(problem: OracleProblem, p_batt) -> Trajectory:
+    """Expand a battery trajectory into a full dispatch trajectory,
+    choosing the load that minimizes each step's tracking error."""
     fl = problem.fleet
     b = fl.battery
     hcl = 0.5 * fl.load.p_max
     t = problem.targets()
+    p = np.clip(np.asarray(p_batt, dtype=float), -b.p_max, b.p_max)
+    dp = np.clip(t, p - hcl, p + hcl)
+    env = envelope(Scenario.S1, fl, problem.pv)
     state = BatteryState(problem.soc0)
-    records = []
-    for k in range(t.size):
-        p = min(max(float(p_batt[k]), -b.p_max), b.p_max)
-        dp = min(max(t[k], p - hcl), p + hcl)
-        p_cl = p + hcl - dp
-        env = envelope(Scenario.S1, fl, float(problem.pv[k]))
-        state = battery_step(b, state, min(p, 0.0), max(p, 0.0), fl.dt)
-        records.append(
-            DispatchRecord(k, env.p0 + dp, env.p0, float(t[k]), float(problem.pv[k]),
-                           p_cl, p, 0.0, state.soc)
-        )
-    return tuple(records)
+    soc = []
+    for pk in p.tolist():
+        state = battery_step(b, state, min(pk, 0.0), max(pk, 0.0), fl.dt)
+        soc.append(state.soc)
+    return Trajectory(env.p0 + dp, env.p0, t, problem.pv, p + hcl - dp, p,
+                      np.zeros(t.size), soc)
 
 
 def _check_warm_start(problem: OracleProblem, p_batt) -> np.ndarray:
@@ -351,11 +348,12 @@ def solve(problem: OracleProblem, warm_start_p_batt=None) -> OracleSolution:
     )
 
 
-def rule_objective(problem: OracleProblem, records) -> float:
-    """Total tracking error sum_k |C r_k - (p_hes - p0)| of dispatch
-    records on the instance, summed in step order."""
-    t = problem.targets()
-    return float(sum(abs(t[k] - (r.p_hes - r.p0)) for k, r in enumerate(records)))
+def rule_objective(problem: OracleProblem, traj: Trajectory) -> float:
+    """Total tracking error sum_k |C r_k - (p_hes - p0)| of a dispatch
+    trajectory on the instance, summed in step order."""
+    # sum() over numpy float64 items adds them one by one; Python >= 3.12
+    # compensates sums of exact floats, which would change the report bytes
+    return float(sum(np.abs(problem.targets() - (traj.p_hes - traj.p0))))
 
 
 def compare_with_rule(
@@ -366,10 +364,9 @@ def compare_with_rule(
     warm-started with the rule's battery trajectory. The warm start
     makes oracle <= rule hold by construction, so the gap is what the
     rule leaves on the table."""
-    records = simulate(
+    traj = simulate(
         problem.fleet, Scenario.S1, problem.targets(), problem.pv, problem.soc0, guard=guard
     )
-    rule_obj = rule_objective(problem, records)
-    warm = np.array([r.p_batt for r in records])
-    sol = solve(problem, warm_start_p_batt=warm)
+    rule_obj = rule_objective(problem, traj)
+    sol = solve(problem, warm_start_p_batt=traj.p_batt)
     return RuleOracleComparison(rule_obj, sol, rule_obj - sol.objective)

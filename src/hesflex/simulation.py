@@ -1,19 +1,24 @@
-"""Step-by-step dispatch simulation of the fleet against a deviation request.
+"""Closed-loop dispatch simulation of the fleet against a deviation request.
 
-Each step: build the scenario envelope for the current PV availability,
-clip the requested deviation into it, run the allocation rule, optionally
-taper the battery setpoint through the SoC guard, saturate the battery at
-its physical energy window, and advance the SoC. The recorded ``p_hes``
-is what the fleet actually delivers, so the power balance holds exactly
-on every record even when the request was truncated.
+The envelope and the allocation rules are closed-form in the available PV
+and the request, so one numpy pass evaluates the envelope for the whole
+horizon, clips every request into it and runs the allocation rule. Only
+the battery carries state from step to step: a loop over the steps then
+tapers the battery setpoint through the SoC guard (when one is given),
+saturates it at the physical energy window, and advances the SoC. Finally
+S4/S5 recompute curtailment for the battery power actually delivered. The
+recorded ``p_hes`` is what the fleet actually delivers, so the power
+balance holds exactly on every row even when the request was truncated.
 
 A run owns its own battery state; the module is stateless.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .assets import AssetFleet, BatteryState, battery_step
-from .dispatch import DispatchRecord, allocate
+from .dispatch import Trajectory, _curtailment, _split
 from .flexibility import Scenario, envelope
 from .soc_guard import GuardConfig, check_band, guard_power_cap
 
@@ -25,90 +30,61 @@ def simulate(
     pv,
     soc0: float,
     guard: GuardConfig | None = None,
-    *,
-    eta_charge: float | None = None,
-    eta_discharge: float | None = None,
-) -> list[DispatchRecord]:
+) -> Trajectory:
     """Run the rule-based dispatcher over a whole horizon.
 
-    ``dp_request`` and ``pv`` are equal-length MW series. ``soc0`` must
-    lie inside the battery window. Returns one record per step.
+    ``dp_request`` and ``pv`` are equal-length, finite MW series.
+    ``soc0`` must lie inside the battery window, and inside the guard
+    band when a ``guard`` is given.
     """
-    n = len(dp_request)
-    if len(pv) != n:
-        raise ValueError(f"dp_request has {n} steps but pv has {len(pv)}")
+    dp_req = np.asarray(dp_request, dtype=float)
+    p_pv = np.asarray(pv, dtype=float)
+    if dp_req.ndim != 1 or p_pv.shape != dp_req.shape:
+        raise ValueError(
+            f"dp_request {dp_req.shape} and pv {p_pv.shape} must be equal-length 1-D series"
+        )
+    for name, series in (("dp_request", dp_req), ("pv", p_pv)):
+        bad = np.flatnonzero(~np.isfinite(series))
+        if bad.size:
+            raise ValueError(f"step {bad[0]}: {name} = {series[bad[0]]} is not finite")
     batt = fleet.battery
-    dt = fleet.dt
-    eta_c = batt.eta_inv if eta_charge is None else eta_charge
-    eta_d = batt.eta_inv if eta_discharge is None else eta_discharge
     if not (batt.e_min - 1e-12 <= soc0 <= batt.e_max + 1e-12):
         raise ValueError(f"soc0 = {soc0} outside the battery window")
     if guard is not None:
         check_band(guard, batt)
+        if not (guard.e_lower <= soc0 <= guard.e_upper):
+            raise ValueError(
+                f"soc0 = {soc0} outside the guard band [{guard.e_lower}, {guard.e_upper}]"
+            )
+    env = envelope(scenario, fleet, p_pv)
+    dp = np.clip(dp_req, env.dp_lo, env.dp_hi)
+    p_cl, p_batt, p_curt = _split(scenario, fleet, p_pv, env.p0, dp)
+
+    dt = fleet.dt
     alpha = dt / batt.e_cap
+    eta = batt.eta_inv
     state = BatteryState(soc0)
-    records: list[DispatchRecord] = []
-    curtailing = scenario in (Scenario.S4, Scenario.S5)
-    for k in range(n):
-        p_pv = float(pv[k])
-        env = envelope(scenario, fleet, p_pv)
-        dp_req = float(dp_request[k])
-        dp = env.dp_lo if dp_req < env.dp_lo else env.dp_hi if dp_req > env.dp_hi else dp_req
-        p_cl, p_batt, p_curt = allocate(scenario, fleet, p_pv, dp)
+    delivered = []
+    soc = []
+    for p in p_batt.tolist():
         if guard is not None:
-            p_batt = guard_power_cap(guard, batt, state.soc, p_batt)
+            p = guard_power_cap(guard, batt, state.soc, p)
         # The battery cannot push the SoC past its physical window.
-        if p_batt > 0.0:
-            lim = (state.soc - batt.e_min) / alpha * eta_d
-            if p_batt > lim:
-                p_batt = max(lim, 0.0)
-        elif p_batt < 0.0:
-            lim = -(batt.e_max - state.soc) / (alpha * eta_c)
-            if p_batt < lim:
-                p_batt = min(lim, 0.0)
-        if curtailing:
-            # A truncated charge leaves PV surplus; curtail it away so the
-            # delivered power still lands on the target when possible.
-            surplus = (p_pv - p_cl + p_batt) - (env.p0 + dp)
-            p_curt = min(max(surplus, 0.0), p_pv)
-        state = battery_step(
-            batt,
-            state,
-            min(p_batt, 0.0),
-            max(p_batt, 0.0),
-            dt,
-            eta_charge=eta_c,
-            eta_discharge=eta_d,
-        )
-        p_hes = (p_pv - p_curt) - p_cl + p_batt
-        records.append(
-            DispatchRecord(k, p_hes, env.p0, dp_req, p_pv, p_cl, p_batt, p_curt, state.soc)
-        )
-    return records
-
-
-def run_guarded(
-    cfg: GuardConfig,
-    fleet: AssetFleet,
-    scenario: Scenario,
-    dp_request,
-    pv,
-    soc0: float,
-    *,
-    eta_charge: float | None = None,
-    eta_discharge: float | None = None,
-) -> list[DispatchRecord]:
-    """Guarded dispatch run; ``soc0`` must start inside the guard band."""
-    check_band(cfg, fleet.battery)
-    if not (cfg.e_lower <= soc0 <= cfg.e_upper):
-        raise ValueError(f"soc0 = {soc0} outside the guard band [{cfg.e_lower}, {cfg.e_upper}]")
-    return simulate(
-        fleet,
-        scenario,
-        dp_request,
-        pv,
-        soc0,
-        guard=cfg,
-        eta_charge=eta_charge,
-        eta_discharge=eta_discharge,
-    )
+        if p > 0.0:
+            lim = (state.soc - batt.e_min) / alpha * eta
+            if p > lim:
+                p = max(lim, 0.0)
+        elif p < 0.0:
+            lim = -(batt.e_max - state.soc) / (alpha * eta)
+            if p < lim:
+                p = min(lim, 0.0)
+        state = battery_step(batt, state, min(p, 0.0), max(p, 0.0), dt)
+        delivered.append(p)
+        soc.append(state.soc)
+    p_batt = np.array(delivered)
+    if scenario in (Scenario.S4, Scenario.S5):
+        # A truncated charge leaves PV surplus; curtail it away so the
+        # delivered power still lands on the target when possible.
+        p_curt = _curtailment(p_pv, p_cl, p_batt, env.p0 + dp)
+    p_hes = (p_pv - p_curt) - p_cl + p_batt
+    return Trajectory(p_hes, env.p0, dp_req, p_pv, p_cl, p_batt, p_curt, np.array(soc))

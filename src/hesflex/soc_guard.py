@@ -65,50 +65,12 @@ def guard_power_cap(cfg: GuardConfig, batt: BatteryParams, soc: float, p_req: fl
     return max(p_req, -cap)
 
 
-def guard_step(
-    cfg: GuardConfig,
-    batt: BatteryParams,
-    soc: float,
-    p_batt_req: float,
-    dt: float,
-    *,
-    eta_charge: float | None = None,
-    eta_discharge: float | None = None,
-) -> tuple[float, float]:
-    """One guarded battery step.
-
-    Returns ``(p_batt_out, soc_next)`` where the output power is the
-    tapered request and the SoC update applies the per-direction
-    efficiency (defaults: the battery inverter efficiency for both).
-    """
-    check_band(cfg, batt)
-    if dt <= 0:
-        raise ValueError("dt must be > 0 hours")
-    eta_c = batt.eta_inv if eta_charge is None else eta_charge
-    eta_d = batt.eta_inv if eta_discharge is None else eta_discharge
-    p = guard_power_cap(cfg, batt, soc, p_batt_req)
-    if p >= 0.0:
-        delta = (p / eta_d) * dt / batt.e_cap
-    else:
-        delta = (p * eta_c) * dt / batt.e_cap
-    return p, soc - delta
-
-
-def containment_ratio(
-    cfg: GuardConfig,
-    batt: BatteryParams,
-    dt: float,
-    *,
-    eta_charge: float | None = None,
-    eta_discharge: float | None = None,
-) -> float:
+def containment_ratio(cfg: GuardConfig, batt: BatteryParams, dt: float) -> float:
     """Largest per-step SoC move at full power, as a fraction of the buffer.
 
     A ratio <= 1 guarantees the taper contains the SoC inside the band:
     the worst single step from the buffer edge cannot overshoot the bound.
     """
-    eta_c = batt.eta_inv if eta_charge is None else eta_charge
-    eta_d = batt.eta_inv if eta_discharge is None else eta_discharge
-    charge_move = batt.p_max * eta_c * dt / batt.e_cap
-    discharge_move = batt.p_max * dt / (eta_d * batt.e_cap)
+    charge_move = batt.p_max * batt.eta_inv * dt / batt.e_cap
+    discharge_move = batt.p_max * dt / (batt.eta_inv * batt.e_cap)
     return max(charge_move, discharge_move) / cfg.buffer

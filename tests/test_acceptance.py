@@ -47,7 +47,7 @@ def test_criterion_02_perfect_tracking(fleet):
     sig = hx.synth_signal(0, 1800)  # energy neutral per 450-step window
     recs = hx.simulate(fleet, hx.Scenario.S1, 6.5 * sig.values,
                        np.full(1800, 2.0), 0.5)
-    score = hx.performance_score(6.5, hx.RegSignal(sig.values), hx.delivered_deviation(recs))
+    score = hx.performance_score(6.5, hx.RegSignal(sig.values), recs.p_hes - recs.p0)
     assert score == pytest.approx(1.0, abs=1e-9)
     sol = solve(OracleProblem(fleet, 6.5, sig.values, 2.0, 0.5))
     assert sol.objective == 0.0
@@ -97,14 +97,14 @@ def test_criterion_05_guard_containment(fleet):
     for seed in range(100):
         sig = hx.synth_signal(seed, n)
         req = 6.5 * sig.values
-        guarded = hx.run_guarded(BAND, fleet, hx.Scenario.S1, req, pv, 0.5)
-        g_soc = np.array([r.soc_after for r in guarded])
+        guarded = hx.simulate(fleet, hx.Scenario.S1, req, pv, 0.5, guard=BAND)
+        g_soc = guarded.soc
         assert g_soc.min() > BAND.e_lower and g_soc.max() < BAND.e_upper, seed
         unguarded = hx.simulate(fleet, hx.Scenario.S1, req, pv, 0.5)
-        u_soc = np.array([r.soc_after for r in unguarded])
+        u_soc = unguarded.soc
         reg = hx.RegSignal(sig.values)
-        g_score = hx.performance_score(6.5, reg, hx.delivered_deviation(guarded))
-        u_score = hx.performance_score(6.5, reg, hx.delivered_deviation(unguarded))
+        g_score = hx.performance_score(6.5, reg, guarded.p_hes - guarded.p0)
+        u_score = hx.performance_score(6.5, reg, unguarded.p_hes - unguarded.p0)
         in_window = (u_soc.min() >= fleet.battery.e_min - 1e-12
                      and u_soc.max() <= fleet.battery.e_max + 1e-12)
         if in_window:
@@ -115,10 +115,10 @@ def test_criterion_05_guard_containment(fleet):
     # a discharge-heavy signal drags the unguarded battery out of the band
     biased = hx.synth_signal(0, n, bias=0.3)
     free = hx.simulate(fleet, hx.Scenario.S1, 6.5 * biased.values, pv, 0.5)
-    f_soc = np.array([r.soc_after for r in free])
+    f_soc = free.soc
     assert f_soc.min() < BAND.e_lower
-    held = hx.run_guarded(BAND, fleet, hx.Scenario.S1, 6.5 * biased.values, pv, 0.5)
-    h_soc = np.array([r.soc_after for r in held])
+    held = hx.simulate(fleet, hx.Scenario.S1, 6.5 * biased.values, pv, 0.5, guard=BAND)
+    h_soc = held.soc
     assert h_soc.min() > BAND.e_lower and h_soc.max() < BAND.e_upper
     print(f"criterion 5 PASS: 100/100 contained, {qualified}/100 qualified, "
           f"biased unguarded min soc {f_soc.min():.3f} exits the band")
@@ -139,16 +139,15 @@ def test_criterion_06_power_balance_audit(fleet):
             req = cap * sig.values
             runs.append((fleet, scen, hx.simulate(fleet, scen, req, pv, 0.5)))
             runs.append((fleet, scen,
-                         hx.run_guarded(BAND, fleet, scen, req, pv, 0.5)))
+                         hx.simulate(fleet, scen, req, pv, 0.5, guard=BAND)))
         # saturation regime: the 20 kWh pack truncates constantly
         runs.append((tiny, hx.Scenario.S1,
                      hx.simulate(tiny, hx.Scenario.S1, 6.5 * sig.values, pv, 0.5)))
     for fl, scen, recs in runs:
-        hx.validate_records(list(recs), fl, scenario=scen, soc0=0.5)
-        for r in recs:
-            resid = abs(r.p_hes - ((r.p_pv - r.p_curtailed) - r.p_cl + r.p_batt))
-            worst = max(worst, resid)
-            rows += 1
+        hx.validate_records(recs, fl, scenario=scen, soc0=0.5)
+        resid = np.abs(recs.p_hes - ((recs.p_pv - recs.p_curtailed) - recs.p_cl + recs.p_batt))
+        worst = max(worst, float(resid.max()))
+        rows += len(recs)
     assert worst <= 1e-9
     print(f"criterion 6 PASS: {rows} rows audited, max residual {worst:.2e} MW")
 

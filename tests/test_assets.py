@@ -52,14 +52,6 @@ def test_round_trip_loses_energy():
     assert s.soc == pytest.approx(expected, abs=1e-15)
 
 
-def test_efficiency_override_is_used():
-    batt = BatteryParams(p_max=5.0, e_cap=5.0, eta_inv=0.95)
-    nxt = battery_step(batt, BatteryState(0.5), -5.0, 0.0, DT, eta_charge=1.0)
-    assert nxt.soc == pytest.approx(0.5 + DT, abs=1e-15)
-    nxt = battery_step(batt, BatteryState(0.5), 0.0, 5.0, DT, eta_discharge=1.0)
-    assert nxt.soc == pytest.approx(0.5 - DT, abs=1e-15)
-
-
 @pytest.mark.parametrize(
     "p_charge, p_discharge",
     [(0.5, 0.0), (0.0, -0.5), (-6.0, 0.0), (0.0, 6.0), (-1.0, 1.0)],

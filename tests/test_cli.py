@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from hesflex import read_trace_csv
+from hesflex import RunConfig, build_fleet, pv_power, read_trace_csv
 from hesflex.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 
 
@@ -204,3 +204,68 @@ def test_bid_sweep_validates_arguments(capsys):
     assert code == EXIT_CONFIG
     code, _, _ = _run(capsys, ["bid-sweep", "--days", "1", "--eval-steps", "1"])
     assert code == EXIT_CONFIG
+
+
+def test_non_finite_signal_value_is_a_data_error(tmp_path, capsys):
+    sig = tmp_path / "sig.csv"
+    sig.write_text("timestamp,r\n0,0.1\n2,nan\n4,0.2\n")
+    code, _, err = _run(capsys, ["track", "--signal-csv", str(sig)])
+    assert code == EXIT_DATA
+    assert "sig.csv:3" in err
+
+
+def test_non_finite_irradiance_is_a_data_error(tmp_path, capsys):
+    ghi = tmp_path / "ghi.csv"
+    ghi.write_text("timestamp,ghi_wm2\n0,inf\n60,500\n")
+    code, _, err = _run(capsys, ["track", "--hours", "0.01", "--pv-csv", str(ghi)])
+    assert code == EXIT_DATA
+    assert "ghi.csv:2" in err
+
+
+def test_infinite_capacity_is_a_config_error(capsys):
+    code, _, err = _run(capsys, ["track", "--hours", "0.01", "--capacity", "inf"])
+    assert code == EXIT_CONFIG
+    assert "market.capacity_mw must be finite" in err
+
+
+def test_nan_config_value_is_a_config_error(capsys):
+    code, _, err = _run(capsys, ["track", "--hours", "0.01", "--set", "battery.e_cap_mwh=nan"])
+    assert code == EXIT_CONFIG
+    assert "battery.e_cap_mwh must be finite" in err
+
+
+def _signal_and_ghi(tmp_path, ghi_start, ghi_step, ghi_values):
+    sig = tmp_path / "sig.csv"
+    sig.write_text("timestamp,r\n" + "".join(f"{2 * k},0.1\n" for k in range(30)))
+    ghi = tmp_path / "ghi.csv"
+    ghi.write_text("timestamp,ghi_wm2\n" + "".join(
+        f"{ghi_start + ghi_step * k},{g}\n" for k, g in enumerate(ghi_values)))
+    return sig, ghi
+
+
+def test_pv_file_must_cover_the_signal_clock(tmp_path, capsys):
+    sig, ghi = _signal_and_ghi(tmp_path, 10**6, 60, [800.0] * 10)
+    code, _, err = _run(capsys, ["track", "--signal-csv", str(sig), "--pv-csv", str(ghi)])
+    assert code == EXIT_DATA
+    assert "signal timestamp 0" in err
+
+
+def test_pv_is_looked_up_at_the_signal_timestamps(tmp_path, capsys):
+    # a 1 s PV file against a 2 s signal: step k sees the sample at t = 2k
+    sig, ghi = _signal_and_ghi(tmp_path, 0, 1, [10.0 * k for k in range(60)])
+    trace = tmp_path / "trace.csv"
+    code, _, _ = _run(capsys, ["track", "--signal-csv", str(sig), "--pv-csv", str(ghi),
+                               "--trace", str(trace)])
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(trace.read_text().splitlines()))
+    fleet = build_fleet(RunConfig())
+    expect = [pv_power(fleet.pv, 10.0 * float(row["t"])) for row in rows]
+    np.testing.assert_allclose([float(row["p_pv"]) for row in rows], expect, rtol=1e-14)
+
+
+def test_guard_that_cannot_contain_the_step_is_a_config_error(capsys):
+    # at 120 s one full-power step moves the SoC 1.75 buffers
+    code, _, err = _run(capsys, ["track", "--guard", "--hours", "1",
+                                 "--set", "signal.dt_s=120"])
+    assert code == EXIT_CONFIG
+    assert "signal.dt_s" in err and "guard.buffer" in err

@@ -187,15 +187,21 @@ def test_trace_round_trip(tmp_path):
     assert len(back) == 120
     np.testing.assert_allclose(times, sig.timestamps)
     np.testing.assert_allclose(r, sig.values, rtol=1e-14, atol=1e-15)
-    for a, b in zip(recs, back):
-        assert a.step == b.step
-        assert b.p_hes == pytest.approx(a.p_hes, rel=1e-14, abs=1e-15)
-        assert b.soc_after == pytest.approx(a.soc_after, rel=1e-14)
+    np.testing.assert_allclose(back.p_hes, recs.p_hes, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(back.soc, recs.soc, rtol=1e-14)
 
 
 def test_trace_header_check(tmp_path):
     p = _write(tmp_path, "t.csv", "a,b,c\n")
     with pytest.raises(DataFormatError, match=":1"):
+        read_trace_csv(p)
+
+
+def test_trace_steps_must_count_up(tmp_path):
+    row = ",".join(["0"] * 10)
+    p = _write(tmp_path, "t.csv", "k,t,r,p_hes,p0,dp_req,p_pv,p_cl,p_batt,p_curtailed,soc\n"
+               f"0,{row}\n2,{row}\n")
+    with pytest.raises(DataFormatError, match=r"t\.csv:3"):
         read_trace_csv(p)
 
 

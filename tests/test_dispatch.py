@@ -1,12 +1,13 @@
 """Allocation rules: power balance, ratings, and envelope edge behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hesflex import (
     AssetFleet,
     BatteryParams,
-    DispatchRecord,
     InfeasibleDispatchError,
     LoadParams,
     PvParams,
@@ -14,7 +15,6 @@ from hesflex import (
     allocate,
     allocate_green_load,
     allocate_priority_load,
-    delivered_deviation,
     envelope,
     simulate,
     validate_records,
@@ -143,12 +143,6 @@ def test_s5_bounds_match_brute_force_reachability(fleet):
     assert net.min() == pytest.approx(env.p0 + env.dp_lo, abs=1e-12)
 
 
-def test_delivered_deviation_reads_records(fleet):
-    recs = simulate(fleet, Scenario.S1, [1.0, -1.0], [2.0, 2.0], 0.5)
-    dev = delivered_deviation(recs)
-    assert dev == [pytest.approx(1.0, abs=1e-12), pytest.approx(-1.0, abs=1e-12)]
-
-
 def test_validate_records_accepts_clean_run(fleet):
     recs = simulate(fleet, Scenario.S4, [3.0, -3.0, 0.5], [2.0, 2.0, 2.0], 0.5)
     validate_records(recs, fleet, scenario=Scenario.S4, soc0=0.5)
@@ -156,19 +150,14 @@ def test_validate_records_accepts_clean_run(fleet):
 
 def test_validate_records_catches_corruption(fleet):
     recs = simulate(fleet, Scenario.S1, [1.0, -1.0], [2.0, 2.0], 0.5)
-    bad = list(recs)
-    r = bad[1]
-    bad[1] = DispatchRecord(r.step, r.p_hes + 0.01, r.p0, r.dp_req, r.p_pv,
-                            r.p_cl, r.p_batt, r.p_curtailed, r.soc_after)
+    bad = replace(recs, p_hes=recs.p_hes + [0.0, 0.01])
     with pytest.raises(ValueError, match="step 1"):
         validate_records(bad, fleet, scenario=Scenario.S1, soc0=0.5)
 
 
 def test_validate_records_catches_curtailment_where_forbidden(fleet):
     recs = simulate(fleet, Scenario.S1, [0.0], [2.0], 0.5)
-    r = recs[0]
     # force a balanced but illegally-curtailing row
-    bad = [DispatchRecord(r.step, r.p_hes - 0.5, r.p0, r.dp_req, r.p_pv,
-                          r.p_cl, r.p_batt, 0.5, r.soc_after)]
+    bad = replace(recs, p_hes=recs.p_hes - 0.5, p_curtailed=[0.5])
     with pytest.raises(ValueError):
         validate_records(bad, fleet, scenario=Scenario.S1, soc0=0.5)

@@ -1,0 +1,51 @@
+"""Golden bytes: reports and traces of fixed CLI runs, pinned by SHA-256.
+
+Each case covers a different path: the greedy oracle certificate, the
+guard taper, SoC truncation with curtailment, and the exact oracle DP. A
+hash changes when any output byte does, so a refactor that claims to keep
+behaviour must keep these.
+"""
+
+import hashlib
+
+import pytest
+
+from hesflex.cli import EXIT_OK, main
+
+CASES = {
+    "readme-oracle": (
+        "track --hours 1 --seed 7 --capacity 6.5 --oracle",
+        "8feb62f42d1c39a4b2719776b40d6f6e375c36d04cb2eec473c2cdeaa3e24a7b",
+        "26e6a1572dfb92347af7fce6673519e0b96481c3019a67d301aa1a36fb6fd205",
+    ),
+    "guard-taper": (
+        "track --hours 2 --seed 7 --bias 0.5 --guard --set battery.e_cap_mwh=0.5",
+        "4aedc4f034c44519d58899fbef9066f42138fee9d26e7243a68a029f205906a8",
+        "a384ed717532f7be5bbc7d318a69eee33e55b6d3dbfee32111209c8c7f94989c",
+    ),
+    "s5-truncation": (
+        "track --scenario S5 --hours 1 --seed 3 --bias 0.4 --no-guard"
+        " --set battery.e_cap_mwh=0.05",
+        "0d2840b746477a48c0f22e872a9a398a49ab222ca631fabb8a42c22e695c2640",
+        "cc02874f41f117f95a9f0ca2046e606344c93fddcb784acbc538d6d7918e0e49",
+    ),
+    "exact-dp": (
+        "track --oracle --no-guard --hours 30 --seed 3 --bias 0.3"
+        " --set battery.e_cap_mwh=2 --set signal.dt_s=900",
+        "054f29efd849c13d67c5d00988c9b2674830b85dcf6363e872ef515fed85ff45",
+        "7972f1847a50e7389e539255725afe6578673f8f1d9ca78b1dca941086fa5c3b",
+    ),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_bytes_are_pinned(tmp_path, case):
+    argv, report_sha, trace_sha = CASES[case]
+    report, trace = tmp_path / "report.txt", tmp_path / "trace.csv"
+    assert main(argv.split() + ["--trace", str(trace), "--out", str(report)]) == EXIT_OK
+    assert _sha256(report) == report_sha
+    assert _sha256(trace) == trace_sha

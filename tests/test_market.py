@@ -158,3 +158,9 @@ def test_group_by_season_hour():
     np.testing.assert_allclose(groups[("summer", 5)], [5.0, 29.0])
     with pytest.raises(ValueError):
         group_by_season_hour(ts, vals[:-1])
+
+
+def test_reg_signal_rejects_non_finite_values():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            RegSignal(np.array([0.5, bad]))

@@ -132,11 +132,11 @@ def test_solution_records_are_physical(fleet):
     sig = hx.synth_signal(8, 90)
     prob = OracleProblem(fleet, 6.5, sig.values, 2.0, 0.5)
     sol = solve(prob)
-    recs = list(sol.records)
+    recs = sol.records
     hx.validate_records(recs, fleet, scenario=hx.Scenario.S1, soc0=0.5)
     # the stored objective is exactly the deadband cost of the trajectory
     t = prob.targets()
-    dp = np.array([r.p_hes - r.p0 for r in recs])
+    dp = recs.p_hes - recs.p0
     again = np.sum(np.maximum(0.0, np.abs(t - dp) - 0.5 * fleet.load.p_max))
     assert sol.objective == pytest.approx(float(again), abs=1e-9)
 
@@ -204,7 +204,7 @@ def test_long_horizons_match_the_replaced_backends(case):
         assert sol.objective == pytest.approx(bnb, abs=1e-9)
     else:
         assert sol.objective <= min(bnb, grid)
-    hx.validate_records(list(sol.records), prob.fleet, scenario=hx.Scenario.S1,
+    hx.validate_records(sol.records, prob.fleet, scenario=hx.Scenario.S1,
                         soc0=prob.soc0)
 
 

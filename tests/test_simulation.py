@@ -1,5 +1,7 @@
 """Closed-loop runs: envelope clipping, SoC budgets, guard wiring."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,6 @@ from hesflex import (
     LoadParams,
     PvParams,
     Scenario,
-    delivered_deviation,
-    run_guarded,
     simulate,
     validate_records,
 )
@@ -42,18 +42,18 @@ def test_in_envelope_requests_are_delivered(fleet, rng):
     n = 300
     req = rng.uniform(-6.5, 6.5, n)
     recs = simulate(fleet, Scenario.S1, req, np.full(n, 2.0), 0.5)
-    dev = delivered_deviation(recs)
-    assert np.max(np.abs(np.asarray(dev) - req)) < 1e-9
+    dev = recs.p_hes - recs.p0
+    assert np.max(np.abs(dev - req)) < 1e-9
     validate_records(recs, fleet, scenario=Scenario.S1, soc0=0.5)
 
 
 def test_out_of_envelope_requests_are_clipped(fleet):
     recs = simulate(fleet, Scenario.S1, [9.0, -9.0], [2.0, 2.0], 0.5)
-    dev = delivered_deviation(recs)
+    dev = recs.p_hes - recs.p0
     assert dev[0] == pytest.approx(6.5, abs=1e-12)
     assert dev[1] == pytest.approx(-6.5, abs=1e-12)
-    # the record keeps the raw request for scoring against the signal
-    assert recs[0].dp_req == 9.0
+    # the trajectory keeps the raw request for scoring against the signal
+    assert recs.dp_req[0] == 9.0
 
 
 def test_soc_budget_truncates_instead_of_raising():
@@ -62,9 +62,8 @@ def test_soc_budget_truncates_instead_of_raising():
     fl = _tiny_battery_fleet()
     n = 400
     recs = simulate(fl, Scenario.S1, np.full(n, 6.5), np.full(n, 2.0), 0.5)
-    socs = [r.soc_after for r in recs]
-    assert min(socs) >= fl.battery.e_min - 1e-12
-    assert recs[-1].p_batt == pytest.approx(0.0, abs=1e-9)
+    assert recs.soc.min() >= fl.battery.e_min - 1e-12
+    assert recs.p_batt[-1] == pytest.approx(0.0, abs=1e-9)
     validate_records(recs, fl, scenario=Scenario.S1, soc0=0.5)
 
 
@@ -73,13 +72,11 @@ def test_soc_budget_truncation_keeps_balance_for_s4():
     fl = _tiny_battery_fleet()
     n = 400
     recs = simulate(fl, Scenario.S4, np.full(n, -8.0), np.full(n, 3.0), 0.5)
-    socs = [r.soc_after for r in recs]
-    assert max(socs) <= fl.battery.e_max + 1e-12
+    assert recs.soc.max() <= fl.battery.e_max + 1e-12
     validate_records(recs, fl, scenario=Scenario.S4, soc0=0.5)
     # once the battery is full the request becomes physically unreachable
-    last = recs[-1]
-    assert last.p_batt == pytest.approx(0.0, abs=1e-9)
-    assert last.p_curtailed == pytest.approx(3.0, abs=1e-9)
+    assert recs.p_batt[-1] == pytest.approx(0.0, abs=1e-9)
+    assert recs.p_curtailed[-1] == pytest.approx(3.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("scen", list(Scenario))
@@ -92,12 +89,12 @@ def test_every_scenario_validates(fleet, rng, scen):
 
 
 def test_unity_efficiency_round_trip(fleet):
-    """With both efficiencies forced to 1, a symmetric charge/discharge
-    pattern returns the SoC to its start."""
+    """With a lossless inverter, a symmetric charge/discharge pattern
+    returns the SoC to its start."""
+    lossless = replace(fleet, battery=replace(fleet.battery, eta_inv=1.0))
     req = [3.0] * 50 + [-3.0] * 50
-    recs = simulate(fleet, Scenario.S3, req, [0.0] * 100, 0.5,
-                    eta_charge=1.0, eta_discharge=1.0)
-    assert recs[-1].soc_after == pytest.approx(0.5, abs=1e-12)
+    recs = simulate(lossless, Scenario.S3, req, [0.0] * 100, 0.5)
+    assert recs.soc[-1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_guard_keeps_band_where_unguarded_exits(fleet, rng):
@@ -106,10 +103,8 @@ def test_guard_keeps_band_where_unguarded_exits(fleet, rng):
     # discharge-heavy request train drains the battery
     req = rng.uniform(-2.0, 6.0, n)
     pv = np.full(n, 2.0)
-    guarded = run_guarded(cfg, fleet, Scenario.S1, req, pv, 0.5)
-    unguarded = simulate(fleet, Scenario.S1, req, pv, 0.5)
-    g_socs = np.array([r.soc_after for r in guarded])
-    u_socs = np.array([r.soc_after for r in unguarded])
+    g_socs = simulate(fleet, Scenario.S1, req, pv, 0.5, guard=cfg).soc
+    u_socs = simulate(fleet, Scenario.S1, req, pv, 0.5).soc
     assert g_socs.min() >= cfg.e_lower and g_socs.max() <= cfg.e_upper
     assert u_socs.min() < cfg.e_lower
 
@@ -117,18 +112,25 @@ def test_guard_keeps_band_where_unguarded_exits(fleet, rng):
 def test_run_guarded_rejects_start_outside_band(fleet):
     cfg = GuardConfig(0.6, 0.4, 0.02)
     with pytest.raises(ValueError):
-        run_guarded(cfg, fleet, Scenario.S1, [0.0], [2.0], 0.3)
+        simulate(fleet, Scenario.S1, [0.0], [2.0], 0.3, guard=cfg)
 
 
 def test_run_guarded_rejects_band_outside_window(fleet):
     cfg = GuardConfig(0.95, 0.4, 0.02)
     with pytest.raises(ValueError):
-        run_guarded(cfg, fleet, Scenario.S1, [0.0], [2.0], 0.5)
+        simulate(fleet, Scenario.S1, [0.0], [2.0], 0.5, guard=cfg)
 
 
 def test_guarded_records_validate(fleet, rng):
     cfg = GuardConfig(0.6, 0.4, 0.02)
     n = 500
     req = rng.uniform(-6.5, 6.5, n)
-    recs = run_guarded(cfg, fleet, Scenario.S1, req, np.full(n, 2.0), 0.5)
+    recs = simulate(fleet, Scenario.S1, req, np.full(n, 2.0), 0.5, guard=cfg)
     validate_records(recs, fleet, scenario=Scenario.S1, soc0=0.5)
+
+
+def test_non_finite_inputs_name_the_step(fleet):
+    with pytest.raises(ValueError, match="step 1: dp_request"):
+        simulate(fleet, Scenario.S1, [0.0, np.nan, 0.0], [2.0, 2.0, 2.0], 0.5)
+    with pytest.raises(ValueError, match="step 2: pv"):
+        simulate(fleet, Scenario.S1, [0.0, 0.0, 0.0], [2.0, 2.0, np.inf], 0.5)

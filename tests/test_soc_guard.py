@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from hesflex import (
+    AssetFleet,
     BatteryParams,
-    BatteryState,
     GuardConfig,
-    battery_step,
+    LoadParams,
+    PvParams,
+    Scenario,
     check_band,
     containment_ratio,
     guard_power_cap,
-    guard_step,
+    simulate,
 )
 
 BATT = BatteryParams(p_max=5.0, e_cap=5.0, eta_inv=0.95)
@@ -51,19 +53,6 @@ def test_cap_never_amplifies_small_requests():
     assert guard_power_cap(CFG, BATT, 0.41, 0.7) == 0.7
 
 
-def test_guard_step_matches_battery_step():
-    p, soc = guard_step(CFG, BATT, 0.59, -5.0, 2.0 / 3600.0)
-    assert p == pytest.approx(-2.5, abs=1e-12)
-    ref = battery_step(BATT, BatteryState(0.59), p, 0.0, 2.0 / 3600.0)
-    assert soc == pytest.approx(ref.soc, abs=1e-15)
-
-
-def test_guard_step_efficiency_override():
-    p, soc = guard_step(CFG, BATT, 0.5, 5.0, 2.0 / 3600.0, eta_discharge=1.0)
-    assert p == 5.0
-    assert soc == pytest.approx(0.5 - (2.0 / 3600.0), abs=1e-15)
-
-
 def test_containment_ratio_small_at_two_seconds():
     # worst one-step SoC move is far below the buffer at a 2 s cadence
     ratio = containment_ratio(CFG, BATT, 2.0 / 3600.0)
@@ -79,13 +68,12 @@ def test_containment_ratio_flags_coarse_steps():
 def test_band_containment_under_random_abuse(rng):
     """Adversarial full-rating requests cannot push the SoC out of the
     band when the per-step move fits inside the buffer."""
-    soc = 0.5
-    lo, hi = 1.0, 0.0
-    for _ in range(5000):
-        p_req = float(rng.choice([-5.0, 5.0]))
-        _, soc = guard_step(CFG, BATT, soc, p_req, 2.0 / 3600.0)
-        lo, hi = min(lo, soc), max(hi, soc)
-    assert CFG.e_lower <= lo and hi <= CFG.e_upper
+    fleet = AssetFleet(pv=PvParams.scaled_to_rating(3.0), battery=BATT,
+                       load=LoadParams(p_max=3.0), dt=2.0 / 3600.0)
+    # S3 with no PV hands the whole request to the battery
+    p_req = rng.choice([-5.0, 5.0], 5000)
+    soc = simulate(fleet, Scenario.S3, p_req, np.zeros(5000), 0.5, guard=CFG).soc
+    assert CFG.e_lower <= soc.min() and soc.max() <= CFG.e_upper
 
 
 def test_guard_config_validation():
