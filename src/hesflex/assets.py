@@ -315,6 +315,32 @@ def battery_step(
     return BatteryState(min(max(soc_next, lo), hi))
 
 
+def _battery_step_runs(params: BatteryParams, soc: np.ndarray, p: np.ndarray, dt: float):
+    """:func:`battery_step` for one step of several runs at once: ``soc``
+    and the signed battery power ``p`` (+ = discharge) hold one value per
+    run; returns the next SoC of every run.
+
+    Python's ``min``/``max`` are spelled with ``np.where`` so every value,
+    signed zeros included, is the one :func:`battery_step` computes.
+    """
+    eta = params.eta_inv
+    p_charge = np.where(0.0 < p, 0.0, p)
+    p_discharge = np.where(0.0 > p, 0.0, p)
+    if np.any(p_charge < -params.p_max - 1e-9):
+        raise ValueError("p_charge must lie in [-p_max, 0] MW")
+    if np.any(p_discharge > params.p_max + 1e-9):
+        raise ValueError("p_discharge must lie in [0, p_max] MW")
+    soc_next = soc - (dt / params.e_cap) * (eta * p_charge + p_discharge / eta)
+    lo, hi = params.e_min, params.e_max
+    above_lo = np.where(lo > soc_next, lo, soc_next)
+    clipped = np.where(hi < above_lo, hi, above_lo)
+    out = np.flatnonzero((soc_next < lo - _SOC_SNAP) | (soc_next > hi + _SOC_SNAP))
+    if out.size:
+        r = out[0]
+        raise SocBoundsError(float(soc_next[r]), BatteryState(float(clipped[r])))
+    return clipped
+
+
 def load_feasible(params: LoadParams, p_cl: float) -> bool:
     """True when the load setpoint lies within [0, p_max]."""
     return 0.0 <= p_cl <= params.p_max

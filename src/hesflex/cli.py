@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import math
 import sys
 
 import numpy as np
@@ -48,6 +49,7 @@ from .data_io import (
 from .dispatch import InfeasibleDispatchError
 from .flexibility import Scenario, envelope
 from .market import (
+    _SEASONS,
     STATISTICS,
     MarketPrices,
     RegSignal,
@@ -65,7 +67,9 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
-_SEASON_ORDER = ("winter", "spring", "summer", "fall")
+# Runs x steps per bid-sweep batch: a year's 384 runs of 900 steps make one
+# batch, and a long --eval-steps cannot make a batch's columns outgrow ~4 MB.
+_SWEEP_BATCH_VALUES = 1 << 19
 _SWEEP_COLUMNS = (
     "season", "hour", "statistic", "n_samples",
     "pv_stat_mw", "capacity_mw", "score", "qualified", "payment_usd",
@@ -158,6 +162,8 @@ def _load_pv(cfg: RunConfig, fleet, path, n: int, times=None):
 
 def cmd_envelope(args) -> int:
     cfg = _configure(args)
+    if args.pv_mw is not None and not (math.isfinite(args.pv_mw) and args.pv_mw >= 0.0):
+        raise ConfigError([f"--pv-mw must be a finite power >= 0 MW, got {args.pv_mw}"])
     fleet = build_fleet(cfg)
     p_pv = args.pv_mw if args.pv_mw is not None else pv_power(fleet.pv, cfg.irradiance_wm2)
     env = envelope(Scenario[cfg.scenario], fleet, p_pv)
@@ -177,6 +183,8 @@ def cmd_envelope(args) -> int:
 
 def cmd_synth_signal(args) -> int:
     cfg = _configure(args)
+    if args.steps < 1:
+        raise ConfigError([f"--steps must be >= 1, got {args.steps}"])
     series = synth_signal(cfg.seed, args.steps, cadence=cfg.dt_s, bias=cfg.bias)
     with _open_out(args.out) as fh:
         write_signal_csv(series, fh)
@@ -255,29 +263,33 @@ def bid_sweep_rows(cfg: RunConfig, days: int, eval_steps: int = 900, statistics=
         if s not in STATISTICS:
             raise ConfigError([f"unknown statistic '{s}'"])
     fleet = build_fleet(cfg)
-    prices = MarketPrices(cfg.lambda_capacity, cfg.lambda_mileage)
     irr = synth_irradiance(cfg.seed, days)
-    pv_mw = pv_power_interp(fleet.pv, irr.values)
-    groups = group_by_season_hour(irr.timestamps, pv_mw)
-    ordered = sorted(groups, key=lambda k: (_SEASON_ORDER.index(k[0]), k[1]))
-    rows = []
+    groups = group_by_season_hour(irr.timestamps, pv_power_interp(fleet.pv, irr.values))
+    del irr  # freed before the batches, which would otherwise add to its memory
+    ordered = sorted(groups, key=lambda k: (_SEASONS.index(k[0]), k[1]))
+    runs = []  # (row so far, evaluation signal, bucket mean PV) per bid
     for idx, key in enumerate(ordered):
-        season, hour = key
-        samples = groups[key]
+        samples = groups.pop(key)
         eval_sig = synth_signal(
             cfg.seed + 7919 * (idx + 1), eval_steps, cadence=cfg.dt_s, full_scale=True
         )
         sig = RegSignal(eval_sig.values, cfg.dt_s)
-        pv_eval = np.full(eval_steps, float(np.mean(samples)))
+        mean_mw = np.mean(samples)
         for stat in stats:
             stat_mw = pv_statistic(samples, stat)
             bid = decomposed_bid(fleet.battery, stat_mw)
-            traj = simulate(fleet, Scenario.S2, bid * eval_sig.values, pv_eval, cfg.soc0)
-            outcome = settle(bid, sig, traj.p_hes - traj.p0, prices)
-            rows.append(
-                (season, hour, stat, samples.size, stat_mw, bid,
-                 outcome.score, outcome.qualified, outcome.payment)
-            )
+            runs.append(((*key, stat, samples.size, stat_mw, bid), sig, mean_mw))
+    prices = MarketPrices(cfg.lambda_capacity, cfg.lambda_mileage)
+    rows = []
+    per_batch = max(1, _SWEEP_BATCH_VALUES // eval_steps)
+    for lo in range(0, len(runs), per_batch):
+        batch = runs[lo:lo + per_batch]
+        requests = np.array([row[-1] * sig.values for row, sig, _ in batch])
+        pv = np.broadcast_to(np.array([[mean_mw] for *_, mean_mw in batch]), requests.shape)
+        trajs = simulate(fleet, Scenario.S2, requests, pv, cfg.soc0)
+        for (row, sig, _), traj in zip(batch, trajs):
+            outcome = settle(row[-1], sig, traj.p_hes - traj.p0, prices)
+            rows.append(row + (outcome.score, outcome.qualified, outcome.payment))
     return rows
 
 

@@ -162,6 +162,9 @@ def validate(cfg: RunConfig) -> list[str]:
     for name in ("lambda_capacity", "lambda_mileage", "irradiance_wm2"):
         if getattr(cfg, name) < 0:
             out.append(f"{_FIELD_TO_KEY[name]} must be >= 0")
+    if math.isfinite(cfg.dt_s) and not float(cfg.dt_s).is_integer():
+        # Timestamps are whole epoch seconds, so the step must be too.
+        out.append("signal.dt_s must be a whole number of seconds")
     if not 0.0 < cfg.eta_inv <= 1.0:
         out.append("battery.eta_inv must lie in (0, 1]")
     if not 0.0 <= cfg.soc_min < cfg.soc_max <= 1.0:

@@ -187,14 +187,15 @@ def synth_signal(
     phi, sigma = 0.99, 0.05
     eps = rng.normal(0.0, sigma, n_steps)
     x = np.empty(n_steps)
+    out = memoryview(x)  # Python floats in and out, no numpy scalars
     prev = 0.0
-    for k in range(n_steps):
-        prev = phi * prev + eps[k]
+    for k, e in enumerate(memoryview(eps)):
+        prev = phi * prev + e
         if prev > 1.0:
             prev = 2.0 - prev
         elif prev < -1.0:
             prev = -2.0 - prev
-        x[k] = prev
+        out[k] = prev
     if neutrality_window:
         if neutrality_window < 1:
             raise ValueError("neutrality_window must be >= 1 step")
@@ -239,10 +240,11 @@ def synth_irradiance(
     rng = np.random.default_rng(seed)
     innov = rng.normal(0.0, 0.18, n)
     cloud = np.empty(n)
+    out = memoryview(cloud)  # Python floats in and out, no numpy scalars
     y = 0.0
-    for k in range(n):
-        y = 0.995 * y + innov[k]
-        cloud[k] = y
+    for k, e in enumerate(memoryview(innov)):
+        y = 0.995 * y + e
+        out[k] = y
     cloud = np.clip(0.75 + 0.25 * cloud, 0.05, 1.0)
     ghi = clear_sky_peak * seasonal * elevation * cloud
     np.clip(ghi, 0.0, None, out=ghi)

@@ -121,16 +121,26 @@ def _curtailment(p_pv, p_cl, p_batt, target):
     return np.clip(surplus, 0.0, p_pv)
 
 
+def _position(x, flat: int) -> str:
+    """Where the ``flat``-th value of ``x`` sits: ``step k`` in a horizon,
+    ``run r, step k`` in an (R, n) batch of runs."""
+    if np.ndim(x) == 2:
+        r, k = np.unravel_index(flat, np.shape(x))
+        return f"run {r}, step {k}"
+    return f"step {flat}"
+
+
 def _split(scenario: Scenario, fleet: AssetFleet, p_pv, p0, dp):
     """The scenario's rule for an in-envelope ``dp`` around ``p0``."""
     cl = fleet.load.p_max
     pb = fleet.battery.p_max
     if scenario is Scenario.S2:
-        over = np.flatnonzero(np.atleast_1d(p_pv) > cl + 1e-9)
+        flat = np.ravel(p_pv)
+        over = np.flatnonzero(flat > cl + 1e-9)
         if over.size:
             raise ValueError(
-                "green-load allocation requires p_pv <= load.p_max "
-                f"(got p_pv = {np.atleast_1d(p_pv)[over[0]]:.9g}, load = {cl:.9g} MW)"
+                f"{_position(p_pv, over[0])}: green-load allocation requires "
+                f"p_pv <= load.p_max (got p_pv = {flat[over[0]]:.9g}, load = {cl:.9g} MW)"
             )
         p_cl, p_batt = allocate_green_load(fleet, p_pv, dp)
         return p_cl, p_batt, np.zeros_like(p_cl)

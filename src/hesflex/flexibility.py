@@ -63,6 +63,8 @@ def envelope(scenario: Scenario, fleet: AssetFleet, p_pv) -> FlexEnvelope:
     """Envelope of the fleet at PV availability ``p_pv``: floats for a
     scalar ``p_pv``, arrays of its shape for an array."""
     p = np.asarray(p_pv, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise ValueError("p_pv must be finite")
     if np.any(p < 0.0):
         raise ValueError("p_pv must be >= 0 MW")
     pb = fleet.battery.p_max

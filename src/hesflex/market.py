@@ -25,12 +25,9 @@ from .assets import BatteryParams
 
 QUALIFICATION_THRESHOLD = 0.75
 
-_SEASON_BY_MONTH = {
-    12: "winter", 1: "winter", 2: "winter",
-    3: "spring", 4: "spring", 5: "spring",
-    6: "summer", 7: "summer", 8: "summer",
-    9: "fall", 10: "fall", 11: "fall",
-}
+_SEASONS = ("winter", "spring", "summer", "fall")
+# Meteorological season (an index into _SEASONS) by month number 1-12.
+_SEASON_OF_MONTH = np.array([-1, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0])
 
 _PERCENTILES = {"p50": 50.0, "p75": 75.0, "p95": 95.0}
 STATISTICS = ("mean", "p50", "p75", "p95")
@@ -160,18 +157,29 @@ def pv_statistic(samples, statistic: str) -> float:
 def season_of_timestamp(epoch_s: int) -> str:
     """Meteorological season of a UTC timestamp."""
     month = datetime.fromtimestamp(int(epoch_s), tz=timezone.utc).month
-    return _SEASON_BY_MONTH[month]
+    return _SEASONS[_SEASON_OF_MONTH[month]]
 
 
 def group_by_season_hour(timestamps, values) -> dict[tuple[str, int], np.ndarray]:
-    """Bucket samples by (season, UTC hour of day)."""
+    """Bucket samples by (season, UTC hour of day).
+
+    Buckets appear in the order of their first sample and keep their
+    samples in input order.
+    """
     ts = np.asarray(timestamps, dtype=np.int64)
     vals = np.asarray(values, dtype=float)
     if ts.shape != vals.shape:
         raise ValueError("timestamps and values must have the same length")
-    buckets: dict[tuple[str, int], list[float]] = {}
-    for t, v in zip(ts, vals):
-        stamp = datetime.fromtimestamp(int(t), tz=timezone.utc)
-        key = (_SEASON_BY_MONTH[stamp.month], stamp.hour)
-        buckets.setdefault(key, []).append(float(v))
-    return {k: np.asarray(v) for k, v in buckets.items()}
+    ts = ts.ravel()
+    month = ts.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64) % 12 + 1
+    hour = (ts // 3600) % 24
+    key = _SEASON_OF_MONTH[month] * 24 + hour
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    chunks = np.split(vals.ravel()[order], starts[1:])
+    # A stable sort puts each bucket's first sample at its start.
+    return {
+        (_SEASONS[key[i] // 24], int(key[i] % 24)): chunk.copy()
+        for i, chunk in sorted(zip(starts.tolist(), chunks), key=lambda c: order[c[0]])
+    }

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hesflex import RunConfig, build_fleet, pv_power, read_trace_csv
-from hesflex.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
+from hesflex import cli
+from hesflex.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, bid_sweep_rows, main
 
 
 def _parse_report(text):
@@ -206,6 +207,22 @@ def test_bid_sweep_validates_arguments(capsys):
     assert code == EXIT_CONFIG
 
 
+def test_bid_sweep_rows_do_not_depend_on_the_batch_size(monkeypatch):
+    cfg = RunConfig(seed=4)
+    whole = bid_sweep_rows(cfg, 2, 40)
+    batches = []
+    simulate = cli.simulate
+
+    def counting(fleet, scenario, dp_request, *args):
+        batches.append(len(dp_request))
+        return simulate(fleet, scenario, dp_request, *args)
+
+    monkeypatch.setattr(cli, "simulate", counting)
+    monkeypatch.setattr(cli, "_SWEEP_BATCH_VALUES", 3 * 40)
+    assert bid_sweep_rows(cfg, 2, 40) == whole
+    assert batches == [3] * (len(whole) // 3)
+
+
 def test_non_finite_signal_value_is_a_data_error(tmp_path, capsys):
     sig = tmp_path / "sig.csv"
     sig.write_text("timestamp,r\n0,0.1\n2,nan\n4,0.2\n")
@@ -269,3 +286,24 @@ def test_guard_that_cannot_contain_the_step_is_a_config_error(capsys):
                                  "--set", "signal.dt_s=120"])
     assert code == EXIT_CONFIG
     assert "signal.dt_s" in err and "guard.buffer" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_bad_pv_argument_is_a_config_error(capsys, value):
+    code, _, err = _run(capsys, ["envelope", "--pv-mw", value])
+    assert code == EXIT_CONFIG
+    assert "--pv-mw" in err
+
+
+def test_zero_signal_steps_is_a_config_error(capsys):
+    code, _, err = _run(capsys, ["synth-signal", "--steps", "0"])
+    assert code == EXIT_CONFIG
+    assert "--steps" in err
+
+
+def test_fractional_signal_step_is_a_config_error(tmp_path, capsys):
+    # timestamps are whole seconds: a 2.5 s step would be written as 0, 2, 4, ...
+    code, _, err = _run(capsys, ["track", "--hours", "0.01", "--set", "signal.dt_s=2.5",
+                                 "--trace", str(tmp_path / "trace.csv")])
+    assert code == EXIT_CONFIG
+    assert "signal.dt_s" in err

@@ -126,3 +126,11 @@ def test_negative_pv_rejected(fleet):
     for scen in Scenario:
         with pytest.raises(ValueError):
             envelope(scen, fleet, -0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_pv_rejected(fleet, bad):
+    with pytest.raises(ValueError, match="finite"):
+        envelope(Scenario.S1, fleet, bad)
+    with pytest.raises(ValueError, match="finite"):
+        envelope(Scenario.S4, fleet, np.array([1.0, bad]))

@@ -1,9 +1,11 @@
-"""Golden bytes: reports and traces of fixed CLI runs, pinned by SHA-256.
+"""Golden bytes: outputs of fixed CLI runs, pinned by SHA-256.
 
-Each case covers a different path: the greedy oracle certificate, the
-guard taper, SoC truncation with curtailment, and the exact oracle DP. A
-hash changes when any output byte does, so a refactor that claims to keep
-behaviour must keep these.
+Each ``track`` case covers a different path: the greedy oracle
+certificate, the guard taper, SoC truncation with curtailment, and the
+exact oracle DP. The ``bid-sweep`` cases pin a year of batched runs, one
+of them on a small pack where 109 of the 384 runs reach the SoC window
+edge. A hash changes when any output byte does, so a refactor that claims
+to keep behaviour must keep these.
 """
 
 import hashlib
@@ -49,3 +51,23 @@ def test_output_bytes_are_pinned(tmp_path, case):
     assert main(argv.split() + ["--trace", str(trace), "--out", str(report)]) == EXIT_OK
     assert _sha256(report) == report_sha
     assert _sha256(trace) == trace_sha
+
+
+SWEEP_CASES = {
+    "sweep-default": (
+        "bid-sweep --days 365 --statistic all --seed 1",
+        "f28cebfac2951ed31873d06e0f3245d43020ac5a68dd24e0e0fb70a6cc5550cd",
+    ),
+    "sweep-small-pack": (
+        "bid-sweep --days 365 --statistic all --seed 2 --set battery.e_cap_mwh=0.5",
+        "c19f47e9336681b4168885d61a4dc495e612ab3f8543a84ba8d5b745bc3de585",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_bytes_are_pinned(tmp_path, case):
+    argv, sweep_sha = SWEEP_CASES[case]
+    sweep = tmp_path / "sweep.csv"
+    assert main(argv.split() + ["--out", str(sweep)]) == EXIT_OK
+    assert _sha256(sweep) == sweep_sha

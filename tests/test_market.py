@@ -160,6 +160,38 @@ def test_group_by_season_hour():
         group_by_season_hour(ts, vals[:-1])
 
 
+_SEASON_OF_MONTH = {12: "winter", 1: "winter", 2: "winter", 3: "spring", 4: "spring",
+                    5: "spring", 6: "summer", 7: "summer", 8: "summer", 9: "fall",
+                    10: "fall", 11: "fall"}
+
+
+def test_group_by_season_hour_matches_calendar_reference():
+    """Same keys, order and arrays as bucketing each sample through
+    ``datetime``, over a year boundary, a leap day and pre-1970 stamps."""
+    rng = np.random.default_rng(5)
+    windows = [
+        (_utc(1969, 12, 30), _utc(1970, 1, 2)),   # the epoch, negative stamps
+        (_utc(1900, 2, 27), _utc(1900, 3, 2)),    # 1900 is no leap year
+        (_utc(1999, 12, 31), _utc(2000, 1, 2)),   # year boundary
+        (_utc(2020, 2, 28), _utc(2020, 3, 2)),    # 29 Feb, winter -> spring
+        (_utc(2021, 5, 31), _utc(2021, 6, 2)),    # spring -> summer
+        (_utc(2021, 8, 31), _utc(2021, 12, 2)),   # fall -> winter
+    ]
+    ts = np.concatenate([rng.integers(lo, hi, 400) for lo, hi in windows])
+    ts = rng.permutation(ts)  # first appearances out of calendar order
+    vals = rng.normal(size=ts.size)
+    expect = {}
+    for t, v in zip(ts.tolist(), vals.tolist()):
+        stamp = datetime.fromtimestamp(t, tz=timezone.utc)
+        expect.setdefault((_SEASON_OF_MONTH[stamp.month], stamp.hour), []).append(v)
+    groups = group_by_season_hour(ts, vals)
+    assert list(groups) == list(expect)
+    for key, samples in expect.items():
+        assert groups[key].dtype == np.float64
+        assert np.array_equal(groups[key], samples)
+    assert group_by_season_hour([], []) == {}
+
+
 def test_reg_signal_rejects_non_finite_values():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):

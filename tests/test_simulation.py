@@ -1,6 +1,6 @@
 """Closed-loop runs: envelope clipping, SoC budgets, guard wiring."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,11 @@ from hesflex import (
     LoadParams,
     PvParams,
     Scenario,
+    Trajectory,
+    pv_power_interp,
     simulate,
+    synth_irradiance,
+    synth_signal,
     validate_records,
 )
 
@@ -134,3 +138,71 @@ def test_non_finite_inputs_name_the_step(fleet):
         simulate(fleet, Scenario.S1, [0.0, np.nan, 0.0], [2.0, 2.0, 2.0], 0.5)
     with pytest.raises(ValueError, match="step 2: pv"):
         simulate(fleet, Scenario.S1, [0.0, 0.0, 0.0], [2.0, 2.0, np.inf], 0.5)
+
+
+def _batch_corpus(fleet, runs=6, n=400):
+    """Requests at 1.15x the S1 reach under drifting signals, against
+    morning PV ramps from synthetic irradiance (0 MW at night)."""
+    reach = fleet.battery.p_max + 0.5 * fleet.load.p_max
+    req = np.empty((runs, n))
+    pv = np.empty((runs, n))
+    for r in range(runs):
+        req[r] = 1.15 * reach * synth_signal(r, n, bias=0.3 * (-1) ** r).values
+        ghi = synth_irradiance(r, 1).values[300 + 20 * r:300 + 20 * r + n]
+        pv[r] = pv_power_interp(fleet.pv, ghi)
+    return req, pv
+
+
+@pytest.mark.parametrize("e_cap", [5.0, 0.5])
+def test_batch_rows_equal_single_runs(fleet, e_cap):
+    """Every row of an (R, n) batch is bit for bit the trajectory its run
+    gives on its own, over all scenarios, with and without the guard."""
+    fleet = replace(fleet, battery=replace(fleet.battery, e_cap=e_cap))
+    guard = GuardConfig(0.6, 0.4, 0.02)
+    req, pv = _batch_corpus(fleet)
+    edge = buffer = 0
+    for scen in Scenario:
+        for g in (None, guard):
+            batch = simulate(fleet, scen, req, pv, 0.5, g)
+            assert isinstance(batch, list) and len(batch) == len(req)
+            for r, traj in enumerate(batch):
+                single = simulate(fleet, scen, req[r], pv[r], 0.5, g)
+                for f in fields(Trajectory):
+                    a, b = getattr(traj, f.name), getattr(single, f.name)
+                    assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), (scen, g, r, f)
+                soc = traj.soc
+                edge += bool(np.any((soc <= fleet.battery.e_min + 1e-12)
+                                    | (soc >= fleet.battery.e_max - 1e-12)))
+                if g is not None:
+                    buffer += bool(np.any((soc > g.e_upper - g.buffer)
+                                          | (soc < g.e_lower + g.buffer)))
+    assert buffer > 0
+    if e_cap == 0.5:
+        assert edge > 0
+    # a batch of one is the single run too
+    one = simulate(fleet, Scenario.S1, req[:1], pv[:1], 0.5, guard)[0]
+    assert one.soc.tobytes() == simulate(fleet, Scenario.S1, req[0], pv[0], 0.5, guard).soc.tobytes()
+
+
+def test_batch_validation_names_run_and_step(fleet):
+    with pytest.raises(ValueError, match="equal-shape"):
+        simulate(fleet, Scenario.S1, np.zeros((2, 3)), np.zeros((3, 2)), 0.5)
+    with pytest.raises(ValueError, match="equal-shape"):
+        simulate(fleet, Scenario.S1, np.zeros((2, 3)), np.zeros(3), 0.5)
+    with pytest.raises(ValueError, match="equal-shape"):
+        simulate(fleet, Scenario.S1, np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), 0.5)
+    req = np.zeros((3, 4))
+    req[2, 1] = np.nan
+    with pytest.raises(ValueError, match="run 2, step 1: dp_request = nan"):
+        simulate(fleet, Scenario.S1, req, np.full((3, 4), 2.0), 0.5)
+    pv = np.full((3, 4), 2.0)
+    pv[1, 3] = -np.inf
+    with pytest.raises(ValueError, match="run 1, step 3: pv = -inf"):
+        simulate(fleet, Scenario.S1, np.zeros((3, 4)), pv, 0.5)
+    # the green-load rule names where PV exceeds the load
+    pv = np.full((3, 4), 2.0)
+    pv[2, 2] = 3.5
+    with pytest.raises(ValueError, match="run 2, step 2: green-load"):
+        simulate(fleet, Scenario.S2, np.zeros((3, 4)), pv, 0.5)
+    with pytest.raises(ValueError, match="step 1: green-load"):
+        simulate(fleet, Scenario.S2, [0.0, 0.0], [2.0, 3.5], 0.5)
