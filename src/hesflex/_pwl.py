@@ -7,11 +7,17 @@ functions by slope merging, splitting into maximal convex runs, and the
 exact pointwise minimum of several functions. A function is stored as
 strictly increasing breakpoints ``xs`` with values ``ys``; a
 single-point domain is legal.
+
+The calls on a few breakpoints are the hot ones, so they work on Python
+floats: the minimum of one function is only its restriction to the
+interval, done with the arithmetic of the numpy code that handles
+several functions, so both give the same bits.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +25,7 @@ import numpy as np
 __all__ = ["Pwl", "from_points", "inf_convolve", "convex_runs", "lower_envelope"]
 
 _KINK_TOL = 1e-12
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -45,14 +51,18 @@ class Pwl:
     def __call__(self, x: float) -> float:
         """Linear interpolation; outside the domain the endpoint value
         is held (callers are expected to stay in-domain)."""
-        xs, ys = self.xs, self.ys
-        if x <= xs[0]:
-            return ys[0]
-        if x >= xs[-1]:
-            return ys[-1]
-        i = bisect.bisect_right(xs, x) - 1
-        t = (x - xs[i]) / (xs[i + 1] - xs[i])
-        return (1.0 - t) * ys[i] + t * ys[i + 1]
+        return _at(self.xs, self.ys, x)
+
+
+def _at(xs, ys, x: float) -> float:
+    """``Pwl(xs, ys)(x)``, for loops that cannot afford the method call."""
+    if x <= xs[0]:
+        return ys[0]
+    if x >= xs[-1]:
+        return ys[-1]
+    i = bisect.bisect_right(xs, x) - 1
+    t = (x - xs[i]) / (xs[i + 1] - xs[i])
+    return (1.0 - t) * ys[i] + t * ys[i + 1]
 
 
 def from_points(points) -> Pwl:
@@ -66,26 +76,33 @@ def from_points(points) -> Pwl:
     pts = sorted((float(x), float(y)) for x, y in points)
     if not pts:
         raise ValueError("no sample points")
-    merged: list[list[float]] = []
-    for x, y in pts:
-        if merged and x - merged[-1][0] <= 1e-13 * max(1.0, abs(x)):
-            if y < merged[-1][1]:
-                merged[-1][1] = y
-        else:
-            merged.append([x, y])
-    hull: list[list[float]] = []
-    for x, y in merged:
-        while len(hull) >= 2:
-            x0, y0 = hull[-2]
-            x1, y1 = hull[-1]
-            lhs = (y1 - y0) * (x - x1)
-            rhs = (y - y1) * (x1 - x0)
+    return _hull(pts)
+
+
+def _hull(pts) -> Pwl:
+    """``from_points`` on samples already in ascending x order. A sample
+    joins the hull once the next one is no duplicate of it."""
+    hx: list[float] = []
+    hy: list[float] = []
+    pts = iter(pts)
+    px, py = next(pts)
+    for x, y in (*pts, (None, None)):
+        if x is not None and x - px <= 1e-13 * max(1.0, abs(x)):
+            if y < py:
+                py = y
+            continue
+        while len(hx) >= 2:
+            lhs = (hy[-1] - hy[-2]) * (px - hx[-1])
+            rhs = (py - hy[-1]) * (hx[-1] - hx[-2])
             if lhs >= rhs - _KINK_TOL * max(1.0, abs(lhs), abs(rhs)):
-                hull.pop()  # middle point is no strict downward kink
+                hx.pop()  # middle point is no strict downward kink
+                hy.pop()
             else:
                 break
-        hull.append([x, y])
-    return Pwl(tuple(p[0] for p in hull), tuple(p[1] for p in hull))
+        hx.append(px)
+        hy.append(py)
+        px, py = x, y
+    return Pwl(tuple(hx), tuple(hy))
 
 
 def inf_convolve(f: Pwl, g: Pwl) -> Pwl:
@@ -95,20 +112,23 @@ def inf_convolve(f: Pwl, g: Pwl) -> Pwl:
     ascending slope sequence starting from the sum of the left domain
     endpoints. Every vertex of that sweep is the sum of one vertex of f
     and one of g, and is computed as such, so rounding does not
-    accumulate along the sweep.
+    accumulate along the sweep, and the vertices come in ascending x
+    order (float addition is monotone), which is the order the hull
+    of ``from_points`` needs.
     """
+    fx, fy, gx, gy = f.xs, f.ys, g.xs, g.ys
     i = j = 0
-    m, n = len(f.xs) - 1, len(g.xs) - 1
-    pts = [(f.xs[0] + g.xs[0], f.ys[0] + g.ys[0])]
+    m, n = len(fx) - 1, len(gx) - 1
+    pts = [(fx[0] + gx[0], fy[0] + gy[0])]
     while i < m or j < n:
         # take f's next segment when its slope is no steeper than g's
-        if j == n or (i < m and (f.ys[i + 1] - f.ys[i]) * (g.xs[j + 1] - g.xs[j])
-                      <= (g.ys[j + 1] - g.ys[j]) * (f.xs[i + 1] - f.xs[i])):
+        if j == n or (i < m and (fy[i + 1] - fy[i]) * (gx[j + 1] - gx[j])
+                      <= (gy[j + 1] - gy[j]) * (fx[i + 1] - fx[i])):
             i += 1
         else:
             j += 1
-        pts.append((f.xs[i] + g.xs[j], f.ys[i] + g.ys[j]))
-    return from_points(pts)
+        pts.append((fx[i] + gx[j], fy[i] + gy[j]))
+    return _hull(pts)
 
 
 def convex_runs(f: Pwl) -> list[Pwl]:
@@ -120,6 +140,8 @@ def convex_runs(f: Pwl) -> list[Pwl]:
     xs, ys = f.xs, f.ys
     slopes = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
     cuts = [0, *(i for i in range(1, len(slopes)) if slopes[i] < slopes[i - 1]), len(xs) - 1]
+    if len(cuts) == 2:
+        return [f]
     return [Pwl(f.xs[a:b + 1], f.ys[a:b + 1]) for a, b in zip(cuts, cuts[1:])]
 
 
@@ -137,11 +159,18 @@ def lower_envelope(fs, lo: float, hi: float) -> Pwl:
     rounding of the lowest, so the result can sit below the true minimum
     by that much, never above it. Breakpoints on a straight line to
     rounding are dropped.
+
+    A single function is its own minimum and is only restricted to
+    [lo, hi]; that is done in Python floats (``_restrict``), which costs
+    far less than numpy's set-up on the few breakpoints a one-function
+    step of a dynamic program has.
     """
+    if len(fs) == 1:
+        return _restrict(fs[0], lo, hi)
     xs = np.concatenate([f.xs for f in fs])
     grid = np.unique(np.concatenate(([lo, hi], xs[(xs > lo) & (xs < hi)])))
     vals = np.array([np.interp(grid, f.xs, f.ys, left=np.inf, right=np.inf) for f in fs])
-    todo = np.arange(grid.size - 1 if len(fs) > 1 else 0)  # one function is its own minimum
+    todo = np.arange(grid.size - 1)
     while todo.size:
         x0, x1 = grid[todo], grid[todo + 1]
         lv, rv = vals[:, todo], vals[:, todo + 1]
@@ -170,6 +199,51 @@ def lower_envelope(fs, lo: float, hi: float) -> Pwl:
         at = i + np.arange(i.size)  # the left halves, after insertion
         todo = np.sort(np.concatenate((at, at + 1)))
     return _drop_collinear(grid, vals.min(axis=0))
+
+
+def _restrict(f: Pwl, lo: float, hi: float) -> Pwl:
+    """f on [lo, hi], equal bit for bit to the numpy route of
+    ``lower_envelope`` on one function: the ends are interpolated with
+    ``np.interp``'s arithmetic, interior breakpoints are kept, and
+    collinear points go in the rounds of ``_drop_collinear``."""
+    xs, ys = f.xs, f.ys
+    lo, hi = float(lo), float(hi)
+    if not lo < hi:
+        return Pwl((lo,), (_np_interp(xs, ys, lo),))
+    a, b = bisect.bisect_right(xs, lo), bisect.bisect_left(xs, hi)
+    gx = [lo, *xs[a:b], hi]
+    gy = [_np_interp(xs, ys, lo), *ys[a:b], _np_interp(xs, ys, hi)]
+    while len(gx) > 2:
+        flat = []
+        for i in range(len(gx) - 2):
+            x0, x1, x2 = gx[i], gx[i + 1], gx[i + 2]
+            y0, y1, y2 = gy[i], gy[i + 1], gy[i + 2]
+            slope = (y2 - y0) / (x2 - x0)
+            dev = y1 - (y0 + (x1 - x0) * slope)
+            if abs(dev) <= 8.0 * _EPS * (max(1.0, abs(y1), abs(y0), abs(y2))  # _rounding
+                                         + abs(slope) * max(abs(x0), abs(x2))):
+                flat.append(i)
+        if not flat:
+            break
+        drop = flat[::2]  # every other flat point: never two neighbours
+        for i in reversed(drop):
+            del gx[i + 1], gy[i + 1]
+        if len(drop) == len(flat):
+            break
+    return Pwl(tuple(gx), tuple(gy))
+
+
+def _np_interp(xs, ys, x: float) -> float:
+    """``np.interp(x, xs, ys, left=inf, right=inf)`` at one x, with the
+    same arithmetic: breakpoint values exact, else
+    ``slope*(x - xs[j]) + ys[j]``."""
+    if not xs[0] <= x <= xs[-1]:
+        return math.inf
+    j = bisect.bisect_right(xs, x) - 1
+    if j == len(xs) - 1 or xs[j] == x:
+        return ys[j]
+    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+    return slope * (x - xs[j]) + ys[j]
 
 
 def _rounding(y, slope, x):

@@ -162,6 +162,14 @@ def resample_zoh(series, cadence_s: float):
     return type(series)(out_ts, out_vals, float(cadence_s), ())
 
 
+def _whole_seconds(cadence: float) -> int:
+    """The cadence as an int; timestamps are whole epoch seconds, the
+    rule ``config.validate`` applies to ``signal.dt_s``."""
+    if not (float(cadence) > 0.0 and float(cadence).is_integer()):
+        raise ValueError(f"cadence must be a positive whole number of seconds, got {cadence!r}")
+    return int(cadence)
+
+
 def synth_signal(
     seed: int,
     n_steps: int,
@@ -183,6 +191,7 @@ def synth_signal(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    step = _whole_seconds(cadence)
     rng = np.random.default_rng(seed)
     phi, sigma = 0.99, 0.05
     eps = rng.normal(0.0, sigma, n_steps)
@@ -209,7 +218,6 @@ def synth_signal(
     if bias:
         x += bias
     np.clip(x, -1.0, 1.0, out=x)
-    step = int(round(cadence))
     ts = start_epoch + np.arange(n_steps, dtype=np.int64) * step
     return SignalSeries(ts, x, float(cadence), ())
 
@@ -226,7 +234,7 @@ def synth_irradiance(
     weather model."""
     if days < 1:
         raise ValueError("days must be >= 1")
-    step = int(round(cadence))
+    step = _whole_seconds(cadence)
     n = days * 86400 // step
     ts = start_epoch + np.arange(n, dtype=np.int64) * step
     start_doy = datetime.fromtimestamp(start_epoch, tz=timezone.utc).timetuple().tm_yday

@@ -32,9 +32,11 @@ Strategy, cheapest first:
 
    ([] is infimal convolution) are continuous piecewise-linear. They are
    computed without a grid, by convolving convex runs and taking exact
-   lower envelopes. A forward pass then commits the drops that attain
-   them. The answer is certified when its objective is within 1e-9
-   (relative, floor 1) of V_0(soc0), which holds to float rounding.
+   lower envelopes; a step with a single pair of runs, most steps on the
+   default fleet, only restricts its convolution to the window. A
+   forward pass then commits the drops that attain them. The answer is
+   certified when its objective is within 1e-9 (relative, floor 1) of
+   V_0(soc0), which holds to float rounding.
 """
 
 from __future__ import annotations
@@ -156,31 +158,40 @@ class _Stage:
         self.alpha = fl.dt / b.e_cap
         self.eta = b.eta_inv
         self.pmax = b.p_max
-        self.half_cl = 0.5 * fl.load.p_max
-        self.t = problem.targets()
         self.d_hi = self.alpha * self.pmax / self.eta
         self.d_lo = -self.alpha * self.eta * self.pmax
-        self.phi = [self._build(k) for k in range(self.t.size)]
+        self.phi = self._build(problem.targets(), 0.5 * fl.load.p_max)
 
-    def drop(self, p: float) -> float:
+    def drop(self, p):
         a, e = self.alpha, self.eta
-        return a * p / e if p >= 0.0 else a * e * p
+        return np.where(p >= 0.0, a * p / e, a * e * p)
 
-    def to_power(self, d: float) -> float:
+    def to_power(self, d):
         a, e = self.alpha, self.eta
-        p = d * e / a if d >= 0.0 else d / (a * e)
-        return min(max(p, -self.pmax), self.pmax)
+        return np.clip(np.where(d >= 0.0, d * e / a, d / (a * e)), -self.pmax, self.pmax)
 
-    def cost(self, k: int, p: float) -> float:
-        return max(0.0, abs(self.t[k] - p) - self.half_cl)
-
-    def _build(self, k: int) -> _pwl.Pwl:
+    def _build(self, t: np.ndarray, hcl: float) -> list[_pwl.Pwl]:
         # cost and drop are both linear in p between -p_max, the band
-        # edges t -+ CL/2, 0 and p_max, so phi is linear between their drops
-        t, hcl = self.t[k], self.half_cl
-        kinks = (self.drop(t - hcl), self.drop(t + hcl))
-        xs = sorted({self.d_lo, 0.0, self.d_hi, *(d for d in kinks if self.d_lo < d < self.d_hi)})
-        return _pwl.Pwl(tuple(xs), tuple(self.cost(k, self.to_power(d)) for d in xs))
+        # edges t -+ CL/2, 0 and p_max, so phi is linear between their
+        # drops; all steps at once, then one Pwl per step from floats
+        def cost(p):
+            return np.maximum(0.0, np.abs(t - p) - hcl)
+
+        d_lo, d_hi = self.d_lo, self.d_hi
+        kinks = [self.drop(t - hcl), self.drop(t + hcl)]
+        cols = [d.tolist() for d in kinks]
+        cols += [cost(self.to_power(d)).tolist() for d in kinks]
+        cols += [cost(self.to_power(d)).tolist() for d in (d_lo, 0.0, d_hi)]
+        phi = []
+        for k1, k2, c1, c2, y_lo, y_0, y_hi in zip(*cols):
+            pts = {d_lo: y_lo, 0.0: y_0, d_hi: y_hi}
+            if d_lo < k1 < d_hi:
+                pts.setdefault(k1, c1)
+            if d_lo < k2 < d_hi:
+                pts.setdefault(k2, c2)
+            xs = sorted(pts)
+            phi.append(_pwl.Pwl(tuple(xs), tuple(pts[d] for d in xs)))
+        return phi
 
 
 def certificate_lower_bound(problem: OracleProblem) -> float:
@@ -278,32 +289,37 @@ def _value_functions(stage: _Stage, n: int, e_min: float, e_max: float) -> list[
     return values
 
 
-def _d_candidates(phi: _pwl.Pwl, v_next: _pwl.Pwl, s: float):
+def _d_candidates(phi: _pwl.Pwl, v_next: _pwl.Pwl, s: float) -> set[float]:
     """Kink-complete candidate drops for min_d phi(d) + V(s - d)."""
     lo = max(phi.x_lo, s - v_next.x_hi)
     hi = min(phi.x_hi, s - v_next.x_lo)
     cands = {lo, hi}
     cands.update(x for x in phi.xs if lo < x < hi)
     cands.update(s - x for x in v_next.xs if lo < s - x < hi)
-    return [(phi(d) + v_next(s - d), d) for d in cands]
+    return cands
 
 
 def _optimal_powers(problem: OracleProblem, stage: _Stage, values) -> np.ndarray:
     """Walk forward committing, per step, the drop that attains V_k
-    (the smallest |p| among exact ties)."""
+    (the smallest |p| among exact ties). Drops and powers convert with
+    the arithmetic of ``_Stage.to_power`` and ``_Stage.drop``, on floats."""
     b = problem.fleet.battery
+    a, e, pmax = stage.alpha, stage.eta, stage.pmax
     s = problem.soc0
-    powers = np.empty(problem.horizon)
-    for k in range(problem.horizon):
-        pool = []
-        for v, d in _d_candidates(stage.phi[k], values[k + 1], s):
-            p = stage.to_power(d)
-            pool.append((v, abs(p), p))
-        _, _, p = min(pool)
-        powers[k] = p
-        s -= stage.drop(p)
+    powers = []
+    for phi, v_next in zip(stage.phi, values[1:]):
+        fx, fy, vx, vy = phi.xs, phi.ys, v_next.xs, v_next.ys
+        best = None
+        for d in _d_candidates(phi, v_next, s):
+            p = min(max(d * e / a if d >= 0.0 else d / (a * e), -pmax), pmax)
+            key = (_pwl._at(fx, fy, d) + _pwl._at(vx, vy, s - d), abs(p), p)
+            if best is None or key < best:
+                best = key
+        p = best[2]
+        powers.append(p)
+        s -= a * p / e if p >= 0.0 else a * e * p
         s = min(max(s, b.e_min), b.e_max)  # float dust only
-    return powers
+    return np.array(powers, dtype=float)
 
 
 # ---------------------------------------------------------------------------

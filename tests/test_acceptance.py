@@ -94,15 +94,16 @@ def test_criterion_05_guard_containment(fleet):
     n = 7200  # four hours at two seconds
     pv = np.full(n, 2.0)
     qualified = 0
-    for seed in range(100):
-        sig = hx.synth_signal(seed, n)
-        req = 6.5 * sig.values
-        guarded = hx.simulate(fleet, hx.Scenario.S1, req, pv, 0.5, guard=BAND)
+    sigs = [hx.synth_signal(seed, n).values for seed in range(100)]
+    req = 6.5 * np.array(sigs)
+    pvs = np.broadcast_to(pv, req.shape)
+    guarded_runs = hx.simulate(fleet, hx.Scenario.S1, req, pvs, 0.5, guard=BAND)
+    unguarded_runs = hx.simulate(fleet, hx.Scenario.S1, req, pvs, 0.5)
+    for seed, (values, guarded, unguarded) in enumerate(zip(sigs, guarded_runs, unguarded_runs)):
         g_soc = guarded.soc
         assert g_soc.min() > BAND.e_lower and g_soc.max() < BAND.e_upper, seed
-        unguarded = hx.simulate(fleet, hx.Scenario.S1, req, pv, 0.5)
         u_soc = unguarded.soc
-        reg = hx.RegSignal(sig.values)
+        reg = hx.RegSignal(values)
         g_score = hx.performance_score(6.5, reg, guarded.p_hes - guarded.p0)
         u_score = hx.performance_score(6.5, reg, unguarded.p_hes - unguarded.p0)
         in_window = (u_soc.min() >= fleet.battery.e_min - 1e-12

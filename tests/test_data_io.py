@@ -157,6 +157,25 @@ def test_synth_signal_timestamps():
     np.testing.assert_array_equal(sig.timestamps, [1000, 1002, 1004, 1006, 1008])
 
 
+@pytest.mark.parametrize("cadence", [2.5, 0.4, 0, 0.0, -2.0, float("nan"), float("inf")])
+def test_synth_series_reject_a_cadence_that_is_no_whole_second(cadence):
+    # timestamps are whole epoch seconds: 2.5 used to give t = 0, 2, 4, ...
+    # and a zero cadence divided by zero in synth_irradiance
+    with pytest.raises(ValueError, match="cadence"):
+        synth_signal(1, 5, cadence=cadence)
+    with pytest.raises(ValueError, match="cadence"):
+        synth_irradiance(1, 1, cadence=cadence)
+
+
+def test_synth_series_accept_a_whole_second_cadence():
+    sig = synth_signal(1, 3, cadence=np.float64(900.0), start_epoch=0)
+    np.testing.assert_array_equal(sig.timestamps, [0, 900, 1800])
+    assert sig.cadence == 900.0
+    ghi = synth_irradiance(1, 1, cadence=3600)
+    assert ghi.timestamps.size == 24
+    assert np.all(np.diff(ghi.timestamps) == 3600)
+
+
 def test_synth_irradiance_shape():
     ghi = synth_irradiance(9, 2)
     assert len(ghi.values) == 2 * 1440

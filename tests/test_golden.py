@@ -2,10 +2,12 @@
 
 Each ``track`` case covers a different path: the greedy oracle
 certificate, the guard taper, SoC truncation with curtailment, and the
-exact oracle DP. The ``bid-sweep`` cases pin a year of batched runs, one
-of them on a small pack where 109 of the 384 runs reach the SoC window
-edge. A hash changes when any output byte does, so a refactor that claims
-to keep behaviour must keep these.
+exact oracle DP, once on a 120-step tight fleet and once on 3,600 steps
+of the default fleet, where most steps restrict one convex part. The
+``bid-sweep`` cases pin a year of batched runs, one of them on a small
+pack where 109 of the 384 runs reach the SoC window edge. A hash
+changes when any output byte does, so a refactor that claims to keep
+behaviour must keep these.
 """
 
 import hashlib
@@ -36,6 +38,11 @@ CASES = {
         " --set battery.e_cap_mwh=2 --set signal.dt_s=900",
         "054f29efd849c13d67c5d00988c9b2674830b85dcf6363e872ef515fed85ff45",
         "7972f1847a50e7389e539255725afe6578673f8f1d9ca78b1dca941086fa5c3b",
+    ),
+    "exact-dp-default": (
+        "track --oracle --no-guard --hours 2 --seed 5 --bias 0.3",
+        "76f80ec175f55f33c45f244cc938e49485e77827fd070f88163f6de57b4ab337",
+        "58d71aa6084c36ecf9197e94ecd542617465eb89e788e3d4b0b21af134054cc9",
     ),
 }
 

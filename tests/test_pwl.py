@@ -3,6 +3,8 @@ runs and exact lower envelopes."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hesflex._pwl import Pwl, convex_runs, from_points, inf_convolve, lower_envelope
 
@@ -150,3 +152,42 @@ def test_lower_envelope_inserts_crossings_and_drops_collinear_points():
     env = lower_envelope([up, down, high], 0.0, 1.0)
     assert env.xs == (0.0, 0.5, 1.0)
     assert env.ys == (0.0, 0.5, 0.0)
+
+
+_SLOPES = st.one_of(st.floats(-5.0, 5.0), st.integers(-2, 2).map(lambda i: i / 2))
+
+
+@st.composite
+def _convex_and_window(draw):
+    """A convex f and lo <= hi inside its domain, each either a breakpoint
+    of f or a point between breakpoints. Neighbouring slopes are often
+    equal, and values may be moved by a few dozen ulps, so that runs of
+    collinear breakpoints and points near the collinearity tolerance
+    occur."""
+    n = draw(st.integers(1, 7))
+    widths = draw(st.lists(st.floats(1e-3, 2.0), min_size=n, max_size=n))
+    slopes = sorted(draw(st.lists(_SLOPES, min_size=n, max_size=n)))
+    jitter = draw(st.lists(st.integers(-64, 64), min_size=n + 1, max_size=n + 1))
+    xs = [draw(st.floats(-3.0, 3.0))]
+    ys = [draw(st.floats(-3.0, 3.0))]
+    for w, m in zip(widths, slopes):
+        xs.append(xs[-1] + w)
+        ys.append(ys[-1] + m * w)
+    ys = [y + j * 1e-16 * max(1.0, abs(y)) for y, j in zip(ys, jitter)]
+    f = Pwl(tuple(xs), tuple(ys))
+    point = st.one_of(st.sampled_from(xs), st.floats(xs[0], xs[-1]))
+    lo, hi = sorted((draw(point), draw(point)))
+    return f, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(_convex_and_window())
+def test_lower_envelope_of_one_function_matches_the_crossing_loop(case):
+    """One function is only restricted to [lo, hi], in Python floats; a
+    duplicated function goes through the numpy crossing loop, which then
+    inserts nothing. Both must give the same breakpoints bit for bit."""
+    f, lo, hi = case
+    one, two = lower_envelope([f], lo, hi), lower_envelope([f, f], lo, hi)
+    assert np.array(one.xs).tobytes() == np.array(two.xs).tobytes()  # signed zeros too
+    assert np.array(one.ys).tobytes() == np.array(two.ys).tobytes()
+    assert all(type(v) is float for v in one.xs + one.ys)
