@@ -10,13 +10,11 @@ dispatcher, and settles the result in a pay-for-performance market.
 from .assets import (
     AssetFleet,
     BatteryParams,
-    BatteryState,
     LoadParams,
     PvParams,
     SocBoundsError,
     battery_step,
     default_fleet,
-    load_feasible,
     pv_power,
     pv_power_interp,
     pv_power_series,
@@ -60,7 +58,6 @@ from .market import (
     payment,
     performance_score,
     pv_statistic,
-    season_of_timestamp,
     settle,
 )
 from .oracle import (
@@ -79,7 +76,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AssetFleet",
     "BatteryParams",
-    "BatteryState",
     "ConfigError",
     "DataFormatError",
     "FlexEnvelope",
@@ -119,7 +115,6 @@ __all__ = [
     "group_by_season_hour",
     "guard_power_cap",
     "load_config",
-    "load_feasible",
     "max_flex_bid",
     "mileage",
     "payment",
@@ -133,7 +128,6 @@ __all__ = [
     "read_trace_csv",
     "report_lines",
     "resample_zoh",
-    "season_of_timestamp",
     "settle",
     "simulate",
     "solve_oracle",

@@ -25,18 +25,18 @@ _SOC_SNAP = 1e-12  # float dust tolerated at the SoC bounds
 class SocBoundsError(Exception):
     """Raised when a battery step would leave the SoC window.
 
-    Carries the state clipped back to the nearest bound so callers that
+    Carries the SoC clipped back to the nearest bound so callers that
     are allowed to saturate (the SoC guard and the simulation loop) can
     recover; plain callers should treat this as a failed step.
     """
 
-    def __init__(self, soc_raw: float, clipped: "BatteryState"):
+    def __init__(self, soc_raw: float, soc_clipped: float):
         super().__init__(
             f"battery step would move SoC to {soc_raw:.9f}, outside the "
-            f"operating window (clipped to {clipped.soc:.9f})"
+            f"operating window (clipped to {soc_clipped:.9f})"
         )
         self.soc_raw = soc_raw
-        self.clipped = clipped
+        self.soc_clipped = soc_clipped
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,13 +110,6 @@ class BatteryParams:
             raise ValueError("eta_inv must lie in (0, 1]")
         if not 0.0 <= self.e_min < self.e_max <= 1.0:
             raise ValueError("need 0 <= e_min < e_max <= 1")
-
-
-@dataclass(frozen=True, slots=True)
-class BatteryState:
-    """Battery state of charge, per-unit of capacity."""
-
-    soc: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,12 +275,13 @@ def pv_power_interp(params: PvParams, irradiance_values, table_size: int = 1024)
 
 def battery_step(
     params: BatteryParams,
-    state: BatteryState,
+    soc: float,
     p_charge: float,
     p_discharge: float,
     dt: float,
-) -> BatteryState:
-    """Advance the SoC by one step.
+) -> float:
+    """Advance the SoC (per-unit of capacity) by one step; returns the
+    next SoC.
 
     ``p_charge`` must lie in [-p_max, 0], ``p_discharge`` in [0, p_max],
     and at most one of them may be nonzero. The update is
@@ -297,7 +291,7 @@ def battery_step(
     so charging raises the SoC and discharging lowers it, both penalized
     by the inverter efficiency ``eta = params.eta_inv``. A step that would
     exit [e_min, e_max] raises :class:`SocBoundsError` carrying the
-    clipped state.
+    clipped SoC.
     """
     eta = params.eta_inv
     if dt <= 0:
@@ -308,39 +302,9 @@ def battery_step(
         raise ValueError("p_discharge must lie in [0, p_max] MW")
     if abs(p_charge) > 1e-12 and abs(p_discharge) > 1e-12:
         raise ValueError("simultaneous charge and discharge is not allowed")
-    soc_next = state.soc - (dt / params.e_cap) * (eta * p_charge + p_discharge / eta)
-    lo, hi = params.e_min, params.e_max
-    if soc_next < lo - _SOC_SNAP or soc_next > hi + _SOC_SNAP:
-        raise SocBoundsError(soc_next, BatteryState(min(max(soc_next, lo), hi)))
-    return BatteryState(min(max(soc_next, lo), hi))
-
-
-def _battery_step_runs(params: BatteryParams, soc: np.ndarray, p: np.ndarray, dt: float):
-    """:func:`battery_step` for one step of several runs at once: ``soc``
-    and the signed battery power ``p`` (+ = discharge) hold one value per
-    run; returns the next SoC of every run.
-
-    Python's ``min``/``max`` are spelled with ``np.where`` so every value,
-    signed zeros included, is the one :func:`battery_step` computes.
-    """
-    eta = params.eta_inv
-    p_charge = np.where(0.0 < p, 0.0, p)
-    p_discharge = np.where(0.0 > p, 0.0, p)
-    if np.any(p_charge < -params.p_max - 1e-9):
-        raise ValueError("p_charge must lie in [-p_max, 0] MW")
-    if np.any(p_discharge > params.p_max + 1e-9):
-        raise ValueError("p_discharge must lie in [0, p_max] MW")
     soc_next = soc - (dt / params.e_cap) * (eta * p_charge + p_discharge / eta)
     lo, hi = params.e_min, params.e_max
-    above_lo = np.where(lo > soc_next, lo, soc_next)
-    clipped = np.where(hi < above_lo, hi, above_lo)
-    out = np.flatnonzero((soc_next < lo - _SOC_SNAP) | (soc_next > hi + _SOC_SNAP))
-    if out.size:
-        r = out[0]
-        raise SocBoundsError(float(soc_next[r]), BatteryState(float(clipped[r])))
-    return clipped
+    if soc_next < lo - _SOC_SNAP or soc_next > hi + _SOC_SNAP:
+        raise SocBoundsError(soc_next, min(max(soc_next, lo), hi))
+    return min(max(soc_next, lo), hi)
 
-
-def load_feasible(params: LoadParams, p_cl: float) -> bool:
-    """True when the load setpoint lies within [0, p_max]."""
-    return 0.0 <= p_cl <= params.p_max

@@ -8,7 +8,8 @@ Subcommands:
 - ``synth-signal``  write a synthetic regulation signal as CSV
 
 Exit codes: 0 success, 2 configuration problems, 3 input data problems,
-4 runtime failures (infeasible dispatch, battery bound violations).
+4 runtime failures (infeasible dispatch, battery bound violations, a
+non-finite report value, running out of memory).
 Reports are deterministic: the same config and seed give identical
 bytes.
 """
@@ -86,6 +87,9 @@ def _open_out(path):
 
 
 def _emit_report(pairs: dict, path) -> None:
+    for key, value in pairs.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"report value {key} = {value} is not finite")
     with _open_out(path) as fh:
         fh.write("\n".join(report_lines(pairs)))
         fh.write("\n")
@@ -235,9 +239,10 @@ def cmd_track(args) -> int:
             oracle_lower_bound_mw=sol.lower_bound,
             oracle_certified=sol.certified_optimal,
         )
+    # The report is checked before anything is written.
+    _emit_report(pairs, args.out)
     if args.trace:
         export_trace(traj, args.trace, times=series.timestamps, signal=r, dt_s=cfg.dt_s)
-    _emit_report(pairs, args.out)
     return EXIT_OK
 
 
@@ -379,6 +384,9 @@ def main(argv=None) -> int:
         return EXIT_RUNTIME
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_RUNTIME
 
 

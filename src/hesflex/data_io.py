@@ -24,6 +24,7 @@ import numpy as np
 from .dispatch import Trajectory
 
 _FLOAT_FMT = ".15g"
+_TRACE_BLOCK_ROWS = 1024
 _TRAJECTORY_COLUMNS = tuple(f.name for f in fields(Trajectory))
 TRACE_COLUMNS = ("k", "t", "r") + _TRAJECTORY_COLUMNS
 
@@ -273,11 +274,16 @@ def export_trace(traj: Trajectory, path, *, times=None, signal=None, dt_s: float
         signal = np.zeros(n)
     if len(times) != n or len(signal) != n:
         raise ValueError("times and signal must match the number of steps")
-    columns = [times, signal] + [getattr(traj, name) for name in _TRAJECTORY_COLUMNS]
+    columns = [np.asarray(col, dtype=float)
+               for col in [times, signal] + [getattr(traj, name) for name in _TRAJECTORY_COLUMNS]]
+    # One %-format per row renders each float as _fmt does; rows go out in
+    # blocks, so the Python floats of only one block are alive at a time.
+    row = "%d" + f",%{_FLOAT_FMT}" * len(columns) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_COLUMNS)
-        w.writerows(zip(range(n), *(map(_fmt, col) for col in columns)))
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        for lo in range(0, n, _TRACE_BLOCK_ROWS):
+            block = [col[lo:lo + _TRACE_BLOCK_ROWS].tolist() for col in columns]
+            fh.writelines(row % values for values in zip(range(lo, n), *block))
 
 
 def read_trace_csv(path):

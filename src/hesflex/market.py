@@ -17,7 +17,6 @@ writers may floor the displayed value at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -152,12 +151,6 @@ def pv_statistic(samples, statistic: str) -> float:
     except KeyError:
         raise ValueError(f"unknown statistic {statistic!r}; pick one of {STATISTICS}") from None
     return float(np.percentile(x, q))
-
-
-def season_of_timestamp(epoch_s: int) -> str:
-    """Meteorological season of a UTC timestamp."""
-    month = datetime.fromtimestamp(int(epoch_s), tz=timezone.utc).month
-    return _SEASONS[_SEASON_OF_MONTH[month]]
 
 
 def group_by_season_hour(timestamps, values) -> dict[tuple[str, int], np.ndarray]:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _pwl
-from .assets import AssetFleet, BatteryState, battery_step
+from .assets import AssetFleet, battery_step
 from .dispatch import Trajectory
 from .flexibility import Scenario, envelope
 from .simulation import simulate
@@ -245,11 +245,11 @@ def _records_from_battery(problem: OracleProblem, p_batt) -> Trajectory:
     p = np.clip(np.asarray(p_batt, dtype=float), -b.p_max, b.p_max)
     dp = np.clip(t, p - hcl, p + hcl)
     env = envelope(Scenario.S1, fl, problem.pv)
-    state = BatteryState(problem.soc0)
+    s = problem.soc0
     soc = []
     for pk in p.tolist():
-        state = battery_step(b, state, min(pk, 0.0), max(pk, 0.0), fl.dt)
-        soc.append(state.soc)
+        s = battery_step(b, s, min(pk, 0.0), max(pk, 0.0), fl.dt)
+        soc.append(s)
     return Trajectory(env.p0 + dp, env.p0, t, problem.pv, p + hcl - dp, p,
                       np.zeros(t.size), soc)
 

@@ -3,7 +3,7 @@
 The envelope and the allocation rules are closed-form in the available PV
 and the request, so one numpy pass evaluates the envelope for the whole
 horizon, clips every request into it and runs the allocation rule. Only
-the battery carries state from step to step: a loop over the steps then
+the battery carries state from step to step: a scan over the steps then
 tapers the battery setpoint through the SoC guard (when one is given),
 saturates it at the physical energy window, and advances the SoC. Finally
 S4/S5 recompute curtailment for the battery power actually delivered. The
@@ -11,11 +11,13 @@ recorded ``p_hes`` is what the fleet actually delivers, so the power
 balance holds exactly on every row even when the request was truncated.
 
 A batch of R runs of n steps, given as (R, n) arrays, takes the same
-numpy pass over all of it and one loop over the n steps, each step
-advancing all R runs with numpy operations; row r of the batch gives
-exactly the trajectory that run r gives on its own. A single horizon
-keeps a loop over Python floats, which is far cheaper per step than
-numpy calls on one-element arrays.
+numpy pass over all of it, and the scan runs once per row; a single
+horizon is one row. Where neither the guard nor the window changes a
+step, the scan takes the SoC of many steps from one sequential
+``np.cumsum`` of the increments :func:`battery_step` applies, which gives
+the same floats; near the window or the guard buffer it takes one scalar
+step at a time. Row r of a batch is therefore exactly the trajectory run
+r gives on its own.
 
 A run owns its own battery state; the module is stateless.
 """
@@ -24,10 +26,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assets import AssetFleet, BatteryState, _battery_step_runs, battery_step
+from .assets import AssetFleet, BatteryParams, battery_step
 from .dispatch import Trajectory, _curtailment, _position, _split
 from .flexibility import Scenario, envelope
-from .soc_guard import GuardConfig, _guard_power_cap_runs, check_band, guard_power_cap
+from .soc_guard import GuardConfig, check_band, guard_power_cap
+
+# Shortest scan block after a fast segment fails, and the fewest scalar
+# steps taken after one that fails within that many steps.
+_BLOCK = 32
 
 
 def simulate(
@@ -62,6 +68,9 @@ def simulate(
                 f"{_position(series, bad[0])}: {name} = {flat[bad[0]]} is not finite"
             )
     batt = fleet.battery
+    if fleet.dt / batt.e_cap * batt.eta_inv == 0.0:
+        raise ValueError("the SoC move per MW of a charging step, dt / e_cap * eta_inv, "
+                         "underflows to 0")
     if not (batt.e_min - 1e-12 <= soc0 <= batt.e_max + 1e-12):
         raise ValueError(f"soc0 = {soc0} outside the battery window")
     if guard is not None:
@@ -77,10 +86,7 @@ def simulate(
     dp = np.clip(dp_req, env.dp_lo, env.dp_hi)
     del env
     p_cl, p_batt, p_curt = _split(scenario, fleet, p_pv, p0, dp)
-    if dp_req.ndim == 1:
-        p_batt, soc = _step_loop(fleet, guard, p_batt, soc0)
-    else:
-        p_batt, soc = _step_loop_runs(fleet, guard, p_batt, soc0)
+    p_batt, soc = _soc_scan(fleet, guard, p_batt, soc0)
     if scenario in (Scenario.S4, Scenario.S5):
         # A truncated charge leaves PV surplus; curtail it away so the
         # delivered power still lands on the target when possible.
@@ -93,56 +99,95 @@ def simulate(
     return [Trajectory(*(col[r] for col in columns)) for r in range(dp_req.shape[0])]
 
 
-def _step_loop(fleet: AssetFleet, guard: GuardConfig | None, p_batt: np.ndarray, soc0: float):
-    """Guard taper, SoC-window truncation and SoC update of one horizon;
-    returns the delivered battery power and the SoC after each step."""
+# Python floats overflow to inf silently; the vectorized steps do the same.
+@np.errstate(over="ignore", invalid="ignore")
+def _soc_scan(fleet: AssetFleet, guard: GuardConfig | None, p_batt: np.ndarray, soc0: float):
+    """Guard taper, SoC-window truncation and SoC update of each run, a
+    row of ``p_batt`` (or the one row of a 1-D horizon); returns the
+    delivered battery power and the SoC after each step, shaped like
+    ``p_batt``.
+
+    A fast segment takes the SoC of a block of steps from one sequential
+    cumsum prefixed by the current SoC, and keeps the steps before the
+    first one that :func:`_unchanged` cannot vouch for. From there the
+    scan takes scalar steps while the SoC stays within one full-power
+    step of the window or the guard buffer. The first block spans the
+    row; later ones double while they run clean and fall back to twice
+    the steps the last one kept, so a request that keeps re-crossing the
+    margin costs O(n), not O(n^2).
+    """
     batt = fleet.battery
     dt = fleet.dt
     alpha = dt / batt.e_cap
     eta = batt.eta_inv
-    state = BatteryState(soc0)
-    delivered = []
-    soc = []
-    for p in p_batt.tolist():
-        if guard is not None:
-            p = guard_power_cap(guard, batt, state.soc, p)
-        # The battery cannot push the SoC past its physical window.
-        if p > 0.0:
-            lim = (state.soc - batt.e_min) / alpha * eta
-            if p > lim:
-                p = max(lim, 0.0)
-        elif p < 0.0:
-            lim = -(batt.e_max - state.soc) / (alpha * eta)
-            if p < lim:
-                p = min(lim, 0.0)
-        state = battery_step(batt, state, min(p, 0.0), max(p, 0.0), dt)
-        delivered.append(p)
-        soc.append(state.soc)
-    return np.array(delivered), np.array(soc)
+    delivered = np.array(p_batt, dtype=float, ndmin=2)
+    n = delivered.shape[1]
+    soc = np.empty((delivered.shape[0], n + 1))
+    soc[:, 0] = soc0
+    # Inside [lo, hi] no full-power step reaches the window or the buffer.
+    reach = alpha * batt.p_max / eta
+    lo, hi = batt.e_min + reach, batt.e_max - reach
+    if guard is not None:
+        lo = max(lo, guard.e_lower + guard.buffer + reach)
+        hi = min(hi, guard.e_upper - guard.buffer - reach)
+    for p, s_row in zip(delivered, soc):
+        # SoC increments at the requested power, as battery_step forms them.
+        incr = -(alpha * (eta * np.where(p > 0.0, 0.0, p) + np.where(p < 0.0, 0.0, p) / eta))
+        requests = None
+        k, block = 0, n
+        while k < n:
+            end = min(n, k + block)
+            seg = s_row[k:end + 1]
+            seg[1:] = incr[k:end]
+            np.cumsum(seg, out=seg)
+            ok = _unchanged(batt, guard, alpha, eta, p[k:end], seg[:-1], seg[1:])
+            j = int(ok.argmin())
+            if ok[j]:
+                k, block = end, 2 * block
+                continue
+            k += j
+            block = max(_BLOCK, 2 * j)
+            min_run = _BLOCK if j < _BLOCK else 1
+            if requests is None:
+                requests = p.tolist()
+            s = float(seg[j])
+            taken, socs = [], []
+            for i in range(k, n):
+                q = requests[i]
+                if guard is not None:
+                    q = guard_power_cap(guard, batt, s, q)
+                # The battery cannot push the SoC past its physical window.
+                if q > 0.0:
+                    lim = (s - batt.e_min) / alpha * eta
+                    if q > lim:
+                        q = max(lim, 0.0)
+                elif q < 0.0:
+                    lim = -(batt.e_max - s) / (alpha * eta)
+                    if q < lim:
+                        q = min(lim, 0.0)
+                s = battery_step(batt, s, min(q, 0.0), max(q, 0.0), dt)
+                taken.append(q)
+                socs.append(s)
+                if len(taken) >= min_run and lo <= s <= hi:
+                    break
+            m = len(taken)
+            p[k:k + m] = taken
+            s_row[k + 1:k + 1 + m] = socs
+            k += m
+    return delivered.reshape(p_batt.shape), soc[:, 1:].reshape(p_batt.shape)
 
 
-def _step_loop_runs(fleet: AssetFleet, guard: GuardConfig | None, p_batt: np.ndarray,
-                    soc0: float):
-    """:func:`_step_loop` over an (R, n) batch: each step advances all R
-    runs at once, with ``np.where`` in place of Python's ``min``/``max``
-    so every value, signed zeros included, is the one a single run gets."""
-    batt = fleet.battery
-    dt = fleet.dt
-    alpha = dt / batt.e_cap
-    eta = batt.eta_inv
-    runs, steps = p_batt.shape
-    soc = np.full(runs, float(soc0))
-    delivered = np.empty((steps, runs))
-    socs = np.empty((steps, runs))
-    for k, p in enumerate(p_batt.T):
-        if guard is not None:
-            p = _guard_power_cap_runs(guard, batt, soc, p)
-        # The battery cannot push the SoC past its physical window.
-        lim = (soc - batt.e_min) / alpha * eta
-        p = np.where((p > 0.0) & (p > lim), np.where(0.0 > lim, 0.0, lim), p)
-        lim = -(batt.e_max - soc) / (alpha * eta)
-        p = np.where((p < 0.0) & (p < lim), np.where(0.0 < lim, 0.0, lim), p)
-        soc = _battery_step_runs(batt, soc, p, dt)
-        delivered[k] = p
-        socs[k] = soc
-    return delivered.T, socs.T
+def _unchanged(batt: BatteryParams, guard: GuardConfig | None, alpha: float, eta: float,
+               p: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """Steps that the scalar step would deliver as requested, from the SoC
+    ``before`` to the SoC ``after`` the unclamped update: within the
+    rating, untouched by the guard taper and the window truncation, and
+    landing inside the window. Each test repeats the scalar step's own
+    float operations."""
+    ok = (np.abs(p) <= batt.p_max) & (batt.e_min <= after) & (after <= batt.e_max)
+    ok &= ~((p > 0.0) & (p > (before - batt.e_min) / alpha * eta))
+    ok &= ~((p < 0.0) & (p < -(batt.e_max - before) / (alpha * eta)))
+    if guard is not None:
+        ok &= ~((before > guard.e_upper - guard.buffer) & (p < 0.0))
+        ok &= ~((before < guard.e_lower + guard.buffer) & (p > 0.0))
+    return ok

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .assets import BatteryParams
 
 
@@ -37,11 +35,6 @@ class GuardConfig:
             raise ValueError("need 0 <= e_lower < e_upper <= 1")
         if not 0.0 < self.buffer <= 0.5 * (self.e_upper - self.e_lower):
             raise ValueError("buffer must lie in (0, (e_upper - e_lower) / 2]")
-
-    @classmethod
-    def with_default_buffer(cls, e_upper: float, e_lower: float) -> "GuardConfig":
-        """Buffer defaults to a tenth of the band width."""
-        return cls(e_upper, e_lower, 0.1 * (e_upper - e_lower))
 
 
 def check_band(cfg: GuardConfig, batt: BatteryParams) -> None:
@@ -65,28 +58,6 @@ def guard_power_cap(cfg: GuardConfig, batt: BatteryParams, soc: float, p_req: fl
     if p_req >= 0.0:
         return min(p_req, cap)
     return max(p_req, -cap)
-
-
-def _guard_power_cap_runs(cfg: GuardConfig, batt: BatteryParams, soc: np.ndarray,
-                          p_req: np.ndarray) -> np.ndarray:
-    """:func:`guard_power_cap` for one step of several runs at once, with
-    ``np.where`` in place of Python's ``min``/``max`` so every value is
-    the one the scalar taper gives."""
-    top = (cfg.e_upper - soc) / cfg.buffer
-    bottom = (soc - cfg.e_lower) / cfg.buffer
-    in_top = soc > cfg.e_upper - cfg.buffer
-    cap = np.where(
-        in_top & (p_req < 0.0),
-        np.where(top > 0.0, top, 0.0) * batt.p_max,
-        np.where(
-            ~in_top & (soc < cfg.e_lower + cfg.buffer) & (p_req > 0.0),
-            np.where(bottom > 0.0, bottom, 0.0) * batt.p_max,
-            batt.p_max,
-        ),
-    )
-    return np.where(
-        p_req >= 0.0, np.where(cap < p_req, cap, p_req), np.where(-cap > p_req, -cap, p_req)
-    )
 
 
 def containment_ratio(cfg: GuardConfig, batt: BatteryParams, dt: float) -> float:

@@ -8,13 +8,11 @@ import pytest
 from hesflex import (
     AssetFleet,
     BatteryParams,
-    BatteryState,
     LoadParams,
     PvParams,
     SocBoundsError,
     battery_step,
     default_fleet,
-    load_feasible,
     pv_power,
     pv_power_interp,
     pv_power_series,
@@ -30,26 +28,26 @@ DT = 2.0 / 3600.0
 def test_full_discharge_step_from_midpoint():
     """Hand check: 0.5 - (2/3600/5) * 5/0.95 = 0.4994152046783626."""
     batt = BatteryParams(p_max=5.0, e_cap=5.0, eta_inv=0.95)
-    nxt = battery_step(batt, BatteryState(0.5), 0.0, 5.0, DT)
-    assert nxt.soc == pytest.approx(0.4994152046783626, abs=1e-12)
+    nxt = battery_step(batt, 0.5, 0.0, 5.0, DT)
+    assert nxt == pytest.approx(0.4994152046783626, abs=1e-12)
 
 
 def test_full_charge_step_from_midpoint():
     """Hand check: 0.5 + (2/3600/5) * 0.95*5 = 0.5005277777777778."""
     batt = BatteryParams(p_max=5.0, e_cap=5.0, eta_inv=0.95)
-    nxt = battery_step(batt, BatteryState(0.5), -5.0, 0.0, DT)
-    assert nxt.soc == pytest.approx(0.5005277777777778, abs=1e-12)
+    nxt = battery_step(batt, 0.5, -5.0, 0.0, DT)
+    assert nxt == pytest.approx(0.5005277777777778, abs=1e-12)
 
 
 def test_round_trip_loses_energy():
     # charge then discharge the same power for the same time: the
     # inverter eats eta^2 of it, so the SoC ends below where it started
     batt = BatteryParams(p_max=5.0, e_cap=5.0)
-    s = battery_step(batt, BatteryState(0.5), -4.0, 0.0, DT)
+    s = battery_step(batt, 0.5, -4.0, 0.0, DT)
     s = battery_step(batt, s, 0.0, 4.0, DT)
-    assert s.soc < 0.5
+    assert s < 0.5
     expected = 0.5 + (DT / 5.0) * 4.0 * (0.95 - 1.0 / 0.95)
-    assert s.soc == pytest.approx(expected, abs=1e-15)
+    assert s == pytest.approx(expected, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -59,31 +57,31 @@ def test_round_trip_loses_energy():
 def test_battery_step_rejects_bad_powers(p_charge, p_discharge):
     batt = BatteryParams(p_max=5.0, e_cap=5.0)
     with pytest.raises(ValueError):
-        battery_step(batt, BatteryState(0.5), p_charge, p_discharge, DT)
+        battery_step(batt, 0.5, p_charge, p_discharge, DT)
 
 
 def test_battery_step_rejects_nonpositive_dt():
     batt = BatteryParams(p_max=5.0, e_cap=5.0)
     with pytest.raises(ValueError):
-        battery_step(batt, BatteryState(0.5), 0.0, 1.0, 0.0)
+        battery_step(batt, 0.5, 0.0, 1.0, 0.0)
 
 
 def test_soc_bounds_error_carries_clipped_state():
     batt = BatteryParams(p_max=5.0, e_cap=5.0)
     with pytest.raises(SocBoundsError) as exc:
-        battery_step(batt, BatteryState(0.899), -5.0, 0.0, 0.5)
+        battery_step(batt, 0.899, -5.0, 0.0, 0.5)
     err = exc.value
     assert err.soc_raw > batt.e_max
-    assert err.clipped.soc == batt.e_max
+    assert err.soc_clipped == batt.e_max
 
 
 def test_landing_on_the_bound_is_not_an_error():
     batt = BatteryParams(p_max=5.0, e_cap=5.0)
     # discharge exactly to e_min; float dust around the bound is snapped
     p = (0.5 - batt.e_min) * batt.e_cap / 0.5 * batt.eta_inv
-    nxt = battery_step(batt, BatteryState(0.5), 0.0, p, 0.5)
-    assert nxt.soc == pytest.approx(batt.e_min, abs=1e-12)
-    assert nxt.soc >= batt.e_min
+    nxt = battery_step(batt, 0.5, 0.0, p, 0.5)
+    assert nxt == pytest.approx(batt.e_min, abs=1e-12)
+    assert nxt >= batt.e_min
 
 
 @pytest.mark.parametrize(
@@ -195,14 +193,6 @@ def test_pv_params_validation():
 # ---------------------------------------------------------------------------
 # load and fleet
 # ---------------------------------------------------------------------------
-
-def test_load_feasible():
-    params = LoadParams(p_max=3.0)
-    assert load_feasible(params, 0.0)
-    assert load_feasible(params, 3.0)
-    assert not load_feasible(params, 3.0001)
-    assert not load_feasible(params, -0.0001)
-
 
 def test_fleet_requires_positive_dt():
     with pytest.raises(ValueError):

@@ -245,6 +245,26 @@ def test_infinite_capacity_is_a_config_error(capsys):
     assert "market.capacity_mw must be finite" in err
 
 
+def test_non_finite_report_value_is_a_runtime_error(tmp_path, capsys):
+    # the score's sums overflow at this capacity and the raw score is nan
+    trace = tmp_path / "trace.csv"
+    code, out, err = _run(capsys, ["track", "--hours", "0.1", "--capacity", "1e308",
+                                   "--trace", str(trace)])
+    assert code == EXIT_RUNTIME
+    assert "performance_score_raw" in err and "not finite" in err
+    assert out == "" and not trace.exists()
+
+
+def test_out_of_memory_is_a_runtime_error(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 6.4 TiB for an array")
+
+    monkeypatch.setattr(cli, "simulate", exhausted)
+    code, _, err = _run(capsys, ["track", "--hours", "0.01"])
+    assert code == EXIT_RUNTIME
+    assert err == "error: out of memory: Unable to allocate 6.4 TiB for an array\n"
+
+
 def test_nan_config_value_is_a_config_error(capsys):
     code, _, err = _run(capsys, ["track", "--hours", "0.01", "--set", "battery.e_cap_mwh=nan"])
     assert code == EXIT_CONFIG

@@ -17,7 +17,6 @@ from hesflex import (
     payment,
     performance_score,
     pv_statistic,
-    season_of_timestamp,
     settle,
 )
 
@@ -139,14 +138,6 @@ def test_pv_statistic_hand_examples():
         pv_statistic([], "mean")
     with pytest.raises(ValueError):
         pv_statistic([1.0], "p33")
-
-
-def test_season_of_timestamp():
-    assert season_of_timestamp(_utc(2021, 1, 15)) == "winter"
-    assert season_of_timestamp(_utc(2021, 4, 15)) == "spring"
-    assert season_of_timestamp(_utc(2021, 7, 15)) == "summer"
-    assert season_of_timestamp(_utc(2021, 10, 15)) == "fall"
-    assert season_of_timestamp(_utc(2021, 12, 1)) == "winter"
 
 
 def test_group_by_season_hour():

@@ -4,6 +4,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hesflex import (
     AssetFleet,
@@ -12,7 +14,13 @@ from hesflex import (
     LoadParams,
     PvParams,
     Scenario,
+    SocBoundsError,
     Trajectory,
+    allocate,
+    battery_step,
+    containment_ratio,
+    envelope,
+    guard_power_cap,
     pv_power_interp,
     simulate,
     synth_irradiance,
@@ -206,3 +214,149 @@ def test_batch_validation_names_run_and_step(fleet):
         simulate(fleet, Scenario.S2, np.zeros((3, 4)), pv, 0.5)
     with pytest.raises(ValueError, match="step 1: green-load"):
         simulate(fleet, Scenario.S2, [0.0, 0.0], [2.0, 3.5], 0.5)
+
+
+def _reference_battery(fleet, guard, p_batt, soc0):
+    """The scalar step applied to every step of one run: guard taper,
+    SoC-window truncation, then battery_step."""
+    batt = fleet.battery
+    alpha = fleet.dt / batt.e_cap
+    eta = batt.eta_inv
+    soc = soc0
+    delivered, socs = [], []
+    for p in p_batt.tolist():
+        if guard is not None:
+            p = guard_power_cap(guard, batt, soc, p)
+        if p > 0.0:
+            lim = (soc - batt.e_min) / alpha * eta
+            if p > lim:
+                p = max(lim, 0.0)
+        elif p < 0.0:
+            lim = -(batt.e_max - soc) / (alpha * eta)
+            if p < lim:
+                p = min(lim, 0.0)
+        soc = battery_step(batt, soc, min(p, 0.0), max(p, 0.0), fleet.dt)
+        delivered.append(p)
+        socs.append(soc)
+    return np.array(delivered), np.array(socs)
+
+
+def _assert_scan_matches_reference(fleet, scenario, req, pv, soc0, guard):
+    """simulate's p_batt and soc columns, for a 1-D run and for an (R, n)
+    batch, are byte-equal to the reference loop over the rule's battery
+    power."""
+    env = envelope(scenario, fleet, pv)
+    _, rule_p_batt, _ = allocate(scenario, fleet, pv, np.clip(req, env.dp_lo, env.dp_hi))
+    rule_p_batt = np.atleast_2d(rule_p_batt)
+    try:
+        expect = [_reference_battery(fleet, guard, row, soc0) for row in rule_p_batt]
+    except (ValueError, SocBoundsError) as exc:
+        with pytest.raises(type(exc)):
+            simulate(fleet, scenario, req, pv, soc0, guard)
+        return
+    got = simulate(fleet, scenario, req, pv, soc0, guard)
+    for traj, (p_batt, soc) in zip(got if isinstance(got, list) else [got], expect):
+        assert traj.p_batt.tobytes() == p_batt.tobytes()
+        assert traj.soc.tobytes() == soc.tobytes()
+
+
+@st.composite
+def _scan_cases(draw):
+    eta = draw(st.floats(0.0, 1.0, exclude_min=True))
+    p_max = draw(st.floats(1e-3, 1e3))
+    dt = draw(st.floats(1e-4, 1.0))
+    # The SoC move of a full-power step sets e_cap; it spans steps far
+    # inside the buffer to steps wider than the whole window.
+    move = 10.0 ** draw(st.floats(-5.0, 0.5))
+    e_cap = p_max * dt / move
+    fleet = AssetFleet(PvParams(), BatteryParams(p_max=p_max, e_cap=e_cap, eta_inv=eta),
+                       LoadParams(draw(st.floats(0.0, 10.0))), dt)
+    guard = None
+    lo, hi = fleet.battery.e_min, fleet.battery.e_max
+    if draw(st.booleans()):
+        try:
+            buffer = draw(st.floats(0.0, 0.4, exclude_min=True))
+            width = draw(st.floats(2.0 * buffer, hi - lo))
+            e_lower = draw(st.floats(lo, max(lo, hi - width)))
+            guard = GuardConfig(min(e_lower + width, hi), e_lower, buffer)
+        except ValueError:
+            guard = None
+        # (containment_ratio divides by eta * e_cap)
+        if guard is not None and eta * e_cap > 0.0 and containment_ratio(
+                guard, fleet.battery, dt) <= 1.0:
+            lo, hi = guard.e_lower, guard.e_upper
+        else:
+            guard = None
+    soc0 = draw(st.floats(lo, hi))
+    scale = p_max + fleet.load.p_max
+    level = st.one_of(st.sampled_from([0.0, -0.0, scale, -scale]),
+                      st.floats(-1.5, 1.5).map(lambda x: x * scale))
+    runs = draw(st.lists(st.tuples(level, st.integers(1, 60)), min_size=1, max_size=12))
+    req = np.array([x for x, count in runs for _ in range(count)])
+    pv = np.full(req.size, draw(st.floats(0.0, fleet.load.p_max)))
+    return fleet, draw(st.sampled_from(list(Scenario))), req, pv, soc0, guard
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_scan_cases())
+@example(case=(AssetFleet(PvParams(), BatteryParams(1.0, 1.0, eta_inv=5e-324),
+                          LoadParams(0.0), 0.5),
+               Scenario.S1, np.array([-1.0]), np.zeros(1), 0.5, None))
+def test_scan_is_the_scalar_step_on_arbitrary_fleets(case):
+    fleet, scenario, req, pv, soc0, guard = case
+    if fleet.dt / fleet.battery.e_cap * fleet.battery.eta_inv == 0.0:
+        # the scalar step's window truncation would divide by zero
+        with pytest.raises(ValueError, match="underflows"):
+            simulate(fleet, scenario, req, pv, soc0, guard)
+        return
+    _assert_scan_matches_reference(fleet, scenario, req, pv, soc0, guard)
+    batch = np.stack([req, -req, req[::-1]])
+    _assert_scan_matches_reference(fleet, scenario, batch, np.broadcast_to(pv, batch.shape),
+                                   soc0, guard)
+
+
+@pytest.mark.parametrize("side", ["empty", "full"])
+def test_scan_truncates_where_the_scalar_step_does(fleet, side):
+    """Requests at and one ulp past the window truncation limit, from SoCs
+    within a step of the edge: the scan keeps the first and truncates the
+    second exactly as the scalar step does."""
+    batt = fleet.battery
+    alpha = fleet.dt / batt.e_cap
+    eta = batt.eta_inv
+    pv = np.zeros(1)  # in S3 without PV the battery takes the request as it is
+    for x in np.linspace(0.0, 4e-4, 101)[1:].tolist():
+        if side == "empty":
+            soc0 = batt.e_min + x
+            lim = (soc0 - batt.e_min) / alpha * eta
+            requests = (lim, np.nextafter(lim, np.inf))
+        else:
+            soc0 = batt.e_max - x
+            lim = -(batt.e_max - soc0) / (alpha * eta)
+            requests = (lim, np.nextafter(lim, -np.inf))
+        for q in requests:
+            _assert_scan_matches_reference(fleet, Scenario.S3, np.array([q]), pv, soc0, None)
+
+
+def test_scan_keeps_signed_zeros(fleet):
+    """From an SoC of -0.0, a charge so small that eta * p underflows to
+    -0.0 leaves the SoC at -0.0, as battery_step's update does."""
+    fleet = replace(fleet, battery=replace(fleet.battery, eta_inv=0.4, e_min=0.0))
+    req = np.array([-5e-324, -0.0, 0.0, -5e-324])
+    _assert_scan_matches_reference(fleet, Scenario.S3, req, np.zeros(4), -0.0, None)
+    assert np.signbit(simulate(fleet, Scenario.S3, req, np.zeros(4), -0.0).soc[0])
+
+
+@pytest.mark.parametrize("guard", [None, GuardConfig(0.6, 0.4, 0.02)])
+def test_alternating_request_matches_reference(fleet, guard):
+    """A +-4 MW battery request flipping every 4 steps pins the SoC to the
+    window (or the guard buffer) and re-crosses the scan's margin every
+    few steps, for 43,200 steps."""
+    fleet = replace(fleet, battery=replace(fleet.battery, e_cap=0.5))
+    req = np.where(np.arange(43_200) // 4 % 2 == 0, 4.0, -4.0)
+    pv = np.zeros(req.size)  # in S3 without PV the battery takes the request as it is
+    _assert_scan_matches_reference(fleet, Scenario.S3, req, pv, 0.575, guard)
+    soc = simulate(fleet, Scenario.S3, req, pv, 0.575, guard).soc
+    if guard is None:
+        assert soc.min() == fleet.battery.e_min
+    else:
+        assert soc.min() < guard.e_lower + guard.buffer

@@ -85,13 +85,6 @@ def test_guard_config_validation():
         GuardConfig(e_upper=0.6, e_lower=0.4, buffer=0.2)
 
 
-def test_with_default_buffer():
-    # the default buffer is a tenth of the band width
-    cfg = GuardConfig.with_default_buffer(0.7, 0.3)
-    assert (cfg.e_upper, cfg.e_lower) == (0.7, 0.3)
-    assert cfg.buffer == pytest.approx(0.04, abs=1e-15)
-
-
 def test_check_band_requires_band_inside_window():
     with pytest.raises(ValueError):
         check_band(GuardConfig(e_upper=0.95, e_lower=0.4, buffer=0.02), BATT)
