@@ -19,12 +19,11 @@ from .assets import (
     pv_power_interp,
     pv_power_series,
 )
-from .config import ConfigError, RunConfig, build_fleet, build_guard, load_config
+from .config import ConfigError, RunConfig, build_fleet, build_guard
 from .data_io import (
     DataFormatError,
     IrradianceSeries,
     SignalSeries,
-    export_report,
     export_trace,
     read_irradiance_csv,
     read_signal_csv,
@@ -40,8 +39,6 @@ from .dispatch import (
     InfeasibleDispatchError,
     Trajectory,
     allocate,
-    allocate_green_load,
-    allocate_priority_load,
     validate_records,
 )
 from .flexibility import FlexEnvelope, Scenario, envelope
@@ -60,13 +57,7 @@ from .market import (
     pv_statistic,
     settle,
 )
-from .oracle import (
-    OracleProblem,
-    OracleSolution,
-    RuleOracleComparison,
-    certificate_lower_bound,
-    compare_with_rule,
-)
+from .oracle import OracleProblem, OracleSolution, certificate_lower_bound
 from .oracle import solve as solve_oracle
 from .simulation import simulate
 from .soc_guard import GuardConfig, check_band, containment_ratio, guard_power_cap
@@ -90,7 +81,6 @@ __all__ = [
     "PvParams",
     "QUALIFICATION_THRESHOLD",
     "RegSignal",
-    "RuleOracleComparison",
     "RunConfig",
     "STATISTICS",
     "Scenario",
@@ -98,23 +88,18 @@ __all__ = [
     "SocBoundsError",
     "Trajectory",
     "allocate",
-    "allocate_green_load",
-    "allocate_priority_load",
     "battery_step",
     "build_fleet",
     "build_guard",
     "certificate_lower_bound",
     "check_band",
-    "compare_with_rule",
     "containment_ratio",
     "decomposed_bid",
     "default_fleet",
     "envelope",
-    "export_report",
     "export_trace",
     "group_by_season_hour",
     "guard_power_cap",
-    "load_config",
     "max_flex_bid",
     "mileage",
     "payment",

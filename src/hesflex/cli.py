@@ -32,7 +32,6 @@ from .config import (
     build_guard,
     config_from_mapping,
     config_mapping,
-    load_config,
     parse_config_text,
 )
 from .data_io import (
@@ -226,9 +225,7 @@ def cmd_track(args) -> int:
         max_flex_bid_mw=max_flex_bid(reach, sig),
     )
     if args.oracle:
-        if scenario is not Scenario.S1:
-            raise ConfigError(["--oracle compares against the baseline mode; use scenario S1"])
-        problem = OracleProblem(fleet, cfg.capacity_mw, r, pv, cfg.soc0)
+        problem = OracleProblem(fleet, cfg.capacity_mw, r, pv, cfg.soc0, scenario)
         sol = solve_oracle(problem, warm_start_p_batt=traj.p_batt)
         rule_obj = rule_objective(problem, traj)
         pairs.update(
@@ -346,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pv-csv", help="timestamp,ghi_wm2 input (default: constant)")
     p.add_argument("--trace", help="write the per-step dispatch trace CSV here")
     p.add_argument("--oracle", action="store_true",
-                   help="also solve the offline optimal benchmark (scenario S1)")
+                   help="also solve the offline optimal benchmark in the same scenario")
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("bid-sweep", parents=[common],

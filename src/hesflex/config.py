@@ -18,7 +18,6 @@ __all__ = [
     "RunConfig",
     "ConfigError",
     "parse_config_text",
-    "load_config",
     "config_from_mapping",
     "build_fleet",
     "build_guard",
@@ -183,12 +182,6 @@ def validate(cfg: RunConfig) -> list[str]:
     return out
 
 
-def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        text = fh.read()
-    return config_from_mapping(parse_config_text(text, str(path)), str(path))
-
-
 def _battery(cfg: RunConfig) -> BatteryParams:
     return BatteryParams(
         p_max=cfg.batt_p_max_mw,
@@ -219,7 +212,9 @@ def build_guard(cfg: RunConfig) -> GuardConfig | None:
     if ratio > 1.0:
         raise ConfigError([
             f"guard.buffer = {cfg.guard_buffer:g} cannot contain one signal.dt_s = "
-            f"{cfg.dt_s:g} s step at full power (containment ratio {ratio:.3g} > 1)"
+            f"{cfg.dt_s:g} s step at full power (battery.p_max_mw = {cfg.batt_p_max_mw:g}, "
+            f"battery.e_cap_mwh = {cfg.batt_e_cap_mwh:g}, battery.eta_inv = {cfg.eta_inv:g}; "
+            f"containment ratio {ratio:.3g} > 1)"
         ])
     return guard
 

@@ -332,10 +332,3 @@ def report_lines(pairs: dict) -> list[str]:
             text = str(value)
         lines.append(f"{key} = {text}")
     return lines
-
-
-def export_report(pairs: dict, path) -> None:
-    """Write a flat human-readable ``key = value`` report."""
-    with open(path, "w") as fh:
-        fh.write("\n".join(report_lines(pairs)))
-        fh.write("\n")

@@ -10,9 +10,9 @@ curtailment such that the power balance
 
 holds exactly with ``p_hes = p0 + dp``. Two closed-form rules exist: the
 priority-load rule serves the load first and lets the battery take the
-residual, and the green-load rule keeps the load fed from PV alone. Every
-rule takes one step as floats or a whole horizon as arrays and returns
-the same kind.
+residual, and the green-load rule keeps the load fed from PV alone. The
+rules take one step or a whole horizon of arrays alike; :func:`allocate`
+returns floats for one step and arrays for a horizon.
 
 A :class:`Trajectory` holds an executed run as equal-length columns, one
 row per step; :func:`validate_records` audits it column by column.
@@ -76,14 +76,7 @@ class Trajectory:
         return self.p_hes.size
 
 
-def _floats(*xs):
-    """Python floats for one step, the arrays themselves for a horizon."""
-    if all(np.ndim(x) == 0 for x in xs):
-        return tuple(float(x) for x in xs)
-    return xs
-
-
-def allocate_priority_load(fleet: AssetFleet, p_pv, p0, dp):
+def _priority_load(fleet: AssetFleet, p_pv, p0, dp):
     """Load-first split of the target ``p0 + dp``.
 
     The load soaks up PV beyond the target, the battery covers whatever
@@ -95,10 +88,10 @@ def allocate_priority_load(fleet: AssetFleet, p_pv, p0, dp):
     pb = fleet.battery.p_max
     p_cl = np.clip(p_pv - p0 - dp, 0.0, fleet.load.p_max)
     p_batt = np.clip(p0 + dp - p_pv + p_cl, -pb, pb)
-    return _floats(p_cl, p_batt)
+    return p_cl, p_batt
 
 
-def allocate_green_load(fleet: AssetFleet, p_pv, dp):
+def _green_load(fleet: AssetFleet, p_pv, dp):
     """Sustainable-load split: the load consumes PV energy only.
 
     Valid when the load can absorb all available PV (p_pv <= load.p_max).
@@ -111,7 +104,7 @@ def allocate_green_load(fleet: AssetFleet, p_pv, dp):
     den = 2.0 * pb + p_pv
     p_cl = np.clip(p_pv * (pb + 0.5 * p_pv - dp) / den, 0.0, fleet.load.p_max)
     p_batt = np.clip(pb * 2.0 * dp / den, -pb, pb)
-    return _floats(p_cl, p_batt)
+    return p_cl, p_batt
 
 
 def _curtailment(p_pv, p_cl, p_batt, target):
@@ -130,25 +123,31 @@ def _position(x, flat: int) -> str:
     return f"step {flat}"
 
 
+def _check_green_pv(p_pv, cl: float) -> None:
+    """S2 keeps the load fed from PV alone, so the load must be able to
+    absorb all of it; raises ValueError naming the first step that is not."""
+    flat = np.ravel(p_pv)
+    over = np.flatnonzero(flat > cl + 1e-9)
+    if over.size:
+        raise ValueError(
+            f"{_position(p_pv, over[0])}: green-load allocation requires "
+            f"p_pv <= load.p_max (got p_pv = {flat[over[0]]:.9g}, load = {cl:.9g} MW)"
+        )
+
+
 def _split(scenario: Scenario, fleet: AssetFleet, p_pv, p0, dp):
     """The scenario's rule for an in-envelope ``dp`` around ``p0``."""
     cl = fleet.load.p_max
     pb = fleet.battery.p_max
     if scenario is Scenario.S2:
-        flat = np.ravel(p_pv)
-        over = np.flatnonzero(flat > cl + 1e-9)
-        if over.size:
-            raise ValueError(
-                f"{_position(p_pv, over[0])}: green-load allocation requires "
-                f"p_pv <= load.p_max (got p_pv = {flat[over[0]]:.9g}, load = {cl:.9g} MW)"
-            )
-        p_cl, p_batt = allocate_green_load(fleet, p_pv, dp)
+        _check_green_pv(p_pv, cl)
+        p_cl, p_batt = _green_load(fleet, p_pv, dp)
         return p_cl, p_batt, np.zeros_like(p_cl)
     if scenario is Scenario.S3:
         p_cl = np.minimum(p_pv, cl)
-        p_batt = np.clip(dp - p_pv + p_cl, -pb, pb)
+        p_batt = np.clip(p0 + dp - p_pv + p_cl, -pb, pb)
         return p_cl, p_batt, np.zeros_like(p_cl)
-    p_cl, p_batt = allocate_priority_load(fleet, p_pv, p0, dp)
+    p_cl, p_batt = _priority_load(fleet, p_pv, p0, dp)
     if scenario is Scenario.S1:
         return p_cl, p_batt, np.zeros_like(p_cl)
     # S4/S5: load first, then battery, curtail the remaining surplus.
@@ -170,7 +169,9 @@ def allocate(scenario: Scenario, fleet: AssetFleet, p_pv, dp):
         k = outside[0]
         at = [float(np.atleast_1d(x)[k]) for x in (dp, env.p0, env.dp_lo, env.dp_hi)]
         raise InfeasibleDispatchError(scenario, at[0], FlexEnvelope(*at[1:]))
-    return _floats(*_split(scenario, fleet, p_pv, env.p0, dp))
+    out = _split(scenario, fleet, p_pv, env.p0, dp)
+    # Python floats for one step, the arrays themselves for a horizon
+    return tuple(float(x) for x in out) if all(np.ndim(x) == 0 for x in out) else out
 
 
 def validate_records(

@@ -80,6 +80,9 @@ def mileage(sig: RegSignal) -> float:
     return float(np.sum(np.abs(np.diff(sig.values))))
 
 
+# A huge capacity overflows the sums to inf and the score to nan; the
+# caller checks the score, so numpy's overflow warning would only add noise.
+@np.errstate(over="ignore")
 def performance_score(capacity: float, sig: RegSignal, delivered_dp) -> float:
     """L1 tracking score of the delivered deviation against ``C * r``.
 

@@ -4,21 +4,25 @@ Computes the minimum achievable total tracking error
 
     sum_k | C r_k - dp_k |
 
-for the baseline operating mode (priority load at half power, PV
-serving the load first), where the deliverable deviation of one step is
-dp = p_batt + CL/2 - p_cl with p_cl in [0, CL]. Minimizing over p_cl
-pointwise leaves a battery-only stage cost
+in any operating mode. The deliverable deviation of one step is
+dp = p_batt + x, where x is what the other assets (the load, and PV
+curtailment in S4/S5) deliver around the nominal power: any value of the
+mode's band [lo_k, hi_k], the interval the flexibility envelope is built
+from. Minimizing over x pointwise leaves a battery-only stage cost, the
+distance of t_k - p to the band (t_k = C r_k),
 
-    g_k(p) = max(0, |C r_k - p| - CL/2),
+    g_k(p) = max(0, (t_k - p) - hi_k, (p - t_k) + lo_k),
 
 so the whole problem is a one-dimensional optimal control of the state
-of charge. This module solves it with the entire signal known in
-advance; it is an offline benchmark, not a real-time controller.
+of charge. PV enters only through the band, so it moves the optimum in
+S2, S4 and S5. This module solves the problem with the entire signal
+known in advance; it is an offline benchmark, not a real-time
+controller.
 
 Strategy, cheapest first:
 
-1. A state-free lower bound: no step can beat
-   max(0, |C r_k| - (p_batt_max + CL/2)).
+1. A state-free lower bound: no step can beat the distance of t_k to
+   the envelope [dp_lo_k, dp_hi_k].
 2. A myopic greedy pass respecting state-of-charge budgets, and the
    caller's warm start if given; when the better one meets the lower
    bound the result is provably optimal.
@@ -47,18 +51,14 @@ import numpy as np
 
 from . import _pwl
 from .assets import AssetFleet, battery_step
-from .dispatch import Trajectory
-from .flexibility import Scenario, envelope
-from .simulation import simulate
-from .soc_guard import GuardConfig
+from .dispatch import Trajectory, _check_green_pv, _curtailment
+from .flexibility import Scenario, _band, envelope
 
 __all__ = [
     "OracleProblem",
     "OracleSolution",
-    "RuleOracleComparison",
     "certificate_lower_bound",
     "solve",
-    "compare_with_rule",
     "rule_objective",
 ]
 
@@ -68,11 +68,14 @@ _EXACT_REL_TOL = 1e-9  # dynamic program objective on its own bound
 
 @dataclass(frozen=True)
 class OracleProblem:
-    """Tracking instance: fleet, awarded capacity, signal, PV, start SoC.
+    """Tracking instance: fleet, awarded capacity, signal, PV, start SoC
+    and operating mode.
 
-    ``pv`` may be a scalar (held constant) or a per-step series; it
-    shifts the baseline but not the optimum, which only depends on the
-    battery and load. Every number must be finite.
+    ``pv`` may be a scalar (held constant) or a per-step series. It sets
+    the baseline, and in S2, S4 and S5 also the band the load and
+    curtailment deliver around it, so there it moves the optimum too; S2
+    needs PV within the load rating, as its allocation rule does. Every
+    number must be finite.
     """
 
     fleet: AssetFleet
@@ -80,6 +83,7 @@ class OracleProblem:
     signal: np.ndarray
     pv: np.ndarray = 0.0
     soc0: float = 0.5
+    scenario: Scenario = Scenario.S1
 
     def __post_init__(self):
         sig = np.atleast_1d(np.asarray(self.signal, dtype=float))
@@ -101,6 +105,10 @@ class OracleProblem:
         b = self.fleet.battery
         if not (b.e_min <= self.soc0 <= b.e_max):
             raise ValueError("soc0 must start inside the battery window")
+        if not isinstance(self.scenario, Scenario):
+            raise ValueError(f"scenario must be a Scenario, got {self.scenario!r}")
+        if self.scenario is Scenario.S2:
+            _check_green_pv(pv, self.fleet.load.p_max)
         object.__setattr__(self, "signal", sig)
         object.__setattr__(self, "pv", pv)
 
@@ -132,13 +140,17 @@ class OracleSolution:
     context: str = "offline-benchmark"
 
 
-@dataclass(frozen=True)
-class RuleOracleComparison:
-    """Rule-based cost next to the oracle's on the same instance."""
+def _band_of(problem: OracleProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per step: the nominal power ``p0`` and the band [lo, hi] of
+    deviations around it that the assets other than the battery deliver."""
+    out = _band(problem.scenario, problem.pv, problem.fleet.load.p_max)
+    return tuple(np.broadcast_to(x, problem.pv.shape) for x in out)
 
-    rule_objective: float
-    oracle: OracleSolution
-    gap: float  # rule_objective - oracle.objective, nonnegative
+
+def _distance(x, lo, hi):
+    """Distance of ``x`` to the interval [lo, hi], elementwise (0.0 last,
+    so a zero distance is never -0.0)."""
+    return np.maximum(np.maximum(x - hi, lo - x), 0.0)
 
 
 class _Stage:
@@ -149,7 +161,7 @@ class _Stage:
     (alpha = dt / e_cap, eta the inverter efficiency), so d > 0 on
     discharge. The cost is convex in d on each side of d = 0, one side
     per mode; at d = 0 it is concave when the target asks for more
-    charging than the load can absorb, convex otherwise.
+    charging than the other assets can absorb, convex otherwise.
     """
 
     def __init__(self, problem: OracleProblem):
@@ -160,7 +172,8 @@ class _Stage:
         self.pmax = b.p_max
         self.d_hi = self.alpha * self.pmax / self.eta
         self.d_lo = -self.alpha * self.eta * self.pmax
-        self.phi = self._build(problem.targets(), 0.5 * fl.load.p_max)
+        _, lo, hi = _band_of(problem)
+        self.phi = self._build(problem.targets(), lo, hi)
 
     def drop(self, p):
         a, e = self.alpha, self.eta
@@ -170,15 +183,15 @@ class _Stage:
         a, e = self.alpha, self.eta
         return np.clip(np.where(d >= 0.0, d * e / a, d / (a * e)), -self.pmax, self.pmax)
 
-    def _build(self, t: np.ndarray, hcl: float) -> list[_pwl.Pwl]:
+    def _build(self, t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[_pwl.Pwl]:
         # cost and drop are both linear in p between -p_max, the band
-        # edges t -+ CL/2, 0 and p_max, so phi is linear between their
-        # drops; all steps at once, then one Pwl per step from floats
+        # edges t - hi and t - lo, 0 and p_max, so phi is linear between
+        # their drops; all steps at once, then one Pwl per step from floats
         def cost(p):
-            return np.maximum(0.0, np.abs(t - p) - hcl)
+            return _distance(t - p, lo, hi)
 
         d_lo, d_hi = self.d_lo, self.d_hi
-        kinks = [self.drop(t - hcl), self.drop(t + hcl)]
+        kinks = [self.drop(t - hi), self.drop(t - lo)]
         cols = [d.tolist() for d in kinks]
         cols += [cost(self.to_power(d)).tolist() for d in kinks]
         cols += [cost(self.to_power(d)).tolist() for d in (d_lo, 0.0, d_hi)]
@@ -195,16 +208,15 @@ class _Stage:
 
 
 def certificate_lower_bound(problem: OracleProblem) -> float:
-    """State-free bound: per step the deviation can reach at most the
-    battery rating plus half the controllable load either way."""
-    reach = problem.fleet.battery.p_max + 0.5 * problem.fleet.load.p_max
-    return float(np.maximum(0.0, np.abs(problem.targets()) - reach).sum())
+    """State-free bound: no step can deliver a deviation outside the
+    envelope, so each costs at least the distance of its target to it."""
+    env = envelope(problem.scenario, problem.fleet, problem.pv)
+    return float(_distance(problem.targets(), env.dp_lo, env.dp_hi).sum())
 
 
 def _objective_of_powers(problem: OracleProblem, p_batt) -> float:
-    t = problem.targets()
-    hcl = 0.5 * problem.fleet.load.p_max
-    return float(np.maximum(0.0, np.abs(t - np.asarray(p_batt, dtype=float)) - hcl).sum())
+    _, lo, hi = _band_of(problem)
+    return float(_distance(problem.targets() - np.asarray(p_batt, dtype=float), lo, hi).sum())
 
 
 def _greedy_battery(problem: OracleProblem) -> np.ndarray:
@@ -214,44 +226,50 @@ def _greedy_battery(problem: OracleProblem) -> np.ndarray:
     b = fl.battery
     alpha = fl.dt / b.e_cap
     eta = b.eta_inv
-    hcl = 0.5 * fl.load.p_max
-    t = problem.targets()
+    _, band_lo, band_hi = _band_of(problem)
     soc = problem.soc0
-    out = np.empty(t.size)
-    for k in range(t.size):
+    out = []
+    for t, lo_k, hi_k in zip(problem.targets().tolist(), band_lo.tolist(), band_hi.tolist()):
         # power interval that keeps the post-step SoC inside the window
         p_hi = min(b.p_max, (soc - b.e_min) * eta / alpha)
         p_lo = max(-b.p_max, -(b.e_max - soc) / (alpha * eta))
-        lo = max(p_lo, t[k] - hcl)
-        hi = min(p_hi, t[k] + hcl)
+        # powers that leave t - p inside the band cost nothing
+        lo = max(p_lo, t - hi_k)
+        hi = min(p_hi, t - lo_k)
         if lo <= hi:
             p = min(max(0.0, lo), hi)
-        elif t[k] - hcl > p_hi:
+        elif t - hi_k > p_hi:
             p = p_hi
         else:
             p = p_lo
-        out[k] = p
+        out.append(p)
         soc -= alpha * p / eta if p >= 0.0 else alpha * eta * p
-    return out
+    return np.array(out, dtype=float)
 
 
 def _records_from_battery(problem: OracleProblem, p_batt) -> Trajectory:
-    """Expand a battery trajectory into a full dispatch trajectory,
-    choosing the load that minimizes each step's tracking error."""
+    """Expand a battery trajectory into a full dispatch trajectory: each
+    step delivers the deviation nearest its target that the band allows,
+    split load first, then (S4/S5) curtailment, clamped as the
+    allocation rules clamp them."""
     fl = problem.fleet
     b = fl.battery
-    hcl = 0.5 * fl.load.p_max
     t = problem.targets()
+    pv = problem.pv
+    p0, lo, hi = _band_of(problem)
     p = np.clip(np.asarray(p_batt, dtype=float), -b.p_max, b.p_max)
-    dp = np.clip(t, p - hcl, p + hcl)
-    env = envelope(Scenario.S1, fl, problem.pv)
+    p_hes = p0 + np.clip(t, p + lo, p + hi)
+    p_cl = np.clip(pv + p - p_hes, 0.0, fl.load.p_max)
+    if problem.scenario in (Scenario.S4, Scenario.S5):
+        p_curt = _curtailment(pv, p_cl, p, p_hes)
+    else:
+        p_curt = np.zeros(t.size)
     s = problem.soc0
     soc = []
     for pk in p.tolist():
         s = battery_step(b, s, min(pk, 0.0), max(pk, 0.0), fl.dt)
         soc.append(s)
-    return Trajectory(env.p0 + dp, env.p0, t, problem.pv, p + hcl - dp, p,
-                      np.zeros(t.size), soc)
+    return Trajectory(p_hes, p0, t, pv, p_cl, p, p_curt, soc)
 
 
 def _check_warm_start(problem: OracleProblem, p_batt) -> np.ndarray:
@@ -370,19 +388,3 @@ def rule_objective(problem: OracleProblem, traj: Trajectory) -> float:
     # sum() over numpy float64 items adds them one by one; Python >= 3.12
     # compensates sums of exact floats, which would change the report bytes
     return float(sum(np.abs(problem.targets() - (traj.p_hes - traj.p0))))
-
-
-def compare_with_rule(
-    problem: OracleProblem,
-    guard: GuardConfig | None = None,
-) -> RuleOracleComparison:
-    """Run the rule-based dispatcher on the instance, then the oracle
-    warm-started with the rule's battery trajectory. The warm start
-    makes oracle <= rule hold by construction, so the gap is what the
-    rule leaves on the table."""
-    traj = simulate(
-        problem.fleet, Scenario.S1, problem.targets(), problem.pv, problem.soc0, guard=guard
-    )
-    rule_obj = rule_objective(problem, traj)
-    sol = solve(problem, warm_start_p_batt=traj.p_batt)
-    return RuleOracleComparison(rule_obj, sol, rule_obj - sol.objective)

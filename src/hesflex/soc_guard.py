@@ -17,6 +17,7 @@ part shows up as tracking shortfall downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .assets import BatteryParams
@@ -67,5 +68,6 @@ def containment_ratio(cfg: GuardConfig, batt: BatteryParams, dt: float) -> float
     the worst single step from the buffer edge cannot overshoot the bound.
     """
     charge_move = batt.p_max * batt.eta_inv * dt / batt.e_cap
-    discharge_move = batt.p_max * dt / (batt.eta_inv * batt.e_cap)
+    den = batt.eta_inv * batt.e_cap  # underflows to 0 for a tiny efficiency
+    discharge_move = batt.p_max * dt / den if den > 0.0 else math.inf
     return max(charge_move, discharge_move) / cfg.buffer

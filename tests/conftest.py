@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hesflex import default_fleet
+from hesflex import default_fleet, simulate
+from hesflex.oracle import rule_objective, solve
 
 
 @pytest.fixture
@@ -13,3 +14,16 @@ def fleet():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20210101)
+
+
+@pytest.fixture(scope="session")
+def rule_and_oracle():
+    """What ``track --oracle`` runs on an oracle instance: the rule-based
+    dispatcher (guarded when a guard is given), its objective, and the
+    oracle warm-started with its battery trajectory."""
+    def run(problem, guard=None):
+        traj = simulate(problem.fleet, problem.scenario, problem.targets(), problem.pv,
+                        problem.soc0, guard=guard)
+        return rule_objective(problem, traj), solve(problem, warm_start_p_batt=traj.p_batt)
+
+    return run

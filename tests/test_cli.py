@@ -84,10 +84,24 @@ def test_track_with_oracle(capsys):
     assert rep["oracle_certified"] == "true"
 
 
-def test_track_oracle_requires_baseline_scenario(capsys):
-    code, _, err = _run(capsys, ["track", "--hours", "0.05", "--scenario", "S3", "--oracle"])
-    assert code == EXIT_CONFIG
-    assert "S1" in err
+@pytest.mark.parametrize("scenario, argv, rule, oracle", [
+    # the green-load band follows the PV; on this small pack the rule
+    # leaves most of what could be tracked on the table
+    ("S2", "--hours 2 --seed 5 --bias 0.3 --set battery.e_cap_mwh=1",
+     "4755.14133031356", "1127.78351566093"),
+    ("S5", "--hours 1 --seed 3 --bias 0.6 --capacity 8 --set battery.e_cap_mwh=0.5",
+     "3353.06592555466", "2876.77013587277"),
+], ids=["S2", "S5"])
+def test_track_oracle_in_other_scenarios(capsys, scenario, argv, rule, oracle):
+    code, out, _ = _run(capsys, ["track", "--scenario", scenario, "--oracle", "--no-guard",
+                                 *argv.split()])
+    assert code == EXIT_OK
+    rep = _parse_report(out)
+    assert (rep["scenario"], rep["rule_objective_mw"], rep["oracle_objective_mw"]) == (
+        scenario, rule, oracle)
+    assert rep["oracle_backend"] == "exact-dp"
+    assert rep["oracle_certified"] == "true"
+    assert float(rep["oracle_lower_bound_mw"]) <= float(oracle) * (1.0 + 1e-9)
 
 
 def test_track_reads_signal_file(tmp_path, capsys):
@@ -245,13 +259,16 @@ def test_infinite_capacity_is_a_config_error(capsys):
     assert "market.capacity_mw must be finite" in err
 
 
+# A warning turned into an error escapes main as a traceback: numpy may not
+# warn about the overflow on stderr ahead of the one error line.
+@pytest.mark.filterwarnings("error")
 def test_non_finite_report_value_is_a_runtime_error(tmp_path, capsys):
     # the score's sums overflow at this capacity and the raw score is nan
     trace = tmp_path / "trace.csv"
     code, out, err = _run(capsys, ["track", "--hours", "0.1", "--capacity", "1e308",
                                    "--trace", str(trace)])
     assert code == EXIT_RUNTIME
-    assert "performance_score_raw" in err and "not finite" in err
+    assert err == "error: report value performance_score_raw = nan is not finite\n"
     assert out == "" and not trace.exists()
 
 
@@ -306,6 +323,15 @@ def test_guard_that_cannot_contain_the_step_is_a_config_error(capsys):
                                  "--set", "signal.dt_s=120"])
     assert code == EXIT_CONFIG
     assert "signal.dt_s" in err and "guard.buffer" in err
+
+
+def test_guard_on_an_underflowing_efficiency_is_a_config_error(capsys):
+    # eta_inv * e_cap underflows to 0, so one discharge step is unbounded
+    code, _, err = _run(capsys, ["track", "--hours", "0.01", "--set", "battery.eta_inv=5e-324",
+                                 "--set", "battery.e_cap_mwh=0.5"])
+    assert code == EXIT_CONFIG
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "battery.eta_inv" in err and "containment ratio inf" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

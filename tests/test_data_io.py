@@ -10,7 +10,6 @@ from hesflex import (
     Scenario,
     SignalSeries,
     default_fleet,
-    export_report,
     export_trace,
     read_irradiance_csv,
     read_signal_csv,
@@ -224,9 +223,7 @@ def test_trace_steps_must_count_up(tmp_path):
         read_trace_csv(p)
 
 
-def test_report_formatting(tmp_path):
+def test_report_formatting():
     lines = report_lines({"n": 3, "score": 0.25, "ok": True, "skip": None, "name": "x"})
     assert lines == ["n = 3", "score = 0.25", "ok = true", "skip = ", "name = x"]
-    path = tmp_path / "report.txt"
-    export_report({"a": False}, path)
-    assert path.read_text() == "a = false\n"
+    assert report_lines({"a": False}) == ["a = false"]

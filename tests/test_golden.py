@@ -3,7 +3,9 @@
 Each ``track`` case covers a different path: the greedy oracle
 certificate, the guard taper, SoC truncation with curtailment, and the
 exact oracle DP, once on a 120-step tight fleet and once on 3,600 steps
-of the default fleet, where most steps restrict one convex part. The
+of the default fleet, where most steps restrict one convex part. Two more
+run the exact DP in the green-load mode S2, whose band follows the PV,
+and in the asymmetric mode S5 under the guard; both are certified. The
 ``bid-sweep`` cases pin a year of batched runs, one of them on a small
 pack where 109 of the 384 runs reach the SoC window edge. A hash
 changes when any output byte does, so a refactor that claims to keep
@@ -43,6 +45,18 @@ CASES = {
         "track --oracle --no-guard --hours 2 --seed 5 --bias 0.3",
         "76f80ec175f55f33c45f244cc938e49485e77827fd070f88163f6de57b4ab337",
         "58d71aa6084c36ecf9197e94ecd542617465eb89e788e3d4b0b21af134054cc9",
+    ),
+    "exact-dp-s2": (
+        "track --scenario S2 --oracle --no-guard --hours 2 --seed 5 --bias 0.3"
+        " --set battery.e_cap_mwh=1",
+        "9a365dc440252be5f8009134235e60d12e358e8a0631ab29f871c53050364add",
+        "1ed75e6add67a9a3783c0bf844c3e241fd4e37f3e5321173d10046b21e794971",
+    ),
+    "exact-dp-s5": (
+        "track --scenario S5 --oracle --hours 1 --seed 3 --bias 0.6 --capacity 8"
+        " --set battery.e_cap_mwh=0.5",
+        "d748ac7b639fe64aa67cd5d958b755b7c223f6606f408c191f0ae816a0fbcff5",
+        "547f3a077ad15d74867c487991774125baa6c2f5523997b2121d835bd80a96a6",
     ),
 }
 

@@ -1,10 +1,11 @@
 """Optimal-dispatch benchmark: exact dynamic program, certificates, and honesty.
 
 The headline check re-solves small instances with an entirely separate
-method: every per-step charge/discharge sign pattern becomes a linear
-program (epigraph form of the deadband cost plus cumulative SoC rows),
-and the minimum over all 2^n patterns is the true optimum. The dynamic
-program must match it to float dust.
+method: the assets are modelled one by one (battery, load, curtailment,
+with each scenario's own limits), every per-step charge/discharge sign
+pattern becomes a linear program (epigraph form of the tracking error
+plus cumulative SoC rows), and the minimum over all 2^n patterns is the
+true optimum. The dynamic program must match it to float dust.
 """
 
 import numpy as np
@@ -14,12 +15,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import hesflex as hx
-from hesflex.oracle import (
-    OracleProblem,
-    certificate_lower_bound,
-    compare_with_rule,
-    solve,
-)
+from hesflex.oracle import OracleProblem, certificate_lower_bound, rule_objective, solve
 
 TIGHT = hx.AssetFleet(
     pv=hx.PvParams.scaled_to_rating(3.0),
@@ -37,48 +33,62 @@ LP_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolera
 def _brute_force_lp(problem: OracleProblem) -> float:
     """Exhaustive optimum over all sign assignments, via linear programs.
 
-    For a fixed pattern s in {dis, chg}^n the cost and dynamics are
-    linear: minimize sum z_k subject to z_k >= |t_k - p_k| - hcl and the
-    running SoC staying inside the window. Discharge steps consume
-    alpha/eta per MW, charge steps return alpha*eta per MW.
+    Per step k the variables are the battery power p_k, the load l_k, the
+    curtailment c_k and the error z_k. The delivered deviation is
+    dp_k = (pv_k - c_k) - l_k + p_k - p0_k, with p0_k the scenario's
+    nominal power, and z_k >= |t_k - dp_k|. The load lies in [0, CL]: at
+    most the PV in S2, pinned to min(PV, CL) in S3. Curtailment lies in
+    [0, PV] in S4/S5 and is 0 elsewhere. For a fixed pattern s in
+    {dis, chg}^n the cost and dynamics are linear: discharge steps
+    consume alpha/eta of SoC per MW, charge steps return alpha*eta per MW.
     """
     batt = problem.fleet.battery
+    cl = problem.fleet.load.p_max
+    scen = problem.scenario
     alpha = problem.fleet.dt / batt.e_cap
     eta = batt.eta_inv
-    hcl = 0.5 * problem.fleet.load.p_max
+    pv = problem.pv
     t = problem.targets()
+    excess = pv - hx.envelope(scen, problem.fleet, pv).p0  # dp_k = excess_k - c_k - l_k + p_k
     n = t.size
+    p_, z_, l_, c_ = (np.arange(n) + j * n for j in range(4))
+    c = np.zeros(4 * n)
+    c[z_] = 1.0
+    a_ub = []
+    b_ub = []
+    for k in range(n):
+        # t_k - dp_k <= z_k  and  dp_k - t_k <= z_k
+        row = np.zeros(4 * n)
+        row[[p_[k], z_[k], l_[k], c_[k]]] = (-1.0, -1.0, 1.0, 1.0)
+        a_ub.append(row)
+        b_ub.append(excess[k] - t[k])
+        row = np.zeros(4 * n)
+        row[[p_[k], z_[k], l_[k], c_[k]]] = (1.0, -1.0, -1.0, -1.0)
+        a_ub.append(row)
+        b_ub.append(t[k] - excess[k])
+    load_bounds = []
+    curt_bounds = []
+    for k in range(n):
+        if scen is hx.Scenario.S2:
+            load_bounds.append((0.0, min(pv[k], cl)))
+        elif scen is hx.Scenario.S3:
+            load_bounds.append((min(pv[k], cl),) * 2)
+        else:
+            load_bounds.append((0.0, cl))
+        curt = pv[k] if scen in (hx.Scenario.S4, hx.Scenario.S5) else 0.0
+        curt_bounds.append((0.0, curt))
     best = np.inf
     for mask in range(2 ** n):
         signs = [(mask >> k) & 1 for k in range(n)]  # 1 = discharge
-        c = np.concatenate([np.zeros(n), np.ones(n)])
-        # z_k >= (t_k - hcl) - p_k  and  z_k >= p_k - (t_k + hcl)
-        a_ub = []
-        b_ub = []
-        for k in range(n):
-            row = np.zeros(2 * n)
-            row[k] = -1.0
-            row[n + k] = -1.0
-            a_ub.append(row)
-            b_ub.append(hcl - t[k])
-            row = np.zeros(2 * n)
-            row[k] = 1.0
-            row[n + k] = -1.0
-            a_ub.append(row)
-            b_ub.append(hcl + t[k])
         coef = np.array([alpha / eta if s else alpha * eta for s in signs])
-        for k in range(n):
-            row = np.zeros(2 * n)
-            row[: k + 1] = coef[: k + 1]
-            a_ub.append(row)
-            b_ub.append(problem.soc0 - batt.e_min)
-            a_ub.append(-row)
-            b_ub.append(batt.e_max - problem.soc0)
-        bounds = []
-        for s in signs:
-            bounds.append((0.0, batt.p_max) if s else (-batt.p_max, 0.0))
-        bounds += [(0.0, None)] * n
-        res = linprog(c, A_ub=np.array(a_ub), b_ub=np.array(b_ub),
+        # SoC drop after step k: sum_{j <= k} coef_j p_j, kept in the window
+        soc_rows = np.zeros((n, 4 * n))
+        soc_rows[:, :n] = np.tril(np.tile(coef, (n, 1)))
+        bounds = [(0.0, batt.p_max) if s else (-batt.p_max, 0.0) for s in signs]
+        bounds += [(0.0, None)] * n + load_bounds + curt_bounds
+        res = linprog(c, A_ub=np.vstack([a_ub, soc_rows, -soc_rows]),
+                      b_ub=np.concatenate([b_ub, [problem.soc0 - batt.e_min] * n,
+                                           [batt.e_max - problem.soc0] * n]),
                       bounds=bounds, method="highs", options=LP_TOLERANCES)
         if res.status == 0 and res.fun < best:
             best = res.fun
@@ -172,23 +182,21 @@ def test_solution_records_are_physical(fleet):
     assert sol.objective == pytest.approx(float(again), abs=1e-9)
 
 
-def test_oracle_never_loses_to_the_rule(rng):
+def test_oracle_never_loses_to_the_rule(rng, rule_and_oracle):
     for trial in range(8):
         n = int(rng.integers(15, 40))
         r = np.clip(rng.normal(rng.uniform(-0.5, 0.5), 0.6, n), -1.0, 1.0)
         prob = OracleProblem(TIGHT, 6.5, r, 2.0, float(rng.uniform(0.25, 0.75)))
-        comp = compare_with_rule(prob)
-        assert comp.oracle.objective <= comp.rule_objective + 1e-12
-        assert comp.gap == pytest.approx(
-            comp.rule_objective - comp.oracle.objective, abs=1e-12)
+        rule_obj, sol = rule_and_oracle(prob)
+        assert sol.objective <= rule_obj + 1e-12
 
 
-def test_guarded_rule_is_also_dominated():
+def test_guarded_rule_is_also_dominated(rule_and_oracle):
     cfg = hx.GuardConfig(0.6, 0.4, 0.02)
     sig = hx.synth_signal(5, 900, bias=0.25)
     prob = OracleProblem(hx.default_fleet(), 6.5, sig.values, 2.0, 0.5)
-    comp = compare_with_rule(prob, guard=cfg)
-    assert comp.oracle.objective <= comp.rule_objective + 1e-12
+    rule_obj, sol = rule_and_oracle(prob, guard=cfg)
+    assert sol.objective <= rule_obj + 1e-12
 
 
 def _tight_instance(seed: int, n: int, bias: float, soc0: float) -> OracleProblem:
@@ -246,32 +254,39 @@ def _grid(lo: int, hi: int, den: int):
 # The LP reference runs at 1e-10 feasibility tolerances (LP_TOLERANCES),
 # so it can still misjudge an instance whose optimum hinges on numbers
 # near 1e-10; every parameter therefore comes from a coarse grid.
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
+    scenario=st.sampled_from(list(hx.Scenario)),
     p_max=_grid(2, 24, 4),
     e_cap=_grid(2, 16, 4),
     load_max=_grid(0, 16, 4),
     eta=_grid(16, 20, 20),
     capacity=_grid(4, 40, 4),
     soc0=_grid(2, 18, 20),
-    r=st.lists(_grid(-20, 20, 20), min_size=1, max_size=6),
+    steps=st.lists(st.tuples(_grid(-20, 20, 20), _grid(0, 11, 4)), min_size=1, max_size=6),
 )
 def test_bound_objective_lp_and_rule_agree_on_small_fleets(
-        p_max, e_cap, load_max, eta, capacity, soc0, r):
-    """certificate bound <= oracle objective == LP optimum <= rule."""
+        rule_and_oracle, scenario, p_max, e_cap, load_max, eta, capacity, soc0, steps):
+    """certificate bound <= oracle objective == LP optimum <= rule, in
+    every scenario with per-step PV, and the oracle's records are a
+    valid dispatch that realises its objective."""
     fleet = hx.AssetFleet(
         pv=hx.PvParams.scaled_to_rating(3.0),
         battery=hx.BatteryParams(p_max=p_max, e_cap=e_cap, eta_inv=eta),
         load=hx.LoadParams(p_max=load_max),
         dt=0.25,
     )
-    prob = OracleProblem(fleet, capacity, np.array(r), 0.0, soc0)
-    comp = compare_with_rule(prob)
-    sol = comp.oracle
+    r, pv = (np.array(col) for col in zip(*steps))
+    if scenario is hx.Scenario.S2:
+        pv = np.minimum(pv, load_max)  # the green-load mode needs PV <= CL
+    prob = OracleProblem(fleet, capacity, r, pv, soc0, scenario)
+    rule_obj, sol = rule_and_oracle(prob)
     assert sol.certified_optimal
     assert certificate_lower_bound(prob) <= sol.objective + 1e-9
     assert sol.objective == pytest.approx(_brute_force_lp(prob), abs=1e-9)
-    assert sol.objective <= comp.rule_objective + 1e-12
+    assert sol.objective <= rule_obj + 1e-12
+    hx.validate_records(sol.records, fleet, scenario=scenario, soc0=soc0)
+    assert rule_objective(prob, sol.records) == pytest.approx(sol.objective, abs=1e-9)
 
 
 def test_problem_validation(fleet):
@@ -281,6 +296,10 @@ def test_problem_validation(fleet):
         OracleProblem(fleet, 6.5, np.array([]))
     with pytest.raises(ValueError):
         OracleProblem(fleet, 6.5, np.array([0.1]), soc0=0.95)
+    # the green-load mode cannot feed more PV than the 3 MW load absorbs
+    with pytest.raises(ValueError, match="step 1: green-load"):
+        OracleProblem(fleet, 6.5, np.array([0.1, 0.2]), pv=np.array([3.0, 3.5]),
+                      scenario=hx.Scenario.S2)
 
 
 def test_pv_broadcast_and_targets(fleet):
