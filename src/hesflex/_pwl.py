@@ -8,24 +8,23 @@ exact pointwise minimum of several functions. A function is stored as
 strictly increasing breakpoints ``xs`` with values ``ys``; a
 single-point domain is legal.
 
-The calls on a few breakpoints are the hot ones, so they work on Python
-floats: the minimum of one function is only its restriction to the
-interval, done with the arithmetic of the numpy code that handles
-several functions, so both give the same bits.
+Everything works on Python floats: the hot calls of a dynamic program
+are on a few breakpoints, where numpy's set-up would cost more than the
+arithmetic.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
+import operator
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = ["Pwl", "from_points", "inf_convolve", "convex_runs", "lower_envelope"]
 
 _KINK_TOL = 1e-12
-_EPS = float(np.finfo(float).eps)
+_TOL = 8.0 * sys.float_info.epsilon  # float rounding, with a few ulps to spare
 
 
 @dataclass(frozen=True)
@@ -34,11 +33,11 @@ class Pwl:
     ys: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.xs or len(self.xs) != len(self.ys):
+        xs = self.xs
+        if not xs or len(xs) != len(self.ys):
             raise ValueError("xs and ys must be nonempty and equal length")
-        for a, b in zip(self.xs, self.xs[1:]):
-            if not b > a:
-                raise ValueError("breakpoints must strictly increase")
+        if not all(map(operator.lt, xs, xs[1:])):
+            raise ValueError("breakpoints must strictly increase")
 
     @property
     def x_lo(self) -> float:
@@ -60,7 +59,7 @@ def _at(xs, ys, x: float) -> float:
         return ys[0]
     if x >= xs[-1]:
         return ys[-1]
-    i = bisect.bisect_right(xs, x) - 1
+    i = bisect_right(xs, x) - 1
     t = (x - xs[i]) / (xs[i + 1] - xs[i])
     return (1.0 - t) * ys[i] + t * ys[i + 1]
 
@@ -150,127 +149,116 @@ def lower_envelope(fs, lo: float, hi: float) -> Pwl:
 
     Each function counts as +inf outside its own domain; together the
     domains must cover [lo, hi], and the minimum must be continuous
-    there. Between consecutive breakpoints of the inputs every function
-    is linear, so on such an interval the minimum is concave and lies on
-    or above the chord of its end values. Where no single function is
-    lowest at both ends, the crossing of the lowest at the left end with
-    the lowest at the right end is inserted, and the two halves are
-    checked again. A function counts as lowest when it is within float
-    rounding of the lowest, so the result can sit below the true minimum
-    by that much, never above it. Breakpoints on a straight line to
-    rounding are dropped.
+    there. One function goes through the same four steps as many:
 
-    A single function is its own minimum and is only restricted to
-    [lo, hi]; that is done in Python floats (``_restrict``), which costs
-    far less than numpy's set-up on the few breakpoints a one-function
-    step of a dynamic program has.
+    1. The grid is lo, hi and every breakpoint strictly between. Each
+       function is evaluated at the grid points of its domain with
+       ``np.interp``'s arithmetic: a breakpoint gives its own value, any
+       other point ``slope*(x - xs[j]) + ys[j]``. Each grid point keeps
+       the minimum and the first function in ``fs`` order attaining it.
+    2. Between neighbouring grid points every function is linear, so the
+       minimum there is concave and lies on or above the chord of its end
+       values. Where the same function is first lowest at both ends, it
+       is the minimum on the whole interval.
+    3. Elsewhere, among the functions defined on the whole interval, the
+       crossing of the first lowest at the left end with the first lowest
+       at the right end is inserted, and both halves are checked again
+       (``_crossings``). A function counts as lowest when it is within
+       float rounding of the lowest, so the result can sit below the true
+       minimum by that much, never above it.
+    4. Breakpoints on the chord of their neighbours to rounding are
+       dropped, in rounds that each drop every other such point, so no
+       two neighbours go in one round.
     """
-    if len(fs) == 1:
-        return _restrict(fs[0], lo, hi)
-    xs = np.concatenate([f.xs for f in fs])
-    grid = np.unique(np.concatenate(([lo, hi], xs[(xs > lo) & (xs < hi)])))
-    vals = np.array([np.interp(grid, f.xs, f.ys, left=np.inf, right=np.inf) for f in fs])
-    todo = np.arange(grid.size - 1)
-    while todo.size:
-        x0, x1 = grid[todo], grid[todo + 1]
-        lv, rv = vals[:, todo], vals[:, todo + 1]
-        whole = np.isfinite(lv) & np.isfinite(rv)  # defined on the whole interval
-        lv, rv = np.where(whole, lv, np.inf), np.where(whole, rv, np.inf)
-        cols = np.arange(todo.size)
-        a, b = lv.argmin(axis=0), rv.argmin(axis=0)
-        excess_l = lv[b, cols] - lv[a, cols]  # how far b is above a at the left end
-        excess_r = rv[a, cols] - rv[b, cols]  # how far a is above b at the right end
-        rise = np.maximum(np.abs(rv[a, cols] - lv[a, cols]), np.abs(rv[b, cols] - lv[b, cols]))
-        tol = _rounding(np.maximum(np.abs(lv[a, cols]), np.abs(rv[b, cols])),
-                        rise / (x1 - x0), np.maximum(np.abs(x0), np.abs(x1)))
-        cross = (excess_l > tol) & (excess_r > tol)
-        t = excess_l[cross] / (excess_l[cross] + excess_r[cross])
-        i = todo[cross]
-        x = grid[i] + t * (grid[i + 1] - grid[i])
-        inside = (x > grid[i]) & (x < grid[i + 1])  # else within an ulp of an end
-        if not inside.any():
-            break
-        i, t, x = i[inside], t[inside], x[inside]
-        with np.errstate(invalid="ignore"):  # inf - inf off a function's domain
-            new = vals[:, i] + t * (vals[:, i + 1] - vals[:, i])
-        new[np.isnan(new)] = np.inf
-        grid = np.insert(grid, i + 1, x)
-        vals = np.insert(vals, i + 1, new, axis=1)
-        at = i + np.arange(i.size)  # the left halves, after insertion
-        todo = np.sort(np.concatenate((at, at + 1)))
-    return _drop_collinear(grid, vals.min(axis=0))
-
-
-def _restrict(f: Pwl, lo: float, hi: float) -> Pwl:
-    """f on [lo, hi], equal bit for bit to the numpy route of
-    ``lower_envelope`` on one function: the ends are interpolated with
-    ``np.interp``'s arithmetic, interior breakpoints are kept, and
-    collinear points go in the rounds of ``_drop_collinear``."""
-    xs, ys = f.xs, f.ys
     lo, hi = float(lo), float(hi)
-    if not lo < hi:
-        return Pwl((lo,), (_np_interp(xs, ys, lo),))
-    a, b = bisect.bisect_right(xs, lo), bisect.bisect_left(xs, hi)
-    gx = [lo, *xs[a:b], hi]
-    gy = [_np_interp(xs, ys, lo), *ys[a:b], _np_interp(xs, ys, hi)]
-    while len(gx) > 2:
-        flat = []
-        for i in range(len(gx) - 2):
-            x0, x1, x2 = gx[i], gx[i + 1], gx[i + 2]
-            y0, y1, y2 = gy[i], gy[i + 1], gy[i + 2]
+    grid = {lo, hi}
+    for f in fs:
+        xs = f.xs
+        grid.update(xs[bisect_right(xs, lo):bisect_left(xs, hi)])
+    grid = sorted(grid)
+    low = [math.inf] * len(grid)  # the minimum at each grid point
+    first = [-1] * len(grid)  # the first function in fs order that attains it
+    spans = []  # per function: its first grid index and its values from there on
+    for k, f in enumerate(fs):
+        xs, ys = f.xs, f.ys
+        s = i = bisect_left(grid, xs[0])
+        j = 0
+        vals = []
+        for x in grid[i:bisect_right(grid, xs[-1])]:
+            while xs[j] < x:
+                j += 1
+            if xs[j] == x:
+                v = ys[j]
+            else:  # between xs[j - 1] and xs[j]
+                v = (ys[j] - ys[j - 1]) / (xs[j] - xs[j - 1]) * (x - xs[j - 1]) + ys[j - 1]
+            vals.append(v)
+            if v < low[i]:
+                low[i] = v
+                first[i] = k
+            i += 1
+        spans.append((s, vals))
+    gx, gy = grid, low
+    # the grid points where the first-lowest function changes: the intervals
+    # ending there may hold crossings
+    checks = ([] if first.count(first[0]) == len(first)
+              else [i for i in range(1, len(first)) if first[i - 1] != first[i]])
+    if checks:
+        ends = {i: ([], []) for i in checks}  # the functions defined on the whole interval
+        for s, vals in spans:
+            for i in checks[bisect_right(checks, s):bisect_left(checks, s + len(vals))]:
+                ends[i][0].append(vals[i - 1 - s])
+                ends[i][1].append(vals[i - s])
+        for i in reversed(checks):
+            left, right = ends[i]
+            if left:
+                cx, cy = [], []
+                _crossings(grid[i - 1], grid[i], left, right, cx, cy)
+                gx[i:i], gy[i:i] = cx, cy
+    flat = [False] * len(gx)  # per point: on the chord of its neighbours
+    todo = range(1, len(gx) - 1)
+    while todo:
+        for p in todo:
+            x0, x1, x2 = gx[p - 1], gx[p], gx[p + 1]
+            y0, y1, y2 = gy[p - 1], gy[p], gy[p + 1]
             slope = (y2 - y0) / (x2 - x0)
-            dev = y1 - (y0 + (x1 - x0) * slope)
-            if abs(dev) <= 8.0 * _EPS * (max(1.0, abs(y1), abs(y0), abs(y2))  # _rounding
-                                         + abs(slope) * max(abs(x0), abs(x2))):
-                flat.append(i)
-        if not flat:
+            dev = abs(y1 - (y0 + (x1 - x0) * slope))
+            # the tolerance is never below _TOL, which settles most flat points
+            flat[p] = dev <= _TOL or dev <= _TOL * (max(1.0, abs(y1), abs(y0), abs(y2))
+                                                    + abs(slope) * max(abs(x0), abs(x2)))
+        if True not in flat:
             break
-        drop = flat[::2]  # every other flat point: never two neighbours
-        for i in reversed(drop):
-            del gx[i + 1], gy[i + 1]
-        if len(drop) == len(flat):
+        on = [p for p, f in enumerate(flat) if f]
+        drop = on[::2]  # every other flat point: never two neighbours
+        for p in reversed(drop):
+            del gx[p], gy[p], flat[p]
+        if len(drop) == len(on):
             break
+        # only the neighbours of a dropped point have new neighbours
+        todo = [q for r, p in enumerate(drop) for q in (p - r - 1, p - r) if 0 < q < len(gx) - 1]
     return Pwl(tuple(gx), tuple(gy))
 
 
-def _np_interp(xs, ys, x: float) -> float:
-    """``np.interp(x, xs, ys, left=inf, right=inf)`` at one x, with the
-    same arithmetic: breakpoint values exact, else
-    ``slope*(x - xs[j]) + ys[j]``."""
-    if not xs[0] <= x <= xs[-1]:
-        return math.inf
-    j = bisect.bisect_right(xs, x) - 1
-    if j == len(xs) - 1 or xs[j] == x:
-        return ys[j]
-    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
-    return slope * (x - xs[j]) + ys[j]
-
-
-def _rounding(y, slope, x):
-    """Float rounding of a function value y, and of its breakpoint
-    positions x times the slope, with a few ulps to spare."""
-    return 8.0 * _EPS * (np.maximum(1.0, y) + slope * x)
-
-
-def _drop_collinear(xs: np.ndarray, ys: np.ndarray) -> Pwl:
-    """Drop interior breakpoints that lie on the chord of their
-    neighbours to float rounding. Each round drops no two neighbours, so
-    a dropped point moves the function by at most the rounding tolerance
-    measured against the points that stay."""
-    while xs.size > 2:
-        x0, x1, x2 = xs[:-2], xs[1:-1], xs[2:]
-        y0, y1, y2 = ys[:-2], ys[1:-1], ys[2:]
-        slope = (y2 - y0) / (x2 - x0)
-        dev = y1 - (y0 + (x1 - x0) * slope)
-        tol = _rounding(np.maximum(np.abs(y1), np.maximum(np.abs(y0), np.abs(y2))),
-                        np.abs(slope), np.maximum(np.abs(x0), np.abs(x2)))
-        flat = np.flatnonzero(np.abs(dev) <= tol)
-        if not flat.size:
-            break
-        drop = flat[::2] + 1  # every other flat point: never two neighbours
-        keep = np.ones(xs.size, bool)
-        keep[drop] = False
-        xs, ys = xs[keep], ys[keep]
-        if drop.size == flat.size:
-            break
-    return Pwl(tuple(xs.tolist()), tuple(ys.tolist()))
+def _crossings(x0: float, x1: float, left: list, right: list, gx: list, gy: list) -> None:
+    """Append to gx, gy, in ascending x, the crossings strictly inside
+    (x0, x1) of functions linear there, with values ``left`` at x0 and
+    ``right`` at x1. The crossing of the first lowest at each end is
+    inserted when each is above the other at the far end by more than
+    rounding; the halves on either side are then checked the same way.
+    An interval's result depends only on its own end values."""
+    a = left.index(min(left))
+    b = right.index(min(right))
+    excess_l = left[b] - left[a]  # how far b is above a at the left end
+    excess_r = right[a] - right[b]  # how far a is above b at the right end
+    rise = max(abs(right[a] - left[a]), abs(right[b] - left[b]))
+    tol = _TOL * (max(1.0, abs(left[a]), abs(right[b])) + rise / (x1 - x0) * max(abs(x0), abs(x1)))
+    if not (excess_l > tol and excess_r > tol):
+        return
+    t = excess_l / (excess_l + excess_r)
+    x = x0 + t * (x1 - x0)
+    if not x0 < x < x1:  # within an ulp of an end
+        return
+    mid = [u + t * (w - u) for u, w in zip(left, right)]
+    _crossings(x0, x, left, mid, gx, gy)
+    gx.append(x)
+    gy.append(min(mid))
+    _crossings(x, x1, mid, right, gx, gy)

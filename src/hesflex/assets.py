@@ -230,22 +230,14 @@ def pv_power(params: PvParams, irradiance: float) -> float:
     return min(p_mw, params.p_pv_rated)
 
 
-def pv_power_series(params: PvParams, irradiance_values) -> "list[float]":
-    """Vector convenience wrapper around :func:`pv_power`.
+def pv_power_series(params: PvParams, irradiance_values) -> np.ndarray:
+    """:func:`pv_power` of each irradiance value, as an array.
 
-    Held (repeated) irradiance samples are common after zero-order-hold
-    resampling, so results are memoized per distinct input value.
+    Held (repeated) irradiance samples are common after a zero-order-hold
+    lookup, so each distinct value is solved once.
     """
-    cache: dict[float, float] = {}
-    out = []
-    for g in irradiance_values:
-        g = float(g)
-        p = cache.get(g)
-        if p is None:
-            p = pv_power(params, g)
-            cache[g] = p
-        out.append(p)
-    return out
+    distinct, inverse = np.unique(np.asarray(irradiance_values, dtype=float), return_inverse=True)
+    return np.array([pv_power(params, g) for g in distinct.tolist()], dtype=float)[inverse]
 
 
 def pv_power_interp(params: PvParams, irradiance_values, table_size: int = 1024):

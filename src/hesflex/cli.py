@@ -140,19 +140,13 @@ def _load_signal(cfg: RunConfig, path):
 def _load_pv(cfg: RunConfig, fleet, path, n: int, times=None):
     """PV power per signal step. A PV file is looked up at the signal's
     ``times`` by zero-order hold, each sample held until the next (the
-    last one for one cadence); without a clock (a synthetic signal) its
-    first ``n`` samples at the run step are taken."""
+    last one for one cadence); without a clock (a synthetic signal) step
+    k is looked up at the file's first timestamp + k * dt_s."""
     if not path:
         return np.full(n, pv_power(fleet.pv, cfg.irradiance_wm2))
     irr = read_irradiance_csv(path)
     if times is None:
-        if irr.cadence > cfg.dt_s + 1e-9:
-            irr = resample_zoh(irr, cfg.dt_s)
-        if len(irr.values) < n:
-            raise DataFormatError(
-                f"{path}: {len(irr.values)} PV steps cannot cover a {n}-step signal"
-            )
-        return np.asarray(pv_power_series(fleet.pv, irr.values[:n]))
+        times = irr.timestamps[0] + np.arange(n) * cfg.dt_s
     held = irr.cadence if irr.cadence > 0 else cfg.dt_s
     idx = np.searchsorted(irr.timestamps, times, side="right") - 1
     uncovered = np.flatnonzero((idx < 0) | (times >= irr.timestamps[-1] + held))
@@ -160,7 +154,7 @@ def _load_pv(cfg: RunConfig, fleet, path, n: int, times=None):
         raise DataFormatError(
             f"{path}: no PV sample covers signal timestamp {int(times[uncovered[0]])}"
         )
-    return np.asarray(pv_power_series(fleet.pv, irr.values[idx]))
+    return pv_power_series(fleet.pv, irr.values[idx])
 
 
 def cmd_envelope(args) -> int:

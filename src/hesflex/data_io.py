@@ -5,7 +5,9 @@ CSV inputs use UTC epoch-second integer timestamps:
 - signal files:      header ``timestamp,r``        with r in [-1, 1]
 - irradiance files:  header ``timestamp,ghi_wm2``  with ghi >= 0
 
-Every value must be finite. Dispatch traces are CSV with the step ``k``,
+Every value must be finite, and the timestamps must keep one cadence: the
+first two rows set it, and a row off it (a hole or a jitter) is refused
+with its line. Dispatch traces are CSV with the step ``k``,
 the time ``t`` and the signal ``r`` followed by the :class:`Trajectory`
 columns, ``k,t,r,p_hes,p0,dp_req,p_pv,p_cl,p_batt,p_curtailed,soc``, and
 reports are flat ``key = value`` text. All floats are serialized with 15
@@ -40,7 +42,6 @@ class SignalSeries:
     timestamps: np.ndarray
     values: np.ndarray
     cadence: float
-    gaps: tuple[int, ...] = ()
 
 
 @dataclass
@@ -50,7 +51,6 @@ class IrradianceSeries:
     timestamps: np.ndarray
     values: np.ndarray
     cadence: float
-    gaps: tuple[int, ...] = ()
 
 
 def _fmt(x: float) -> str:
@@ -58,9 +58,11 @@ def _fmt(x: float) -> str:
 
 
 def _read_two_columns(path, header: tuple[str, str]):
-    """Shared reader: returns (timestamps, values, cadence, gaps)."""
+    """Shared reader: returns (timestamps, values, cadence). The first
+    two rows set the cadence, and every later row must follow it."""
     ts: list[int] = []
     vals: list[float] = []
+    step = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -86,46 +88,44 @@ def _read_two_columns(path, header: tuple[str, str]):
             if abs(t_raw - round(t_raw)) > 1e-6:
                 raise DataFormatError(f"{path}:{lineno}: timestamp must be integer seconds")
             t = int(round(t_raw))
-            if ts and t <= ts[-1]:
-                raise DataFormatError(f"{path}:{lineno}: timestamps must strictly increase")
+            if ts and t - ts[-1] != step:
+                if t <= ts[-1]:
+                    raise DataFormatError(f"{path}:{lineno}: timestamps must strictly increase")
+                if step is not None:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: timestamp {t} is {t - ts[-1]} s after the row before,"
+                        f" not the file's cadence of {step} s"
+                    )
+                step = t - ts[-1]
             ts.append(t)
             vals.append(v)
     if not ts:
         raise DataFormatError(f"{path}: no data rows")
-    t_arr = np.asarray(ts, dtype=np.int64)
-    v_arr = np.asarray(vals, dtype=float)
-    if len(t_arr) > 1:
-        diffs = np.diff(t_arr)
-        cadence = float(diffs.min())
-        gaps = tuple(int(i) for i in np.nonzero(diffs > cadence + 1e-9)[0])
-    else:
-        cadence = 0.0
-        gaps = ()
-    return t_arr, v_arr, cadence, gaps
+    return np.asarray(ts, dtype=np.int64), np.asarray(vals, dtype=float), float(step or 0)
 
 
 def read_signal_csv(path) -> SignalSeries:
     """Read a ``timestamp,r`` file; every |r| must stay within 1."""
-    ts, vals, cadence, gaps = _read_two_columns(path, ("timestamp", "r"))
+    ts, vals, cadence = _read_two_columns(path, ("timestamp", "r"))
     bad = np.nonzero(np.abs(vals) > 1.0)[0]
     if bad.size:
         i = int(bad[0])
         raise DataFormatError(
             f"{path}: row with timestamp {int(ts[i])} has |r| = {abs(vals[i]):.6g} > 1"
         )
-    return SignalSeries(ts, vals, cadence, gaps)
+    return SignalSeries(ts, vals, cadence)
 
 
 def read_irradiance_csv(path) -> IrradianceSeries:
     """Read a ``timestamp,ghi_wm2`` file; irradiance must be >= 0."""
-    ts, vals, cadence, gaps = _read_two_columns(path, ("timestamp", "ghi_wm2"))
+    ts, vals, cadence = _read_two_columns(path, ("timestamp", "ghi_wm2"))
     bad = np.nonzero(vals < 0.0)[0]
     if bad.size:
         i = int(bad[0])
         raise DataFormatError(
             f"{path}: row with timestamp {int(ts[i])} has negative irradiance {vals[i]:.6g}"
         )
-    return IrradianceSeries(ts, vals, cadence, gaps)
+    return IrradianceSeries(ts, vals, cadence)
 
 
 def write_signal_csv(series: SignalSeries, fh) -> None:
@@ -160,7 +160,7 @@ def resample_zoh(series, cadence_s: float):
     out_ts = np.arange(t0, t_end, int(round(cadence_s)), dtype=np.int64)
     idx = np.searchsorted(series.timestamps, out_ts, side="right") - 1
     out_vals = np.asarray(series.values, dtype=float)[idx]
-    return type(series)(out_ts, out_vals, float(cadence_s), ())
+    return type(series)(out_ts, out_vals, float(cadence_s))
 
 
 def _whole_seconds(cadence: float) -> int:
@@ -220,7 +220,7 @@ def synth_signal(
         x += bias
     np.clip(x, -1.0, 1.0, out=x)
     ts = start_epoch + np.arange(n_steps, dtype=np.int64) * step
-    return SignalSeries(ts, x, float(cadence), ())
+    return SignalSeries(ts, x, float(cadence))
 
 
 def synth_irradiance(
@@ -257,7 +257,7 @@ def synth_irradiance(
     cloud = np.clip(0.75 + 0.25 * cloud, 0.05, 1.0)
     ghi = clear_sky_peak * seasonal * elevation * cloud
     np.clip(ghi, 0.0, None, out=ghi)
-    return IrradianceSeries(ts, ghi, float(cadence), ())
+    return IrradianceSeries(ts, ghi, float(cadence))
 
 
 def export_trace(traj: Trajectory, path, *, times=None, signal=None, dt_s: float = 2.0) -> None:

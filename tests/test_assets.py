@@ -166,13 +166,15 @@ def test_pv_power_edge_cases():
 def test_pv_power_series_matches_scalar_calls():
     params = PvParams.scaled_to_rating(3.0)
     g = [0.0, 250.0, 250.0, 990.0, 1000.0, 250.0]
-    assert pv_power_series(params, g) == [pv_power(params, x) for x in g]
+    p = pv_power_series(params, g)
+    assert isinstance(p, np.ndarray) and p.dtype == float
+    np.testing.assert_array_equal(p, [pv_power(params, x) for x in g])
 
 
 def test_pv_power_interp_close_to_exact(rng):
     params = PvParams.scaled_to_rating(3.0)
     g = rng.uniform(0.0, 1100.0, 400)
-    exact = np.array(pv_power_series(params, g))
+    exact = pv_power_series(params, g)
     approx = pv_power_interp(params, g)
     assert np.max(np.abs(exact - approx)) < 5e-5
     with pytest.raises(ValueError):

@@ -317,6 +317,29 @@ def test_pv_is_looked_up_at_the_signal_timestamps(tmp_path, capsys):
     np.testing.assert_allclose([float(row["p_pv"]) for row in rows], expect, rtol=1e-14)
 
 
+def test_pv_without_a_signal_clock_is_read_at_the_run_step(tmp_path, capsys):
+    # a 1 s PV ramp against a synthetic 2 s signal: step k sees the sample at t = 2k
+    ghi = tmp_path / "ghi.csv"
+    ghi.write_text("timestamp,ghi_wm2\n" + "".join(f"{k},{k / 4}\n" for k in range(3600)))
+    trace = tmp_path / "trace.csv"
+    code, _, _ = _run(capsys, ["track", "--hours", "1", "--no-guard", "--pv-csv", str(ghi),
+                               "--trace", str(trace)])
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(trace.read_text().splitlines()))
+    assert len(rows) == 1800
+    fleet = build_fleet(RunConfig())
+    expect = [pv_power(fleet.pv, float(row["t"]) / 4) for row in rows]
+    np.testing.assert_allclose([float(row["p_pv"]) for row in rows], expect, rtol=1e-14)
+
+
+def test_uneven_signal_timestamps_are_a_data_error(tmp_path, capsys):
+    sig = tmp_path / "sig.csv"
+    sig.write_text("timestamp,r\n" + "".join(f"{t},0.1\n" for t in (0, 2, 4, 102, 104)))
+    code, _, err = _run(capsys, ["track", "--signal-csv", str(sig)])
+    assert code == EXIT_DATA
+    assert "sig.csv:5" in err
+
+
 def test_guard_that_cannot_contain_the_step_is_a_config_error(capsys):
     # at 120 s one full-power step moves the SoC 1.75 buffers
     code, _, err = _run(capsys, ["track", "--guard", "--hours", "1",

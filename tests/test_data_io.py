@@ -43,7 +43,6 @@ def test_signal_round_trip(tmp_path):
     np.testing.assert_array_equal(back.timestamps, sig.timestamps)
     np.testing.assert_allclose(back.values, sig.values, rtol=1e-14, atol=1e-15)
     assert back.cadence == sig.cadence
-    assert back.gaps == ()
 
 
 def test_irradiance_round_trip(tmp_path):
@@ -86,10 +85,14 @@ def test_unparsable_float_rejected(tmp_path):
         read_signal_csv(p)
 
 
-def test_gaps_are_recorded_not_fatal(tmp_path):
-    p = _write(tmp_path, "x.csv", "timestamp,r\n0,0.1\n2,0.2\n10,0.3\n12,0.4\n")
-    sig = read_signal_csv(p)
-    assert sig.gaps == (1,)
+def test_uneven_timestamps_point_at_the_row(tmp_path):
+    # a hole, and a row closer than the cadence the first two rows set
+    p = _write(tmp_path, "x.csv", "timestamp,r\n0,0.1\n2,0.2\n\n10,0.3\n12,0.4\n")
+    with pytest.raises(DataFormatError, match=r"x\.csv:5: timestamp 10 is 8 s .* cadence of 2 s"):
+        read_signal_csv(p)
+    p = _write(tmp_path, "g.csv", "timestamp,ghi_wm2\n0,1\n60,2\n120,3\n150,4\n")
+    with pytest.raises(DataFormatError, match=r"g\.csv:5"):
+        read_irradiance_csv(p)
 
 
 def test_empty_file_rejected(tmp_path):
@@ -105,7 +108,7 @@ def test_empty_file_rejected(tmp_path):
 def test_zoh_refines_sixty_to_two_seconds():
     ts = np.arange(0, 600, 60, dtype=np.int64)
     vals = np.arange(10.0)
-    src = SignalSeries(ts, vals / 10.0, 60.0, ())
+    src = SignalSeries(ts, vals / 10.0, 60.0)
     out = resample_zoh(src, 2.0)
     assert len(out.values) == 300
     assert out.cadence == 2.0
@@ -117,7 +120,7 @@ def test_zoh_refines_sixty_to_two_seconds():
 
 
 def test_zoh_refuses_to_coarsen():
-    src = SignalSeries(np.arange(0, 20, 2, dtype=np.int64), np.zeros(10), 2.0, ())
+    src = SignalSeries(np.arange(0, 20, 2, dtype=np.int64), np.zeros(10), 2.0)
     with pytest.raises(ValueError):
         resample_zoh(src, 60.0)
 

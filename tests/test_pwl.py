@@ -182,12 +182,77 @@ def _convex_and_window(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_convex_and_window())
-def test_lower_envelope_of_one_function_matches_the_crossing_loop(case):
-    """One function is only restricted to [lo, hi], in Python floats; a
-    duplicated function goes through the numpy crossing loop, which then
-    inserts nothing. Both must give the same breakpoints bit for bit."""
+def test_lower_envelope_of_one_function_matches_a_duplicated_one(case):
+    """One function is only restricted to [lo, hi]. A duplicate ties it at
+    every grid point, so no crossing is inserted, and both must give the
+    same breakpoints bit for bit."""
     f, lo, hi = case
     one, two = lower_envelope([f], lo, hi), lower_envelope([f, f], lo, hi)
     assert np.array(one.xs).tobytes() == np.array(two.xs).tobytes()  # signed zeros too
     assert np.array(one.ys).tobytes() == np.array(two.ys).tobytes()
     assert all(type(v) is float for v in one.xs + one.ys)
+
+
+_VALUES = st.one_of(st.floats(-3.0, 3.0), st.integers(-3, 3).map(float))
+
+
+@st.composite
+def _dp_step(draw):
+    """Parts shaped like those of one dynamic-program step, and a window.
+
+    A continuous base function is cut into runs that share their end
+    breakpoints; some runs are repeated (exact ties everywhere). Extra
+    parts have their own domains, which may end inside or past the
+    window or hold a single point; where such a domain ends inside the
+    base's, its end value is raised to the base's there, so the minimum
+    stays continuous. The window lies in the base's domain, ends on a
+    breakpoint or between two, and may be a single point. The parts come
+    in shuffled order."""
+    n = draw(st.integers(2, 9))
+    widths = draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1, max_size=n - 1))
+    bx = [draw(st.floats(-2.0, 2.0))]
+    for w in widths:
+        bx.append(bx[-1] + w)
+    by = draw(st.lists(_VALUES, min_size=n, max_size=n))
+    base = Pwl(tuple(bx), tuple(by))
+    cuts = sorted({0, n - 1, *draw(st.lists(st.integers(0, n - 1), max_size=4))})
+    parts = [Pwl(base.xs[a:b + 1], base.ys[a:b + 1]) for a, b in zip(cuts, cuts[1:])]
+    parts += draw(st.lists(st.sampled_from(parts), max_size=2))
+    for _ in range(draw(st.integers(0, 3))):
+        m = draw(st.integers(1, 4))
+        gx = sorted(set(draw(st.lists(st.floats(bx[0] - 1.0, bx[-1] + 1.0),
+                                      min_size=m, max_size=m))))
+        gy = draw(st.lists(_VALUES, min_size=len(gx), max_size=len(gx)))
+        for i in {0, len(gx) - 1}:
+            if bx[0] <= gx[i] <= bx[-1]:
+                gy[i] = max(gy[i], base(gx[i]))
+        parts.append(Pwl(tuple(gx), tuple(gy)))
+    point = st.one_of(st.sampled_from(bx), st.floats(bx[0], bx[-1]))
+    lo, hi = sorted((draw(point), draw(point)))
+    return draw(st.permutations(parts)), lo, hi
+
+
+def _rounding_tol(fs, x: float, y: float) -> float:
+    """A few ulps of a value y at x, and of x times the steepest slope."""
+    slope = max([abs((f.ys[i + 1] - f.ys[i]) / (f.xs[i + 1] - f.xs[i]))
+                 for f in fs for i in range(len(f.xs) - 1)], default=0.0)
+    return 64 * np.finfo(float).eps * (max(1.0, abs(y)) + slope * max(1.0, abs(x)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_dp_step())
+def test_lower_envelope_is_the_pointwise_minimum(case):
+    """The breakpoints strictly increase from lo to hi. At every input
+    breakpoint in the window, every breakpoint of the result and every
+    midpoint between two of these, the result is the pointwise minimum of
+    the parts defined there to float rounding: a missed crossing would
+    leave a chord above the minimum at a midpoint."""
+    fs, lo, hi = case
+    env = lower_envelope(fs, lo, hi)
+    assert env.xs[0] == lo and env.xs[-1] == hi
+    assert all(a < b for a, b in zip(env.xs, env.xs[1:]))
+    points = sorted({lo, hi, *env.xs, *(x for f in fs for x in f.xs if lo < x < hi)})
+    points += [a + (b - a) / 2 for a, b in zip(points, points[1:])]
+    for x in points:
+        want = min(f(x) for f in fs if f.x_lo <= x <= f.x_hi)
+        assert abs(env(x) - want) <= _rounding_tol(fs, x, want), x
