@@ -14,7 +14,6 @@ from .assets import (
     PvParams,
     SocBoundsError,
     battery_step,
-    default_fleet,
     pv_power,
     pv_power_interp,
     pv_power_series,
@@ -22,17 +21,13 @@ from .assets import (
 from .config import ConfigError, RunConfig, build_fleet, build_guard
 from .data_io import (
     DataFormatError,
-    IrradianceSeries,
-    SignalSeries,
+    Series,
     export_trace,
     read_irradiance_csv,
     read_signal_csv,
-    read_trace_csv,
     report_lines,
-    resample_zoh,
     synth_irradiance,
     synth_signal,
-    write_irradiance_csv,
     write_signal_csv,
 )
 from .dispatch import (
@@ -57,10 +52,10 @@ from .market import (
     pv_statistic,
     settle,
 )
-from .oracle import OracleProblem, OracleSolution, certificate_lower_bound
+from .oracle import OracleProblem, OracleSolution
 from .oracle import solve as solve_oracle
 from .simulation import simulate
-from .soc_guard import GuardConfig, check_band, containment_ratio, guard_power_cap
+from .soc_guard import GuardConfig, containment_ratio, guard_power_cap
 
 __version__ = "0.1.0"
 
@@ -72,7 +67,6 @@ __all__ = [
     "FlexEnvelope",
     "GuardConfig",
     "InfeasibleDispatchError",
-    "IrradianceSeries",
     "LoadParams",
     "MarketOutcome",
     "MarketPrices",
@@ -84,18 +78,15 @@ __all__ = [
     "RunConfig",
     "STATISTICS",
     "Scenario",
-    "SignalSeries",
+    "Series",
     "SocBoundsError",
     "Trajectory",
     "allocate",
     "battery_step",
     "build_fleet",
     "build_guard",
-    "certificate_lower_bound",
-    "check_band",
     "containment_ratio",
     "decomposed_bid",
-    "default_fleet",
     "envelope",
     "export_trace",
     "group_by_season_hour",
@@ -110,15 +101,12 @@ __all__ = [
     "pv_statistic",
     "read_irradiance_csv",
     "read_signal_csv",
-    "read_trace_csv",
     "report_lines",
-    "resample_zoh",
     "settle",
     "simulate",
     "solve_oracle",
     "synth_irradiance",
     "synth_signal",
     "validate_records",
-    "write_irradiance_csv",
     "write_signal_csv",
 ]

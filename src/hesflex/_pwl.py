@@ -21,7 +21,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-__all__ = ["Pwl", "from_points", "inf_convolve", "convex_runs", "lower_envelope"]
+__all__ = ["Pwl", "inf_convolve", "convex_runs", "lower_envelope"]
 
 _KINK_TOL = 1e-12
 _TOL = 8.0 * sys.float_info.epsilon  # float rounding, with a few ulps to spare
@@ -64,23 +64,16 @@ def _at(xs, ys, x: float) -> float:
     return (1.0 - t) * ys[i] + t * ys[i + 1]
 
 
-def from_points(points) -> Pwl:
-    """Lower convex hull of exact samples of a convex function.
+def _hull(pts) -> Pwl:
+    """Lower convex hull of exact samples of a convex function, given in
+    ascending x order.
 
     The sample set must contain every kink of the target; duplicate x
     values keep the smaller y, and interior points on or above the
     chord of their neighbours are dropped, so float noise can only
-    produce an underestimate, never a non-convex result.
+    produce an underestimate, never a non-convex result. A sample joins
+    the hull once the next one is no duplicate of it.
     """
-    pts = sorted((float(x), float(y)) for x, y in points)
-    if not pts:
-        raise ValueError("no sample points")
-    return _hull(pts)
-
-
-def _hull(pts) -> Pwl:
-    """``from_points`` on samples already in ascending x order. A sample
-    joins the hull once the next one is no duplicate of it."""
     hx: list[float] = []
     hy: list[float] = []
     pts = iter(pts)
@@ -112,8 +105,8 @@ def inf_convolve(f: Pwl, g: Pwl) -> Pwl:
     endpoints. Every vertex of that sweep is the sum of one vertex of f
     and one of g, and is computed as such, so rounding does not
     accumulate along the sweep, and the vertices come in ascending x
-    order (float addition is monotone), which is the order the hull
-    of ``from_points`` needs.
+    order (float addition is monotone), which is the order ``_hull``
+    needs.
     """
     fx, fy, gx, gy = f.xs, f.ys, g.xs, g.ys
     i = j = 0

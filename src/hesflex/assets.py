@@ -20,6 +20,10 @@ import numpy as np
 _VOC_CURRENT_TOL_A = 1e-9  # bisection stop on |cell current|
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SOC_SNAP = 1e-12  # float dust tolerated at the SoC bounds
+# Highest irradiance the PV model takes, above the 1,361 W/m2 solar
+# constant. From ~1e16 W/m2 i*r_s outgrows the junction voltage and the
+# output falls to 0; from ~1e155 the diode term overflows.
+_IRRADIANCE_MAX_WM2 = 2000.0
 
 
 class SocBoundsError(Exception):
@@ -137,17 +141,6 @@ class AssetFleet:
             raise ValueError("dt must be > 0 hours")
 
 
-def default_fleet(dt: float = 2.0 / 3600.0) -> AssetFleet:
-    """Reference fleet: 3 MW PV, 3 MW load, 5 MW / 5 MWh battery with
-    0.95 inverter efficiency and a [0.1, 0.9] SoC window."""
-    return AssetFleet(
-        pv=PvParams.scaled_to_rating(3.0),
-        battery=BatteryParams(p_max=5.0, e_cap=5.0),
-        load=LoadParams(p_max=3.0),
-        dt=dt,
-    )
-
-
 # ---------------------------------------------------------------------------
 # PV equivalent circuit
 # ---------------------------------------------------------------------------
@@ -220,10 +213,11 @@ def _cell_mpp_power(params: PvParams, irradiance: float) -> float:
 def pv_power(params: PvParams, irradiance: float) -> float:
     """Plant output in MW at the cell maximum power point.
 
-    Non-decreasing in irradiance and clamped to [0, p_pv_rated].
+    Takes irradiance in [0, 2000] W/m2, and is non-decreasing in it and
+    clamped to [0, p_pv_rated].
     """
-    if irradiance < 0.0:
-        raise ValueError("irradiance must be >= 0 W/m2")
+    if not 0.0 <= irradiance <= _IRRADIANCE_MAX_WM2:
+        raise ValueError(f"irradiance must lie in [0, {_IRRADIANCE_MAX_WM2:g}] W/m2")
     p_mw = params.eta_pv * params.n_cell * _cell_mpp_power(params, irradiance) * 1e-6
     if p_mw <= 0.0:
         return 0.0
@@ -240,7 +234,7 @@ def pv_power_series(params: PvParams, irradiance_values) -> np.ndarray:
     return np.array([pv_power(params, g) for g in distinct.tolist()], dtype=float)[inverse]
 
 
-def pv_power_interp(params: PvParams, irradiance_values, table_size: int = 1024):
+def pv_power_interp(params: PvParams, irradiance_values):
     """Fast approximate power curve for long irradiance series.
 
     Tabulates :func:`pv_power` on a uniform irradiance grid spanning the
@@ -251,12 +245,12 @@ def pv_power_interp(params: PvParams, irradiance_values, table_size: int = 1024)
     g = np.asarray(irradiance_values, dtype=float)
     if g.size == 0:
         return np.empty(0)
-    if np.any(g < 0.0):
-        raise ValueError("irradiance must be >= 0 W/m2")
     hi = float(g.max())
+    if g.min() < 0.0 or hi > _IRRADIANCE_MAX_WM2:
+        raise ValueError(f"irradiance must lie in [0, {_IRRADIANCE_MAX_WM2:g}] W/m2")
     if hi == 0.0:
         return np.zeros(g.shape)
-    grid = np.linspace(0.0, hi, max(2, int(table_size)))
+    grid = np.linspace(0.0, hi, 1024)
     table = np.array([pv_power(params, float(x)) for x in grid])
     return np.interp(g, grid, table)
 

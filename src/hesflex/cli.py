@@ -7,9 +7,15 @@ Subcommands:
 - ``bid-sweep``     seasonal/hourly capacity bids from PV statistics
 - ``synth-signal``  write a synthetic regulation signal as CSV
 
-Exit codes: 0 success, 2 configuration problems, 3 input data problems,
-4 runtime failures (infeasible dispatch, battery bound violations, a
-non-finite report value, running out of memory).
+``track`` looks a signal file up at the run step and a PV file at the
+signal's timestamps, both by one zero-order hold: each sample holds until
+the next, the last one for one cadence.
+
+Exit codes: 0 success, 2 configuration problems (including a step above
+one day or irradiance above 2000 W/m2), 3 input data problems (including
+a file with fewer than two rows or a timestamp of 2**53 s or more in
+magnitude), 4 runtime failures (infeasible dispatch, battery bound
+violations, a non-finite report value, running out of memory).
 Reports are deterministic: the same config and seed give identical
 bytes.
 """
@@ -36,12 +42,12 @@ from .config import (
 )
 from .data_io import (
     DataFormatError,
+    Series,
     _fmt,
     export_trace,
     read_irradiance_csv,
     read_signal_csv,
     report_lines,
-    resample_zoh,
     synth_irradiance,
     synth_signal,
     write_signal_csv,
@@ -120,17 +126,32 @@ def _configure(args) -> RunConfig:
     return config_from_mapping(mapping, getattr(args, "config", None) or "<cli>")
 
 
-def _load_signal(cfg: RunConfig, path):
-    """Signal values at the configured cadence plus their timestamps."""
+def _hold(series: Series, times: np.ndarray, path) -> np.ndarray:
+    """The values of ``series`` at ``times`` by zero-order hold, each
+    sample held until the next and the last one for one cadence; a time
+    that no sample covers is refused."""
+    idx = np.searchsorted(series.timestamps, times, side="right") - 1
+    uncovered = np.flatnonzero((idx < 0) | (times >= series.timestamps[-1] + series.cadence))
+    if uncovered.size:
+        raise DataFormatError(
+            f"{path}: no sample covers signal timestamp {int(times[uncovered[0]])}"
+        )
+    return series.values[idx]
+
+
+def _load_signal(cfg: RunConfig, path) -> Series:
+    """The signal at the run step. A file is held over each of its
+    samples' intervals, so its cadence may not be finer than the step."""
     if path:
         series = read_signal_csv(path)
-        if series.cadence > cfg.dt_s + 1e-9:
-            series = resample_zoh(series, cfg.dt_s)
-        elif series.cadence < cfg.dt_s - 1e-9:
+        if series.cadence < cfg.dt_s:
             raise DataFormatError(
-                f"{path}: cadence {series.cadence}s is finer than the run step {cfg.dt_s}s"
+                f"{path}: cadence {series.cadence} s is finer than the run step {cfg.dt_s:g} s"
             )
-        return series
+        step = int(cfg.dt_s)
+        times = np.arange(series.timestamps[0], series.timestamps[-1] + series.cadence, step,
+                          dtype=np.int64)
+        return Series(times, _hold(series, times, path), step)
     n = int(round(cfg.hours * 3600.0 / cfg.dt_s))
     if n < 2:
         raise ConfigError(["signal.hours gives fewer than two steps"])
@@ -139,22 +160,14 @@ def _load_signal(cfg: RunConfig, path):
 
 def _load_pv(cfg: RunConfig, fleet, path, n: int, times=None):
     """PV power per signal step. A PV file is looked up at the signal's
-    ``times`` by zero-order hold, each sample held until the next (the
-    last one for one cadence); without a clock (a synthetic signal) step
-    k is looked up at the file's first timestamp + k * dt_s."""
+    ``times``; without a clock (a synthetic signal) step k is looked up
+    at the file's first timestamp + k * dt_s."""
     if not path:
         return np.full(n, pv_power(fleet.pv, cfg.irradiance_wm2))
     irr = read_irradiance_csv(path)
     if times is None:
-        times = irr.timestamps[0] + np.arange(n) * cfg.dt_s
-    held = irr.cadence if irr.cadence > 0 else cfg.dt_s
-    idx = np.searchsorted(irr.timestamps, times, side="right") - 1
-    uncovered = np.flatnonzero((idx < 0) | (times >= irr.timestamps[-1] + held))
-    if uncovered.size:
-        raise DataFormatError(
-            f"{path}: no PV sample covers signal timestamp {int(times[uncovered[0]])}"
-        )
-    return pv_power_series(fleet.pv, irr.values[idx])
+        times = irr.timestamps[0] + np.arange(n) * int(cfg.dt_s)
+    return pv_power_series(fleet.pv, _hold(irr, times, path))
 
 
 def cmd_envelope(args) -> int:
@@ -233,7 +246,7 @@ def cmd_track(args) -> int:
     # The report is checked before anything is written.
     _emit_report(pairs, args.out)
     if args.trace:
-        export_trace(traj, args.trace, times=series.timestamps, signal=r, dt_s=cfg.dt_s)
+        export_trace(traj, args.trace, times=series.timestamps, signal=r)
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .assets import AssetFleet, BatteryParams, LoadParams, PvParams
+from .assets import _IRRADIANCE_MAX_WM2, AssetFleet, BatteryParams, LoadParams, PvParams
 from .flexibility import Scenario
 from .soc_guard import GuardConfig, containment_ratio
 
@@ -98,6 +98,8 @@ _KEYS = {
 
 _FIELD_TO_KEY = {field: key for key, (field, _) in _KEYS.items()}
 
+_MAX_DT_S = 86400.0  # one day
+
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     """Split a config file into raw key/value strings."""
@@ -161,9 +163,14 @@ def validate(cfg: RunConfig) -> list[str]:
     for name in ("lambda_capacity", "lambda_mileage", "irradiance_wm2"):
         if getattr(cfg, name) < 0:
             out.append(f"{_FIELD_TO_KEY[name]} must be >= 0")
-    if math.isfinite(cfg.dt_s) and not float(cfg.dt_s).is_integer():
+    if math.isfinite(cfg.irradiance_wm2) and cfg.irradiance_wm2 > _IRRADIANCE_MAX_WM2:
+        out.append(f"pv.irradiance_wm2 must be <= {_IRRADIANCE_MAX_WM2:g} W/m2")
+    if math.isfinite(cfg.dt_s):
         # Timestamps are whole epoch seconds, so the step must be too.
-        out.append("signal.dt_s must be a whole number of seconds")
+        if not float(cfg.dt_s).is_integer():
+            out.append("signal.dt_s must be a whole number of seconds")
+        if cfg.dt_s > _MAX_DT_S:
+            out.append(f"signal.dt_s must be <= {_MAX_DT_S:g} s (one day)")
     if not 0.0 < cfg.eta_inv <= 1.0:
         out.append("battery.eta_inv must lie in (0, 1]")
     if not 0.0 <= cfg.soc_min < cfg.soc_max <= 1.0:

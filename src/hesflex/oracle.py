@@ -57,7 +57,6 @@ from .flexibility import Scenario, _band, envelope
 __all__ = [
     "OracleProblem",
     "OracleSolution",
-    "certificate_lower_bound",
     "solve",
     "rule_objective",
 ]
@@ -128,8 +127,7 @@ class OracleSolution:
     ``backend`` names the path that produced the answer:
     "greedy-certificate", "warm-start-certificate" or "exact-dp".
     ``certified_optimal`` is True only when the objective is within
-    float tolerance of ``lower_bound``. ``context`` is a reminder that
-    this is an after-the-fact benchmark.
+    float tolerance of ``lower_bound``.
     """
 
     records: Trajectory
@@ -137,7 +135,6 @@ class OracleSolution:
     backend: str
     lower_bound: float
     certified_optimal: bool
-    context: str = "offline-benchmark"
 
 
 def _band_of(problem: OracleProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -207,7 +204,7 @@ class _Stage:
         return phi
 
 
-def certificate_lower_bound(problem: OracleProblem) -> float:
+def _certificate_lower_bound(problem: OracleProblem) -> float:
     """State-free bound: no step can deliver a deviation outside the
     envelope, so each costs at least the distance of its target to it."""
     env = envelope(problem.scenario, problem.fleet, problem.pv)
@@ -353,7 +350,7 @@ def solve(problem: OracleProblem, warm_start_p_batt=None) -> OracleSolution:
     instance. A feasible ``warm_start_p_batt`` (for example a rule-based
     trajectory) caps the returned objective from above.
     """
-    lb = certificate_lower_bound(problem)
+    lb = _certificate_lower_bound(problem)
     best_p = _greedy_battery(problem)
     best_obj = _objective_of_powers(problem, best_p)
     used = "greedy"

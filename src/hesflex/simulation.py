@@ -29,7 +29,7 @@ import numpy as np
 from .assets import AssetFleet, BatteryParams, battery_step
 from .dispatch import Trajectory, _curtailment, _position, _split
 from .flexibility import Scenario, envelope
-from .soc_guard import GuardConfig, check_band, guard_power_cap
+from .soc_guard import GuardConfig, guard_power_cap
 
 # Shortest scan block after a fast segment fails, and the fewest scalar
 # steps taken after one that fails within that many steps.
@@ -74,7 +74,11 @@ def simulate(
     if not (batt.e_min - 1e-12 <= soc0 <= batt.e_max + 1e-12):
         raise ValueError(f"soc0 = {soc0} outside the battery window")
     if guard is not None:
-        check_band(guard, batt)
+        if guard.e_lower < batt.e_min - 1e-12 or guard.e_upper > batt.e_max + 1e-12:
+            raise ValueError(
+                f"guard band [{guard.e_lower}, {guard.e_upper}] exceeds the battery "
+                f"window [{batt.e_min}, {batt.e_max}]"
+            )
         if not (guard.e_lower <= soc0 <= guard.e_upper):
             raise ValueError(
                 f"soc0 = {soc0} outside the guard band [{guard.e_lower}, {guard.e_upper}]"

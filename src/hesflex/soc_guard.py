@@ -38,15 +38,6 @@ class GuardConfig:
             raise ValueError("buffer must lie in (0, (e_upper - e_lower) / 2]")
 
 
-def check_band(cfg: GuardConfig, batt: BatteryParams) -> None:
-    """The guard band must sit inside the battery's physical window."""
-    if cfg.e_lower < batt.e_min - 1e-12 or cfg.e_upper > batt.e_max + 1e-12:
-        raise ValueError(
-            f"guard band [{cfg.e_lower}, {cfg.e_upper}] exceeds the battery "
-            f"window [{batt.e_min}, {batt.e_max}]"
-        )
-
-
 def guard_power_cap(cfg: GuardConfig, batt: BatteryParams, soc: float, p_req: float) -> float:
     """Apply the taper to a requested battery power (MW, + = discharge)."""
     cap = batt.p_max

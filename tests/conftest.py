@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from hesflex import default_fleet, simulate
+from hesflex import RunConfig, build_fleet, simulate
 from hesflex.oracle import rule_objective, solve
 
 
 @pytest.fixture
 def fleet():
     """Reference fleet: 5 MW / 5 MWh battery, 3 MW PV, 3 MW load, 2 s step."""
-    return default_fleet()
+    return build_fleet(RunConfig())
 
 
 @pytest.fixture

@@ -10,9 +10,10 @@ from hesflex import (
     BatteryParams,
     LoadParams,
     PvParams,
+    RunConfig,
     SocBoundsError,
     battery_step,
-    default_fleet,
+    build_fleet,
     pv_power,
     pv_power_interp,
     pv_power_series,
@@ -100,7 +101,7 @@ def test_battery_params_validation(kwargs):
 
 
 def test_default_fleet_parameters():
-    fleet = default_fleet()
+    fleet = build_fleet(RunConfig())
     assert fleet.battery.p_max == 5.0
     assert fleet.battery.e_cap == 5.0
     assert fleet.battery.eta_inv == 0.95
@@ -161,6 +162,19 @@ def test_pv_power_edge_cases():
     assert pv_power(params, 1200.0) == 3.0  # clamped at the rating
     with pytest.raises(ValueError):
         pv_power(params, -1.0)
+
+
+@pytest.mark.parametrize("irradiance", [2000.5, 1e16, 1e308, math.nan])
+def test_pv_model_refuses_irradiance_above_its_range(irradiance):
+    # from ~1e16 W/m2 the output used to fall to 0 MW, and from ~1e155 the
+    # diode term overflowed
+    params = PvParams.scaled_to_rating(3.0)
+    assert pv_power(params, 2000.0) == 3.0
+    with pytest.raises(ValueError, match=r"\[0, 2000\] W/m2"):
+        pv_power(params, irradiance)
+    if not math.isnan(irradiance):
+        with pytest.raises(ValueError, match=r"\[0, 2000\] W/m2"):
+            pv_power_interp(params, [500.0, irradiance])
 
 
 def test_pv_power_series_matches_scalar_calls():

@@ -4,9 +4,12 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from hesflex import RunConfig, build_fleet, pv_power, read_trace_csv
+from hesflex import RunConfig, build_fleet, pv_power
 from hesflex import cli
+from hesflex.config import _KEYS
 from hesflex.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, bid_sweep_rows, main
 
 
@@ -116,8 +119,9 @@ def test_track_writes_trace(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     code, _, _ = _run(capsys, ["track", "--hours", "0.05", "--trace", str(trace)])
     assert code == EXIT_OK
-    records, times, r = read_trace_csv(trace)
-    assert len(records) == 90
+    k, t, r = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=(0, 1, 2), unpack=True)
+    np.testing.assert_array_equal(k, np.arange(90))
+    np.testing.assert_array_equal(t, np.arange(0, 180, 2))
     assert np.max(np.abs(r)) <= 1.0
 
 
@@ -376,3 +380,169 @@ def test_fractional_signal_step_is_a_config_error(tmp_path, capsys):
                                  "--trace", str(tmp_path / "trace.csv")])
     assert code == EXIT_CONFIG
     assert "signal.dt_s" in err
+
+
+def test_one_row_signal_file_is_a_data_error(tmp_path, capsys):
+    # it used to read as a cadence of 0 s, "finer than the run step"
+    sig = tmp_path / "sig.csv"
+    sig.write_text("timestamp,r\n0,0.5\n")
+    code, _, err = _run(capsys, ["track", "--signal-csv", str(sig)])
+    assert code == EXIT_DATA
+    assert err == f"error: {sig}: needs two data rows to set the cadence, got 1\n"
+
+
+@pytest.mark.parametrize("rows", [("1e20", "2e20"), ("-1e19", "-9e18")])
+@pytest.mark.parametrize("flag, column", [("--signal-csv", "r"), ("--pv-csv", "ghi_wm2")])
+def test_timestamp_overflow_is_a_data_error(tmp_path, capsys, rows, flag, column):
+    # these used to exit 1 with an OverflowError traceback
+    path = tmp_path / "in.csv"
+    path.write_text(f"timestamp,{column}\n" + "".join(f"{t},0.5\n" for t in rows))
+    code, _, err = _run(capsys, ["track", "--hours", "0.01", flag, str(path)])
+    assert code == EXIT_DATA
+    assert err.startswith(f"error: {path}:2: timestamp {rows[0]} ") and err.count("\n") == 1
+
+
+def test_step_above_one_day_is_a_config_error(capsys):
+    code, _, err = _run(capsys, ["synth-signal", "--steps", "3", "--set", "signal.dt_s=1e300"])
+    assert code == EXIT_CONFIG
+    assert err == "error: <cli>: signal.dt_s must be <= 86400 s (one day)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["envelope", "--set", "pv.irradiance_wm2=1e300"],
+    ["track", "--hours", "0.01", "--set", "pv.irradiance_wm2=2000.5"],
+])
+def test_irradiance_above_the_pv_model_range_is_a_config_error(capsys, argv):
+    code, _, err = _run(capsys, argv)
+    assert code == EXIT_CONFIG
+    assert err == "error: <cli>: pv.irradiance_wm2 must be <= 2000 W/m2\n"
+
+
+def test_irradiance_above_the_pv_model_range_is_a_data_error(tmp_path, capsys):
+    ghi = tmp_path / "ghi.csv"
+    ghi.write_text("timestamp,ghi_wm2\n0,1e308\n60,500\n")
+    code, _, err = _run(capsys, ["track", "--hours", "0.01", "--pv-csv", str(ghi)])
+    assert code == EXIT_DATA
+    assert "ghi.csv: row with timestamp 0 has irradiance 1e+308 W/m2" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzz: whatever the files and settings, a documented exit code and at most
+# one error line
+# ---------------------------------------------------------------------------
+
+_NUMBER = st.one_of(
+    st.floats(),  # nan, +-inf and everything up to +-1.8e308
+    st.floats(-1.5, 1.5),
+    st.floats(0.0, 2500.0),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0, -0.0, 5e-324, 1e300, 2**53, -(2**63), 10**20]),
+)
+_JUNK = st.sampled_from(["", " ", "abc", "1e", "0x10", "true"])
+
+
+def _text(x) -> str:
+    return repr(x) if isinstance(x, float) else str(x)
+
+
+_SMALL = st.integers(-10**4, 10**4)
+_T0 = st.shared(st.one_of(_SMALL, _SMALL, _NUMBER), key="t0")
+
+
+@st.composite
+def _csv(draw, header, value):
+    """A header and up to eight rows at one cadence from a first
+    timestamp that may be anything, often shared by the two files. The
+    cadence is at most 120 s, so a file that reads is a short run (how
+    many steps a long cadence expands to is not bounded yet, which is
+    about memory, not exit codes). One row may be blank, off the cadence,
+    have the wrong column count, or hold junk or any number, or the header
+    may be wrong."""
+    t0 = draw(st.one_of(_T0, _T0, _T0, _NUMBER))
+    step = draw(st.one_of(st.sampled_from([2, 2, 2, 4, 60, 1, 0, -2, 2.5]),
+                          st.integers(-3, 120)))
+    broken = draw(st.one_of(st.none(), st.none(), st.integers(0, 7)))
+    shape = draw(st.sampled_from(["value", "blank", "off", "one", "three", "junk", "header"]))
+    lines = [header]
+    for k in range(draw(st.one_of(st.integers(2, 8), st.integers(0, 8)))):
+        try:
+            t = t0 + k * step
+        except OverflowError:  # an int beyond the float range plus a float
+            t = t0
+        cells = [_text(t), _text(draw(value))]
+        if k != broken:
+            pass
+        elif shape == "value":
+            cells[1] = _text(draw(_NUMBER))
+        elif shape == "header":
+            lines[0] = "time,value"
+        elif shape == "blank":
+            cells = [""]
+        elif shape == "off":
+            cells[0] = _text(draw(_NUMBER))
+        elif shape == "one":
+            cells = cells[:1]
+        elif shape == "three":
+            cells.append("1")
+        else:
+            cells[draw(st.integers(0, 1))] = draw(_JUNK)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+_SET = st.tuples(
+    # a long synthetic run (signal.hours) is left out for the same reason
+    st.sampled_from(sorted(set(_KEYS) - {"signal.hours"}) + ["nope"]),
+    st.one_of(_NUMBER.map(_text), _JUNK, st.sampled_from(["S3", "S9", "p95", "off"])),
+).map(lambda kv: "=".join(kv))
+
+
+@st.composite
+def _argv(draw):
+    """A command line; SIG and GHI stand for the two files."""
+    command = draw(st.sampled_from(["track", "track", "track", "synth-signal", "envelope"]))
+    argv = [command]
+    if command == "track":
+        for flag, path in draw(st.sampled_from([
+                [("--signal-csv", "SIG")], [("--pv-csv", "GHI")],
+                [("--signal-csv", "SIG"), ("--pv-csv", "GHI")]])):
+            argv += [flag, path]
+    elif command == "synth-signal":
+        argv += ["--steps", str(draw(st.integers(-1, 40)))]
+    elif draw(st.booleans()):
+        argv.append(f"--pv-mw={_text(draw(_NUMBER))}")  # "-inf" is no option
+    for item in draw(st.one_of(st.just([]), st.lists(_SET, max_size=2))):
+        argv += ["--set", item]
+    return argv
+
+
+_OK_SIG = "timestamp,r\n0,0.5\n2,0.2\n"
+_OK_GHI = "timestamp,ghi_wm2\n0,500\n60,600\n"
+
+
+# Inputs that once exited 1 with an OverflowError traceback.
+@example(sig="timestamp,r\n1e20,0.5\n2e20,0.2\n", ghi=_OK_GHI, argv=["track", "--signal-csv", "SIG"])
+@example(sig=_OK_SIG, ghi="timestamp,ghi_wm2\n-1e19,500\n-9e18,500\n",
+         argv=["track", "--pv-csv", "GHI"])
+@example(sig=_OK_SIG, ghi=_OK_GHI, argv=["synth-signal", "--steps", "3", "--set", "signal.dt_s=1e300"])
+@example(sig=_OK_SIG, ghi=_OK_GHI, argv=["envelope", "--set", "pv.irradiance_wm2=1e300"])
+@example(sig=_OK_SIG, ghi="timestamp,ghi_wm2\n0,1e308\n2,500\n",
+         argv=["track", "--signal-csv", "SIG", "--pv-csv", "GHI"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy would warn ahead of the error line
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(sig=_csv("timestamp,r", st.floats(-1.0, 1.0)),
+       ghi=_csv("timestamp,ghi_wm2", st.floats(0.0, 1500.0)), argv=_argv())
+def test_malformed_input_exits_with_a_documented_code(tmp_path, capsys, sig, ghi, argv):
+    files = {"SIG": tmp_path / "sig.csv", "GHI": tmp_path / "ghi.csv"}
+    files["SIG"].write_text(sig)
+    files["GHI"].write_text(ghi)
+    argv = [str(files.get(arg, arg)) for arg in argv]
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_RUNTIME)
+    assert (code == EXIT_OK) == (err == ""), err
+    # config errors come batched, one line each; anything else is one line
+    lines = err.splitlines(keepends=True)
+    assert all(line.startswith("error: ") and line.endswith("\n") for line in lines), err
+    assert len(lines) <= (len(argv) if code == EXIT_CONFIG else 1), err

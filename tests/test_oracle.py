@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import hesflex as hx
-from hesflex.oracle import OracleProblem, certificate_lower_bound, rule_objective, solve
+from hesflex.oracle import OracleProblem, _certificate_lower_bound, rule_objective, solve
 
 TIGHT = hx.AssetFleet(
     pv=hx.PvParams.scaled_to_rating(3.0),
@@ -166,7 +166,7 @@ def test_certificate_bound_is_sound(rng):
         r = np.clip(rng.normal(0.0, 0.6, n), -1.0, 1.0)
         prob = OracleProblem(TIGHT, 8.0, r, 1.0, 0.5)
         sol = solve(prob)
-        assert certificate_lower_bound(prob) <= sol.objective + 1e-9
+        assert _certificate_lower_bound(prob) <= sol.objective + 1e-9
 
 
 def test_solution_records_are_physical(fleet):
@@ -194,7 +194,7 @@ def test_oracle_never_loses_to_the_rule(rng, rule_and_oracle):
 def test_guarded_rule_is_also_dominated(rule_and_oracle):
     cfg = hx.GuardConfig(0.6, 0.4, 0.02)
     sig = hx.synth_signal(5, 900, bias=0.25)
-    prob = OracleProblem(hx.default_fleet(), 6.5, sig.values, 2.0, 0.5)
+    prob = OracleProblem(hx.build_fleet(hx.RunConfig()), 6.5, sig.values, 2.0, 0.5)
     rule_obj, sol = rule_and_oracle(prob, guard=cfg)
     assert sol.objective <= rule_obj + 1e-12
 
@@ -206,7 +206,7 @@ def _tight_instance(seed: int, n: int, bias: float, soc0: float) -> OracleProble
 
 def _default_instance(seed: int, n: int, bias: float) -> OracleProblem:
     sig = hx.synth_signal(seed, n, bias=bias)
-    return OracleProblem(hx.default_fleet(), 6.5, sig.values, 2.0, 0.5)
+    return OracleProblem(hx.build_fleet(hx.RunConfig()), 6.5, sig.values, 2.0, 0.5)
 
 
 # Objectives that the two approximate backends the dynamic program
@@ -282,7 +282,7 @@ def test_bound_objective_lp_and_rule_agree_on_small_fleets(
     prob = OracleProblem(fleet, capacity, r, pv, soc0, scenario)
     rule_obj, sol = rule_and_oracle(prob)
     assert sol.certified_optimal
-    assert certificate_lower_bound(prob) <= sol.objective + 1e-9
+    assert _certificate_lower_bound(prob) <= sol.objective + 1e-9
     assert sol.objective == pytest.approx(_brute_force_lp(prob), abs=1e-9)
     assert sol.objective <= rule_obj + 1e-12
     hx.validate_records(sol.records, fleet, scenario=scenario, soc0=soc0)

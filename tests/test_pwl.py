@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesflex._pwl import Pwl, convex_runs, from_points, inf_convolve, lower_envelope
+from hesflex._pwl import Pwl, _hull, convex_runs, inf_convolve, lower_envelope
 
 
 def test_interpolation_and_endpoint_hold():
@@ -33,28 +33,28 @@ def test_breakpoints_must_increase():
         Pwl((1.0, 0.5), (1.0, 2.0))
 
 
-def test_from_points_sorts_and_dedupes():
-    f = from_points([(2.0, 1.0), (0.0, 3.0), (2.0, 5.0), (1.0, 1.5)])
-    assert f.xs[0] == 0.0
+def test_hull_dedupes():
+    f = _hull([(0.0, 3.0), (1.0, 1.5), (2.0, 5.0), (2.0, 1.0)])
+    assert f.xs == (0.0, 1.0, 2.0)
     assert f(2.0) == 1.0  # min y wins at a duplicated x
 
 
-def test_from_points_prunes_to_the_lower_hull():
+def test_hull_prunes_to_the_lower_hull():
     # the middle point sits above the chord and must vanish
-    f = from_points([(0.0, 0.0), (1.0, 2.0), (2.0, 0.0)])
+    f = _hull([(0.0, 0.0), (1.0, 2.0), (2.0, 0.0)])
     assert f.xs == (0.0, 2.0)
     # hull pruning only ever moves the function down
     pts = [(0.0, 1.0), (0.5, 0.9), (1.0, 0.1), (1.5, 0.7), (2.0, 2.0)]
-    f = from_points(pts)
+    f = _hull(pts)
     for x, y in pts:
         assert f(x) <= y + 1e-12
 
 
-def test_from_points_keeps_convex_input_exact(rng):
+def test_hull_keeps_convex_input_exact(rng):
     xs = np.sort(rng.uniform(-3.0, 3.0, 9))
     xs = np.unique(xs)
     ys = (xs - 0.7) ** 2  # strictly convex
-    f = from_points(list(zip(xs, ys)))
+    f = _hull(list(zip(xs, ys)))
     for x, y in zip(xs, ys):
         assert f(x) == pytest.approx(y, abs=1e-12)
 
@@ -81,8 +81,8 @@ def test_inf_convolve_matches_brute_force(rng):
     for _ in range(10):
         fx = np.unique(np.sort(rng.uniform(-2.0, 2.0, 5)))
         gx = np.unique(np.sort(rng.uniform(-1.0, 3.0, 4)))
-        f = from_points([(x, (x - 0.3) ** 2) for x in fx])
-        g = from_points([(x, abs(x - 1.0)) for x in gx])
+        f = _hull([(x, (x - 0.3) ** 2) for x in fx])
+        g = _hull([(x, abs(x - 1.0)) for x in gx])
         h = inf_convolve(f, g)
         assert h.x_lo == pytest.approx(f.x_lo + g.x_lo, abs=1e-12)
         assert h.x_hi == pytest.approx(f.x_hi + g.x_hi, abs=1e-12)
@@ -94,15 +94,15 @@ def test_inf_convolve_matches_brute_force(rng):
 
 def test_inf_convolve_of_vees():
     # equal-slope vees convolve into one wider vee of the same slope
-    f = from_points([(-1.0, 1.0), (0.0, 0.0), (1.0, 1.0)])
-    g = from_points([(-2.0, 2.0), (0.0, 0.0), (2.0, 2.0)])
+    f = Pwl((-1.0, 0.0, 1.0), (1.0, 0.0, 1.0))
+    g = Pwl((-2.0, 0.0, 2.0), (2.0, 0.0, 2.0))
     h = inf_convolve(f, g)
     assert h(0.0) == 0.0
     assert h(-3.0) == pytest.approx(3.0, abs=1e-12)
     assert h(1.5) == pytest.approx(1.5, abs=1e-12)
     # mismatched slopes: the shallow segment is consumed first, so the
     # result kinks from slope 1 to slope 2 at x = 2
-    steep = from_points([(-1.0, 2.0), (0.0, 0.0), (1.0, 2.0)])
+    steep = Pwl((-1.0, 0.0, 1.0), (2.0, 0.0, 2.0))
     h2 = inf_convolve(steep, g)
     assert h2(2.0) == pytest.approx(2.0, abs=1e-12)
     assert h2(2.5) == pytest.approx(3.0, abs=1e-12)

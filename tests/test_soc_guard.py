@@ -10,7 +10,6 @@ from hesflex import (
     LoadParams,
     PvParams,
     Scenario,
-    check_band,
     containment_ratio,
     guard_power_cap,
     simulate,
@@ -18,6 +17,8 @@ from hesflex import (
 
 BATT = BatteryParams(p_max=5.0, e_cap=5.0, eta_inv=0.95)
 CFG = GuardConfig(e_upper=0.6, e_lower=0.4, buffer=0.02)
+FLEET = AssetFleet(pv=PvParams.scaled_to_rating(3.0), battery=BATT,
+                   load=LoadParams(p_max=3.0), dt=2.0 / 3600.0)
 
 
 def test_taper_halves_the_charge_near_the_upper_edge():
@@ -68,11 +69,9 @@ def test_containment_ratio_flags_coarse_steps():
 def test_band_containment_under_random_abuse(rng):
     """Adversarial full-rating requests cannot push the SoC out of the
     band when the per-step move fits inside the buffer."""
-    fleet = AssetFleet(pv=PvParams.scaled_to_rating(3.0), battery=BATT,
-                       load=LoadParams(p_max=3.0), dt=2.0 / 3600.0)
     # S3 with no PV hands the whole request to the battery
     p_req = rng.choice([-5.0, 5.0], 5000)
-    soc = simulate(fleet, Scenario.S3, p_req, np.zeros(5000), 0.5, guard=CFG).soc
+    soc = simulate(FLEET, Scenario.S3, p_req, np.zeros(5000), 0.5, guard=CFG).soc
     assert CFG.e_lower <= soc.min() and soc.max() <= CFG.e_upper
 
 
@@ -86,8 +85,10 @@ def test_guard_config_validation():
 
 
 def test_check_band_requires_band_inside_window():
-    with pytest.raises(ValueError):
-        check_band(GuardConfig(e_upper=0.95, e_lower=0.4, buffer=0.02), BATT)
-    with pytest.raises(ValueError):
-        check_band(GuardConfig(e_upper=0.6, e_lower=0.05, buffer=0.02), BATT)
-    check_band(CFG, BATT)  # the reference band is fine
+    # simulate checks the band whenever it is given a guard
+    zeros = np.zeros(4)
+    for band in (GuardConfig(e_upper=0.95, e_lower=0.4, buffer=0.02),
+                 GuardConfig(e_upper=0.6, e_lower=0.05, buffer=0.02)):
+        with pytest.raises(ValueError, match="exceeds the battery window"):
+            simulate(FLEET, Scenario.S3, zeros, zeros, 0.5, guard=band)
+    simulate(FLEET, Scenario.S3, zeros, zeros, 0.5, guard=CFG)  # the reference band is fine
