@@ -23,9 +23,10 @@ Strategy, cheapest first:
 
 1. A state-free lower bound: no step can beat the distance of t_k to
    the envelope [dp_lo_k, dp_hi_k].
-2. A myopic greedy pass respecting state-of-charge budgets, and the
-   caller's warm start if given; when the better one meets the lower
-   bound the result is provably optimal.
+2. A myopic greedy pass (the smallest |p| putting t_k - p in the band)
+   and the caller's warm start if given, both moved through the rule's
+   SoC scan, as every returned trajectory is; when the better one meets
+   the lower bound the result is provably optimal.
 3. Otherwise an exact backward dynamic program over the SoC. The stage
    cost phi_k of a SoC drop d is convex piecewise-linear on each side of
    d = 0 (one side per battery mode, discharge or charge), so the only
@@ -50,9 +51,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _pwl
-from .assets import AssetFleet, battery_step
+from .assets import AssetFleet
 from .dispatch import Trajectory, _check_green_pv, _curtailment
 from .flexibility import Scenario, _band, envelope
+from .simulation import _soc_scan
 
 __all__ = [
     "OracleProblem",
@@ -217,73 +219,50 @@ def _objective_of_powers(problem: OracleProblem, p_batt) -> float:
 
 
 def _greedy_battery(problem: OracleProblem) -> np.ndarray:
-    """One forward pass: stay in the zero-cost band when the budget
-    allows it (preferring the smallest |p|), else saturate towards it."""
-    fl = problem.fleet
-    b = fl.battery
-    alpha = fl.dt / b.e_cap
-    eta = b.eta_inv
-    _, band_lo, band_hi = _band_of(problem)
-    soc = problem.soc0
-    out = []
-    for t, lo_k, hi_k in zip(problem.targets().tolist(), band_lo.tolist(), band_hi.tolist()):
-        # power interval that keeps the post-step SoC inside the window
-        p_hi = min(b.p_max, (soc - b.e_min) * eta / alpha)
-        p_lo = max(-b.p_max, -(b.e_max - soc) / (alpha * eta))
-        # powers that leave t - p inside the band cost nothing
-        lo = max(p_lo, t - hi_k)
-        hi = min(p_hi, t - lo_k)
-        if lo <= hi:
-            p = min(max(0.0, lo), hi)
-        elif t - hi_k > p_hi:
-            p = p_hi
-        else:
-            p = p_lo
-        out.append(p)
-        soc -= alpha * p / eta if p >= 0.0 else alpha * eta * p
-    return np.array(out, dtype=float)
+    """One forward pass: per step the smallest |p| within the rating that
+    leaves t - p in the band, delivered through the rule's SoC scan,
+    which saturates it at the window edge when the budget runs out."""
+    _, lo, hi = _band_of(problem)
+    t = problem.targets()
+    p_max = problem.fleet.battery.p_max
+    request = np.clip(np.clip(0.0, t - hi, t - lo), -p_max, p_max)
+    return _soc_scan(problem.fleet, None, request, problem.soc0)[0]
 
 
 def _records_from_battery(problem: OracleProblem, p_batt) -> Trajectory:
-    """Expand a battery trajectory into a full dispatch trajectory: each
-    step delivers the deviation nearest its target that the band allows,
-    split load first, then (S4/S5) curtailment, clamped as the
-    allocation rules clamp them."""
+    """Expand a battery trajectory, moved through the rule's SoC scan,
+    into a full dispatch trajectory: each step delivers the deviation
+    nearest its target that the band allows, split load first, then
+    (S4/S5) curtailment, clamped as the allocation rules clamp them."""
     fl = problem.fleet
-    b = fl.battery
     t = problem.targets()
     pv = problem.pv
     p0, lo, hi = _band_of(problem)
-    p = np.clip(np.asarray(p_batt, dtype=float), -b.p_max, b.p_max)
+    p, soc = _soc_scan(fl, None, p_batt, problem.soc0)
     p_hes = p0 + np.clip(t, p + lo, p + hi)
     p_cl = np.clip(pv + p - p_hes, 0.0, fl.load.p_max)
     if problem.scenario in (Scenario.S4, Scenario.S5):
         p_curt = _curtailment(pv, p_cl, p, p_hes)
     else:
         p_curt = np.zeros(t.size)
-    s = problem.soc0
-    soc = []
-    for pk in p.tolist():
-        s = battery_step(b, s, min(pk, 0.0), max(pk, 0.0), fl.dt)
-        soc.append(s)
     return Trajectory(p_hes, p0, t, pv, p_cl, p, p_curt, soc)
 
 
 def _check_warm_start(problem: OracleProblem, p_batt) -> np.ndarray:
+    """The warm start as the SoC scan delivers it; refused when the scan
+    would cut some step by more than 1e-9 MW to stay in the window."""
     p = np.asarray(p_batt, dtype=float)
     if p.shape != problem.signal.shape:
         raise ValueError("warm start must match the signal length")
     b = problem.fleet.battery
-    if np.any(np.abs(p) > b.p_max + 1e-9):
-        raise ValueError("warm start exceeds the battery rating")
+    if not np.all(np.abs(p) <= b.p_max + 1e-9):
+        raise ValueError("warm start must be finite and within the battery rating")
     p = np.clip(p, -b.p_max, b.p_max)
-    alpha = problem.fleet.dt / b.e_cap
-    soc = problem.soc0
-    for pk in p:
-        soc -= alpha * pk / b.eta_inv if pk >= 0.0 else alpha * b.eta_inv * pk
-        if soc < b.e_min - 1e-9 or soc > b.e_max + 1e-9:
-            raise ValueError("warm start leaves the state-of-charge window")
-    return p
+    delivered = _soc_scan(problem.fleet, None, p, problem.soc0)[0]
+    cut = np.flatnonzero(np.abs(p - delivered) > 1e-9)
+    if cut.size:
+        raise ValueError(f"step {cut[0]}: warm start leaves the state-of-charge window")
+    return delivered
 
 
 # ---------------------------------------------------------------------------
