@@ -12,9 +12,11 @@ signal's timestamps, both by one zero-order hold: each sample holds until
 the next, the last one for one cadence.
 
 Exit codes: 0 success, 2 configuration problems (including a step above
-one day or irradiance above 2000 W/m2), 3 input data problems (including
-a file with fewer than two rows or a timestamp of 2**53 s or more in
-magnitude), 4 runtime failures (infeasible dispatch, battery bound
+one day, irradiance above 2000 W/m2, a PV rating below one cell, or S2 PV
+from a flag or the config above the load rating), 3 input data problems
+(including a file with fewer than two rows, a timestamp of 2**53 s or more
+in magnitude, or an all-zero signal file), 4 runtime failures (infeasible
+dispatch, S2 PV from a file above the load rating, battery bound
 violations, a non-finite report value, running out of memory).
 Reports are deterministic: the same config and seed give identical
 bytes.
@@ -52,7 +54,7 @@ from .data_io import (
     synth_signal,
     write_signal_csv,
 )
-from .dispatch import InfeasibleDispatchError
+from .dispatch import InfeasibleDispatchError, _check_green_pv
 from .flexibility import Scenario, envelope
 from .market import (
     _SEASONS,
@@ -72,6 +74,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
+
+_CONFIG_PV = "pv.rated_mw/pv.irradiance_wm2"
 
 # Runs x steps per bid-sweep batch: a year's 384 runs of 900 steps make one
 # batch, and a long --eval-steps cannot make a batch's columns outgrow ~4 MB.
@@ -148,6 +152,9 @@ def _load_signal(cfg: RunConfig, path) -> Series:
             raise DataFormatError(
                 f"{path}: cadence {series.cadence} s is finer than the run step {cfg.dt_s:g} s"
             )
+        if not np.any(series.values):
+            raise DataFormatError(f"{path}: r is 0 on every row, so no performance score "
+                                  "can be computed")
         step = int(cfg.dt_s)
         times = np.arange(series.timestamps[0], series.timestamps[-1] + series.cadence, step,
                           dtype=np.int64)
@@ -163,11 +170,23 @@ def _load_pv(cfg: RunConfig, fleet, path, n: int, times=None):
     ``times``; without a clock (a synthetic signal) step k is looked up
     at the file's first timestamp + k * dt_s."""
     if not path:
-        return np.full(n, pv_power(fleet.pv, cfg.irradiance_wm2))
+        p_pv = pv_power(fleet.pv, cfg.irradiance_wm2)
+        _check_green_config(cfg, fleet, p_pv, _CONFIG_PV)
+        return np.full(n, p_pv)
     irr = read_irradiance_csv(path)
     if times is None:
         times = irr.timestamps[0] + np.arange(n) * int(cfg.dt_s)
     return pv_power_series(fleet.pv, _hold(irr, times, path))
+
+
+def _check_green_config(cfg: RunConfig, fleet, p_pv: float, source: str) -> None:
+    """S2 cannot use a PV operating point, set by ``source``, that the
+    load cannot absorb; that is a configuration error."""
+    if cfg.scenario == Scenario.S2.name:
+        try:
+            _check_green_pv(p_pv, fleet.load.p_max, source)
+        except ValueError as exc:
+            raise ConfigError([str(exc)]) from None
 
 
 def cmd_envelope(args) -> int:
@@ -175,7 +194,11 @@ def cmd_envelope(args) -> int:
     if args.pv_mw is not None and not (math.isfinite(args.pv_mw) and args.pv_mw >= 0.0):
         raise ConfigError([f"--pv-mw must be a finite power >= 0 MW, got {args.pv_mw}"])
     fleet = build_fleet(cfg)
-    p_pv = args.pv_mw if args.pv_mw is not None else pv_power(fleet.pv, cfg.irradiance_wm2)
+    if args.pv_mw is not None:
+        p_pv, source = args.pv_mw, "--pv-mw"
+    else:
+        p_pv, source = pv_power(fleet.pv, cfg.irradiance_wm2), _CONFIG_PV
+    _check_green_config(cfg, fleet, p_pv, source)
     env = envelope(Scenario[cfg.scenario], fleet, p_pv)
     _emit_report(
         {

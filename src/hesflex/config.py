@@ -58,7 +58,6 @@ class RunConfig:
     guard_upper: float = 0.6
     guard_lower: float = 0.4
     guard_buffer: float = 0.02
-    statistic: str = "p75"
 
 
 def _to_bool(raw: str) -> bool:
@@ -76,7 +75,6 @@ _KEYS = {
     "market.capacity_mw": ("capacity_mw", float),
     "market.lambda_capacity": ("lambda_capacity", float),
     "market.lambda_mileage": ("lambda_mileage", float),
-    "market.statistic": ("statistic", str),
     "signal.hours": ("hours", float),
     "signal.dt_s": ("dt_s", float),
     "signal.seed": ("seed", int),
@@ -182,8 +180,6 @@ def validate(cfg: RunConfig) -> list[str]:
             out.append("guard band must sit inside the battery window")
         elif not 0.0 < cfg.guard_buffer <= 0.5 * (cfg.guard_upper - cfg.guard_lower):
             out.append("guard.buffer must lie in (0, half the band width]")
-    if cfg.statistic not in ("mean", "p50", "p75", "p95"):
-        out.append(f"market.statistic must be mean/p50/p75/p95, got '{cfg.statistic}'")
     if cfg.seed < 0:
         out.append("signal.seed must be >= 0")
     return out
@@ -200,8 +196,15 @@ def _battery(cfg: RunConfig) -> BatteryParams:
 
 
 def build_fleet(cfg: RunConfig) -> AssetFleet:
+    """The configured plant. Raises ConfigError when ``pv.rated_mw`` is
+    below the output of one PV cell, so no whole cell count reaches it."""
+    try:
+        pv = PvParams.scaled_to_rating(cfg.pv_rated_mw)
+    except ValueError as exc:
+        raise ConfigError([f"pv.rated_mw = {cfg.pv_rated_mw:g} is below the output of one "
+                           f"PV cell ({exc})"]) from None
     return AssetFleet(
-        pv=PvParams.scaled_to_rating(cfg.pv_rated_mw),
+        pv=pv,
         battery=_battery(cfg),
         load=LoadParams(p_max=cfg.load_max_mw),
         dt=cfg.dt_s / 3600.0,

@@ -123,14 +123,15 @@ def _position(x, flat: int) -> str:
     return f"step {flat}"
 
 
-def _check_green_pv(p_pv, cl: float) -> None:
+def _check_green_pv(p_pv, cl: float, source: str | None = None) -> None:
     """S2 keeps the load fed from PV alone, so the load must be able to
-    absorb all of it; raises ValueError naming the first step that is not."""
+    absorb all of it; raises ValueError naming ``source`` or else the
+    first step that is not."""
     flat = np.ravel(p_pv)
     over = np.flatnonzero(flat > cl + 1e-9)
     if over.size:
         raise ValueError(
-            f"{_position(p_pv, over[0])}: green-load allocation requires "
+            f"{source or _position(p_pv, over[0])}: green-load allocation requires "
             f"p_pv <= load.p_max (got p_pv = {flat[over[0]]:.9g}, load = {cl:.9g} MW)"
         )
 

@@ -144,6 +144,13 @@ def test_unknown_config_key_is_a_config_error(capsys):
     assert "battery.p_min_mw" in err
 
 
+def test_market_statistic_is_not_a_config_key(capsys):
+    # bid-sweep --statistic picks the statistic; the config key is gone
+    code, _, err = _run(capsys, ["envelope", "--set", "market.statistic=p75"])
+    assert code == EXIT_CONFIG
+    assert "unknown key 'market.statistic'" in err
+
+
 def test_config_errors_are_batched(capsys):
     code, _, err = _run(capsys, [
         "envelope",
@@ -359,6 +366,45 @@ def test_guard_on_an_underflowing_efficiency_is_a_config_error(capsys):
     assert code == EXIT_CONFIG
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "battery.eta_inv" in err and "containment ratio inf" in err
+
+
+def test_pv_rating_below_one_cell_is_a_config_error(capsys):
+    # one cell gives ~1.6e-6 MW at 1000 W/m2, so no whole cell count reaches this
+    code, _, err = _run(capsys, ["envelope", "--set", "pv.rated_mw=1e-300"])
+    assert code == EXIT_CONFIG
+    assert "pv.rated_mw" in err
+
+
+def test_all_zero_signal_file_is_a_data_error(tmp_path, capsys):
+    zero = tmp_path / "zero.csv"
+    zero.write_text("timestamp,r\n0,0\n2,0\n4,0\n")
+    code, _, err = _run(capsys, ["track", "--signal-csv", str(zero)])
+    assert code == EXIT_DATA
+    assert "zero.csv" in err
+
+
+@pytest.mark.parametrize("argv, source", [
+    ("envelope --scenario S2 --pv-mw 3.5", "--pv-mw"),
+    ("envelope --scenario S2 --set pv.rated_mw=3.5", "pv.rated_mw"),
+    ("track --scenario S2 --hours 0.01 --set pv.rated_mw=3.5", "pv.rated_mw"),
+])
+def test_green_load_pv_above_the_load_is_a_config_error(capsys, argv, source):
+    code, _, err = _run(capsys, argv.split())
+    assert code == EXIT_CONFIG
+    assert source in err and "green-load" in err
+
+
+def test_green_load_pv_rating_is_usable_below_full_sun(tmp_path, capsys):
+    # the same 3.5 MW rating gives less than the 3 MW load at 500 W/m2
+    argv = "track --scenario S2 --hours 0.01 --set pv.rated_mw=3.5".split()
+    code, _, _ = _run(capsys, argv + ["--set", "pv.irradiance_wm2=500"])
+    assert code == EXIT_OK
+    # a PV file above the load is data the run reaches step by step
+    ghi = tmp_path / "ghi.csv"
+    ghi.write_text("timestamp,ghi_wm2\n0,1000\n60,1000\n")
+    code, _, err = _run(capsys, argv + ["--pv-csv", str(ghi)])
+    assert code == EXIT_RUNTIME
+    assert "step 0: green-load" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

@@ -21,41 +21,41 @@ from hesflex.cli import EXIT_OK, main
 CASES = {
     "readme-oracle": (
         "track --hours 1 --seed 7 --capacity 6.5 --oracle",
-        "8feb62f42d1c39a4b2719776b40d6f6e375c36d04cb2eec473c2cdeaa3e24a7b",
+        "43d97aa20999add0df2a23e1989b05800d17798de0773576033fe8d8a84b4209",
         "26e6a1572dfb92347af7fce6673519e0b96481c3019a67d301aa1a36fb6fd205",
     ),
     "guard-taper": (
         "track --hours 2 --seed 7 --bias 0.5 --guard --set battery.e_cap_mwh=0.5",
-        "4aedc4f034c44519d58899fbef9066f42138fee9d26e7243a68a029f205906a8",
+        "5e42cc2a577537c943cd793d4602ab55f8363dbe02e7dd8c40e2231ed42eebad",
         "a384ed717532f7be5bbc7d318a69eee33e55b6d3dbfee32111209c8c7f94989c",
     ),
     "s5-truncation": (
         "track --scenario S5 --hours 1 --seed 3 --bias 0.4 --no-guard"
         " --set battery.e_cap_mwh=0.05",
-        "0d2840b746477a48c0f22e872a9a398a49ab222ca631fabb8a42c22e695c2640",
+        "2e75e50eab45e7d2087c2d27b806b9ed081852a32e0131849729d4c5731922f5",
         "cc02874f41f117f95a9f0ca2046e606344c93fddcb784acbc538d6d7918e0e49",
     ),
     "exact-dp": (
         "track --oracle --no-guard --hours 30 --seed 3 --bias 0.3"
         " --set battery.e_cap_mwh=2 --set signal.dt_s=900",
-        "054f29efd849c13d67c5d00988c9b2674830b85dcf6363e872ef515fed85ff45",
+        "584489969e39a60ded45a7291061356d131decb4400c16e5ec9c71a58065d123",
         "7972f1847a50e7389e539255725afe6578673f8f1d9ca78b1dca941086fa5c3b",
     ),
     "exact-dp-default": (
         "track --oracle --no-guard --hours 2 --seed 5 --bias 0.3",
-        "76f80ec175f55f33c45f244cc938e49485e77827fd070f88163f6de57b4ab337",
+        "d542cb8703d8c2af77073c784d5ea9523f3fb0412032db7a1fbafcd2928486bd",
         "58d71aa6084c36ecf9197e94ecd542617465eb89e788e3d4b0b21af134054cc9",
     ),
     "exact-dp-s2": (
         "track --scenario S2 --oracle --no-guard --hours 2 --seed 5 --bias 0.3"
         " --set battery.e_cap_mwh=1",
-        "9a365dc440252be5f8009134235e60d12e358e8a0631ab29f871c53050364add",
+        "d4d1ecbd3d5efcc76b8a671002a444d62cfdd219f9c7a948b514c9a2ab97bcfe",
         "1ed75e6add67a9a3783c0bf844c3e241fd4e37f3e5321173d10046b21e794971",
     ),
     "exact-dp-s5": (
         "track --scenario S5 --oracle --hours 1 --seed 3 --bias 0.6 --capacity 8"
         " --set battery.e_cap_mwh=0.5",
-        "d748ac7b639fe64aa67cd5d958b755b7c223f6606f408c191f0ae816a0fbcff5",
+        "3341d554edfcded685837218a076ce4bda621cc57a7b67272977283ab15d72cf",
         "547f3a077ad15d74867c487991774125baa6c2f5523997b2121d835bd80a96a6",
     ),
 }

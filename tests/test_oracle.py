@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import hesflex as hx
-from hesflex.oracle import OracleProblem, _certificate_lower_bound, rule_objective, solve
+from hesflex.oracle import (
+    OracleProblem,
+    _certificate_lower_bound,
+    _greedy_battery,
+    rule_objective,
+    solve,
+)
 
 TIGHT = hx.AssetFleet(
     pv=hx.PvParams.scaled_to_rating(3.0),
@@ -180,6 +186,50 @@ def test_solution_records_are_physical(fleet):
     dp = recs.p_hes - recs.p0
     again = np.sum(np.maximum(0.0, np.abs(t - dp) - 0.5 * fleet.load.p_max))
     assert sol.objective == pytest.approx(float(again), abs=1e-9)
+
+
+@pytest.mark.parametrize("warm, message", [
+    (np.zeros(2), "must match the signal length"),
+    (np.array([0.0, 5.1, 0.0]), "battery rating"),
+    (np.array([0.0, np.nan, 0.0]), "finite"),
+    # 2 MW for a quarter hour takes the 0.8 SoC to ~0.537; 5 MW more
+    # would take it ~0.658 lower, past the 0.1 floor
+    (np.array([2.0, 5.0, 0.0]), "step 1: warm start leaves the state-of-charge window"),
+], ids=["length", "rating", "nan", "window"])
+def test_warm_start_refusals(warm, message):
+    prob = OracleProblem(TIGHT, 6.5, np.array([0.4, 0.9, -0.2]), 2.0, 0.8)
+    with pytest.raises(ValueError, match=message):
+        solve(prob, warm_start_p_batt=warm)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scenario=st.sampled_from([hx.Scenario.S1, hx.Scenario.S3]),
+    p_max=st.floats(0.1, 10.0),
+    e_cap=st.floats(0.01, 10.0),
+    load_max=st.floats(0.0, 5.0),
+    eta=st.floats(0.5, 1.0),
+    dt_s=st.integers(1, 900),
+    capacity=st.floats(0.1, 20.0),
+    soc0=st.floats(0.1, 0.9),
+    steps=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 3.0)), min_size=1,
+                   max_size=60),
+)
+def test_greedy_pass_is_the_unguarded_rule(scenario, p_max, e_cap, load_max, eta, dt_s,
+                                           capacity, soc0, steps):
+    """In S1 and S3 the allocation rule gives the battery the smallest
+    |p| that leaves the rest of the target in the band, as the greedy
+    pass asks, and both go through the same SoC scan."""
+    fleet = hx.AssetFleet(
+        pv=hx.PvParams.scaled_to_rating(3.0),
+        battery=hx.BatteryParams(p_max=p_max, e_cap=e_cap, eta_inv=eta),
+        load=hx.LoadParams(p_max=load_max),
+        dt=dt_s / 3600.0,
+    )
+    r, pv = (np.array(col) for col in zip(*steps))
+    prob = OracleProblem(fleet, capacity, r, pv, soc0, scenario)
+    rule = hx.simulate(fleet, scenario, prob.targets(), prob.pv, soc0)
+    np.testing.assert_allclose(_greedy_battery(prob), rule.p_batt, rtol=0.0, atol=1e-12)
 
 
 def test_oracle_never_loses_to_the_rule(rng, rule_and_oracle):
