@@ -171,7 +171,7 @@ def _load_pv(cfg: RunConfig, fleet, path, n: int, times=None):
     at the file's first timestamp + k * dt_s."""
     if not path:
         p_pv = pv_power(fleet.pv, cfg.irradiance_wm2)
-        _check_green_config(cfg, fleet, p_pv, _CONFIG_PV)
+        _check_green_config(cfg, p_pv, _CONFIG_PV)
         return np.full(n, p_pv)
     irr = read_irradiance_csv(path)
     if times is None:
@@ -179,12 +179,12 @@ def _load_pv(cfg: RunConfig, fleet, path, n: int, times=None):
     return pv_power_series(fleet.pv, _hold(irr, times, path))
 
 
-def _check_green_config(cfg: RunConfig, fleet, p_pv: float, source: str) -> None:
+def _check_green_config(cfg: RunConfig, p_pv: float, source: str) -> None:
     """S2 cannot use a PV operating point, set by ``source``, that the
     load cannot absorb; that is a configuration error."""
     if cfg.scenario == Scenario.S2.name:
         try:
-            _check_green_pv(p_pv, fleet.load.p_max, source)
+            _check_green_pv(p_pv, cfg.load_max_mw, source)
         except ValueError as exc:
             raise ConfigError([str(exc)]) from None
 
@@ -198,7 +198,7 @@ def cmd_envelope(args) -> int:
         p_pv, source = args.pv_mw, "--pv-mw"
     else:
         p_pv, source = pv_power(fleet.pv, cfg.irradiance_wm2), _CONFIG_PV
-    _check_green_config(cfg, fleet, p_pv, source)
+    _check_green_config(cfg, p_pv, source)
     env = envelope(Scenario[cfg.scenario], fleet, p_pv)
     _emit_report(
         {
