@@ -7,16 +7,22 @@ of the default fleet, where most steps restrict one convex part. Two more
 run the exact DP in the green-load mode S2, whose band follows the PV,
 and in the asymmetric mode S5 under the guard; both are certified. The
 ``bid-sweep`` cases pin a year of batched runs, one of them on a small
-pack where 109 of the 384 runs reach the SoC window edge. A hash
-changes when any output byte does, so a refactor that claims to keep
-behaviour must keep these.
+pack where 109 of the 384 runs reach the SoC window edge. One more
+``track`` case reads its signal and its irradiance from CSV files, so the
+CSV reader and the exact PV solve over hundreds of distinct irradiances
+are pinned too, and one pin holds the bits of ``pv_power_series`` over
+the whole irradiance range. A hash changes when any output byte does, so
+a refactor that claims to keep behaviour must keep these.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from hesflex import PvParams, Series, pv_power_series, synth_irradiance, synth_signal
 from hesflex.cli import EXIT_OK, main
+from hesflex.data_io import _fmt, write_signal_csv
 
 CASES = {
     "readme-oracle": (
@@ -92,3 +98,37 @@ def test_sweep_bytes_are_pinned(tmp_path, case):
     sweep = tmp_path / "sweep.csv"
     assert main(argv.split() + ["--out", str(sweep)]) == EXIT_OK
     assert _sha256(sweep) == sweep_sha
+
+
+# 2021-01-01T08:00:00Z, 8 h into the day the irradiance file covers
+_CSV_T0 = 1609459200 + 8 * 3600
+_CSV_STEPS = 8 * 1800  # 8 h at 2 s, over 480 of the day's 60 s irradiance samples
+CSV_CASE = (
+    "track --guard",
+    "d326ccc2876606a465f7fe49b781cf5d4388961feb52423c1eb7e1705fbbd765",
+    "3aba8218b58cca39dcfa452aa42cc547e4be9774712b89d7281ac02c7410be7e",
+)
+
+
+def test_csv_input_bytes_are_pinned(tmp_path):
+    sig = synth_signal(9, _CSV_STEPS)
+    signal_csv, ghi_csv = tmp_path / "signal.csv", tmp_path / "ghi.csv"
+    with open(signal_csv, "w", newline="") as fh:
+        write_signal_csv(Series(sig.timestamps + _CSV_T0, sig.values, sig.cadence), fh)
+    ghi = synth_irradiance(4, 1)
+    assert np.unique(ghi.values).size > 700
+    ghi_csv.write_text("timestamp,ghi_wm2\n" + "".join(
+        f"{t},{_fmt(v)}\n" for t, v in zip(ghi.timestamps.tolist(), ghi.values.tolist())))
+    argv, report_sha, trace_sha = CSV_CASE
+    report, trace = tmp_path / "report.txt", tmp_path / "trace.csv"
+    assert main(argv.split() + ["--signal-csv", str(signal_csv), "--pv-csv", str(ghi_csv),
+                                "--trace", str(trace), "--out", str(report)]) == EXIT_OK
+    assert _sha256(report) == report_sha
+    assert _sha256(trace) == trace_sha
+
+
+def test_pv_power_series_bits_are_pinned():
+    irradiance = np.concatenate([np.linspace(0.0, 2000.0, 4001), [5e-324, 1e-9, 1999.999]])
+    power = pv_power_series(PvParams.scaled_to_rating(3.0), irradiance)
+    assert hashlib.sha256(power.tobytes()).hexdigest() == (
+        "f2558c2de3a7c44707193b85331eb6caaf8533079e8083b931aea4f4212423f2")
