@@ -88,7 +88,7 @@ class PvParams:
         """Build params with ``n_cell`` sized so that clear-sky
         irradiance (1000 W/m2) produces exactly ``p_pv_rated`` MW."""
         base = cls(n_cell=1.0, p_pv_rated=p_pv_rated, **kwargs)
-        p_cell_w = _cell_mpp_power(base, 1000.0)
+        p_cell_w = float(_cell_mpp_power(base, np.array([1000.0]))[0])
         if p_cell_w <= 0.0:
             raise ValueError("cell parameters produce no power at 1000 W/m2")
         n = p_pv_rated * 1e6 / (base.eta_pv * p_cell_w)
@@ -145,69 +145,112 @@ class AssetFleet:
 # PV equivalent circuit
 # ---------------------------------------------------------------------------
 
-def _cell_current(params: PvParams, i_sc: float, v: float) -> float:
-    return i_sc - params.i_0 * math.expm1(params.thermal_coeff * v) - v / params.r_p
+def _cell_current(params: PvParams, i_sc: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # math.expm1 per element: np.expm1 rounds ~9% of these arguments differently
+    e = np.fromiter(map(math.expm1, (params.thermal_coeff * v).tolist()), float, v.size)
+    return i_sc - params.i_0 * e - v / params.r_p
 
 
-def _cell_power(params: PvParams, i_sc: float, v: float) -> float:
+def _cell_power(params: PvParams, i_sc: np.ndarray, v: np.ndarray) -> np.ndarray:
     i = _cell_current(params, i_sc, v)
     return i * (v - i * params.r_s)
 
 
-def _open_circuit_voltage(params: PvParams, i_sc: float) -> float:
-    """Root of the cell current, found by bisection to 1e-9 A."""
-    if i_sc <= 0.0:
-        return 0.0
-    lo, hi = 0.0, 0.6
+def _open_circuit_voltage(params: PvParams, i_sc: np.ndarray) -> np.ndarray:
+    """Root of the cell current at each short-circuit current (all > 0),
+    found by bisection to 1e-9 A. The bracket doubles from 0.6 V."""
+    n = i_sc.size
+    lo, hi = np.zeros(n), np.full(n, 0.6)
+    act = np.arange(n)  # elements whose bracket is still open
     for _ in range(80):
-        if _cell_current(params, i_sc, hi) < 0.0:
+        act = act[~(_cell_current(params, i_sc[act], hi[act]) < 0.0)]
+        if not act.size:
             break
-        lo = hi
-        hi *= 2.0
+        lo[act] = hi[act]
+        hi[act] *= 2.0
     else:
         raise ValueError("open-circuit voltage bracket not found")
+    v_oc = np.empty(n)
+    act = np.arange(n)  # elements still bisecting
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         cur = _cell_current(params, i_sc, mid)
-        if abs(cur) <= _VOC_CURRENT_TOL_A or (hi - lo) < 1e-15:
-            return mid
-        if cur > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        done = (np.abs(cur) <= _VOC_CURRENT_TOL_A) | ((hi - lo) < 1e-15)
+        if done.any():
+            v_oc[act[done]] = mid[done]
+            keep = ~done
+            act, i_sc, lo, hi, mid, cur = act[keep], i_sc[keep], lo[keep], hi[keep], mid[keep], cur[keep]
+            if not act.size:
+                break
+        up = cur > 0.0
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    v_oc[act] = 0.5 * (lo + hi)
+    return v_oc
 
 
-def _cell_mpp_power(params: PvParams, irradiance: float) -> float:
-    """Maximum power point of one cell, in watts.
+def _cell_mpp_power(params: PvParams, irradiance: np.ndarray) -> np.ndarray:
+    """Maximum power point of one cell, in watts, at each irradiance.
 
     Golden-section search of the power curve over [0, v_oc]; the
-    single-diode power curve is unimodal on that interval.
+    single-diode power curve is unimodal on that interval. Every element
+    runs its own search, with its own stopping test and iteration count,
+    so each result is the one a search of that value alone would give.
     """
     i_sc = params.i_sc_stc * irradiance / 1000.0
-    if i_sc <= 0.0:
-        return 0.0
-    v_oc = _open_circuit_voltage(params, i_sc)
-    if v_oc <= 0.0:
-        return 0.0
-    a, b = 0.0, v_oc
+    power = np.zeros(irradiance.shape)
+    lit = np.flatnonzero(~(i_sc <= 0.0))
+    if not lit.size:
+        return power
+    v_oc = _open_circuit_voltage(params, i_sc[lit])
+    live = ~(v_oc <= 0.0)
+    lit, i_sc_lit, v_oc = lit[live], i_sc[lit][live], v_oc[live]
+    m = lit.size
+    a, b = np.zeros(m), v_oc
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
+    i_sc = i_sc_lit
     fc = _cell_power(params, i_sc, c)
     fd = _cell_power(params, i_sc, d)
+    tol = 1e-12 * np.where(v_oc > 1.0, v_oc, 1.0)
+    # the final bracket and its two probes, per element
+    end = np.empty((4, m))
+    act = np.arange(m)  # elements still searching
     for _ in range(200):
-        if (b - a) <= 1e-12 * max(1.0, v_oc):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = _cell_power(params, i_sc, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = _cell_power(params, i_sc, d)
-    best = max(fc, fd, _cell_power(params, i_sc, 0.5 * (a + b)))
-    return max(best, 0.0)
+        done = (b - a) <= tol
+        if done.any():
+            end[:, act[done]] = a[done], b[done], fc[done], fd[done]
+            keep = ~done
+            act, i_sc, tol = act[keep], i_sc[keep], tol[keep]
+            a, b, c, d, fc, fd = a[keep], b[keep], c[keep], d[keep], fc[keep], fd[keep]
+            if not act.size:
+                break
+        left = fc >= fd  # the maximum lies in [a, d]: drop (d, b]
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        fx = _cell_power(params, i_sc, x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    end[:, act] = a, b, fc, fd
+    a, b, fc, fd = end
+    fm = _cell_power(params, i_sc_lit, 0.5 * (a + b))
+    # max(fc, fd, fm, 0.0) the way Python's max picks: a later value only if larger
+    best = np.where(fd > fc, fd, fc)
+    best = np.where(fm > best, fm, best)
+    power[lit] = np.where(0.0 > best, 0.0, best)
+    return power
+
+
+def _pv_power(params: PvParams, irradiance: np.ndarray) -> np.ndarray:
+    """Plant output in MW at each irradiance (already range-checked)."""
+    p_mw = params.eta_pv * params.n_cell * _cell_mpp_power(params, irradiance) * 1e-6
+    return np.where(p_mw <= 0.0, 0.0, np.where(params.p_pv_rated < p_mw, params.p_pv_rated, p_mw))
+
+
+def _check_irradiance(irradiance: np.ndarray) -> None:
+    if not np.all((0.0 <= irradiance) & (irradiance <= _IRRADIANCE_MAX_WM2)):
+        raise ValueError(f"irradiance must lie in [0, {_IRRADIANCE_MAX_WM2:g}] W/m2")
 
 
 def pv_power(params: PvParams, irradiance: float) -> float:
@@ -216,22 +259,20 @@ def pv_power(params: PvParams, irradiance: float) -> float:
     Takes irradiance in [0, 2000] W/m2, and is non-decreasing in it and
     clamped to [0, p_pv_rated].
     """
-    if not 0.0 <= irradiance <= _IRRADIANCE_MAX_WM2:
-        raise ValueError(f"irradiance must lie in [0, {_IRRADIANCE_MAX_WM2:g}] W/m2")
-    p_mw = params.eta_pv * params.n_cell * _cell_mpp_power(params, irradiance) * 1e-6
-    if p_mw <= 0.0:
-        return 0.0
-    return min(p_mw, params.p_pv_rated)
+    g = np.array([irradiance], dtype=float)
+    _check_irradiance(g)
+    return float(_pv_power(params, g)[0])
 
 
 def pv_power_series(params: PvParams, irradiance_values) -> np.ndarray:
     """:func:`pv_power` of each irradiance value, as an array.
 
     Held (repeated) irradiance samples are common after a zero-order-hold
-    lookup, so each distinct value is solved once.
+    lookup, so each distinct value is solved once, all in one batch.
     """
     distinct, inverse = np.unique(np.asarray(irradiance_values, dtype=float), return_inverse=True)
-    return np.array([pv_power(params, g) for g in distinct.tolist()], dtype=float)[inverse]
+    _check_irradiance(distinct)
+    return _pv_power(params, distinct)[inverse]
 
 
 def pv_power_interp(params: PvParams, irradiance_values):
@@ -251,8 +292,7 @@ def pv_power_interp(params: PvParams, irradiance_values):
     if hi == 0.0:
         return np.zeros(g.shape)
     grid = np.linspace(0.0, hi, 1024)
-    table = np.array([pv_power(params, float(x)) for x in grid])
-    return np.interp(g, grid, table)
+    return np.interp(g, grid, _pv_power(params, grid))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -58,9 +59,10 @@ def _fmt(x: float) -> str:
     return format(x, _FLOAT_FMT) if abs(x) <= _FMT_MAX else repr(x)
 
 
-def _read_two_columns(path, header: tuple[str, str]):
-    """Shared reader: returns (timestamps, values, cadence). The first
-    two rows set the cadence, and every later row must follow it."""
+def _read_rows(path, header: tuple[str, str]):
+    """The line-by-line reader, the definition of a valid file: returns
+    (timestamps, values, cadence), or raises naming the file and line. The
+    first two rows set the cadence, and every later row must follow it."""
     ts: list[int] = []
     vals: list[float] = []
     step = None
@@ -107,6 +109,44 @@ def _read_two_columns(path, header: tuple[str, str]):
     if len(ts) < 2:
         raise DataFormatError(f"{path}: needs two data rows to set the cadence, got {len(ts)}")
     return np.asarray(ts, dtype=np.int64), np.asarray(vals, dtype=float), step
+
+
+def _read_two_columns(path, header: tuple[str, str]):
+    """Shared reader: returns (timestamps, values, cadence).
+
+    A plain file is read by one ``np.loadtxt`` pass and checked column by
+    column. Anything else, from an unusual but valid row (quoted fields,
+    whitespace-only lines, ``1_0``) to a bad one, goes to
+    :func:`_read_rows`, which accepts exactly the same files and writes
+    every message.
+    """
+    with open(path) as fh:
+        parsed = _read_plain(fh, header)
+    return parsed if parsed is not None else _read_rows(path, header)
+
+
+def _read_plain(fh, header: tuple[str, str]):
+    """(timestamps, values, cadence) of a plain valid file, or None where
+    :func:`_read_rows` has to decide."""
+    if [c.strip() for c in fh.readline().split(",")] != list(header):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.loadtxt warns on a file without rows
+            data = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if data.shape[0] < 2 or data.shape[1] != 2 or not np.isfinite(data).all():
+        return None
+    t_raw = data[:, 0]
+    t = np.round(t_raw)
+    if not ((np.abs(t_raw) < _MAX_TIMESTAMP).all() and (np.abs(t_raw - t) <= 1e-6).all()):
+        return None
+    ts = t.astype(np.int64)  # whole seconds, so the differences below are exact
+    step = ts[1] - ts[0]
+    if step <= 0 or (np.diff(ts) != step).any():
+        return None
+    return ts, np.ascontiguousarray(data[:, 1]), int(step)
 
 
 def read_signal_csv(path) -> Series:

@@ -3,7 +3,7 @@ generators."""
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hesflex import (
@@ -23,7 +23,7 @@ from hesflex import (
     write_signal_csv,
 )
 from hesflex.cli import _load_signal
-from hesflex.data_io import TRACE_COLUMNS
+from hesflex.data_io import TRACE_COLUMNS, _read_rows, _read_two_columns
 
 
 def _write(tmp_path, name, text):
@@ -132,6 +132,71 @@ def test_irradiance_above_the_pv_model_range_rejected(tmp_path):
     p = _write(tmp_path, "g.csv", "timestamp,ghi_wm2\n0,2000\n60,2000.5\n")
     with pytest.raises(DataFormatError, match=r"g\.csv: row with timestamp 60 .* 2000\.5"):
         read_irradiance_csv(p)
+
+
+# Rows that a plain file does not have: each is valid, refused or skipped by
+# the line loop, and most of them make the numpy pass hand the file over.
+_ODD_ROWS = ("blank", "spaces", "quoted", "underscore", "unicode-digit", "nan", "inf",
+             "three-columns", "off-cadence", "repeat", "quarter-second", "sub-microsecond")
+
+
+@st.composite
+def _csv_text(draw):
+    # now and then timestamps that pass 2**53 or differences that pass it
+    t0 = draw(st.sampled_from((10**6,) * 3 + (2**53,)).flatmap(lambda m: st.integers(-m, m)))
+    cadence = draw(st.sampled_from((900,) * 3 + (2**54,)).flatmap(lambda m: st.integers(1, m)))
+    n = draw(st.integers(0, 12))
+    values = [repr(v) for v in draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))]
+    lines = [f"{t0 + k * cadence},{v}" for k, v in enumerate(values)]
+    for kind in draw(st.lists(st.sampled_from(_ODD_ROWS), max_size=3)):
+        k = draw(st.integers(0, len(lines)))
+        t, v = t0 + k * cadence, "0.5"
+        row = {
+            "blank": "",
+            "spaces": " \t ",
+            "quoted": f'"{t}","{v}"',
+            "underscore": f"{str(t)[:-1]}_{str(t)[-1]},1_0",
+            "unicode-digit": f"{t},\u0661",
+            "nan": f"{t},nan",
+            "inf": f"inf,{v}",
+            "three-columns": f"{t},{v},0",
+            "off-cadence": f"{t + 1},{v}",
+            "repeat": f"{t0},{v}",
+            "quarter-second": f"{t}.25,{v}",
+            "sub-microsecond": f"{t}.0000001,{v}",
+        }[kind]
+        if kind in ("blank", "spaces") or k == len(lines):
+            lines.insert(k, row)
+        else:
+            lines[k] = row
+    eol = draw(st.sampled_from(("\n", "\r\n")))
+    return eol.join(["timestamp,r"] + lines) + draw(st.sampled_from(("", eol)))
+
+
+def _read_outcome(read, path):
+    try:
+        return read(path, ("timestamp", "r"))
+    except DataFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_csv_text())
+# a cadence of 2**54 - 3 s, which float seconds cannot hold
+@example(text="timestamp,r\n-9007199254740991,0.5\n9007199254740990,0.5\n")
+def test_numpy_pass_agrees_with_the_line_loop(tmp_path, text):
+    path = tmp_path / "x.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got, want = _read_outcome(_read_two_columns, path), _read_outcome(_read_rows, path)
+    if isinstance(want, str):
+        assert got == want
+        return
+    (ts, values, cadence), (want_ts, want_values, want_cadence) = got, want
+    assert ts.dtype == np.int64 and values.dtype == np.float64 and values.flags.c_contiguous
+    np.testing.assert_array_equal(ts, want_ts)
+    assert values.tobytes() == want_values.tobytes()
+    assert type(cadence) is int and cadence == want_cadence
 
 
 # ---------------------------------------------------------------------------
