@@ -262,18 +262,26 @@ def synth_irradiance(seed: int, days: int) -> Series:
 
 def export_trace(traj: Trajectory, path, *, times, signal) -> None:
     """Write a dispatch trajectory as CSV, one row per step, with the
-    ``times`` (epoch seconds) and ``signal`` (normalized r) of its steps."""
+    ``times`` (whole epoch seconds, written as integers) and ``signal``
+    (normalized r) of its steps."""
     n = len(traj)
     if len(times) != n or len(signal) != n:
         raise ValueError("times and signal must match the number of steps")
-    columns = [np.asarray(col, dtype=float)
-               for col in [times, signal] + [getattr(traj, name) for name in _TRAJECTORY_COLUMNS]]
+    times = np.asarray(times)
+    if times.dtype.kind not in "iu":
+        times = times.astype(float)
+        bad = np.flatnonzero(~(np.isfinite(times) & (times == np.round(times))))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"step {i}: time {float(times[i])!r} is not a whole second")
+    columns = [times] + [np.asarray(col, dtype=float)
+                         for col in [signal] + [getattr(traj, name) for name in _TRAJECTORY_COLUMNS]]
     # One %-format per row renders each float as _fmt does, except that a
     # column holding one of the doubles above _FMT_MAX takes repr whole;
     # rows go out in blocks, so the Python floats of only one block are
     # alive at a time.
-    row = "%d" + "".join(",%r" if np.any(np.abs(col) > _FMT_MAX) else f",%{_FLOAT_FMT}"
-                         for col in columns) + "\r\n"
+    row = "%d,%d" + "".join(",%r" if np.any(np.abs(col) > _FMT_MAX) else f",%{_FLOAT_FMT}"
+                            for col in columns[1:]) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         for lo in range(0, n, _TRACE_BLOCK_ROWS):

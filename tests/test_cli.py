@@ -343,6 +343,19 @@ def test_pv_without_a_signal_clock_is_read_at_the_run_step(tmp_path, capsys):
     np.testing.assert_allclose([float(row["p_pv"]) for row in rows], expect, rtol=1e-14)
 
 
+def test_trace_writes_times_past_10_to_the_15_whole(tmp_path, capsys):
+    # 15 significant digits used to print t = 10**15 + 2k as 1e+15 and
+    # 1.00000000000001e+15
+    times = [10**15 + 2 * k for k in range(6)]
+    sig = tmp_path / "sig.csv"
+    sig.write_text("timestamp,r\n" + "".join(f"{t},0.1\n" for t in times))
+    trace = tmp_path / "trace.csv"
+    code, _, _ = _run(capsys, ["track", "--signal-csv", str(sig), "--trace", str(trace)])
+    assert code == EXIT_OK
+    assert [row["t"] for row in csv.DictReader(trace.read_text().splitlines())] == [
+        str(t) for t in times]
+
+
 def test_uneven_signal_timestamps_are_a_data_error(tmp_path, capsys):
     sig = tmp_path / "sig.csv"
     sig.write_text("timestamp,r\n" + "".join(f"{t},0.1\n" for t in (0, 2, 4, 102, 104)))

@@ -354,10 +354,21 @@ def test_trace_round_trip_property(tmp_path, case):
     times, (signal, *columns) = case
     path = tmp_path / "trace.csv"
     export_trace(Trajectory(*columns), path, times=times, signal=signal)
-    k, *back = _read_trace(path)
+    k, _, *back = _read_trace(path)
     np.testing.assert_array_equal(k, np.arange(len(times)))
-    for got, want in zip(back, [times, signal, *columns]):
+    # the times are whole seconds, written and read back as integers
+    t = np.loadtxt(path, delimiter=",", skiprows=1, usecols=1, dtype=np.int64, ndmin=1)
+    np.testing.assert_array_equal(t, times)
+    for got, want in zip(back, [signal, *columns]):
         _round_trips(got, np.asarray(want, dtype=float))
+
+
+@pytest.mark.parametrize("times", [[0.0, 2.5, 4.5], [0, 2, float("nan")]])
+def test_trace_refuses_a_time_that_is_no_whole_second(tmp_path, times):
+    traj = Trajectory(*np.zeros((8, 3)))
+    step = 1 if times[1] == 2.5 else 2
+    with pytest.raises(ValueError, match=rf"^step {step}: time .* is not a whole second"):
+        export_trace(traj, tmp_path / "trace.csv", times=times, signal=np.zeros(3))
 
 
 def test_report_formatting():
