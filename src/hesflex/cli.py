@@ -34,6 +34,7 @@ import numpy as np
 
 from .assets import SocBoundsError, pv_power, pv_power_interp, pv_power_series
 from .config import (
+    _MAX_STEPS,
     ConfigError,
     RunConfig,
     build_fleet,
@@ -77,6 +78,7 @@ EXIT_RUNTIME = 4
 
 _CONFIG_PV = "pv.rated_mw/pv.irradiance_wm2"
 
+_IRRADIANCE_SAMPLES_PER_DAY = 1440  # synth_irradiance's 60 s cadence
 # Runs x steps per bid-sweep batch: a year's 384 runs of 900 steps make one
 # batch, and a long --eval-steps cannot make a batch's columns outgrow ~4 MB.
 _SWEEP_BATCH_VALUES = 1 << 19
@@ -156,6 +158,10 @@ def _load_signal(cfg: RunConfig, path) -> Series:
             raise DataFormatError(f"{path}: r is 0 on every row, so no performance score "
                                   "can be computed")
         step = int(cfg.dt_s)
+        span = int(series.timestamps[-1]) + series.cadence - int(series.timestamps[0])
+        if -(-span // step) > _MAX_STEPS:
+            raise DataFormatError(f"{path}: spans {span} s, {-(-span // step):,} steps of {step} s,"
+                                  f" above the limit of {_MAX_STEPS:,} steps")
         times = np.arange(series.timestamps[0], series.timestamps[-1] + series.cadence, step,
                           dtype=np.int64)
         return Series(times, _hold(series, times, path), step)
@@ -218,6 +224,8 @@ def cmd_synth_signal(args) -> int:
     cfg = _configure(args)
     if args.steps < 1:
         raise ConfigError([f"--steps must be >= 1, got {args.steps}"])
+    if args.steps > _MAX_STEPS:
+        raise ConfigError([f"--steps = {args.steps} is above the limit of {_MAX_STEPS:,} samples"])
     series = synth_signal(cfg.seed, args.steps, cadence=cfg.dt_s, bias=cfg.bias)
     with _open_out(args.out) as fh:
         write_signal_csv(series, fh)
@@ -286,6 +294,14 @@ def bid_sweep_rows(cfg: RunConfig, days: int, eval_steps: int = 900, statistics=
         raise ConfigError(["bid sweep needs at least one day"])
     if eval_steps < 2:
         raise ConfigError(["bid sweep needs at least two evaluation steps"])
+    # a synthetic year of irradiance samples, and one evaluation signal per bucket
+    if days * _IRRADIANCE_SAMPLES_PER_DAY > _MAX_STEPS:
+        raise ConfigError([f"--days = {days} gives {days * _IRRADIANCE_SAMPLES_PER_DAY:,} "
+                           f"irradiance samples, above the limit of {_MAX_STEPS:,}"])
+    buckets = len(_SEASONS) * 24
+    if eval_steps * buckets > _MAX_STEPS:
+        raise ConfigError([f"--eval-steps = {eval_steps} gives up to {buckets} evaluation "
+                           f"signals of that length, above the limit of {_MAX_STEPS:,} samples"])
     if cfg.pv_rated_mw > cfg.load_max_mw + 1e-9:
         raise ConfigError(
             ["bid sweep runs the PV-following mode, which needs pv.rated_mw <= load.p_max_mw"]

@@ -97,6 +97,10 @@ _KEYS = {
 _FIELD_TO_KEY = {field: key for key, (field, _) in _KEYS.items()}
 
 _MAX_DT_S = 86400.0  # one day
+# Run steps, and samples of one synthetic series, in one command. A track
+# run peaks at ~145 B of RSS a step (measured at 10**5 and 10**6 steps),
+# so this bound keeps one under ~1.5 GB; the exact oracle needs ~1.2 KB a step.
+_MAX_STEPS = 10_000_000
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -169,6 +173,11 @@ def validate(cfg: RunConfig) -> list[str]:
             out.append("signal.dt_s must be a whole number of seconds")
         if cfg.dt_s > _MAX_DT_S:
             out.append(f"signal.dt_s must be <= {_MAX_DT_S:g} s (one day)")
+        # the run has round(hours * 3600 / dt_s) steps
+        if cfg.dt_s > 0 and math.isfinite(cfg.hours) and (
+                cfg.hours * 3600.0 / cfg.dt_s > _MAX_STEPS + 0.5):
+            out.append(f"signal.hours / signal.dt_s gives {cfg.hours * 3600.0 / cfg.dt_s:.3g} "
+                       f"steps, above the limit of {_MAX_STEPS:,}")
     if not 0.0 < cfg.eta_inv <= 1.0:
         out.append("battery.eta_inv must lie in (0, 1]")
     if not 0.0 <= cfg.soc_min < cfg.soc_max <= 1.0:

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hesflex import RunConfig, build_fleet, pv_power
-from hesflex import cli
+from hesflex import cli, config
 from hesflex.config import _KEYS
 from hesflex.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, bid_sweep_rows, main
 
@@ -230,6 +230,47 @@ def test_bid_sweep_validates_arguments(capsys):
     assert code == EXIT_CONFIG
     code, _, _ = _run(capsys, ["bid-sweep", "--days", "1", "--eval-steps", "1"])
     assert code == EXIT_CONFIG
+
+
+# Each of these would need terabytes, so a missing check would fail by
+# running out of memory; the generators and the simulation are stubbed out.
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("a run above the step limit reached the allocation")
+
+
+@pytest.fixture
+def _allocations_forbidden(monkeypatch):
+    for name in ("synth_signal", "synth_irradiance", "simulate", "_hold"):
+        monkeypatch.setattr(cli, name, _no_allocation)
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["track", "--hours", "1e9"], "signal.hours / signal.dt_s gives 1.8e+12 steps"),
+    (["track", "--hours", "1e300", "--set", "signal.dt_s=1"], "signal.hours / signal.dt_s"),
+    (["synth-signal", "--steps", str(10**12)], "--steps = 1000000000000 is above"),
+    (["bid-sweep", "--days", str(10**9)], "--days = 1000000000 gives 1,440,000,000,000"),
+    (["bid-sweep", "--eval-steps", str(10**12)], "--eval-steps = 1000000000000 gives up to 96"),
+])
+@pytest.mark.usefixtures("_allocations_forbidden")
+def test_runs_above_the_step_limit_are_config_errors(capsys, argv, names):
+    code, _, err = _run(capsys, argv)
+    assert code == EXIT_CONFIG
+    assert names in err and "limit of 10,000,000" in err
+
+
+@pytest.mark.usefixtures("_allocations_forbidden")
+def test_signal_file_spanning_past_the_step_limit_is_a_data_error(tmp_path, capsys):
+    sig = tmp_path / "sig.csv"
+    sig.write_text(f"timestamp,r\n0,0.5\n{2**52},0.5\n")
+    code, _, err = _run(capsys, ["track", "--signal-csv", str(sig)])
+    assert code == EXIT_DATA
+    assert f"sig.csv: spans {2**53} s, {2**52:,} steps of 2 s, above the limit" in err
+
+
+def test_step_limit_is_inclusive():
+    limit_hours = config._MAX_STEPS * 2.0 / 3600.0
+    assert not config.validate(RunConfig(hours=limit_hours))
+    assert config.validate(RunConfig(hours=limit_hours + 2.0 / 3600.0))
 
 
 def test_bid_sweep_rows_do_not_depend_on_the_batch_size(monkeypatch):
