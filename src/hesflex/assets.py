@@ -157,8 +157,8 @@ def _cell_power(params: PvParams, i_sc: np.ndarray, v: np.ndarray) -> np.ndarray
 
 
 def _open_circuit_voltage(params: PvParams, i_sc: np.ndarray) -> np.ndarray:
-    """Root of the cell current at each short-circuit current (all > 0),
-    found by bisection to 1e-9 A. The bracket doubles from 0.6 V."""
+    """Root of the cell current at each short-circuit current i_sc > 0,
+    found by bisection to 1e-9 A. The bracket doubles from [0, 0.6] V."""
     n = i_sc.size
     lo, hi = np.zeros(n), np.full(n, 0.6)
     act = np.arange(n)  # elements whose bracket is still open
@@ -202,26 +202,24 @@ def _cell_mpp_power(params: PvParams, irradiance: np.ndarray) -> np.ndarray:
     lit = np.flatnonzero(~(i_sc <= 0.0))
     if not lit.size:
         return power
-    v_oc = _open_circuit_voltage(params, i_sc[lit])
-    live = ~(v_oc <= 0.0)
-    lit, i_sc_lit, v_oc = lit[live], i_sc[lit][live], v_oc[live]
+    i_sc = i_sc[lit]
+    # v_oc is at least 0.3 V, the first midpoint of the bisection
+    v_oc = _open_circuit_voltage(params, i_sc)
     m = lit.size
     a, b = np.zeros(m), v_oc
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    i_sc = i_sc_lit
     fc = _cell_power(params, i_sc, c)
     fd = _cell_power(params, i_sc, d)
-    tol = 1e-12 * np.where(v_oc > 1.0, v_oc, 1.0)
     # the final bracket and its two probes, per element
     end = np.empty((4, m))
-    act = np.arange(m)  # elements still searching
+    act, i_act, tol = np.arange(m), i_sc, 1e-12 * np.where(v_oc > 1.0, v_oc, 1.0)
     for _ in range(200):
         done = (b - a) <= tol
         if done.any():
             end[:, act[done]] = a[done], b[done], fc[done], fd[done]
             keep = ~done
-            act, i_sc, tol = act[keep], i_sc[keep], tol[keep]
+            act, i_act, tol = act[keep], i_act[keep], tol[keep]
             a, b, c, d, fc, fd = a[keep], b[keep], c[keep], d[keep], fc[keep], fd[keep]
             if not act.size:
                 break
@@ -229,12 +227,12 @@ def _cell_mpp_power(params: PvParams, irradiance: np.ndarray) -> np.ndarray:
         b = np.where(left, d, b)
         a = np.where(left, a, c)
         x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
-        fx = _cell_power(params, i_sc, x)
+        fx = _cell_power(params, i_act, x)
         c, d = np.where(left, x, d), np.where(left, c, x)
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
     end[:, act] = a, b, fc, fd
     a, b, fc, fd = end
-    fm = _cell_power(params, i_sc_lit, 0.5 * (a + b))
+    fm = _cell_power(params, i_sc, 0.5 * (a + b))
     # max(fc, fd, fm, 0.0) the way Python's max picks: a later value only if larger
     best = np.where(fd > fc, fd, fc)
     best = np.where(fm > best, fm, best)

@@ -44,6 +44,7 @@ from .config import (
     parse_config_text,
 )
 from .data_io import (
+    _IRRADIANCE_STEP_S,
     DataFormatError,
     Series,
     _fmt,
@@ -78,7 +79,6 @@ EXIT_RUNTIME = 4
 
 _CONFIG_PV = "pv.rated_mw/pv.irradiance_wm2"
 
-_IRRADIANCE_SAMPLES_PER_DAY = 1440  # synth_irradiance's 60 s cadence
 # Runs x steps per bid-sweep batch: a year's 384 runs of 900 steps make one
 # batch, and a long --eval-steps cannot make a batch's columns outgrow ~4 MB.
 _SWEEP_BATCH_VALUES = 1 << 19
@@ -159,8 +159,9 @@ def _load_signal(cfg: RunConfig, path) -> Series:
                                   "can be computed")
         step = int(cfg.dt_s)
         span = int(series.timestamps[-1]) + series.cadence - int(series.timestamps[0])
-        if -(-span // step) > _MAX_STEPS:
-            raise DataFormatError(f"{path}: spans {span} s, {-(-span // step):,} steps of {step} s,"
+        n = -(-span // step)  # the length of the np.arange below
+        if n > _MAX_STEPS:
+            raise DataFormatError(f"{path}: spans {span} s, {n:,} steps of {step} s,"
                                   f" above the limit of {_MAX_STEPS:,} steps")
         times = np.arange(series.timestamps[0], series.timestamps[-1] + series.cadence, step,
                           dtype=np.int64)
@@ -295,9 +296,10 @@ def bid_sweep_rows(cfg: RunConfig, days: int, eval_steps: int = 900, statistics=
     if eval_steps < 2:
         raise ConfigError(["bid sweep needs at least two evaluation steps"])
     # a synthetic year of irradiance samples, and one evaluation signal per bucket
-    if days * _IRRADIANCE_SAMPLES_PER_DAY > _MAX_STEPS:
-        raise ConfigError([f"--days = {days} gives {days * _IRRADIANCE_SAMPLES_PER_DAY:,} "
-                           f"irradiance samples, above the limit of {_MAX_STEPS:,}"])
+    samples = days * 86400 // _IRRADIANCE_STEP_S
+    if samples > _MAX_STEPS:
+        raise ConfigError([f"--days = {days} gives {samples:,} irradiance samples, "
+                           f"above the limit of {_MAX_STEPS:,}"])
     buckets = len(_SEASONS) * 24
     if eval_steps * buckets > _MAX_STEPS:
         raise ConfigError([f"--eval-steps = {eval_steps} gives up to {buckets} evaluation "

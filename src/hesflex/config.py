@@ -173,11 +173,11 @@ def validate(cfg: RunConfig) -> list[str]:
             out.append("signal.dt_s must be a whole number of seconds")
         if cfg.dt_s > _MAX_DT_S:
             out.append(f"signal.dt_s must be <= {_MAX_DT_S:g} s (one day)")
-        # the run has round(hours * 3600 / dt_s) steps
-        if cfg.dt_s > 0 and math.isfinite(cfg.hours) and (
-                cfg.hours * 3600.0 / cfg.dt_s > _MAX_STEPS + 0.5):
-            out.append(f"signal.hours / signal.dt_s gives {cfg.hours * 3600.0 / cfg.dt_s:.3g} "
-                       f"steps, above the limit of {_MAX_STEPS:,}")
+        # the run has round(steps) steps
+        steps = cfg.hours * 3600.0 / cfg.dt_s if cfg.dt_s > 0 and math.isfinite(cfg.hours) else 0
+        if steps > _MAX_STEPS + 0.5:
+            out.append(f"signal.hours / signal.dt_s gives {steps:.3g} steps, "
+                       f"above the limit of {_MAX_STEPS:,}")
     if not 0.0 < cfg.eta_inv <= 1.0:
         out.append("battery.eta_inv must lie in (0, 1]")
     if not 0.0 <= cfg.soc_min < cfg.soc_max <= 1.0:

@@ -34,6 +34,7 @@ _FLOAT_FMT = ".15g"
 # double and would read back as inf; those take their shortest repr.
 _FMT_MAX = 1.797693134862315e308
 _MAX_TIMESTAMP = 2**53  # from here on float seconds skip whole seconds
+_IRRADIANCE_STEP_S = 60  # synth_irradiance's cadence
 _NEUTRALITY_WINDOW = 450  # synth_signal demeans each window of this many steps
 _TRACE_BLOCK_ROWS = 1024
 _TRAJECTORY_COLUMNS = tuple(f.name for f in fields(Trajectory))
@@ -238,7 +239,7 @@ def synth_irradiance(seed: int, days: int) -> Series:
     Good enough to exercise seasonal statistics; not a weather model."""
     if days < 1:
         raise ValueError("days must be >= 1")
-    step = 60
+    step = _IRRADIANCE_STEP_S
     n = days * 86400 // step
     ts = 1609459200 + np.arange(n, dtype=np.int64) * step  # day 0 is January 1st
     doy = (ts - ts[0]) // 86400 % 365
