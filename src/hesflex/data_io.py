@@ -9,12 +9,16 @@ CSV inputs use UTC epoch-second integer timestamps, and both read into a
 Every value must be finite, every timestamp below 2**53 s in magnitude
 (where float seconds stop being whole), and the timestamps must keep one
 cadence: the first two rows set it, so a file needs two rows, and a row
-off it (a hole or a jitter) is refused with its line. Dispatch traces are
-written as CSV with the step ``k``, the time ``t`` and the signal ``r``
-followed by the :class:`Trajectory` columns,
-``k,t,r,p_hes,p0,dp_req,p_pv,p_cl,p_batt,p_curtailed,soc``, and reports
-are flat ``key = value`` text. All floats are serialized with 15
-significant digits so a round trip stays well inside 1e-9.
+off it (a hole or a jitter) is refused with its line. A plain file is
+parsed by one numpy pass; the line-by-line reader defines a valid file,
+reads what numpy does not parse and writes every message.
+
+Dispatch traces are written as CSV with the step ``k``, the time ``t`` in
+whole seconds and the signal ``r`` followed by the :class:`Trajectory`
+columns, ``k,t,r,p_hes,p0,dp_req,p_pv,p_cl,p_batt,p_curtailed,soc``, and
+reports are flat ``key = value`` text. Step and time are integers; all
+floats are serialized with 15 significant digits so a round trip stays
+well inside 1e-9.
 """
 
 from __future__ import annotations
