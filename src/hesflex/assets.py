@@ -26,8 +26,8 @@ _VOC_CURRENT_TOL_A = 1e-9  # bisection stop on |cell current|
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # From this many irradiances on, the batched maximum-power-point solve is
 # faster: one value at a time takes ~50 us a value, one batch ~2.5 ms plus
-# ~13 us a value (measured on a shared 2-core host), so a single value, as a
-# CLI run without a PV file or scaled_to_rating solves, stays at ~50 us.
+# ~13 us a value (measured on a shared 2-core host). A CLI run without a
+# PV file solves one value.
 _MPP_BATCH_MIN = 64
 _SOC_SNAP = 1e-12  # float dust tolerated at the SoC bounds
 # Highest irradiance the PV model takes, above the 1,361 W/m2 solar
@@ -98,7 +98,7 @@ class PvParams:
         """Build params with ``n_cell`` sized so that clear-sky
         irradiance (1000 W/m2) produces exactly ``p_pv_rated`` MW."""
         base = cls(n_cell=1.0, p_pv_rated=p_pv_rated, **kwargs)
-        p_cell_w = float(_cell_mpp_power(base, np.array([1000.0]))[0])
+        p_cell_w = _cell_mpp_power_one(base, 1000.0)
         if p_cell_w <= 0.0:
             raise ValueError("cell parameters produce no power at 1000 W/m2")
         n = p_pv_rated * 1e6 / (base.eta_pv * p_cell_w)
