@@ -177,17 +177,16 @@ def test_pv_model_refuses_irradiance_above_its_range(irradiance):
             pv_power_interp(params, [500.0, irradiance])
 
 
-# a few values are solved one at a time, and 300 distinct ones in one batch
-@pytest.mark.parametrize("g", [
-    [0.0, 250.0, 250.0, 990.0, 1000.0, 250.0],
-    np.random.default_rng(5).uniform(0.0, 2000.0, 300).tolist() + [0.0, 5e-324, 2000.0],
-])
-@pytest.mark.parametrize("cell", [{}, {"i_sc_stc": 9.0, "i_0": 1e-7, "r_s": 0.02, "thermal_coeff": 20.0}])
-def test_pv_power_series_matches_scalar_calls(g, cell):
-    params = PvParams.scaled_to_rating(3.0, **cell)
-    p = pv_power_series(params, g)
-    assert isinstance(p, np.ndarray) and p.dtype == float
-    assert p.tobytes() == np.array([pv_power(params, x) for x in g]).tobytes()
+def test_pv_power_series_matches_scalar_calls():
+    # a few values are solved one at a time, and 300 distinct ones in one batch
+    inputs = ([0.0, 250.0, 250.0, 990.0, 1000.0, 250.0],
+              np.random.default_rng(5).uniform(0.0, 2000.0, 300).tolist() + [0.0, 5e-324, 2000.0])
+    for cell in ({}, {"i_sc_stc": 9.0, "i_0": 1e-7, "r_s": 0.02, "thermal_coeff": 20.0}):
+        params = PvParams.scaled_to_rating(3.0, **cell)
+        for g in inputs:
+            p = pv_power_series(params, g)
+            assert isinstance(p, np.ndarray) and p.dtype == float
+            assert p.tobytes() == np.array([pv_power(params, x) for x in g]).tobytes()
 
 
 def test_pv_power_interp_close_to_exact(rng):
