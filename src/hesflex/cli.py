@@ -12,16 +12,15 @@ signal's timestamps, both by one zero-order hold: each sample holds until
 the next, the last one for one cadence.
 
 Exit codes: 0 success, 2 configuration problems (including a step above
-one day, irradiance above 2000 W/m2, a PV rating below one cell, S2 PV
-from a flag or the config above the load rating, or a run or synthetic
-series above the step limit of ``config._MAX_STEPS``), 3 input data
-problems (including a file with fewer than two rows, a timestamp of 2**53 s
-or more in magnitude, an all-zero signal file, or a signal file spanning
-more run steps than the limit), 4 runtime failures (infeasible
-dispatch, S2 PV from a file above the load rating, battery bound
-violations, a non-finite report value, running out of memory).
-Reports are deterministic: the same config and seed give identical
-bytes.
+one day, irradiance above 2000 W/m2, capacity above 1e6 MW, a PV rating
+below one cell, S2 PV from a flag or the config above the load rating, or
+a run or synthetic series above 10**7 steps, 10**6 with ``--oracle``), 3
+input data problems (including a file with fewer than two rows, a
+timestamp of 2**53 s or more in magnitude, an all-zero signal file, or a
+signal file spanning more run steps than the limit), 4 runtime failures
+(infeasible dispatch, S2 PV from a file above the load rating, battery
+bound violations, a non-finite report value, running out of memory).
+Reports are deterministic: the same config and seed give identical bytes.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ import numpy as np
 
 from .assets import SocBoundsError, pv_power, pv_power_interp, pv_power_series
 from .config import (
+    _MAX_ORACLE_STEPS,
     _MAX_STEPS,
     ConfigError,
     RunConfig,
@@ -243,6 +243,8 @@ def cmd_track(args) -> int:
     series = _load_signal(cfg, args.signal_csv)
     r = series.values
     n = len(r)
+    if args.oracle and n > _MAX_ORACLE_STEPS:
+        raise ConfigError([f"--oracle on {n:,} steps is above its limit of {_MAX_ORACLE_STEPS:,}"])
     pv = _load_pv(cfg, fleet, args.pv_csv, n, series.timestamps if args.signal_csv else None)
     traj = simulate(fleet, scenario, cfg.capacity_mw * r, pv, cfg.soc0, guard)
     sig = RegSignal(r, cfg.dt_s)
@@ -267,7 +269,7 @@ def cmd_track(args) -> int:
     )
     if args.oracle:
         problem = OracleProblem(fleet, cfg.capacity_mw, r, pv, cfg.soc0, scenario)
-        sol = solve_oracle(problem, warm_start_p_batt=traj.p_batt)
+        sol = solve_oracle(problem)
         rule_obj = rule_objective(problem, traj)
         pairs.update(
             rule_objective_mw=rule_obj,

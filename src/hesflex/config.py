@@ -97,10 +97,12 @@ _KEYS = {
 _FIELD_TO_KEY = {field: key for key, (field, _) in _KEYS.items()}
 
 _MAX_DT_S = 86400.0  # one day
+_MAX_CAPACITY_MW = 1e6  # a terawatt; from ~1e307 MW the score's sums overflow
 # Run steps, and samples of one synthetic series, in one command. A track
 # run peaks at ~145 B of RSS a step (measured at 10**5 and 10**6 steps),
 # so this bound keeps one under ~1.5 GB; the exact oracle needs ~1.2 KB a step.
 _MAX_STEPS = 10_000_000
+_MAX_ORACLE_STEPS = 1_000_000  # track --oracle: ~1.2 GB
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -167,6 +169,8 @@ def validate(cfg: RunConfig) -> list[str]:
             out.append(f"{_FIELD_TO_KEY[name]} must be >= 0")
     if math.isfinite(cfg.irradiance_wm2) and cfg.irradiance_wm2 > _IRRADIANCE_MAX_WM2:
         out.append(f"pv.irradiance_wm2 must be <= {_IRRADIANCE_MAX_WM2:g} W/m2")
+    if math.isfinite(cfg.capacity_mw) and cfg.capacity_mw > _MAX_CAPACITY_MW:
+        out.append(f"market.capacity_mw must be <= {_MAX_CAPACITY_MW:g} MW")
     if math.isfinite(cfg.dt_s):
         # Timestamps are whole epoch seconds, so the step must be too.
         if not float(cfg.dt_s).is_integer():

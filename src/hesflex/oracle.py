@@ -23,10 +23,9 @@ Strategy, cheapest first:
 
 1. A state-free lower bound: no step can beat the distance of t_k to
    the envelope [dp_lo_k, dp_hi_k].
-2. A myopic greedy pass (the smallest |p| putting t_k - p in the band)
-   and the caller's warm start if given, both moved through the rule's
-   SoC scan, as every returned trajectory is; when the better one meets
-   the lower bound the result is provably optimal.
+2. The SoC tube: backward and forward passes over SoC intervals find a
+   trajectory with every step at its least cost, if one exists; moved
+   through the rule's SoC scan, it is optimal when it meets the bound.
 3. Otherwise an exact backward dynamic program over the SoC. The stage
    cost phi_k of a SoC drop d is convex piecewise-linear on each side of
    d = 0 (one side per battery mode, discharge or charge), so the only
@@ -63,7 +62,7 @@ __all__ = [
     "rule_objective",
 ]
 
-_CERT_TOL = 1e-12  # greedy or warm start on the state-free bound
+_CERT_TOL = 1e-12  # tube trajectory on the state-free bound
 _EXACT_REL_TOL = 1e-9  # dynamic program objective on its own bound
 
 
@@ -126,10 +125,9 @@ class OracleProblem:
 class OracleSolution:
     """Best trajectory found plus its optimality status.
 
-    ``backend`` names the path that produced the answer:
-    "greedy-certificate", "warm-start-certificate" or "exact-dp".
-    ``certified_optimal`` is True only when the objective is within
-    float tolerance of ``lower_bound``.
+    ``backend`` names the path that produced the answer, "tube-certificate"
+    or "exact-dp"; ``certified_optimal`` is True only when the objective is
+    within float tolerance of ``lower_bound``.
     """
 
     records: Trajectory
@@ -218,15 +216,43 @@ def _objective_of_powers(problem: OracleProblem, p_batt) -> float:
     return float(_distance(problem.targets() - np.asarray(p_batt, dtype=float), lo, hi).sum())
 
 
-def _greedy_battery(problem: OracleProblem) -> np.ndarray:
-    """One forward pass: per step the smallest |p| within the rating that
-    leaves t - p in the band, delivered through the rule's SoC scan,
-    which saturates it at the window edge when the budget runs out."""
+def _tube_battery(problem: OracleProblem, tol: float) -> np.ndarray | None:
+    """Powers, through the rule's SoC scan, that put every step within
+    ``tol`` of its least cost, or None when the SoC window rules that out.
+    Step k qualifies on the powers within tol of [t - hi, t - lo] clipped
+    to the rating (the cost has slope 1), whose SoC drops D_k give the
+    SoCs from which steps k..n-1 all qualify, B_k = (B_k+1 + D_k) cut to
+    the window, B_n the window: the target tube of Bertsekas and Rhodes
+    (Automatica 7, 1971). Forwards, each step takes the drop in D_k
+    nearest the greedy request's that keeps the SoC in B_k+1."""
+    b = problem.fleet.battery
+    a, e = problem.fleet.dt / b.e_cap, b.eta_inv
     _, lo, hi = _band_of(problem)
     t = problem.targets()
-    p_max = problem.fleet.battery.p_max
-    request = np.clip(np.clip(0.0, t - hi, t - lo), -p_max, p_max)
-    return _soc_scan(problem.fleet, None, request, problem.soc0)[0]
+    greedy = np.clip(np.clip(0.0, t - hi, t - lo), -b.p_max, b.p_max)
+    p_lo = np.maximum(np.minimum(t - hi, b.p_max) - tol, -b.p_max)
+    p_hi = np.minimum(np.maximum(t - lo, -b.p_max) + tol, b.p_max)
+    d_lo, d_hi, d_greedy = (np.where(p >= 0.0, a * p / e, a * e * p).tolist()
+                            for p in (p_lo, p_hi, greedy))
+    p_lo, p_hi, powers = p_lo.tolist(), p_hi.tolist(), greedy.tolist()
+    e_min = s_lo = b.e_min
+    e_max = s_hi = b.e_max
+    tube = [(s_lo, s_hi)]  # B_n, ..., B_0
+    for dl, dh in zip(d_lo[::-1], d_hi[::-1]):
+        s_lo = s_lo + dl if s_lo + dl > e_min else e_min
+        s_hi = s_hi + dh if s_hi + dh < e_max else e_max
+        if s_lo > s_hi:
+            return None
+        tube.append((s_lo, s_hi))
+    s = problem.soc0
+    if not s_lo <= s <= s_hi:
+        return None
+    for k, (s_lo, s_hi) in enumerate(tube[-2::-1]):
+        d = min(max(d_greedy[k], d_lo[k], s - s_hi), d_hi[k], s - s_lo)
+        if d != d_greedy[k]:
+            powers[k] = min(max(d * e / a if d >= 0.0 else d / (a * e), p_lo[k]), p_hi[k])
+        s -= d
+    return _soc_scan(problem.fleet, None, np.array(powers), problem.soc0)[0]
 
 
 def _records_from_battery(problem: OracleProblem, p_batt) -> Trajectory:
@@ -246,23 +272,6 @@ def _records_from_battery(problem: OracleProblem, p_batt) -> Trajectory:
     else:
         p_curt = np.zeros(t.size)
     return Trajectory(p_hes, p0, t, pv, p_cl, p, p_curt, soc)
-
-
-def _check_warm_start(problem: OracleProblem, p_batt) -> np.ndarray:
-    """The warm start as the SoC scan delivers it; refused when the scan
-    would cut some step by more than 1e-9 MW to stay in the window."""
-    p = np.asarray(p_batt, dtype=float)
-    if p.shape != problem.signal.shape:
-        raise ValueError("warm start must match the signal length")
-    b = problem.fleet.battery
-    if not np.all(np.abs(p) <= b.p_max + 1e-9):
-        raise ValueError("warm start must be finite and within the battery rating")
-    p = np.clip(p, -b.p_max, b.p_max)
-    delivered = _soc_scan(problem.fleet, None, p, problem.soc0)[0]
-    cut = np.flatnonzero(np.abs(p - delivered) > 1e-9)
-    if cut.size:
-        raise ValueError(f"step {cut[0]}: warm start leaves the state-of-charge window")
-    return delivered
 
 
 # ---------------------------------------------------------------------------
@@ -321,41 +330,25 @@ def _optimal_powers(problem: OracleProblem, stage: _Stage, values) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def solve(problem: OracleProblem, warm_start_p_batt=None) -> OracleSolution:
-    """Optimal dispatch for the instance, certified to float tolerance.
-
-    The greedy/certificate path runs first and short-circuits when it
-    is already optimal; otherwise the exact dynamic program solves the
-    instance. A feasible ``warm_start_p_batt`` (for example a rule-based
-    trajectory) caps the returned objective from above.
-    """
+def solve(problem: OracleProblem) -> OracleSolution:
+    """Optimal dispatch for the instance, certified to float tolerance:
+    the tube's trajectory when it meets the state-free bound (each step at
+    its least cost, else, for float dust at the SoC window, within the
+    whole tolerance, as in any certifiable trajectory), else the DP's."""
     lb = _certificate_lower_bound(problem)
-    best_p = _greedy_battery(problem)
-    best_obj = _objective_of_powers(problem, best_p)
-    used = "greedy"
-    if warm_start_p_batt is not None:
-        warm = _check_warm_start(problem, warm_start_p_batt)
-        warm_obj = _objective_of_powers(problem, warm)
-        if warm_obj < best_obj:
-            best_p, best_obj, used = warm, warm_obj, "warm-start"
-    if best_obj <= lb + _CERT_TOL:
-        return OracleSolution(
-            _records_from_battery(problem, best_p),
-            best_obj, f"{used}-certificate", lb, True,
-        )
+    for tol in (0.0, _CERT_TOL):
+        p = _tube_battery(problem, tol)
+        if p is not None and (obj := _objective_of_powers(problem, p)) <= lb + _CERT_TOL:
+            return OracleSolution(_records_from_battery(problem, p), obj, "tube-certificate",
+                                  lb, True)
     b = problem.fleet.battery
     stage = _Stage(problem)
     values = _value_functions(stage, problem.horizon, b.e_min, b.e_max)
-    dp_p = _optimal_powers(problem, stage, values)
-    dp_obj = _objective_of_powers(problem, dp_p)
-    if dp_obj < best_obj:
-        best_p, best_obj = dp_p, dp_obj
+    p = _optimal_powers(problem, stage, values)
+    obj = _objective_of_powers(problem, p)
     lower = max(lb, values[0](problem.soc0))
-    certified = best_obj - lower <= _EXACT_REL_TOL * max(1.0, best_obj)
-    return OracleSolution(
-        _records_from_battery(problem, best_p),
-        best_obj, "exact-dp", lower, certified,
-    )
+    certified = obj - lower <= _EXACT_REL_TOL * max(1.0, obj)
+    return OracleSolution(_records_from_battery(problem, p), obj, "exact-dp", lower, certified)
 
 
 def rule_objective(problem: OracleProblem, traj: Trajectory) -> float:

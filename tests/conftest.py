@@ -20,10 +20,10 @@ def rng():
 def rule_and_oracle():
     """What ``track --oracle`` runs on an oracle instance: the rule-based
     dispatcher (guarded when a guard is given), its objective, and the
-    oracle warm-started with its battery trajectory."""
+    oracle."""
     def run(problem, guard=None):
         traj = simulate(problem.fleet, problem.scenario, problem.targets(), problem.pv,
                         problem.soc0, guard=guard)
-        return rule_objective(problem, traj), solve(problem, warm_start_p_batt=traj.p_batt)
+        return rule_objective(problem, traj), solve(problem)
 
     return run

@@ -311,17 +311,36 @@ def test_infinite_capacity_is_a_config_error(capsys):
     assert "market.capacity_mw must be finite" in err
 
 
+def test_capacity_above_the_ceiling_is_a_config_error(capsys):
+    # at 1e308 MW the score's sums overflow and the report would be NaN
+    assert _run(capsys, ["track", "--hours", "0.01", "--capacity", "1e6"])[0] == EXIT_OK
+    code, _, err = _run(capsys, ["track", "--hours", "0.01", "--capacity", "1e308"])
+    assert code == EXIT_CONFIG
+    assert "market.capacity_mw must be <= 1e+06 MW" in err
+
+
 # A warning turned into an error escapes main as a traceback: numpy may not
 # warn about the overflow on stderr ahead of the one error line.
 @pytest.mark.filterwarnings("error")
 def test_non_finite_report_value_is_a_runtime_error(tmp_path, capsys):
-    # the score's sums overflow at this capacity and the raw score is nan
+    # the payment overflows at this capacity price
     trace = tmp_path / "trace.csv"
-    code, out, err = _run(capsys, ["track", "--hours", "0.1", "--capacity", "1e308",
-                                   "--trace", str(trace)])
+    code, out, err = _run(capsys, ["track", "--hours", "0.1", "--set",
+                                   "market.lambda_capacity=1e308", "--trace", str(trace)])
     assert code == EXIT_RUNTIME
-    assert err == "error: report value performance_score_raw = nan is not finite\n"
+    assert err == "error: report value payment_usd = inf is not finite\n"
     assert out == "" and not trace.exists()
+
+
+def test_oracle_runs_above_their_step_limit_are_config_errors(monkeypatch, capsys):
+    """The exact oracle needs ~1.2 KB a step, so ``--oracle`` has its own
+    step limit; a run above it is refused before anything is simulated."""
+    monkeypatch.setattr(cli, "simulate", _no_allocation)
+    monkeypatch.setattr(cli, "_MAX_ORACLE_STEPS", 17)
+    code, _, err = _run(capsys, ["track", "--hours", "0.01", "--oracle"])  # 18 steps
+    assert code == EXIT_CONFIG
+    assert "--oracle on 18 steps is above its limit of 17" in err
+    assert config._MAX_ORACLE_STEPS == 1_000_000
 
 
 def test_out_of_memory_is_a_runtime_error(monkeypatch, capsys):

@@ -1,11 +1,13 @@
 """Golden bytes: outputs of fixed CLI runs, pinned by SHA-256.
 
-Each ``track`` case covers a different path: the greedy oracle
-certificate, the guard taper, SoC truncation with curtailment, and the
-exact oracle DP, once on a 120-step tight fleet and once on 3,600 steps
-of the default fleet, where most steps restrict one convex part. Two more
-run the exact DP in the green-load mode S2, whose band follows the PV,
-and in the asymmetric mode S5 under the guard; both are certified. The
+Each ``track`` case covers a different path: the guard taper, SoC
+truncation with curtailment, and the oracle's SoC-tube certificate,
+once on a guarded hour of the default fleet and once on 3,600 unguarded
+steps of it, where the greedy request leaves the tube. The exact oracle
+DP runs on a 120-step tight fleet and on 3,600 steps of the default
+fleet, where most steps restrict one convex part; two more cases run it
+in the green-load mode S2, whose band follows the PV, and in the
+asymmetric mode S5 under the guard; both are certified. The
 ``bid-sweep`` cases pin a year of batched runs, one of them on a small
 pack where 109 of the 384 runs reach the SoC window edge. One more
 ``track`` case reads its signal and its irradiance from CSV files, so the
@@ -27,7 +29,7 @@ from hesflex.data_io import _fmt, write_signal_csv
 CASES = {
     "readme-oracle": (
         "track --hours 1 --seed 7 --capacity 6.5 --oracle",
-        "43d97aa20999add0df2a23e1989b05800d17798de0773576033fe8d8a84b4209",
+        "cfb7718f2f4a1e4ddb6a753e8e4982cc14a8d82e02dd6d5b36549126e3230551",
         "26e6a1572dfb92347af7fce6673519e0b96481c3019a67d301aa1a36fb6fd205",
     ),
     "guard-taper": (
@@ -48,15 +50,20 @@ CASES = {
         "7972f1847a50e7389e539255725afe6578673f8f1d9ca78b1dca941086fa5c3b",
     ),
     "exact-dp-default": (
-        "track --oracle --no-guard --hours 2 --seed 5 --bias 0.3",
-        "d542cb8703d8c2af77073c784d5ea9523f3fb0412032db7a1fbafcd2928486bd",
-        "58d71aa6084c36ecf9197e94ecd542617465eb89e788e3d4b0b21af134054cc9",
+        "track --oracle --no-guard --hours 2 --seed 5 --bias 0.6",
+        "2f474162e7e1abc1306374f52e1061242977b9855940806b9ec6fa9b698aea10",
+        "e1f324288e99340e4d285350dfb5113e4b6230d95c0a2235a8a7b3757c82a6d4",
     ),
     "exact-dp-s2": (
         "track --scenario S2 --oracle --no-guard --hours 2 --seed 5 --bias 0.3"
         " --set battery.e_cap_mwh=1",
         "d4d1ecbd3d5efcc76b8a671002a444d62cfdd219f9c7a948b514c9a2ab97bcfe",
         "1ed75e6add67a9a3783c0bf844c3e241fd4e37f3e5321173d10046b21e794971",
+    ),
+    "tube-default": (
+        "track --oracle --no-guard --hours 2 --seed 5 --bias 0.3",
+        "0551ddcb9b496e2a8f59e72b04d918389c4dba23a75f257f4d3459909ce09e91",
+        "58d71aa6084c36ecf9197e94ecd542617465eb89e788e3d4b0b21af134054cc9",
     ),
     "exact-dp-s5": (
         "track --scenario S5 --oracle --hours 1 --seed 3 --bias 0.6 --capacity 8"
