@@ -141,8 +141,10 @@ def lower_envelope(fs, lo: float, hi: float) -> Pwl:
     """Exact pointwise minimum of continuous functions on [lo, hi].
 
     Each function counts as +inf outside its own domain; together the
-    domains must cover [lo, hi], and the minimum must be continuous
-    there. One function goes through the same four steps as many:
+    domains must cover [lo, hi], or a ``ValueError`` names the first grid
+    point or interval that none covers, and the minimum must be
+    continuous there. One function goes through the same four steps as
+    many:
 
     1. The grid is lo, hi and every breakpoint strictly between. Each
        function is evaluated at the grid points of its domain with
@@ -190,6 +192,9 @@ def lower_envelope(fs, lo: float, hi: float) -> Pwl:
                 first[i] = k
             i += 1
         spans.append((s, vals))
+    if -1 in first:
+        raise ValueError(f"lower_envelope: no function is defined at {grid[first.index(-1)]!r}"
+                         f" in [{lo!r}, {hi!r}]")
     gx, gy = grid, low
     # the grid points where the first-lowest function changes: the intervals
     # ending there may hold crossings
@@ -203,10 +208,12 @@ def lower_envelope(fs, lo: float, hi: float) -> Pwl:
                 ends[i][1].append(vals[i - s])
         for i in reversed(checks):
             left, right = ends[i]
-            if left:
-                cx, cy = [], []
-                _crossings(grid[i - 1], grid[i], left, right, cx, cy)
-                gx[i:i], gy[i:i] = cx, cy
+            if not left:
+                raise ValueError(f"lower_envelope: no function is defined on all of"
+                                 f" [{grid[i - 1]!r}, {grid[i]!r}]")
+            cx, cy = [], []
+            _crossings(grid[i - 1], grid[i], left, right, cx, cy)
+            gx[i:i], gy[i:i] = cx, cy
     flat = [False] * len(gx)  # per point: on the chord of its neighbours
     todo = range(1, len(gx) - 1)
     while todo:

@@ -98,6 +98,10 @@ _FIELD_TO_KEY = {field: key for key, (field, _) in _KEYS.items()}
 
 _MAX_DT_S = 86400.0  # one day
 _MAX_CAPACITY_MW = 1e6  # a terawatt; from ~1e307 MW the score's sums overflow
+# USD per MW and per MW of mileage. The mileage of a run is at most twice
+# its steps, so at the capacity and step limits a payment stays below
+# ~2e25 USD; prices near 1e295 would overflow it to inf.
+_MAX_PRICE = 1e12
 # Run steps, and samples of one synthetic series, in one command. A track
 # run peaks at ~145 B of RSS a step (measured at 10**5 and 10**6 steps),
 # so this bound keeps one under ~1.5 GB; the exact oracle needs ~1.2 KB a step.
@@ -171,6 +175,9 @@ def validate(cfg: RunConfig) -> list[str]:
         out.append(f"pv.irradiance_wm2 must be <= {_IRRADIANCE_MAX_WM2:g} W/m2")
     if math.isfinite(cfg.capacity_mw) and cfg.capacity_mw > _MAX_CAPACITY_MW:
         out.append(f"market.capacity_mw must be <= {_MAX_CAPACITY_MW:g} MW")
+    for name in ("lambda_capacity", "lambda_mileage"):
+        if math.isfinite(getattr(cfg, name)) and getattr(cfg, name) > _MAX_PRICE:
+            out.append(f"{_FIELD_TO_KEY[name]} must be <= {_MAX_PRICE:g} USD/MW")
     if math.isfinite(cfg.dt_s):
         # Timestamps are whole epoch seconds, so the step must be too.
         if not float(cfg.dt_s).is_integer():

@@ -24,9 +24,11 @@ well inside 1e-9.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +42,7 @@ _FMT_MAX = 1.797693134862315e308
 _MAX_TIMESTAMP = 2**53  # from here on float seconds skip whole seconds
 _IRRADIANCE_STEP_S = 60  # synth_irradiance's cadence
 _NEUTRALITY_WINDOW = 450  # synth_signal demeans each window of this many steps
-_TRACE_BLOCK_ROWS = 1024
+_BLOCK_ROWS = 1024  # rows formatted at a time
 _TRAJECTORY_COLUMNS = tuple(f.name for f in fields(Trajectory))
 TRACE_COLUMNS = ("k", "t", "r") + _TRAJECTORY_COLUMNS
 
@@ -62,6 +64,256 @@ class Series:
 def _fmt(x: float) -> str:
     x = float(x)
     return format(x, _FLOAT_FMT) if abs(x) <= _FMT_MAX else repr(x)
+
+
+# The array formatter below writes CSV rows as bytes, one cell per value
+# in a block of rows. Byte 0 of a cell is its separator, and a 0 byte
+# stands for no character: one pass over the block deletes them. A float
+# cell is little-endian 64-bit words: separator, sign and %g prefix; the
+# digits and point; and, where some value of the block needs it, the
+# exponent.
+
+_WORD = np.dtype("<u8")
+
+
+class _Tables(NamedTuple):
+    digits4: np.ndarray  # the 4 ASCII digits of 0..9999, as one 32-bit word
+    zeros4: np.ndarray  # trailing zeros of 0..9999 (4 for 0)
+    # masks and bytes of 16, as two words (2, j):
+    upto: np.ndarray  # [:, j] keeps bytes 1..j
+    above: np.ndarray  # [:, j] keeps bytes j+1..15
+    last: np.ndarray  # [:, j] keeps the last j bytes
+    point: np.ndarray  # [:, j] is "." at byte j, none for j = 0
+    pow10: np.ndarray  # 10**0..10**22, exact in binary64
+    pow10_hi: np.ndarray  # their high halves for the two-product
+    # per decimal exponent X in [-8, 15] of a 15-digit mantissa, and a
+    # last row for zero:
+    head: np.ndarray  # [row, sign]: separator, sign and the %g prefix
+    tail: np.ndarray  # the %g exponent, e-05
+    before_point: np.ndarray  # digits before the point
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The formatter's lookup tables, built on first use."""
+    d = np.indices((10,) * 4, np.uint8).reshape(4, -1)  # the digits of 0..9999
+    first = np.arange(16) < np.arange(17)[:, None]  # row j: the first j of 16 bytes
+    xs = range(-8, 17)
+    head = np.zeros((len(xs), 2, 8), np.uint8)
+    head[:, :, 0] = ord(",")
+    head[:, 1, 1] = ord("-")
+    tail = np.zeros((len(xs), 8), np.uint8)
+    before_point = np.zeros(len(xs), np.intp)
+    for i, x in enumerate(xs):
+        if x == 16:  # zero
+            prefix = b"0"
+        elif -4 <= x < 15:  # fixed notation
+            prefix = b"0." + b"0" * (-x - 1) if x < 0 else b""
+            before_point[i] = max(x + 1, 0)
+        else:
+            prefix = b""
+            tail[i, :4] = np.frombuffer(b"e%+03d" % x, np.uint8)
+            before_point[i] = 1
+        head[i, :, 2 : 2 + len(prefix)] = np.frombuffer(prefix, np.uint8)
+    pow10 = np.concatenate(([1.0], np.cumprod(np.full(22, 10.0))))
+    return _Tables(
+        digits4=np.ascontiguousarray(np.frombuffer(b"0123456789", np.uint8)[d.T]).view("<u4").ravel(),
+        zeros4=np.logical_and.accumulate(d[::-1] == 0).sum(axis=0),
+        upto=_bytes_mask(first[1:] & (np.arange(16) > 0)),
+        above=_bytes_mask(~first[1:]),
+        last=_bytes_mask(~first[::-1]),
+        point=_bytes_mask(np.eye(16, dtype=bool) & (np.arange(16) > 0)[:, None], ord(".")),
+        pow10=pow10,
+        pow10_hi=_split(pow10),
+        head=head.view(_WORD)[:, :, 0],
+        tail=tail.view(_WORD).ravel(),
+        before_point=before_point,
+    )
+
+
+def _bytes_mask(keep, byte=255):
+    """Words (2, rows) with ``byte`` at the bytes that the rows of ``keep``
+    (16 flags) mark."""
+    return np.ascontiguousarray(np.where(keep, byte, 0).astype(np.uint8).view(_WORD).T)
+
+
+def _split(a):
+    """The high half of Veltkamp's split: it and ``a - hi`` each have at
+    most 26 significant bits, so their products are exact."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - a
+    np.subtract(c, hi, out=hi)
+    return hi
+
+
+def _times_pow10(a, k):
+    """``a * 10**k``, k in 0..22, exactly as ``hi + lo`` (Dekker's
+    two-product ``((a_hi*s_hi - hi) + a_hi*s_lo + a_lo*s_hi) + a_lo*s_lo``,
+    worked in place)."""
+    t = _tables()
+    s_lo, s_hi = np.take(t.pow10, k), np.take(t.pow10_hi, k)
+    hi = a * s_lo
+    s_lo -= s_hi
+    a_hi = _split(a)
+    a_lo = a - a_hi
+    lo = a_hi * s_hi
+    lo -= hi
+    a_hi *= s_lo
+    lo += a_hi
+    s_hi *= a_lo
+    lo += s_hi
+    a_lo *= s_lo
+    lo += a_lo
+    return hi, lo
+
+
+def _digits16(m):
+    """The 16 ASCII digits of each whole float in ``m`` (0 <= m < 1e16),
+    as two words (2, m.size), and the number of trailing zeros (16 for
+    0). Every quotient and remainder is a whole number below 2**53, so all
+    of it is exact."""
+    t = _tables()
+    q = np.floor(m / t.pow10[16::-4, None])  # m // 10**16, m // 10**12, ..., m
+    g = q[1:] - 1e4 * q[:-1]  # four-digit groups, most significant first
+    g = g.astype(np.intp)
+    words = np.empty((2, m.size, 2), "<u4")
+    for j in range(4):
+        words[j // 2, :, j % 2] = np.take(t.digits4, g[j])
+    z = np.take(t.zeros4, g)
+    zeros = z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0]))
+    return words.view(_WORD)[:, :, 0], zeros
+
+
+def _patch(cells, index, texts):
+    """``cells`` (uint8 rows) with those at ``index`` holding ``texts``
+    after their separator, widened where a text needs it."""
+    if not texts:
+        return cells
+    width = max(map(len, texts))
+    if width >= cells.shape[1]:
+        cells = np.pad(cells, ((0, 0), (0, width + 1 - cells.shape[1])))
+    text = np.zeros((len(texts), cells.shape[1]), np.uint8)
+    text[:, 0] = ord(",")
+    text[:, 1 : width + 1] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    cells[index] = text
+    return cells
+
+
+def _int_cells(v):
+    """Cells of whole numbers (an integer array, or whole floats) as
+    ``%d`` writes them; those of 2**53 or more in magnitude take ``%d``
+    one at a time."""
+    t = _tables()
+    f = v.astype(float)
+    if v.dtype.kind == "f":
+        f = np.trunc(f)  # as int() cuts a fraction
+    wide = ~(np.abs(f) < 2.0**53)  # where a float holds every integer
+    m = np.where(wide, 0.0, np.abs(f))
+    # 10**(nd-1) <= m < 10**nd, and one digit for 0
+    nd = np.searchsorted(t.pow10[1:16], m, side="right") + 1
+    width = int(nd.max(initial=1))
+    digits, _ = _digits16(m)
+    digits &= np.take(t.last, nd, axis=1)
+    cells = np.empty((m.size, 3), _WORD)
+    cells[:, 1] = digits[0]
+    cells[:, 2] = digits[1]
+    cells = cells.view(np.uint8)[:, 22 - width :]
+    cells[:, 0] = ord(",")
+    cells[:, 1] = np.where(f < 0, ord("-"), 0)
+    return _patch(cells, np.flatnonzero(wide), ["%d" % x for x in v[wide].tolist()])
+
+
+def _mantissa15(a):
+    """The mantissa m and decimal exponent X of ``%.15g`` for each a in
+    [1e-8, 1e15): a rounded to 15 significant digits, half to even, is
+    m * 10**(X - 14) with 1e14 <= m < 1e15.
+
+    The decimal exponent e of a lies in [-8, 14], so 10**(14 - e) is exact
+    in binary64, and the two-product gives y = a * 10**(14 - e), in
+    [1e14, 1e15), exactly as hi + lo. As hi < 2**53, ``hi - rint(hi)`` is
+    exact. It is +-0.5 only when hi sits on a tie, and then the sign of lo
+    says on which side of it y lies; when lo is 0, y is the tie and
+    rint's half-even stands. That is the correctly rounded mantissa, which
+    CPython's ``%.15g`` prints.
+    """
+    e = np.log10(a)
+    np.floor(e, out=e)
+    e = e.astype(np.intp)
+    np.clip(e, -8, 14, out=e)
+    hi, lo = _times_pow10(a, 14 - e)
+    # log10 can miss by one next to a power of ten
+    above = (hi > 1e15) | ((hi == 1e15) & (lo >= 0))
+    fix = np.flatnonzero(above | (hi < 1e14) | ((hi == 1e14) & (lo < 0)))
+    if fix.size:
+        e[fix] += np.where(above[fix], 1, -1)
+        hi[fix], lo[fix] = _times_pow10(a[fix], 14 - e[fix])
+    m = np.rint(hi)
+    hi -= m
+    m += (hi == 0.5) & (lo > 0)
+    m -= (hi == -0.5) & (lo < 0)
+    carry = m == 1e15
+    m[carry] = 1e14
+    e += carry
+    return m, e
+
+
+def _float_cells(x):
+    """Cells of float64 ``x`` with the bytes of :func:`_fmt`: values with
+    1e-8 <= |x| < 1e15 through :func:`_mantissa15`, zeros through the
+    tables, and every other value (non-finite, subnormal, out of that
+    range) through :func:`_fmt`."""
+    t = _tables()
+    a = np.abs(x)
+    fast = (a >= 1e-8) & (a < 1e15)
+    a[~fast] = 1.0
+    m, row = _mantissa15(a)
+    del a
+    row += 8  # the decimal exponent's row in the tables
+    m[~fast] = 0.0
+    row[~fast] = t.before_point.size - 1  # zero; the others are patched
+    tail = np.take(t.tail, row)
+    digits, zeros = _digits16(m)  # a 0, then the mantissa's 15 digits
+    del m
+    # the integer part, then the fraction up to its last nonzero digit;
+    # the integer part moves down a byte over the 0, the point takes its
+    # place
+    before = np.take(t.before_point, row)
+    shown = np.maximum(15 - zeros, before)
+    int_part = digits & np.take(t.upto, before, axis=1)
+    digits &= np.take(t.above, before, axis=1)
+    digits &= np.take(t.upto, shown, axis=1)
+    digits[0] |= (int_part[0] >> 8) | (int_part[1] << 56)
+    digits[1] |= int_part[1] >> 8
+    digits |= np.take(t.point, before * (shown > before), axis=1)
+    cells = np.empty((x.size, 4 if tail.any() else 3), _WORD)
+    cells[:, 1] = digits[0]
+    cells[:, 2] = digits[1]
+    cells[:, 0] = np.take(t.head, 2 * row + np.signbit(x))
+    if cells.shape[1] == 4:
+        cells[:, 3] = tail
+    other = np.flatnonzero(~(fast | (x == 0.0)))
+    return _patch(cells.view(np.uint8), other, [_fmt(v) for v in x[other].tolist()])
+
+
+def _csv_rows(ints, floats, as_repr=()) -> bytearray:
+    """CRLF-terminated CSV rows of the integer columns ``ints`` (1-D) and
+    then the float columns of ``floats`` (rows, columns), those numbered
+    in ``as_repr`` written by ``repr``."""
+    rows, columns = floats.shape
+    cells = [_int_cells(v) for v in ints]
+    if columns:
+        float_cells = _float_cells(floats.ravel())
+        for j in as_repr:
+            float_cells = _patch(float_cells, slice(j, None, columns),
+                                 [repr(v) for v in floats[:, j].tolist()])
+        cells.append(float_cells.reshape(rows, -1))
+    cells.append(np.broadcast_to(np.frombuffer(b"\r\n", np.uint8), (rows, 2)))
+    buf = bytearray(rows * sum(c.shape[1] for c in cells))
+    out = np.frombuffer(buf, np.uint8).reshape(rows, -1)
+    np.concatenate(cells, axis=1, out=out)
+    out[:, 0] = 0  # no separator before the first column
+    del out  # a bytearray with an exported buffer cannot be resized
+    return buf.translate(None, b"\0")
 
 
 def _read_rows(path, header: tuple[str, str]):
@@ -182,10 +434,11 @@ def read_irradiance_csv(path) -> Series:
 
 def write_signal_csv(series: Series, fh) -> None:
     """Write a signal to an open text file in the reader's format."""
-    w = csv.writer(fh)
-    w.writerow(("timestamp", "r"))
-    for t, v in zip(series.timestamps, series.values):
-        w.writerow((int(t), _fmt(v)))
+    fh.write("timestamp,r\r\n")
+    ts, values = np.asarray(series.timestamps), np.asarray(series.values, dtype=float)
+    for lo in range(0, ts.size, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        fh.write(_csv_rows([ts[rows]], values[rows, None]).decode())
 
 
 def synth_signal(
@@ -279,19 +532,16 @@ def export_trace(traj: Trajectory, path, *, times, signal) -> None:
         if bad.size:
             i = int(bad[0])
             raise ValueError(f"step {i}: time {float(times[i])!r} is not a whole second")
-    columns = [times] + [np.asarray(col, dtype=float)
-                         for col in [signal] + [getattr(traj, name) for name in _TRAJECTORY_COLUMNS]]
-    # One %-format per row renders each float as _fmt does, except that a
-    # column holding one of the doubles above _FMT_MAX takes repr whole;
-    # rows go out in blocks, so the Python floats of only one block are
-    # alive at a time.
-    row = "%d,%d" + "".join(",%r" if np.any(np.abs(col) > _FMT_MAX) else f",%{_FLOAT_FMT}"
-                            for col in columns[1:]) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for lo in range(0, n, _TRACE_BLOCK_ROWS):
-            block = [col[lo:lo + _TRACE_BLOCK_ROWS].tolist() for col in columns]
-            fh.writelines(row % values for values in zip(range(lo, n), *block))
+    floats = [np.asarray(col, dtype=float)
+              for col in [signal] + [getattr(traj, name) for name in _TRAJECTORY_COLUMNS]]
+    # a column holding one of the doubles above _FMT_MAX takes repr whole
+    as_repr = [j for j, col in enumerate(floats) if np.any(np.abs(col) > _FMT_MAX)]
+    with open(path, "wb") as fh:
+        fh.write((",".join(TRACE_COLUMNS) + "\r\n").encode())
+        for lo in range(0, n, _BLOCK_ROWS):
+            hi = min(n, lo + _BLOCK_ROWS)
+            block = np.stack([col[lo:hi] for col in floats], axis=1)
+            fh.write(_csv_rows([np.arange(lo, hi), times[lo:hi]], block, as_repr))
 
 
 def report_lines(pairs: dict) -> list[str]:

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, report shapes, determinism."""
 
 import csv
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -319,14 +321,27 @@ def test_capacity_above_the_ceiling_is_a_config_error(capsys):
     assert "market.capacity_mw must be <= 1e+06 MW" in err
 
 
+@pytest.mark.parametrize("key", ["market.lambda_capacity", "market.lambda_mileage"])
+def test_price_above_the_ceiling_is_a_config_error(capsys, key):
+    # at 1e308 USD/MW the payment overflowed to inf after the whole run
+    assert _run(capsys, ["track", "--hours", "0.01", "--capacity", "1e6",
+                         "--set", f"{key}=1e12"])[0] == EXIT_OK
+    code, _, err = _run(capsys, ["track", "--hours", "0.01", "--set", f"{key}=1e308"])
+    assert code == EXIT_CONFIG
+    assert f"{key} must be <= 1e+12 USD/MW" in err
+
+
 # A warning turned into an error escapes main as a traceback: numpy may not
 # warn about the overflow on stderr ahead of the one error line.
 @pytest.mark.filterwarnings("error")
-def test_non_finite_report_value_is_a_runtime_error(tmp_path, capsys):
-    # the payment overflows at this capacity price
+def test_non_finite_report_value_is_a_runtime_error(monkeypatch, tmp_path, capsys):
+    # no accepted price or capacity overflows the payment, so settle is
+    # made to return an overflowed one
+    settle = cli.settle
+    monkeypatch.setattr(cli, "settle",
+                        lambda *args: dataclasses.replace(settle(*args), payment=math.inf))
     trace = tmp_path / "trace.csv"
-    code, out, err = _run(capsys, ["track", "--hours", "0.1", "--set",
-                                   "market.lambda_capacity=1e308", "--trace", str(trace)])
+    code, out, err = _run(capsys, ["track", "--hours", "0.1", "--trace", str(trace)])
     assert code == EXIT_RUNTIME
     assert err == "error: report value payment_usd = inf is not finite\n"
     assert out == "" and not trace.exists()

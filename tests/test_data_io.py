@@ -1,5 +1,8 @@
-"""File formats, the hold lookup at the run step, and the synthetic
-generators."""
+"""File formats, the hold lookup at the run step, the array formatter and
+the synthetic generators."""
+
+import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -22,8 +25,9 @@ from hesflex import (
     synth_signal,
     write_signal_csv,
 )
+from hesflex import data_io
 from hesflex.cli import _load_signal
-from hesflex.data_io import TRACE_COLUMNS, _read_rows, _read_two_columns
+from hesflex.data_io import TRACE_COLUMNS, _FMT_MAX, _csv_rows, _fmt, _read_rows, _read_two_columns
 
 
 def _write(tmp_path, name, text):
@@ -369,6 +373,132 @@ def test_trace_refuses_a_time_that_is_no_whole_second(tmp_path, times):
     step = 1 if times[1] == 2.5 else 2
     with pytest.raises(ValueError, match=rf"^step {step}: time .* is not a whole second"):
         export_trace(traj, tmp_path / "trace.csv", times=times, signal=np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# the array formatter against _fmt and "%d", and the writers against the
+# Python formatting they replaced
+# ---------------------------------------------------------------------------
+
+def _float_rows(values):
+    """The array formatter's text of one float per row."""
+    return _csv_rows([], np.asarray(values, dtype=float)[:, None]).decode()
+
+
+def _ulps(x, n):
+    """x and its n neighbours on either side."""
+    out = [x]
+    lo = hi = x
+    for _ in range(n):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [float(lo), float(hi)]
+    return out
+
+
+_FORMAT_EDGES = [
+    0.0, 5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308,  # zero, subnormals
+    *(v for k in range(-9, 17) for v in _ulps(float(f"1e{k}"), 2)),  # powers of ten
+    123456789012344.5, 123456789012345.5, 100000000000000.5, 0.5, 2.5,  # exact 16th-digit ties
+    # a double just above or below a tie that its product with 10**(14-e)
+    # rounds onto: the low part of the two-product decides
+    58432.89818973505, 39675.85448491825, 95541.73266933415, 46827.92227322455,
+    999999999999999.4, 999999999999999.5, 999999999999999.6,  # the carry to 1e+15
+    # floor(log10(x)) is one too high
+    9.99999999999998e-09, 9.999999999999991e-05, 999.9999999999995, 999999999.999998,
+    999999999999998.0,
+    99999999999999.95, 9.999999999999995e-08,
+    *_ulps(0.0001, 2), 9.99999999999999e-05, 9.999999999999999e-05,  # %g's switch to e-05
+    0.00009999999999999995, 1.00000000000000005e-04,
+    *_ulps(_FMT_MAX, 2), 1.7976931348623157e308, np.inf, np.nan,  # _FMT_MAX and above
+]
+
+
+def test_float_formatter_edge_list():
+    values = _FORMAT_EDGES + [-v for v in _FORMAT_EDGES]
+    assert _float_rows(values) == "".join(_fmt(v) + "\r\n" for v in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(_FORMAT_EDGES)), min_size=1, max_size=60))
+def test_float_formatter_matches_fmt(values):
+    assert _float_rows(values) == "".join(_fmt(v) + "\r\n" for v in values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=30).map(
+        lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=30).map(
+        lambda v: np.array(v, dtype=np.uint64)),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False).map(float.__trunc__).map(float),
+             min_size=1, max_size=30).map(np.array),
+))
+def test_int_formatter_matches_percent_d(values):
+    text = _csv_rows([values], np.empty((values.size, 0))).decode()
+    assert text == "".join("%d\r\n" % v for v in values.tolist())
+
+
+def _row_generator_trace(traj, path, *, times, signal):
+    """The trace writer the array formatter replaced: one %-format a row."""
+    times = np.asarray(times)
+    if times.dtype.kind not in "iu":
+        times = times.astype(float)
+    columns = [times] + [np.asarray(col, dtype=float) for col in
+                         [signal] + [getattr(traj, f.name) for f in dataclasses.fields(traj)]]
+    row = "%d,%d" + "".join(",%r" if np.any(np.abs(col) > _FMT_MAX) else ",%.15g"
+                            for col in columns[1:]) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        fh.writelines(row % values for values in zip(range(len(traj)), *(c.tolist() for c in columns)))
+
+
+def _csv_writer_signal(series, fh):
+    """The signal writer the array formatter replaced."""
+    w = csv.writer(fh)
+    w.writerow(("timestamp", "r"))
+    for t, v in zip(series.timestamps, series.values):
+        w.writerow((int(t), _fmt(v)))
+
+
+def test_trace_bytes_match_the_row_generator(tmp_path):
+    fleet = build_fleet(RunConfig())
+    sig = synth_signal(5, 3000, bias=0.2)
+    recs = simulate(fleet, Scenario.S1, 6.5 * sig.values, np.linspace(0.0, 3.0, 3000), 0.5)
+    export_trace(recs, tmp_path / "new.csv", times=sig.timestamps + 1624233600, signal=sig.values)
+    _row_generator_trace(recs, tmp_path / "old.csv", times=sig.timestamps + 1624233600,
+                         signal=sig.values)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+_any_float = st.one_of(st.floats(), st.sampled_from(_FORMAT_EDGES))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(block=st.integers(1, 5), case=st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.one_of(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n),
+              st.lists(st.integers(-(2**70), 2**70).map(float), min_size=n, max_size=n)),
+    st.lists(st.lists(_any_float, min_size=n, max_size=n), min_size=9, max_size=9),
+)))
+def test_trace_bytes_match_the_row_generator_property(tmp_path, monkeypatch, block, case):
+    """Blocks of a few rows, times as integers or whole floats, and every
+    double, non-finite ones and columns written by repr included."""
+    monkeypatch.setattr(data_io, "_BLOCK_ROWS", block)
+    times, (signal, *columns) = case
+    export_trace(Trajectory(*columns), tmp_path / "new.csv", times=times, signal=signal)
+    _row_generator_trace(Trajectory(*columns), tmp_path / "old.csv", times=times, signal=signal)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(block=st.integers(1, 5), t0=st.integers(-(2**62), 2**62), cadence=st.integers(1, 10**6),
+       values=st.lists(_any_float, min_size=1, max_size=20))
+def test_signal_bytes_match_the_csv_writer(tmp_path, monkeypatch, block, t0, cadence, values):
+    monkeypatch.setattr(data_io, "_BLOCK_ROWS", block)
+    series = Series(t0 + cadence * np.arange(len(values), dtype=np.int64), np.array(values), cadence)
+    for name, writer in (("new.csv", write_signal_csv), ("old.csv", _csv_writer_signal)):
+        with open(tmp_path / name, "w", newline="") as fh:
+            writer(series, fh)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_report_formatting():

@@ -154,6 +154,18 @@ def test_lower_envelope_inserts_crossings_and_drops_collinear_points():
     assert env.ys == (0.0, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("fs, match", [
+    ([], r"no function is defined at 0\.0 in \[0\.0, 2\.0\]"),
+    ([Pwl((0.0, 1.0), (0.0, 0.0))], r"no function is defined at 2\.0 in"),
+    ([Pwl((0.5, 2.0), (0.0, 0.0))], r"no function is defined at 0\.0 in"),
+    ([Pwl((0.0, 1.0), (0.0, 1.0)), Pwl((1.5, 2.0), (0.0, 0.0))],
+     r"no function is defined on all of \[1\.0, 1\.5\]"),
+], ids=["empty", "short-of-hi", "short-of-lo", "gap"])
+def test_lower_envelope_refuses_parts_that_do_not_cover_the_window(fs, match):
+    with pytest.raises(ValueError, match=match):
+        lower_envelope(fs, 0.0, 2.0)
+
+
 _SLOPES = st.one_of(st.floats(-5.0, 5.0), st.integers(-2, 2).map(lambda i: i / 2))
 
 
