@@ -42,7 +42,7 @@ _FMT_MAX = 1.797693134862315e308
 _MAX_TIMESTAMP = 2**53  # from here on float seconds skip whole seconds
 _IRRADIANCE_STEP_S = 60  # synth_irradiance's cadence
 _NEUTRALITY_WINDOW = 450  # synth_signal demeans each window of this many steps
-_BLOCK_ROWS = 1024  # rows formatted at a time
+_BLOCK_ROWS = 512  # rows formatted at a time
 _TRAJECTORY_COLUMNS = tuple(f.name for f in fields(Trajectory))
 TRACE_COLUMNS = ("k", "t", "r") + _TRAJECTORY_COLUMNS
 
@@ -312,7 +312,6 @@ def _csv_rows(ints, floats, as_repr=()) -> bytearray:
     out = np.frombuffer(buf, np.uint8).reshape(rows, -1)
     np.concatenate(cells, axis=1, out=out)
     out[:, 0] = 0  # no separator before the first column
-    del out  # a bytearray with an exported buffer cannot be resized
     return buf.translate(None, b"\0")
 
 
