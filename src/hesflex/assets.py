@@ -39,9 +39,9 @@ _IRRADIANCE_MAX_WM2 = 2000.0
 class SocBoundsError(Exception):
     """Raised when a battery step would leave the SoC window.
 
-    Carries the SoC clipped back to the nearest bound so callers that
-    are allowed to saturate (the SoC guard and the simulation loop) can
-    recover; plain callers should treat this as a failed step.
+    Carries the SoC the step would reach (``soc_raw``) and that SoC
+    clipped to the window (``soc_clipped``). No caller recovers: the SoC
+    scan truncates each step to the window first, so it is a failed step.
     """
 
     def __init__(self, soc_raw: float, soc_clipped: float):
@@ -367,9 +367,8 @@ def pv_power_interp(params: PvParams, irradiance_values):
     g = np.asarray(irradiance_values, dtype=float)
     if g.size == 0:
         return np.empty(0)
+    _check_irradiance(g)
     hi = float(g.max())
-    if g.min() < 0.0 or hi > _IRRADIANCE_MAX_WM2:
-        raise ValueError(f"irradiance must lie in [0, {_IRRADIANCE_MAX_WM2:g}] W/m2")
     if hi == 0.0:
         return np.zeros(g.shape)
     grid = np.linspace(0.0, hi, 1024)

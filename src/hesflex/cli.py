@@ -18,8 +18,8 @@ a run or synthetic series above 10**7 steps, 10**6 with ``--oracle``), 3
 input data problems (including a file with fewer than two rows, a
 timestamp of 2**53 s or more in magnitude, an all-zero signal file, or a
 signal file spanning more run steps than the limit), 4 runtime failures
-(infeasible dispatch, S2 PV from a file above the load rating, battery
-bound violations, a non-finite report value, running out of memory).
+(S2 PV from a file above the load rating, battery bound violations, a
+non-finite report value, running out of memory).
 Reports are deterministic: the same config and seed give identical bytes.
 """
 
@@ -58,7 +58,7 @@ from .data_io import (
     synth_signal,
     write_signal_csv,
 )
-from .dispatch import InfeasibleDispatchError, _check_green_pv
+from .dispatch import _check_green_pv
 from .flexibility import Scenario, envelope
 from .market import (
     _SEASONS,
@@ -247,7 +247,7 @@ def cmd_track(args) -> int:
         raise ConfigError([f"--oracle on {n:,} steps is above its limit of {_MAX_ORACLE_STEPS:,}"])
     pv = _load_pv(cfg, fleet, args.pv_csv, n, series.timestamps if args.signal_csv else None)
     traj = simulate(fleet, scenario, cfg.capacity_mw * r, pv, cfg.soc0, guard)
-    sig = RegSignal(r, cfg.dt_s)
+    sig = RegSignal(r)
     outcome = settle(
         cfg.capacity_mw, sig, traj.p_hes - traj.p0,
         MarketPrices(cfg.lambda_capacity, cfg.lambda_mileage),
@@ -320,14 +320,13 @@ def bid_sweep_rows(cfg: RunConfig, days: int, eval_steps: int = 900, statistics=
     irr = synth_irradiance(cfg.seed, days)
     groups = group_by_season_hour(irr.timestamps, pv_power_interp(fleet.pv, irr.values))
     del irr  # freed before the batches, which would otherwise add to its memory
-    ordered = sorted(groups, key=lambda k: (_SEASONS.index(k[0]), k[1]))
     runs = []  # (row so far, evaluation signal, bucket mean PV) per bid
-    for idx, key in enumerate(ordered):
+    for idx, key in enumerate(list(groups)):  # calendar order
         samples = groups.pop(key)
         eval_sig = synth_signal(
             cfg.seed + 7919 * (idx + 1), eval_steps, cadence=cfg.dt_s, full_scale=True
         )
-        sig = RegSignal(eval_sig.values, cfg.dt_s)
+        sig = RegSignal(eval_sig.values)
         mean_mw = np.mean(samples)
         for stat in stats:
             stat_mw = pv_statistic(samples, stat)
@@ -422,16 +421,10 @@ def main(argv=None) -> int:
         for msg in exc.errors:
             print(f"error: {msg}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataFormatError as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (InfeasibleDispatchError, SocBoundsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except ValueError as exc:
+    except (ValueError, SocBoundsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except MemoryError as exc:

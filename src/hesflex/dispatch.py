@@ -181,18 +181,18 @@ def validate_records(
     *,
     scenario: Scenario | None = None,
     soc0: float | None = None,
-    tol: float = _BALANCE_TOL,
 ) -> None:
     """Audit a trajectory; raises ValueError naming the first bad step.
 
     Checks the power balance residual, asset box constraints, the SoC
     window, and (when ``soc0`` is given) the SoC recursion under the
-    battery inverter efficiency. A non-finite value fails every check
-    it takes part in.
+    battery inverter efficiency, each to ``_BALANCE_TOL`` (1e-9). A
+    non-finite value fails every check it takes part in.
     """
     batt = fleet.battery
     cl = fleet.load.p_max
     t = traj
+    tol = _BALANCE_TOL
     residual = (t.p_pv - t.p_curtailed) - t.p_cl + t.p_batt - t.p_hes
     checks = [
         (np.abs(residual) <= tol,

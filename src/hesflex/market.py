@@ -34,10 +34,9 @@ STATISTICS = ("mean", "p50", "p75", "p95")
 
 @dataclass
 class RegSignal:
-    """Normalized regulation signal sampled at a fixed cadence (seconds)."""
+    """Normalized regulation signal, one value per step in [-1, 1]."""
 
     values: np.ndarray
-    dt: float = 2.0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -47,8 +46,6 @@ class RegSignal:
             raise ValueError("signal values must be finite")
         if np.any(np.abs(v) > 1.0 + 1e-12):
             raise ValueError("normalized signal must stay within [-1, 1]")
-        if self.dt <= 0:
-            raise ValueError("signal cadence must be > 0 seconds")
         self.values = v
 
 
@@ -159,8 +156,8 @@ def pv_statistic(samples, statistic: str) -> float:
 def group_by_season_hour(timestamps, values) -> dict[tuple[str, int], np.ndarray]:
     """Bucket samples by (season, UTC hour of day).
 
-    Buckets appear in the order of their first sample and keep their
-    samples in input order.
+    Buckets come in calendar order, winter to fall and hour 0 to 23
+    within a season, and keep their samples in input order.
     """
     ts = np.asarray(timestamps, dtype=np.int64)
     vals = np.asarray(values, dtype=float)
@@ -174,8 +171,5 @@ def group_by_season_hour(timestamps, values) -> dict[tuple[str, int], np.ndarray
     key = key[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
     chunks = np.split(vals.ravel()[order], starts[1:])
-    # A stable sort puts each bucket's first sample at its start.
-    return {
-        (_SEASONS[key[i] // 24], int(key[i] % 24)): chunk.copy()
-        for i, chunk in sorted(zip(starts.tolist(), chunks), key=lambda c: order[c[0]])
-    }
+    return {(_SEASONS[key[i] // 24], int(key[i] % 24)): chunk.copy()
+            for i, chunk in zip(starts.tolist(), chunks)}

@@ -52,7 +52,7 @@ import numpy as np
 from . import _pwl
 from .assets import AssetFleet
 from .dispatch import Trajectory, _check_green_pv, _curtailment
-from .flexibility import Scenario, _band, envelope
+from .flexibility import Scenario, _band
 from .simulation import _soc_scan
 
 __all__ = [
@@ -75,7 +75,7 @@ class OracleProblem:
     the baseline, and in S2, S4 and S5 also the band the load and
     curtailment deliver around it, so there it moves the optimum too; S2
     needs PV within the load rating, as its allocation rule does. Every
-    number must be finite.
+    number must be finite. ``_band`` keeps the mode's ``(p0, lo, hi)`` per step.
     """
 
     fleet: AssetFleet
@@ -111,6 +111,8 @@ class OracleProblem:
             _check_green_pv(pv, self.fleet.load.p_max)
         object.__setattr__(self, "signal", sig)
         object.__setattr__(self, "pv", pv)
+        band = _band(self.scenario, pv, self.fleet.load.p_max)
+        object.__setattr__(self, "_band", tuple(np.broadcast_to(x, pv.shape) for x in band))
 
     @property
     def horizon(self) -> int:
@@ -137,82 +139,64 @@ class OracleSolution:
     certified_optimal: bool
 
 
-def _band_of(problem: OracleProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per step: the nominal power ``p0`` and the band [lo, hi] of
-    deviations around it that the assets other than the battery deliver."""
-    out = _band(problem.scenario, problem.pv, problem.fleet.load.p_max)
-    return tuple(np.broadcast_to(x, problem.pv.shape) for x in out)
-
-
 def _distance(x, lo, hi):
     """Distance of ``x`` to the interval [lo, hi], elementwise (0.0 last,
     so a zero distance is never -0.0)."""
     return np.maximum(np.maximum(x - hi, lo - x), 0.0)
 
 
-class _Stage:
-    """Per-step stage costs as functions of the SoC drop d.
+def _drop(a: float, e: float, p):
+    """SoC drop of battery power ``p``, elementwise: p > 0 discharges and
+    drops the SoC by a * p / e, p < 0 charges and raises it by a * e * |p|
+    (a = dt / e_cap, e the inverter efficiency)."""
+    return np.where(p >= 0.0, a * p / e, a * e * p)
 
-    Sign conventions: battery power p > 0 discharges and drops the SoC
-    by alpha * p / eta; p < 0 charges and raises it by alpha * eta * |p|
-    (alpha = dt / e_cap, eta the inverter efficiency), so d > 0 on
-    discharge. The cost is convex in d on each side of d = 0, one side
-    per mode; at d = 0 it is concave when the target asks for more
-    charging than the other assets can absorb, convex otherwise.
+
+def _stage_costs(problem: OracleProblem) -> list[_pwl.Pwl]:
+    """Per-step stage costs phi_k as functions of the SoC drop d.
+
+    d > 0 on discharge (see :func:`_drop`). The cost is convex in d on
+    each side of d = 0, one side per mode; at d = 0 it is concave when
+    the target asks for more charging than the other assets can absorb,
+    convex otherwise.
     """
+    b = problem.fleet.battery
+    a, e, pmax = problem.fleet.dt / b.e_cap, b.eta_inv, b.p_max
+    d_lo, d_hi = -a * e * pmax, a * pmax / e
+    _, lo, hi = problem._band
+    t = problem.targets()
 
-    def __init__(self, problem: OracleProblem):
-        fl = problem.fleet
-        b = fl.battery
-        self.alpha = fl.dt / b.e_cap
-        self.eta = b.eta_inv
-        self.pmax = b.p_max
-        self.d_hi = self.alpha * self.pmax / self.eta
-        self.d_lo = -self.alpha * self.eta * self.pmax
-        _, lo, hi = _band_of(problem)
-        self.phi = self._build(problem.targets(), lo, hi)
+    # cost and drop are linear in p between -p_max, t - hi, t - lo, 0 and p_max, so
+    # phi is linear between their drops; all steps at once, then a Pwl per step
+    def cost(d):
+        p = np.clip(np.where(d >= 0.0, d * e / a, d / (a * e)), -pmax, pmax)
+        return _distance(t - p, lo, hi).tolist()
 
-    def drop(self, p):
-        a, e = self.alpha, self.eta
-        return np.where(p >= 0.0, a * p / e, a * e * p)
-
-    def to_power(self, d):
-        a, e = self.alpha, self.eta
-        return np.clip(np.where(d >= 0.0, d * e / a, d / (a * e)), -self.pmax, self.pmax)
-
-    def _build(self, t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[_pwl.Pwl]:
-        # cost and drop are both linear in p between -p_max, the band
-        # edges t - hi and t - lo, 0 and p_max, so phi is linear between
-        # their drops; all steps at once, then one Pwl per step from floats
-        def cost(p):
-            return _distance(t - p, lo, hi)
-
-        d_lo, d_hi = self.d_lo, self.d_hi
-        kinks = [self.drop(t - hi), self.drop(t - lo)]
-        cols = [d.tolist() for d in kinks]
-        cols += [cost(self.to_power(d)).tolist() for d in kinks]
-        cols += [cost(self.to_power(d)).tolist() for d in (d_lo, 0.0, d_hi)]
-        phi = []
-        for k1, k2, c1, c2, y_lo, y_0, y_hi in zip(*cols):
-            pts = {d_lo: y_lo, 0.0: y_0, d_hi: y_hi}
-            if d_lo < k1 < d_hi:
-                pts.setdefault(k1, c1)
-            if d_lo < k2 < d_hi:
-                pts.setdefault(k2, c2)
-            xs = sorted(pts)
-            phi.append(_pwl.Pwl(tuple(xs), tuple(pts[d] for d in xs)))
-        return phi
+    kinks = [_drop(a, e, t - hi), _drop(a, e, t - lo)]
+    cols = [d.tolist() for d in kinks] + [cost(d) for d in (*kinks, d_lo, 0.0, d_hi)]
+    phi = []
+    for k1, k2, c1, c2, y_lo, y_0, y_hi in zip(*cols):
+        pts = {d_lo: y_lo, 0.0: y_0, d_hi: y_hi}
+        if d_lo < k1 < d_hi:
+            pts.setdefault(k1, c1)
+        if d_lo < k2 < d_hi:
+            pts.setdefault(k2, c2)
+        xs = sorted(pts)
+        phi.append(_pwl.Pwl(tuple(xs), tuple(pts[d] for d in xs)))
+    return phi
 
 
 def _certificate_lower_bound(problem: OracleProblem) -> float:
     """State-free bound: no step can deliver a deviation outside the
-    envelope, so each costs at least the distance of its target to it."""
-    env = envelope(problem.scenario, problem.fleet, problem.pv)
-    return float(_distance(problem.targets(), env.dp_lo, env.dp_hi).sum())
+    envelope, the band widened by the battery rating, so each costs at
+    least the distance of its target to it."""
+    _, lo, hi = problem._band
+    p_max = problem.fleet.battery.p_max
+    return float(_distance(problem.targets(), lo - p_max, hi + p_max).sum())
 
 
 def _objective_of_powers(problem: OracleProblem, p_batt) -> float:
-    _, lo, hi = _band_of(problem)
+    _, lo, hi = problem._band
     return float(_distance(problem.targets() - np.asarray(p_batt, dtype=float), lo, hi).sum())
 
 
@@ -227,13 +211,12 @@ def _tube_battery(problem: OracleProblem, tol: float) -> np.ndarray | None:
     nearest the greedy request's that keeps the SoC in B_k+1."""
     b = problem.fleet.battery
     a, e = problem.fleet.dt / b.e_cap, b.eta_inv
-    _, lo, hi = _band_of(problem)
+    _, lo, hi = problem._band
     t = problem.targets()
     greedy = np.clip(np.clip(0.0, t - hi, t - lo), -b.p_max, b.p_max)
     p_lo = np.maximum(np.minimum(t - hi, b.p_max) - tol, -b.p_max)
     p_hi = np.minimum(np.maximum(t - lo, -b.p_max) + tol, b.p_max)
-    d_lo, d_hi, d_greedy = (np.where(p >= 0.0, a * p / e, a * e * p).tolist()
-                            for p in (p_lo, p_hi, greedy))
+    d_lo, d_hi, d_greedy = (_drop(a, e, p).tolist() for p in (p_lo, p_hi, greedy))
     p_lo, p_hi, powers = p_lo.tolist(), p_hi.tolist(), greedy.tolist()
     e_min = s_lo = b.e_min
     e_max = s_hi = b.e_max
@@ -263,7 +246,7 @@ def _records_from_battery(problem: OracleProblem, p_batt) -> Trajectory:
     fl = problem.fleet
     t = problem.targets()
     pv = problem.pv
-    p0, lo, hi = _band_of(problem)
+    p0, lo, hi = problem._band
     p, soc = _soc_scan(fl, None, p_batt, problem.soc0)
     p_hes = p0 + np.clip(t, p + lo, p + hi)
     p_cl = np.clip(pv + p - p_hes, 0.0, fl.load.p_max)
@@ -279,14 +262,14 @@ def _records_from_battery(problem: OracleProblem, p_batt) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _value_functions(stage: _Stage, n: int, e_min: float, e_max: float) -> list[_pwl.Pwl]:
+def _value_functions(phi: list[_pwl.Pwl], e_min: float, e_max: float) -> list[_pwl.Pwl]:
     """V_n = 0 and V_k = phi_k [] V_k+1 on the SoC window, where [] is
     infimal convolution. Both operands are minima of their convex runs
     and [] distributes over minima, so every pair of runs is convolved
     and the results are merged exactly."""
-    values: list[_pwl.Pwl] = [_pwl.Pwl((e_min, e_max), (0.0, 0.0))] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        parts = [_pwl.inf_convolve(f, g) for f in _pwl.convex_runs(stage.phi[k])
+    values: list[_pwl.Pwl] = [_pwl.Pwl((e_min, e_max), (0.0, 0.0))] * (len(phi) + 1)
+    for k in reversed(range(len(phi))):
+        parts = [_pwl.inf_convolve(f, g) for f in _pwl.convex_runs(phi[k])
                  for g in _pwl.convex_runs(values[k + 1])]
         values[k] = _pwl.lower_envelope(parts, e_min, e_max)
     return values
@@ -302,15 +285,16 @@ def _d_candidates(phi: _pwl.Pwl, v_next: _pwl.Pwl, s: float) -> set[float]:
     return cands
 
 
-def _optimal_powers(problem: OracleProblem, stage: _Stage, values) -> np.ndarray:
+def _optimal_powers(problem: OracleProblem, stage_costs: list[_pwl.Pwl], values) -> np.ndarray:
     """Walk forward committing, per step, the drop that attains V_k
     (the smallest |p| among exact ties). Drops and powers convert with
-    the arithmetic of ``_Stage.to_power`` and ``_Stage.drop``, on floats."""
+    the arithmetic of :func:`_drop` and its inverse in
+    :func:`_stage_costs`, on floats."""
     b = problem.fleet.battery
-    a, e, pmax = stage.alpha, stage.eta, stage.pmax
+    a, e, pmax = problem.fleet.dt / b.e_cap, b.eta_inv, b.p_max
     s = problem.soc0
     powers = []
-    for phi, v_next in zip(stage.phi, values[1:]):
+    for phi, v_next in zip(stage_costs, values[1:]):
         fx, fy, vx, vy = phi.xs, phi.ys, v_next.xs, v_next.ys
         best = None
         for d in _d_candidates(phi, v_next, s):
@@ -342,9 +326,9 @@ def solve(problem: OracleProblem) -> OracleSolution:
             return OracleSolution(_records_from_battery(problem, p), obj, "tube-certificate",
                                   lb, True)
     b = problem.fleet.battery
-    stage = _Stage(problem)
-    values = _value_functions(stage, problem.horizon, b.e_min, b.e_max)
-    p = _optimal_powers(problem, stage, values)
+    phi = _stage_costs(problem)
+    values = _value_functions(phi, b.e_min, b.e_max)
+    p = _optimal_powers(problem, phi, values)
     obj = _objective_of_powers(problem, p)
     lower = max(lb, values[0](problem.soc0))
     certified = obj - lower <= _EXACT_REL_TOL * max(1.0, obj)

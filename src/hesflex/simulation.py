@@ -71,6 +71,10 @@ def simulate(
     if fleet.dt / batt.e_cap * batt.eta_inv == 0.0:
         raise ValueError("the SoC move per MW of a charging step, dt / e_cap * eta_inv, "
                          "underflows to 0")
+    # else a discharge truncated to the window can be a subnormal power that overshoots it
+    if fleet.dt / batt.e_cap / batt.eta_inv == np.inf:
+        raise ValueError("the SoC move per MW of a discharging step, dt / e_cap / eta_inv, "
+                         "overflows to inf")
     if not (batt.e_min - 1e-12 <= soc0 <= batt.e_max + 1e-12):
         raise ValueError(f"soc0 = {soc0} outside the battery window")
     if guard is not None:

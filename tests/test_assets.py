@@ -177,6 +177,17 @@ def test_pv_model_refuses_irradiance_above_its_range(irradiance):
             pv_power_interp(params, [500.0, irradiance])
 
 
+@pytest.mark.parametrize("irradiance", [math.nan, math.inf, -1.0, 3000.0])
+@pytest.mark.parametrize("series", [pv_power_series, pv_power_interp])
+def test_pv_series_functions_refuse_irradiance_outside_the_range(series, irradiance):
+    # pv_power_interp used to let NaN past its min/max test and fail in
+    # the bracket search with an OverflowError
+    params = PvParams.scaled_to_rating(3.0)
+    for values in ([irradiance], [1.0, irradiance]):
+        with pytest.raises(ValueError, match=r"\[0, 2000\] W/m2"):
+            series(params, values)
+
+
 def test_pv_power_series_matches_scalar_calls():
     # a few values are solved one at a time, and 300 distinct ones in one batch
     inputs = ([0.0, 250.0, 250.0, 990.0, 1000.0, 250.0],

@@ -17,7 +17,6 @@ from scipy.optimize import linprog
 import hesflex as hx
 from hesflex.oracle import (
     OracleProblem,
-    _band_of,
     _certificate_lower_bound,
     _objective_of_powers,
     rule_objective,
@@ -202,7 +201,7 @@ def _fleet(p_max, e_cap, load_max, eta, dt_s) -> hx.AssetFleet:
 def _greedy(prob: OracleProblem) -> np.ndarray:
     """Per step the smallest |p| within the rating that leaves t - p in
     the band, delivered through the rule's SoC scan."""
-    _, lo, hi = _band_of(prob)
+    _, lo, hi = prob._band
     t, p_max = prob.targets(), prob.fleet.battery.p_max
     request = np.clip(np.clip(0.0, t - hi, t - lo), -p_max, p_max)
     return _soc_scan(prob.fleet, None, request, prob.soc0)[0]

@@ -309,6 +309,10 @@ def test_scan_is_the_scalar_step_on_arbitrary_fleets(case):
         with pytest.raises(ValueError, match="underflows"):
             simulate(fleet, scenario, req, pv, soc0, guard)
         return
+    if fleet.dt / fleet.battery.e_cap / fleet.battery.eta_inv == np.inf:
+        with pytest.raises(ValueError, match="overflows"):
+            simulate(fleet, scenario, req, pv, soc0, guard)
+        return
     _assert_scan_matches_reference(fleet, scenario, req, pv, soc0, guard)
     batch = np.stack([req, -req, req[::-1]])
     _assert_scan_matches_reference(fleet, scenario, batch, np.broadcast_to(pv, batch.shape),
@@ -360,3 +364,62 @@ def test_alternating_request_matches_reference(fleet, guard):
         assert soc.min() == fleet.battery.e_min
     else:
         assert soc.min() < guard.e_lower + guard.buffer
+
+
+@st.composite
+def _plants(draw):
+    """A fleet, mode, request and PV series, start SoC and optional guard:
+    battery and load ratings up to 1e5 MW and MWh, any efficiency, SoC
+    window and step up to a day, PV up to 2 GW; S2 gets PV within the load rating,
+    as its rule requires."""
+    e_min = draw(st.floats(0.0, 0.9))
+    e_max = draw(st.floats(e_min, 1.0, exclude_min=True))
+    battery = BatteryParams(p_max=draw(st.floats(1e-6, 1e5)), e_cap=draw(st.floats(1e-6, 1e5)),
+                            eta_inv=draw(st.floats(0.0, 1.0, exclude_min=True)),
+                            e_min=e_min, e_max=e_max)
+    fleet = AssetFleet(PvParams(), battery, LoadParams(draw(st.floats(0.0, 1e5))),
+                       draw(st.integers(1, 86_400)) / 3600.0)
+    scenario = draw(st.sampled_from(list(Scenario)))
+    steps = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2e3)), min_size=1,
+                          max_size=80))
+    r, pv = (np.array(col) for col in zip(*steps))
+    if scenario is Scenario.S2:
+        pv = np.minimum(pv, fleet.load.p_max)
+    guard, lo, hi = None, e_min, e_max
+    if 0.5 * (e_max - e_min) > 0.0 and draw(st.booleans()):
+        buffer = draw(st.floats(0.0, 0.5 * (e_max - e_min), exclude_min=True))
+        e_lower = draw(st.floats(e_min, max(e_min, e_max - 2.0 * buffer)))
+        e_upper = draw(st.floats(min(e_lower + 2.0 * buffer, e_max), e_max))
+        try:
+            guard = GuardConfig(e_upper, e_lower, buffer)
+            lo, hi = e_lower, e_upper
+        except ValueError:  # float dust at the width limit
+            pass
+    soc0 = draw(st.floats(lo, hi))
+    request = draw(st.floats(1e-3, 1e6)) * r
+    return fleet, scenario, request, pv, soc0, guard
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_plants())
+# dt / e_cap / eta_inv overflows: the discharge truncated to the window
+# used to be a subnormal power whose SoC move left the window by 1.2e-12
+@example(case=(AssetFleet(PvParams(), BatteryParams(1.0, 0.5, eta_inv=2.2250738585e-313,
+                                                    e_min=0.671875, e_max=1.0),
+                          LoadParams(0.0), 214.0 / 3600.0),
+               Scenario.S1, np.array([1.0]), np.zeros(1), 1.0, None))
+def test_simulation_audits_clean_on_arbitrary_plants(case):
+    """Every run balances its power, keeps each asset in its box and the
+    SoC in the window, and follows the SoC recursion, as the audit checks;
+    with an admissible guard the SoC also stays in the guard band."""
+    fleet, scenario, request, pv, soc0, guard = case
+    alpha, eta = fleet.dt / fleet.battery.e_cap, fleet.battery.eta_inv
+    if alpha * eta == 0.0 or alpha / eta == np.inf:
+        with pytest.raises(ValueError, match="underflows|overflows"):
+            simulate(fleet, scenario, request, pv, soc0, guard)
+        return
+    traj = simulate(fleet, scenario, request, pv, soc0, guard)
+    validate_records(traj, fleet, scenario=scenario, soc0=soc0)
+    if guard is not None and containment_ratio(guard, fleet.battery, fleet.dt) <= 1.0:
+        assert np.all(guard.e_lower - 1e-12 <= traj.soc)
+        assert np.all(traj.soc <= guard.e_upper + 1e-12)
