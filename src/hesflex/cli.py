@@ -237,8 +237,8 @@ def cmd_synth_signal(args) -> int:
 
 def cmd_track(args) -> int:
     cfg = _configure(args)
+    guard = build_guard(cfg)  # its containment check names an unusable eta_inv first
     fleet = build_fleet(cfg)
-    guard = build_guard(cfg)
     scenario = Scenario[cfg.scenario]
     series = _load_signal(cfg, args.signal_csv)
     r = series.values

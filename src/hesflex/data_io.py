@@ -489,32 +489,79 @@ def synth_signal(
     return Series(ts, x, step)
 
 
+def _ar1_days(e, a):
+    """The AR(1) filter ``y[k] = a * y[k-1] + e[k]`` from y[-1] = 0 over
+    the columns of ``e`` (one day of m samples each) laid end to end,
+    equal bit for bit to the loop that runs it one sample at a time.
+
+    A run steps every day at once, one row of ``e`` at a time, from a
+    start value per day, with that loop's two float operations. The first
+    run starts every day at 0, so its day ends are the days' local sums;
+    chained over the days by ``a**m`` they guess each day's start. Each
+    later run starts every day where the day before ended in the run
+    before, until, bit for bit, every day ends where the next one started.
+    Day 0 starts at exactly 0.0, so then every day ran from its exact
+    start, by induction over the days, and the output is the sample
+    loop's. Each of those later runs makes at least one more day start
+    exactly, so there are at most days + 1 runs (parareal, Lions, Maday
+    and Turinici 2001, with the sample loop as the fine solver).
+    """
+    m, days = e.shape
+    out = np.empty_like(e)
+    start = np.zeros(days)
+    chained = False
+    while True:
+        prev = start
+        for y, x in zip(out, e):
+            np.multiply(prev, a, out=y)
+            y += x
+            prev = y
+        ends = out[-1, :-1]
+        if ends.tobytes() == start[1:].tobytes():
+            return out
+        if chained:
+            start[1:] = ends
+        else:
+            decay, s = a**m, 0.0
+            for d, local in enumerate(ends.tolist(), 1):
+                s = decay * s + local
+                start[d] = s
+            chained = True
+
+
 def synth_irradiance(seed: int, days: int) -> Series:
     """Deterministic synthetic GHI at 60 s from 2021-01-01T00:00:00Z:
     seasonal clear-sky bell peaking at 1000 W/m2 plus slow cloud noise.
-    Good enough to exercise seasonal statistics; not a weather model."""
+    Good enough to exercise seasonal statistics; not a weather model.
+
+    The series is worked on as a grid of days by minutes of the day: the
+    seasonal factor is taken once per day, the sun's elevation once per
+    minute of the day, and the cloud filter runs the days side by side
+    (:func:`_ar1_days`), with the float operations that a pass over the
+    whole series makes."""
     if days < 1:
         raise ValueError("days must be >= 1")
     step = _IRRADIANCE_STEP_S
-    n = days * 86400 // step
-    ts = 1609459200 + np.arange(n, dtype=np.int64) * step  # day 0 is January 1st
-    doy = (ts - ts[0]) // 86400 % 365
-    hod = ts % 86400 / 3600.0
+    per_day = 86400 // step
+    t0 = 1609459200  # 2021-01-01T00:00:00Z, so day 0 is January 1st
+    ts = np.arange(t0, t0 + days * 86400, step, dtype=np.int64)
+    doy = np.arange(days) % 365
+    hod = np.arange(per_day) * step / 3600.0
     elevation = np.sin(np.pi * (hod - 6.0) / 12.0)
     np.clip(elevation, 0.0, None, out=elevation)
     seasonal = 0.7 + 0.3 * np.cos(2.0 * np.pi * (doy - 171) / 365.0)
     rng = np.random.default_rng(seed)
-    innov = rng.normal(0.0, 0.18, n)
-    cloud = np.empty(n)
-    out = memoryview(cloud)  # Python floats in and out, no numpy scalars
-    y = 0.0
-    for k, e in enumerate(memoryview(innov)):
-        y = 0.995 * y + e
-        out[k] = y
-    cloud = np.clip(0.75 + 0.25 * cloud, 0.05, 1.0)
-    ghi = 1000.0 * seasonal * elevation * cloud
+    # transposed, so that each minute of the day is one contiguous row
+    innov = rng.normal(0.0, 0.18, (days, per_day)).T.copy()
+    cloud = _ar1_days(innov, 0.995)
+    del innov  # its memory takes ghi
+    cloud *= 0.25
+    cloud += 0.75
+    np.clip(cloud, 0.05, 1.0, out=cloud)
+    ghi = (1000.0 * seasonal)[:, None] * elevation
+    ghi *= cloud.T
     np.clip(ghi, 0.0, None, out=ghi)
-    return Series(ts, ghi, step)
+    return Series(ts, ghi.reshape(-1), step)
 
 
 def export_trace(traj: Trajectory, path, *, times, signal) -> None:

@@ -456,6 +456,29 @@ def test_guard_on_an_underflowing_efficiency_is_a_config_error(capsys):
     assert "battery.eta_inv" in err and "containment ratio inf" in err
 
 
+_UNDERFLOW = "--set battery.eta_inv=5e-324"
+_OVERFLOW = "--set battery.eta_inv=2.2250738585e-313 --set battery.e_cap_mwh=0.5"
+
+
+@pytest.mark.parametrize("argv, fault", [
+    (f"track --hours 0.1 --no-guard {_UNDERFLOW}", "underflows to 0"),
+    (f"track --hours 0.1 --no-guard --oracle {_UNDERFLOW}", "underflows to 0"),
+    (f"bid-sweep --days 1 {_UNDERFLOW}", "underflows to 0"),
+    (f"track --hours 0.1 --no-guard {_OVERFLOW}", "overflows to inf"),
+    (f"track --hours 0.1 --no-guard --oracle {_OVERFLOW}", "overflows to inf"),
+    (f"bid-sweep --days 1 {_OVERFLOW}", "overflows to inf"),
+    # guarded, and the guard contains the step: the fleet check still refuses it
+    ("track --hours 0.01 --set signal.dt_s=1 --set battery.e_cap_mwh=1e308 "
+     "--set battery.eta_inv=5e-13", "underflows to 0"),
+])
+def test_unusable_efficiency_is_a_config_error(capsys, argv, fault):
+    # simulate would refuse the SoC move per MW of a step after the set-up
+    code, _, err = _run(capsys, argv.split())
+    assert code == EXIT_CONFIG
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "battery.eta_inv" in err and fault in err
+
+
 def test_pv_rating_below_one_cell_is_a_config_error(capsys):
     # one cell gives ~1.6e-6 MW at 1000 W/m2, so no whole cell count reaches this
     code, _, err = _run(capsys, ["envelope", "--set", "pv.rated_mw=1e-300"])

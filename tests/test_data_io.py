@@ -291,6 +291,50 @@ def test_synth_irradiance_deterministic():
     np.testing.assert_array_equal(a.values, b.values)
 
 
+def _synth_irradiance_loop(seed, days):
+    """The byte reference for synth_irradiance: every factor taken over
+    the whole series, and the cloud filter one sample at a time."""
+    step = 60
+    n = days * 86400 // step
+    ts = 1609459200 + np.arange(n, dtype=np.int64) * step
+    doy = (ts - ts[0]) // 86400 % 365
+    hod = ts % 86400 / 3600.0
+    elevation = np.sin(np.pi * (hod - 6.0) / 12.0)
+    np.clip(elevation, 0.0, None, out=elevation)
+    seasonal = 0.7 + 0.3 * np.cos(2.0 * np.pi * (doy - 171) / 365.0)
+    rng = np.random.default_rng(seed)
+    innov = rng.normal(0.0, 0.18, n)
+    cloud = np.empty(n)
+    out = memoryview(cloud)
+    y = 0.0
+    for k, e in enumerate(memoryview(innov)):
+        y = 0.995 * y + e
+        out[k] = y
+    cloud = np.clip(0.75 + 0.25 * cloud, 0.05, 1.0)
+    ghi = 1000.0 * seasonal * elevation * cloud
+    np.clip(ghi, 0.0, None, out=ghi)
+    return ts, ghi
+
+
+def _assert_irradiance_bytes(seed, days):
+    ghi = synth_irradiance(seed, days)
+    ts, values = _synth_irradiance_loop(seed, days)
+    assert ghi.cadence == 60
+    assert ghi.timestamps.dtype == ts.dtype and ghi.timestamps.tobytes() == ts.tobytes()
+    assert ghi.values.dtype == values.dtype and ghi.values.tobytes() == values.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), days=st.integers(1, 40))
+def test_synth_irradiance_equals_the_sample_loop(seed, days):
+    _assert_irradiance_bytes(seed, days)
+
+
+@pytest.mark.parametrize("seed, days", [(1, 365), (7, 366)])
+def test_synth_irradiance_equals_the_sample_loop_over_a_year(seed, days):
+    _assert_irradiance_bytes(seed, days)
+
+
 # ---------------------------------------------------------------------------
 # trace and report export
 # ---------------------------------------------------------------------------

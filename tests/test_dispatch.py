@@ -116,6 +116,41 @@ def test_allocate_delivers_every_in_envelope_request(scen, p_max, load_max, pv_s
         assert p_curt == 0.0
 
 
+_RATING = st.floats(1e-6, 1e5)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    scen=st.sampled_from(ALL),
+    p_max=_RATING,
+    load_max=_RATING,
+    pv=st.one_of(st.just(0.0), _RATING),
+)
+def test_envelope_edges_are_delivered_and_nothing_beyond(scen, p_max, load_max, pv):
+    """The envelope is the largest interval allocate serves: on any finite
+    fleet both edges are delivered, balanced to 1e-9 with every asset
+    inside its box, and a request 1e-9 (relative) beyond either edge is
+    refused. S2 and S3 take PV up to the load rating."""
+    fleet = AssetFleet(
+        pv=PvParams.scaled_to_rating(3.0),
+        battery=BatteryParams(p_max=p_max, e_cap=1.0),
+        load=LoadParams(p_max=load_max),
+        dt=2.0 / 3600.0,
+    )
+    p_pv = min(pv, load_max) if scen in (Scenario.S2, Scenario.S3) else pv
+    env = envelope(scen, fleet, p_pv)
+    for dp in (env.dp_lo, env.dp_hi):
+        p_cl, p_batt, p_curt = allocate(scen, fleet, p_pv, dp)
+        assert abs((p_pv - p_curt) - p_cl + p_batt - (env.p0 + dp)) <= 1e-9
+        assert 0.0 <= p_cl <= load_max
+        assert abs(p_batt) <= p_max
+        assert 0.0 <= p_curt <= p_pv
+        if scen in (Scenario.S1, Scenario.S2, Scenario.S3):
+            assert p_curt == 0.0
+        with pytest.raises(InfeasibleDispatchError):
+            allocate(scen, fleet, p_pv, dp * (1.0 + 1e-9))
+
+
 @pytest.mark.parametrize("scen", ALL)
 def test_balance_and_boxes_inside_envelope(fleet, scen):
     """Every in-envelope request is delivered exactly with feasible setpoints."""
