@@ -10,7 +10,11 @@ single-point domain is legal.
 
 Everything works on Python floats: the hot calls of a dynamic program
 are on a few breakpoints, where numpy's set-up would cost more than the
-arithmetic.
+arithmetic. The commonest step, one convex pair convolved and cut to a
+window, has its own fused pass, ``_convolve_on``, on plain ``(xs, ys)``
+tuples; it shares the sweep, the hull and the flat-point rounds with
+``inf_convolve`` and ``lower_envelope`` and equals their composition bit
+for bit.
 """
 
 from __future__ import annotations
@@ -64,9 +68,9 @@ def _at(xs, ys, x: float) -> float:
     return (1.0 - t) * ys[i] + t * ys[i + 1]
 
 
-def _hull(pts) -> Pwl:
+def _hull(pts) -> tuple[list[float], list[float]]:
     """Lower convex hull of exact samples of a convex function, given in
-    ascending x order.
+    ascending x order, as breakpoint and value lists.
 
     The sample set must contain every kink of the target; duplicate x
     values keep the smaller y, and interior points on or above the
@@ -78,15 +82,20 @@ def _hull(pts) -> Pwl:
     hy: list[float] = []
     pts = iter(pts)
     px, py = next(pts)
+    # the scales are max(1.0, abs(x)) and max(1.0, abs(lhs), abs(rhs)), spelled
+    # out: this loop is most of a convex dynamic-program step
     for x, y in (*pts, (None, None)):
-        if x is not None and x - px <= 1e-13 * max(1.0, abs(x)):
+        if x is not None and x - px <= 1e-13 * (abs(x) if x > 1.0 or x < -1.0 else 1.0):
             if y < py:
                 py = y
             continue
         while len(hx) >= 2:
-            lhs = (hy[-1] - hy[-2]) * (px - hx[-1])
-            rhs = (py - hy[-1]) * (hx[-1] - hx[-2])
-            if lhs >= rhs - _KINK_TOL * max(1.0, abs(lhs), abs(rhs)):
+            x1 = hx[-1]
+            y1 = hy[-1]
+            lhs = (y1 - hy[-2]) * (px - x1)
+            rhs = (py - y1) * (x1 - hx[-2])
+            scale = abs(lhs) if abs(lhs) > abs(rhs) else abs(rhs)
+            if lhs >= rhs - _KINK_TOL * (scale if scale > 1.0 else 1.0):
                 hx.pop()  # middle point is no strict downward kink
                 hy.pop()
             else:
@@ -94,21 +103,16 @@ def _hull(pts) -> Pwl:
         hx.append(px)
         hy.append(py)
         px, py = x, y
-    return Pwl(tuple(hx), tuple(hy))
+    return hx, hy
 
 
-def inf_convolve(f: Pwl, g: Pwl) -> Pwl:
-    """Infimal convolution ``h(z) = min over x of f(x) + g(z - x)``.
-
-    For convex piecewise-linear operands the result sweeps the merged
-    ascending slope sequence starting from the sum of the left domain
-    endpoints. Every vertex of that sweep is the sum of one vertex of f
-    and one of g, and is computed as such, so rounding does not
-    accumulate along the sweep, and the vertices come in ascending x
-    order (float addition is monotone), which is the order ``_hull``
-    needs.
-    """
-    fx, fy, gx, gy = f.xs, f.ys, g.xs, g.ys
+def _sweep(fx, fy, gx, gy) -> list[tuple[float, float]]:
+    """The vertices of the slope-merge sweep of two convex functions,
+    from the sum of their left domain endpoints. Every vertex is the sum
+    of one vertex of f and one of g, and is computed as such, so rounding
+    does not accumulate along the sweep, and the vertices come in
+    ascending x order (float addition is monotone), which is the order
+    ``_hull`` needs."""
     i = j = 0
     m, n = len(fx) - 1, len(gx) - 1
     pts = [(fx[0] + gx[0], fy[0] + gy[0])]
@@ -120,7 +124,54 @@ def inf_convolve(f: Pwl, g: Pwl) -> Pwl:
         else:
             j += 1
         pts.append((fx[i] + gx[j], fy[i] + gy[j]))
-    return _hull(pts)
+    return pts
+
+
+def inf_convolve(f: Pwl, g: Pwl) -> Pwl:
+    """Infimal convolution ``h(z) = min over x of f(x) + g(z - x)``.
+
+    For convex piecewise-linear operands the result is the lower hull of
+    the vertices of the sweep of their merged ascending slope sequence.
+    """
+    hx, hy = _hull(_sweep(f.xs, f.ys, g.xs, g.ys))
+    return Pwl(tuple(hx), tuple(hy))
+
+
+def _convolve_on(fx, fy, gx, gy, lo: float, hi: float) -> tuple[tuple, tuple]:
+    """``lower_envelope([inf_convolve(f, g)], lo, hi)`` as ``(xs, ys)``, bit
+    for bit, for convex f = (fx, fy) and g = (gx, gy), with no ``Pwl``.
+
+    The hull of the sweep is cut to [lo, hi]: the ends take the value
+    ``lower_envelope``'s step 1 gives them (a hull vertex its own value,
+    any other point ``slope*(x - xs[j]) + ys[j]``), the vertices strictly
+    inside are kept, and ``_drop_flat`` runs on the result. A window that
+    the hull does not cover is refused as ``lower_envelope`` refuses it.
+    """
+    lo, hi = float(lo), float(hi)
+    xs, ys = _hull(_sweep(fx, fy, gx, gy))
+    i, j = bisect_right(xs, lo), bisect_left(xs, hi)
+    if i == 0 or j == len(xs):
+        return lower_envelope([Pwl(tuple(xs), tuple(ys))], lo, hi)  # raises
+    if xs[i - 1] == lo:
+        y_lo = ys[i - 1]
+    else:
+        y_lo = (ys[i] - ys[i - 1]) / (xs[i] - xs[i - 1]) * (lo - xs[i - 1]) + ys[i - 1]
+    if lo == hi:
+        return (lo,), (y_lo,)
+    if xs[j] == hi:
+        y_hi = ys[j]
+    else:
+        y_hi = (ys[j] - ys[j - 1]) / (xs[j] - xs[j - 1]) * (hi - xs[j - 1]) + ys[j - 1]
+    gx = [lo, *xs[i:j], hi]
+    gy = [y_lo, *ys[i:j], y_hi]
+    _drop_flat(gx, gy)
+    return tuple(gx), tuple(gy)
+
+
+def _concave_kinks(xs, ys) -> list[int]:
+    """Indices of the breakpoints where the slope strictly falls."""
+    slopes = [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
+    return [i for i, (s0, s1) in enumerate(zip(slopes, slopes[1:]), 1) if s1 < s0]
 
 
 def convex_runs(f: Pwl) -> list[Pwl]:
@@ -129,11 +180,10 @@ def convex_runs(f: Pwl) -> list[Pwl]:
     Consecutive pieces share their end breakpoint, and f is the pointwise
     minimum of the pieces, each taken as +inf outside its own domain.
     """
-    xs, ys = f.xs, f.ys
-    slopes = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
-    cuts = [0, *(i for i in range(1, len(slopes)) if slopes[i] < slopes[i - 1]), len(xs) - 1]
-    if len(cuts) == 2:
+    kinks = _concave_kinks(f.xs, f.ys)
+    if not kinks:
         return [f]
+    cuts = [0, *kinks, len(f.xs) - 1]
     return [Pwl(f.xs[a:b + 1], f.ys[a:b + 1]) for a, b in zip(cuts, cuts[1:])]
 
 
@@ -214,6 +264,14 @@ def lower_envelope(fs, lo: float, hi: float) -> Pwl:
             cx, cy = [], []
             _crossings(grid[i - 1], grid[i], left, right, cx, cy)
             gx[i:i], gy[i:i] = cx, cy
+    _drop_flat(gx, gy)
+    return Pwl(tuple(gx), tuple(gy))
+
+
+def _drop_flat(gx: list, gy: list) -> None:
+    """Drop, in place, the breakpoints on the chord of their neighbours to
+    rounding, in rounds that each drop every other such point, so no two
+    neighbours go in one round."""
     flat = [False] * len(gx)  # per point: on the chord of its neighbours
     todo = range(1, len(gx) - 1)
     while todo:
@@ -226,16 +284,15 @@ def lower_envelope(fs, lo: float, hi: float) -> Pwl:
             flat[p] = dev <= _TOL or dev <= _TOL * (max(1.0, abs(y1), abs(y0), abs(y2))
                                                     + abs(slope) * max(abs(x0), abs(x2)))
         if True not in flat:
-            break
+            return
         on = [p for p, f in enumerate(flat) if f]
         drop = on[::2]  # every other flat point: never two neighbours
         for p in reversed(drop):
             del gx[p], gy[p], flat[p]
         if len(drop) == len(on):
-            break
+            return
         # only the neighbours of a dropped point have new neighbours
         todo = [q for r, p in enumerate(drop) for q in (p - r - 1, p - r) if 0 < q < len(gx) - 1]
-    return Pwl(tuple(gx), tuple(gy))
 
 
 def _crossings(x0: float, x1: float, left: list, right: list, gx: list, gy: list) -> None:

@@ -12,14 +12,16 @@ signal's timestamps, both by one zero-order hold: each sample holds until
 the next, the last one for one cadence.
 
 Exit codes: 0 success, 2 configuration problems (including a step above
-one day, irradiance above 2000 W/m2, capacity above 1e6 MW, a PV rating
-below one cell, S2 PV from a flag or the config above the load rating, or
-a run or synthetic series above 10**7 steps, 10**6 with ``--oracle``), 3
-input data problems (including a file with fewer than two rows, a
-timestamp of 2**53 s or more in magnitude, an all-zero signal file, or a
-signal file spanning more run steps than the limit), 4 runtime failures
-(S2 PV from a file above the load rating, battery bound violations, a
-non-finite report value, running out of memory).
+one day, irradiance above 2000 W/m2, capacity outside [1e-6, 1e6] MW, a
+rating above 1e6 MW, a PV rating below one cell, S2 PV from a flag or the
+config above the load rating, or a run or synthetic series above 10**7
+steps, 10**6 with ``--oracle``), 3 input data problems (including a file
+with fewer than two rows, a timestamp of 2**53 s or more in magnitude, an
+all-zero signal file, or a signal file spanning more run steps than the
+limit), 4 runtime failures (S2 PV from a file above the load rating,
+battery bound violations, a non-finite report value, a signal file so
+small that the score's capacity * sum |r| underflows, running out of
+memory).
 Reports are deterministic: the same config and seed give identical bytes.
 """
 

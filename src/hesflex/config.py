@@ -97,16 +97,22 @@ _KEYS = {
 _FIELD_TO_KEY = {field: key for key, (field, _) in _KEYS.items()}
 
 _MAX_DT_S = 86400.0  # one day
-_MAX_CAPACITY_MW = 1e6  # a terawatt; from ~1e307 MW the score's sums overflow
+# A terawatt, for the capacity and every rating: from ~1e307 MW the score's
+# sums overflow, and from ~1e308 MW the envelope's edges and width do
+_MAX_MW = 1e6
+# A watt: below it the score's C * sum |r| of a short run can underflow to 0
+_MIN_CAPACITY_MW = 1e-6
 # USD per MW and per MW of mileage. The mileage of a run is at most twice
 # its steps, so at the capacity and step limits a payment stays below
 # ~2e25 USD; prices near 1e295 would overflow it to inf.
 _MAX_PRICE = 1e12
 # Run steps, and samples of one synthetic series, in one command. A track
 # run peaks at ~145 B of RSS a step (measured at 10**5 and 10**6 steps),
-# so this bound keeps one under ~1.5 GB; the exact oracle needs ~1.2 KB a step.
+# so this bound keeps one under ~1.5 GB. The exact oracle's solve peaks at
+# ~0.7-0.8 KB a step more (tracemalloc on 7,200-step default-fleet DP
+# instances: 665-758 B; ~960 B of RSS growth at 72,000 steps).
 _MAX_STEPS = 10_000_000
-_MAX_ORACLE_STEPS = 1_000_000  # track --oracle: ~1.2 GB
+_MAX_ORACLE_STEPS = 1_000_000  # track --oracle: ~0.8 GB more
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -173,8 +179,11 @@ def validate(cfg: RunConfig) -> list[str]:
             out.append(f"{_FIELD_TO_KEY[name]} must be >= 0")
     if math.isfinite(cfg.irradiance_wm2) and cfg.irradiance_wm2 > _IRRADIANCE_MAX_WM2:
         out.append(f"pv.irradiance_wm2 must be <= {_IRRADIANCE_MAX_WM2:g} W/m2")
-    if math.isfinite(cfg.capacity_mw) and cfg.capacity_mw > _MAX_CAPACITY_MW:
-        out.append(f"market.capacity_mw must be <= {_MAX_CAPACITY_MW:g} MW")
+    if 0.0 < cfg.capacity_mw < _MIN_CAPACITY_MW:
+        out.append(f"market.capacity_mw must be >= {_MIN_CAPACITY_MW:g} MW")
+    for name in ("capacity_mw", "pv_rated_mw", "batt_p_max_mw", "load_max_mw"):
+        if math.isfinite(getattr(cfg, name)) and getattr(cfg, name) > _MAX_MW:
+            out.append(f"{_FIELD_TO_KEY[name]} must be <= {_MAX_MW:g} MW")
     for name in ("lambda_capacity", "lambda_mileage"):
         if math.isfinite(getattr(cfg, name)) and getattr(cfg, name) > _MAX_PRICE:
             out.append(f"{_FIELD_TO_KEY[name]} must be <= {_MAX_PRICE:g} USD/MW")

@@ -83,8 +83,8 @@ def mileage(sig: RegSignal) -> float:
 def performance_score(capacity: float, sig: RegSignal, delivered_dp) -> float:
     """L1 tracking score of the delivered deviation against ``C * r``.
 
-    Undefined (raises ValueError) for non-positive capacity or an
-    all-zero signal.
+    Undefined (raises ValueError) for non-positive capacity, an all-zero
+    signal, or a capacity times sum |r| that underflows to 0.
     """
     dp = np.asarray(delivered_dp, dtype=float)
     if dp.shape != sig.values.shape:
@@ -94,8 +94,11 @@ def performance_score(capacity: float, sig: RegSignal, delivered_dp) -> float:
     l1 = float(np.sum(np.abs(sig.values)))
     if l1 == 0.0:
         raise ValueError("performance score undefined for an all-zero signal")
+    scale = capacity * l1
+    if scale == 0.0:
+        raise ValueError("performance score undefined: capacity * sum |r| underflows to 0")
     err = float(np.sum(np.abs(capacity * sig.values - dp)))
-    return 1.0 - err / (capacity * l1)
+    return 1.0 - err / scale
 
 
 def payment(score: float, capacity: float, mileage_value: float, prices: MarketPrices) -> float:

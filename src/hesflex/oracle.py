@@ -36,15 +36,17 @@ Strategy, cheapest first:
 
    ([] is infimal convolution) are continuous piecewise-linear. They are
    computed without a grid, by convolving convex runs and taking exact
-   lower envelopes; a step with a single pair of runs, most steps on the
-   default fleet, only restricts its convolution to the window. A
-   forward pass then commits the drops that attain them. The answer is
-   certified when its objective is within 1e-9 (relative, floor 1) of
-   V_0(soc0), which holds to float rounding.
+   lower envelopes, and kept as ``(xs, ys)`` tuples. A step where phi_k
+   and V_k+1 are each one convex run, most steps on the default fleet, is
+   one fused convolve-and-cut pass that equals the generic path bit for
+   bit. A forward pass then commits the drops that attain them. The
+   answer is certified when its objective is within 1e-9 (relative,
+   floor 1) of V_0(soc0), which holds to float rounding.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,8 +154,9 @@ def _drop(a: float, e: float, p):
     return np.where(p >= 0.0, a * p / e, a * e * p)
 
 
-def _stage_costs(problem: OracleProblem) -> list[_pwl.Pwl]:
-    """Per-step stage costs phi_k as functions of the SoC drop d.
+def _stage_costs(problem: OracleProblem) -> list[tuple[tuple, tuple]]:
+    """Per-step stage costs phi_k as functions of the SoC drop d, each as
+    its ``(xs, ys)`` breakpoints.
 
     d > 0 on discharge (see :func:`_drop`). The cost is convex in d on
     each side of d = 0, one side per mode; at d = 0 it is concave when
@@ -167,7 +170,7 @@ def _stage_costs(problem: OracleProblem) -> list[_pwl.Pwl]:
     t = problem.targets()
 
     # cost and drop are linear in p between -p_max, t - hi, t - lo, 0 and p_max, so
-    # phi is linear between their drops; all steps at once, then a Pwl per step
+    # phi is linear between their drops; all steps at once, then one pair per step
     def cost(d):
         p = np.clip(np.where(d >= 0.0, d * e / a, d / (a * e)), -pmax, pmax)
         return _distance(t - p, lo, hi).tolist()
@@ -175,14 +178,35 @@ def _stage_costs(problem: OracleProblem) -> list[_pwl.Pwl]:
     kinks = [_drop(a, e, t - hi), _drop(a, e, t - lo)]
     cols = [d.tolist() for d in kinks] + [cost(d) for d in (*kinks, d_lo, 0.0, d_hi)]
     phi = []
+    # Breakpoints in ascending order, with k1 <= k2 (t - hi <= t - lo, and _drop
+    # is monotone). A kink equal to 0.0 (-0.0 too) or to k1 adds none and keeps
+    # the earlier cost; a drop bound that underflows to 0.0 shares the 0.0
+    # breakpoint, whose cost is then the later bound's
     for k1, k2, c1, c2, y_lo, y_0, y_hi in zip(*cols):
-        pts = {d_lo: y_lo, 0.0: y_0, d_hi: y_hi}
-        if d_lo < k1 < d_hi:
-            pts.setdefault(k1, c1)
-        if d_lo < k2 < d_hi:
-            pts.setdefault(k2, c2)
-        xs = sorted(pts)
-        phi.append(_pwl.Pwl(tuple(xs), tuple(pts[d] for d in xs)))
+        xs, ys = [d_lo], [y_lo]
+        if d_lo < k1 < 0.0:
+            xs.append(k1)
+            ys.append(c1)
+        if d_lo < k2 < 0.0 and k2 != k1:
+            xs.append(k2)
+            ys.append(c2)
+        if d_lo < 0.0:
+            xs.append(0.0)
+            ys.append(y_0)
+        else:
+            ys[-1] = y_0
+        if 0.0 < k1 < d_hi:
+            xs.append(k1)
+            ys.append(c1)
+        if 0.0 < k2 < d_hi and k2 != k1:
+            xs.append(k2)
+            ys.append(c2)
+        if 0.0 < d_hi:
+            xs.append(d_hi)
+            ys.append(y_hi)
+        else:
+            ys[-1] = y_hi
+        phi.append((tuple(xs), tuple(ys)))
     return phi
 
 
@@ -262,44 +286,70 @@ def _records_from_battery(problem: OracleProblem, p_batt) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _value_functions(phi: list[_pwl.Pwl], e_min: float, e_max: float) -> list[_pwl.Pwl]:
-    """V_n = 0 and V_k = phi_k [] V_k+1 on the SoC window, where [] is
-    infimal convolution. Both operands are minima of their convex runs
-    and [] distributes over minima, so every pair of runs is convolved
-    and the results are merged exactly."""
-    values: list[_pwl.Pwl] = [_pwl.Pwl((e_min, e_max), (0.0, 0.0))] * (len(phi) + 1)
+def _value_functions(phi, e_min: float, e_max: float) -> list[tuple[tuple, tuple]]:
+    """V_n = 0 and V_k = phi_k [] V_k+1 on the SoC window, each as its
+    ``(xs, ys)`` breakpoints, where [] is infimal convolution.
+
+    When phi_k and V_k+1 are each one convex run, the step is one fused
+    convolve-and-cut pass (``_pwl._convolve_on``). Otherwise both are
+    minima of their convex runs and [] distributes over minima, so every
+    pair of runs is convolved and the results are merged exactly; the
+    fused pass equals that path on one pair bit for bit.
+    """
+    values = [((e_min, e_max), (0.0, 0.0))] * (len(phi) + 1)
+    convex = True  # V_k+1 is one convex run
     for k in reversed(range(len(phi))):
-        parts = [_pwl.inf_convolve(f, g) for f in _pwl.convex_runs(phi[k])
-                 for g in _pwl.convex_runs(values[k + 1])]
-        values[k] = _pwl.lower_envelope(parts, e_min, e_max)
+        fx, fy = phi[k]
+        if convex and not _pwl._concave_kinks(fx, fy):
+            xs, ys = _pwl._convolve_on(fx, fy, *values[k + 1], e_min, e_max)
+        else:
+            parts = [_pwl.inf_convolve(f, g) for f in _pwl.convex_runs(_pwl.Pwl(fx, fy))
+                     for g in _pwl.convex_runs(_pwl.Pwl(*values[k + 1]))]
+            v = _pwl.lower_envelope(parts, e_min, e_max)
+            xs, ys = v.xs, v.ys
+        values[k] = (xs, ys)
+        convex = not _pwl._concave_kinks(xs, ys)
     return values
 
 
-def _d_candidates(phi: _pwl.Pwl, v_next: _pwl.Pwl, s: float) -> set[float]:
-    """Kink-complete candidate drops for min_d phi(d) + V(s - d)."""
-    lo = max(phi.x_lo, s - v_next.x_hi)
-    hi = min(phi.x_hi, s - v_next.x_lo)
-    cands = {lo, hi}
-    cands.update(x for x in phi.xs if lo < x < hi)
-    cands.update(s - x for x in v_next.xs if lo < s - x < hi)
-    return cands
-
-
-def _optimal_powers(problem: OracleProblem, stage_costs: list[_pwl.Pwl], values) -> np.ndarray:
+def _optimal_powers(problem: OracleProblem, stage_costs, values) -> np.ndarray:
     """Walk forward committing, per step, the drop that attains V_k
-    (the smallest |p| among exact ties). Drops and powers convert with
-    the arithmetic of :func:`_drop` and its inverse in
+    (the smallest |p| among exact ties). The candidate drops are the ends
+    of the feasible range and every kink of phi_k and of V_k+1(s - d)
+    inside it, evaluated as ``_pwl._at`` evaluates. Drops and powers
+    convert with the arithmetic of :func:`_drop` and its inverse in
     :func:`_stage_costs`, on floats."""
     b = problem.fleet.battery
     a, e, pmax = problem.fleet.dt / b.e_cap, b.eta_inv, b.p_max
     s = problem.soc0
     powers = []
-    for phi, v_next in zip(stage_costs, values[1:]):
-        fx, fy, vx, vy = phi.xs, phi.ys, v_next.xs, v_next.ys
+    for (fx, fy), (vx, vy) in zip(stage_costs, values[1:]):
+        lo = max(fx[0], s - vx[-1])
+        hi = min(fx[-1], s - vx[0])
+        cands = {lo, hi}
+        cands.update([x for x in fx if lo < x < hi])
+        cands.update([s - x for x in vx if lo < s - x < hi])
         best = None
-        for d in _d_candidates(phi, v_next, s):
+        for d in cands:
             p = min(max(d * e / a if d >= 0.0 else d / (a * e), -pmax), pmax)
-            key = (_pwl._at(fx, fy, d) + _pwl._at(vx, vy, s - d), abs(p), p)
+            if d <= fx[0]:
+                u = fy[0]
+            elif d >= fx[-1]:
+                u = fy[-1]
+            else:
+                i = bisect_right(fx, d) - 1
+                t = (d - fx[i]) / (fx[i + 1] - fx[i])
+                u = (1.0 - t) * fy[i] + t * fy[i + 1]
+            x = s - d
+            if x <= vx[0]:
+                v = vy[0]
+            elif x >= vx[-1]:
+                v = vy[-1]
+            else:
+                i = bisect_right(vx, x) - 1
+                t = (x - vx[i]) / (vx[i + 1] - vx[i])
+                v = (1.0 - t) * vy[i] + t * vy[i + 1]
+            key = (u + v, abs(p), p)
             if best is None or key < best:
                 best = key
         p = best[2]
@@ -330,7 +380,7 @@ def solve(problem: OracleProblem) -> OracleSolution:
     values = _value_functions(phi, b.e_min, b.e_max)
     p = _optimal_powers(problem, phi, values)
     obj = _objective_of_powers(problem, p)
-    lower = max(lb, values[0](problem.soc0))
+    lower = max(lb, _pwl._at(*values[0], problem.soc0))
     certified = obj - lower <= _EXACT_REL_TOL * max(1.0, obj)
     return OracleSolution(_records_from_battery(problem, p), obj, "exact-dp", lower, certified)
 

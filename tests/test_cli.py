@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -321,6 +322,33 @@ def test_capacity_above_the_ceiling_is_a_config_error(capsys):
     assert "market.capacity_mw must be <= 1e+06 MW" in err
 
 
+def test_capacity_below_the_floor_is_a_config_error(capsys):
+    # at 5e-324 MW the score's C * sum |r| underflowed to 0: ZeroDivisionError
+    assert _run(capsys, ["track", "--hours", "0.01", "--capacity", "1e-6"])[0] == EXIT_OK
+    code, _, err = _run(capsys, ["track", "--hours", "0.01", "--capacity", "5e-324"])
+    assert code == EXIT_CONFIG
+    assert "market.capacity_mw must be >= 1e-06 MW" in err
+
+
+@pytest.mark.parametrize("key", ["pv.rated_mw", "battery.p_max_mw", "load.p_max_mw"])
+def test_rating_above_the_ceiling_is_a_config_error(capsys, key):
+    # at 1.8e308 MW the envelope's width, the flex bid or the PV was inf or nan
+    assert _run(capsys, ["envelope", "--set", f"{key}=1e6"])[0] == EXIT_OK
+    code, _, err = _run(capsys, ["envelope", "--set", f"{key}=1.7976931348623157e308"])
+    assert code == EXIT_CONFIG
+    assert f"{key} must be <= 1e+06 MW" in err
+
+
+def test_underflowing_score_scale_is_a_runtime_error(tmp_path, capsys):
+    # 1e-6 MW times sum |r| = 1e-323 underflows to 0; it was a ZeroDivisionError
+    path = tmp_path / "sig.csv"
+    path.write_text("timestamp,r\n0,5e-324\n2,5e-324\n")
+    code, _, err = _run(capsys, ["track", "--no-guard", "--capacity", "1e-6",
+                                 "--signal-csv", str(path)])
+    assert code == EXIT_RUNTIME
+    assert err == "error: performance score undefined: capacity * sum |r| underflows to 0\n"
+
+
 @pytest.mark.parametrize("key", ["market.lambda_capacity", "market.lambda_mileage"])
 def test_price_above_the_ceiling_is_a_config_error(capsys, key):
     # at 1e308 USD/MW the payment overflowed to inf after the whole run
@@ -348,7 +376,7 @@ def test_non_finite_report_value_is_a_runtime_error(monkeypatch, tmp_path, capsy
 
 
 def test_oracle_runs_above_their_step_limit_are_config_errors(monkeypatch, capsys):
-    """The exact oracle needs ~1.2 KB a step, so ``--oracle`` has its own
+    """The exact oracle needs ~0.8 KB a step, so ``--oracle`` has its own
     step limit; a run above it is refused before anything is simulated."""
     monkeypatch.setattr(cli, "simulate", _no_allocation)
     monkeypatch.setattr(cli, "_MAX_ORACLE_STEPS", 17)
@@ -703,3 +731,82 @@ def test_malformed_input_exits_with_a_documented_code(tmp_path, capsys, sig, ghi
     lines = err.splitlines(keepends=True)
     assert all(line.startswith("error: ") and line.endswith("\n") for line in lines), err
     assert len(lines) <= (len(argv) if code == EXIT_CONFIG else 1), err
+
+
+# ---------------------------------------------------------------------------
+# edges: well-formed settings at the ends of every validated range run, or
+# are refused as a configuration, never a runtime failure
+# ---------------------------------------------------------------------------
+
+_TINY, _HUGE = 5e-324, sys.float_info.max
+# per key: the values at the ends of its validated range; the SoC and guard
+# keys, whose ranges hang on each other, are drawn in _edge_argv
+_EDGES = {
+    "scenario": ["S1", "S2", "S3", "S4", "S5"],
+    "market.capacity_mw": [1e-6, 1e6],
+    "market.lambda_capacity": [0.0, 1e12],
+    "market.lambda_mileage": [0.0, 1e12],
+    "signal.dt_s": [1.0, 86400.0],
+    "signal.seed": [0, 2**128],
+    "signal.bias": [-_HUGE, _HUGE],
+    "pv.rated_mw": [_TINY, 1e6],
+    "pv.irradiance_wm2": [0.0, 2000.0],
+    "battery.p_max_mw": [_TINY, 1e6],
+    "battery.e_cap_mwh": [_TINY, _HUGE],
+    "battery.eta_inv": [_TINY, 1.0],
+    "load.p_max_mw": [_TINY, 1e6],
+    "battery.soc_min": [0.0],
+    "battery.soc_max": [1.0],
+    "guard.enabled": [False],
+}
+
+
+@st.composite
+def _edge_argv(draw):
+    """A command and, per key, its default or, one time in three, an end of
+    its validated range given the keys drawn before it: the SoC window
+    inside [0, 1], the guard band inside the window, the buffer in (0,
+    half the band], soc0 in the window or, with the guard on, on an edge
+    of the band (a start outside the band is a runtime failure by design,
+    ``test_guard_band_violation_is_a_runtime_error``). The run lasts 2 or
+    3 steps or none (``signal.hours`` at its least), or a day of
+    ``bid-sweep``."""
+    command = draw(st.sampled_from(["track", "track --oracle", "envelope", "synth-signal",
+                                    "bid-sweep"]))
+    argv = command.split()
+    defaults = RunConfig()
+
+    def pick(key, edges):
+        default = getattr(defaults, _KEYS[key][0])
+        return draw(st.sampled_from(edges)) if draw(st.integers(0, 2)) == 0 else default
+
+    cfg = {key: pick(key, edges) for key, edges in _EDGES.items()}
+    lo, hi = cfg["battery.soc_min"], cfg["battery.soc_max"]
+    if cfg["guard.enabled"]:
+        cfg["guard.lower"] = lo = pick("guard.lower", [lo])
+        cfg["guard.upper"] = hi = pick("guard.upper", [hi])
+        cfg["guard.buffer"] = pick("guard.buffer", [_TINY, 0.5 * (hi - lo)])
+        cfg["battery.soc0"] = draw(st.sampled_from([lo, hi]))
+    else:
+        cfg["battery.soc0"] = pick("battery.soc0", [lo, hi])
+    steps = draw(st.sampled_from([0, 2, 3]))
+    cfg["signal.hours"] = steps * float(cfg["signal.dt_s"]) / 3600.0 or _TINY
+    if command == "synth-signal":
+        argv += ["--steps", str(max(steps, 1))]
+    elif command == "bid-sweep":
+        argv += ["--days", "1", "--eval-steps", "4", "--statistic", "p50"]
+    for key, value in cfg.items():
+        argv += ["--set", f"{key}={_text(value) if isinstance(value, float) else value}"]
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(argv=_edge_argv())
+def test_settings_at_the_edges_of_their_ranges_run_or_are_config_errors(tmp_path, capsys, argv):
+    """Well-formed settings run (exit 0) or are refused as a configuration
+    (exit 2), never a runtime failure and never a traceback."""
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_CONFIG), err
+    assert (code == EXIT_OK) == (err == ""), err

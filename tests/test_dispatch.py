@@ -78,22 +78,21 @@ def test_green_load_degenerate_fleet():
     assert p_batt == pytest.approx(0.5, abs=1e-15)
 
 
-def _grid(lo: int, hi: int, den: int):
-    return st.integers(lo, hi).map(lambda i: i / den)
+_RATING = st.floats(1e-6, 1e5)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     scen=st.sampled_from(ALL),
-    p_max=_grid(1, 80, 8),
-    load_max=_grid(0, 40, 8),
+    p_max=_RATING,
+    load_max=_RATING,
     pv_share=st.floats(0.0, 2.0),
     where=st.floats(0.0, 1.0),
 )
 def test_allocate_delivers_every_in_envelope_request(scen, p_max, load_max, pv_share, where):
-    """For PV anywhere in [0, 2 CL] and any dp inside the envelope, the
-    allocation lands on p0 + dp with every asset inside its box; S2 with
-    more PV than the load can absorb is refused."""
+    """For ratings from 1e-6 to 1e5 MW, PV anywhere in [0, 2 CL] and any dp
+    inside the envelope, the allocation lands on p0 + dp with every asset
+    inside its box; S2 with more PV than the load can absorb is refused."""
     fleet = AssetFleet(
         pv=PvParams.scaled_to_rating(3.0),
         battery=BatteryParams(p_max=p_max, e_cap=1.0),
@@ -114,9 +113,6 @@ def test_allocate_delivers_every_in_envelope_request(scen, p_max, load_max, pv_s
     assert 0.0 <= p_curt <= p_pv
     if scen in (Scenario.S1, Scenario.S2, Scenario.S3):
         assert p_curt == 0.0
-
-
-_RATING = st.floats(1e-6, 1e5)
 
 
 @settings(max_examples=500, deadline=None)

@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import hesflex as hx
+from hesflex import _pwl, oracle
+from hesflex._pwl import Pwl, convex_runs, inf_convolve, lower_envelope
+from hesflex.cli import EXIT_OK, main
 from hesflex.oracle import (
     OracleProblem,
     _certificate_lower_bound,
@@ -23,6 +26,7 @@ from hesflex.oracle import (
     solve,
 )
 from hesflex.simulation import _soc_scan
+from test_golden import CASES as GOLDEN_CASES
 
 TIGHT = hx.AssetFleet(
     pv=hx.PvParams.scaled_to_rating(3.0),
@@ -341,6 +345,116 @@ def test_long_horizons_match_the_replaced_backends(case):
         assert sol.objective <= min(bnb, grid)
     hx.validate_records(sol.records, prob.fleet, scenario=hx.Scenario.S1,
                         soc0=prob.soc0)
+
+
+def _generic_value_functions(phi, e_min: float, e_max: float):
+    """The all-generic recursion, the reference for the fused convex step:
+    every step convolves every pair of convex runs of phi_k and V_k+1 and
+    takes their lower envelope, a single pair too. Returns the value
+    functions and the number of steps with more than one pair."""
+    values = [Pwl((e_min, e_max), (0.0, 0.0))]
+    multi = 0
+    for fx, fy in reversed(phi):
+        parts = [inf_convolve(f, g) for f in convex_runs(Pwl(fx, fy))
+                 for g in convex_runs(values[-1])]
+        multi += len(parts) > 1
+        values.append(lower_envelope(parts, e_min, e_max))
+    return values[::-1], multi
+
+
+def _generic_powers(problem: OracleProblem, phi, values) -> np.ndarray:
+    """The forward pass through ``Pwl`` evaluation: per step the candidate
+    drops are the ends of the feasible range and every kink of phi_k and
+    of V_k+1(s - d) inside it, in the same set, with the same key."""
+    b = problem.fleet.battery
+    a, e, pmax = problem.fleet.dt / b.e_cap, b.eta_inv, b.p_max
+    s = problem.soc0
+    powers = []
+    for (fx, fy), v_next in zip(phi, values[1:]):
+        f = Pwl(fx, fy)
+        lo = max(f.x_lo, s - v_next.x_hi)
+        hi = min(f.x_hi, s - v_next.x_lo)
+        cands = {lo, hi}
+        cands.update(x for x in f.xs if lo < x < hi)
+        cands.update(s - x for x in v_next.xs if lo < s - x < hi)
+        best = None
+        for d in cands:
+            p = min(max(d * e / a if d >= 0.0 else d / (a * e), -pmax), pmax)
+            key = (f(d) + v_next(s - d), abs(p), p)
+            if best is None or key < best:
+                best = key
+        powers.append(best[2])
+        s -= a * best[2] / e if best[2] >= 0.0 else a * e * best[2]
+        s = min(max(s, b.e_min), b.e_max)
+    return np.array(powers, dtype=float)
+
+
+def _bits(xs) -> bytes:
+    return np.array(xs, dtype=float).tobytes()  # signed zeros too
+
+
+def _assert_dp_is_the_generic_dp(problem: OracleProblem, phi, values, powers) -> int:
+    """V_k and the committed powers equal the generic path's bit for bit;
+    returns the number of multi-part steps."""
+    b = problem.fleet.battery
+    want, multi = _generic_value_functions(phi, b.e_min, b.e_max)
+    assert len(values) == len(want)
+    for k, ((xs, ys), w) in enumerate(zip(values, want)):
+        assert _bits(xs) == _bits(w.xs) and _bits(ys) == _bits(w.ys), k
+    assert _generic_powers(problem, phi, want).tobytes() == powers.tobytes()
+    return multi
+
+
+@pytest.fixture
+def dp_runs(monkeypatch):
+    """Records every exact DP that ``solve`` runs: its problem, stage
+    costs, value functions and powers."""
+    runs = []
+    forward = oracle._optimal_powers
+
+    def record(problem, phi, values):
+        powers = forward(problem, phi, values)
+        runs.append((problem, phi, values, powers))
+        return powers
+
+    monkeypatch.setattr(oracle, "_optimal_powers", record)
+    return runs
+
+
+@pytest.mark.parametrize("case", sorted(c for c in GOLDEN_CASES if c.startswith("exact-dp")))
+def test_value_functions_equal_the_generic_dp_on_golden_instances(tmp_path, dp_runs, case):
+    """The golden exact-DP runs: the fused convex steps and the generic
+    steps together give the generic recursion's V_k and powers bit for bit."""
+    argv = GOLDEN_CASES[case][0].split() + ["--out", str(tmp_path / "report.txt")]
+    assert main(argv) == EXIT_OK
+    assert len(dp_runs) == 1
+    _assert_dp_is_the_generic_dp(*dp_runs[0])
+
+
+def test_value_functions_equal_the_generic_dp_with_many_multi_part_steps(dp_runs):
+    """7,200 default-fleet steps, hundreds of them with several convex-run
+    pairs, so the path switches back and forth between the two kinds of
+    step."""
+    sol = solve(_default_instance(1, 7200, 0.3))
+    assert sol.backend == "exact-dp" and sol.certified_optimal
+    assert len(dp_runs) == 1
+    assert _assert_dp_is_the_generic_dp(*dp_runs[0]) >= 100
+
+
+def test_convex_steps_skip_the_generic_machinery(monkeypatch):
+    """On an instance whose every step is one convex pair, the DP makes no
+    ``inf_convolve`` and no ``lower_envelope`` call: each step is one fused
+    pass."""
+    calls = {"inf_convolve": 0, "lower_envelope": 0, "_convolve_on": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(_pwl, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(_pwl, name, counted)
+    prob = _default_instance(5, 1800, 0.6)
+    sol = solve(prob)
+    assert sol.backend == "exact-dp" and sol.certified_optimal
+    assert calls == {"inf_convolve": 0, "lower_envelope": 0, "_convolve_on": prob.horizon}
 
 
 def _grid(lo: int, hi: int, den: int):

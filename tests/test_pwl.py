@@ -1,12 +1,15 @@
 """Piecewise-linear helper: evaluation, hulls, inf-convolution, convex
 runs and exact lower envelopes."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hesflex._pwl import Pwl, _hull, convex_runs, inf_convolve, lower_envelope
+from hesflex._pwl import Pwl, _convolve_on, _hull, convex_runs, inf_convolve, lower_envelope
 
 
 def test_interpolation_and_endpoint_hold():
@@ -33,19 +36,24 @@ def test_breakpoints_must_increase():
         Pwl((1.0, 0.5), (1.0, 2.0))
 
 
+def _hull_pwl(pts) -> Pwl:
+    """``_hull``'s breakpoint and value lists as a function."""
+    return Pwl(*map(tuple, _hull(pts)))
+
+
 def test_hull_dedupes():
-    f = _hull([(0.0, 3.0), (1.0, 1.5), (2.0, 5.0), (2.0, 1.0)])
+    f = _hull_pwl([(0.0, 3.0), (1.0, 1.5), (2.0, 5.0), (2.0, 1.0)])
     assert f.xs == (0.0, 1.0, 2.0)
     assert f(2.0) == 1.0  # min y wins at a duplicated x
 
 
 def test_hull_prunes_to_the_lower_hull():
     # the middle point sits above the chord and must vanish
-    f = _hull([(0.0, 0.0), (1.0, 2.0), (2.0, 0.0)])
+    f = _hull_pwl([(0.0, 0.0), (1.0, 2.0), (2.0, 0.0)])
     assert f.xs == (0.0, 2.0)
     # hull pruning only ever moves the function down
     pts = [(0.0, 1.0), (0.5, 0.9), (1.0, 0.1), (1.5, 0.7), (2.0, 2.0)]
-    f = _hull(pts)
+    f = _hull_pwl(pts)
     for x, y in pts:
         assert f(x) <= y + 1e-12
 
@@ -54,7 +62,7 @@ def test_hull_keeps_convex_input_exact(rng):
     xs = np.sort(rng.uniform(-3.0, 3.0, 9))
     xs = np.unique(xs)
     ys = (xs - 0.7) ** 2  # strictly convex
-    f = _hull(list(zip(xs, ys)))
+    f = _hull_pwl(list(zip(xs, ys)))
     for x, y in zip(xs, ys):
         assert f(x) == pytest.approx(y, abs=1e-12)
 
@@ -81,8 +89,8 @@ def test_inf_convolve_matches_brute_force(rng):
     for _ in range(10):
         fx = np.unique(np.sort(rng.uniform(-2.0, 2.0, 5)))
         gx = np.unique(np.sort(rng.uniform(-1.0, 3.0, 4)))
-        f = _hull([(x, (x - 0.3) ** 2) for x in fx])
-        g = _hull([(x, abs(x - 1.0)) for x in gx])
+        f = _hull_pwl([(x, (x - 0.3) ** 2) for x in fx])
+        g = _hull_pwl([(x, abs(x - 1.0)) for x in gx])
         h = inf_convolve(f, g)
         assert h.x_lo == pytest.approx(f.x_lo + g.x_lo, abs=1e-12)
         assert h.x_hi == pytest.approx(f.x_hi + g.x_hi, abs=1e-12)
@@ -268,3 +276,65 @@ def test_lower_envelope_is_the_pointwise_minimum(case):
     for x in points:
         want = min(f(x) for f in fs if f.x_lo <= x <= f.x_hi)
         assert abs(env(x) - want) <= _rounding_tol(fs, x, want), x
+
+
+@st.composite
+def _convex(draw):
+    """A convex function as ``(xs, ys)`` with 1 to 6 breakpoints, near 0
+    or far from it. Widths may sit at the 1e-13 duplicate scale, so that
+    sweep vertices merge, and neighbouring slopes may differ at the 1e-12
+    kink scale or by a few ulps of jitter, so that the hull's pop test is
+    tried at its edge."""
+    n = draw(st.integers(0, 5))
+    xs = [draw(st.one_of(st.floats(-3.0, 3.0), st.floats(-1e6, 1e6)))]
+    ys = [draw(st.one_of(st.floats(-3.0, 3.0), st.floats(-1e6, 1e6)))]
+    slopes = sorted(draw(st.lists(_SLOPES, min_size=n, max_size=n)))
+    for i, m in enumerate(slopes):
+        m += draw(st.sampled_from([0.0, 0.0, 1e-12, -1e-12, 5e-13])) * max(1.0, abs(m))
+        if draw(st.booleans()):
+            w = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])) * 1e-13 * max(1.0, abs(xs[-1]))
+        else:
+            w = draw(st.floats(1e-3, 2.0))
+        x = max(xs[-1] + w, math.nextafter(xs[-1], math.inf))
+        ys.append(ys[-1] + m * (x - xs[-1]))
+        xs.append(x)
+    jitter = draw(st.lists(st.integers(-8, 8), min_size=len(ys), max_size=len(ys)))
+    ys = [y + j * 1e-16 * max(1.0, abs(y)) for y, j in zip(ys, jitter)]
+    return tuple(xs), tuple(ys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_convex(), _convex(), st.data())
+def test_convolve_on_equals_the_generic_convolve_and_cut(f, g, data):
+    """The fused convex step is ``lower_envelope([inf_convolve(f, g)], lo,
+    hi)`` bit for bit (signed zeros too), for windows that are the whole
+    domain, end on hull vertices, end between them or are one point; a
+    window the convolution does not cover is refused by both alike."""
+    h = inf_convolve(Pwl(*f), Pwl(*g))
+    vertex = st.sampled_from(h.xs)
+    # a few ulps off a vertex, where the vertex can fall on the chord of
+    # its new neighbours and the flat-point rounds drop it
+    near = st.builds(lambda x, k: min(max(x + k * math.ulp(x), h.x_lo), h.x_hi),
+                     vertex, st.integers(-4, 4))
+    point = st.one_of(vertex, near, st.floats(h.x_lo, h.x_hi))
+    kind = data.draw(st.sampled_from(["whole", "vertices", "points", "points", "points",
+                                      "outside"]))
+    if kind == "whole":
+        lo, hi = h.x_lo, h.x_hi
+    elif kind == "vertices":
+        lo, hi = sorted((data.draw(vertex), data.draw(vertex)))
+    elif kind == "points":
+        lo, hi = sorted((data.draw(point), data.draw(point)))
+    else:
+        lo, hi = sorted((data.draw(point), data.draw(st.sampled_from([h.x_lo - 1.0,
+                                                                         h.x_hi + 1.0]))))
+        with pytest.raises(ValueError) as want:
+            lower_envelope([h], lo, hi)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            _convolve_on(*f, *g, lo, hi)
+        return
+    want = lower_envelope([h], lo, hi)
+    xs, ys = _convolve_on(*f, *g, lo, hi)
+    assert type(xs) is tuple and type(ys) is tuple
+    assert np.array(xs).tobytes() == np.array(want.xs).tobytes()
+    assert np.array(ys).tobytes() == np.array(want.ys).tobytes()
