@@ -2,19 +2,22 @@
 
 Just enough machinery for exact one-dimensional dynamic programming
 with convex stage costs and non-convex value functions: evaluation,
-convex construction from exact samples, infimal convolution of convex
-functions by slope merging, splitting into maximal convex runs, and the
-exact pointwise minimum of several functions. A function is stored as
+infimal convolution of convex functions by slope merging and a lower
+hull, splitting into maximal convex runs, and the exact pointwise
+minimum of several functions. A function is stored as
 strictly increasing breakpoints ``xs`` with values ``ys``; a
 single-point domain is legal.
 
 Everything works on Python floats: the hot calls of a dynamic program
 are on a few breakpoints, where numpy's set-up would cost more than the
-arithmetic. The commonest step, one convex pair convolved and cut to a
-window, has its own fused pass, ``_convolve_on``, on plain ``(xs, ys)``
-tuples; it shares the sweep, the hull and the flat-point rounds with
-``inf_convolve`` and ``lower_envelope`` and equals their composition bit
-for bit.
+arithmetic. The private helpers take and return plain ``(xs, ys)``
+pairs, and ``Pwl`` unpacks to its pair, so a dynamic program builds no
+``Pwl`` at all. One loop, ``_convolve``, runs the slope-merge sweep and
+the lower hull of a convolution; ``inf_convolve`` wraps it, and
+``_convolve_on``, the commonest step (one convex pair convolved and cut
+to a window), cuts its result as ``lower_envelope`` would, bit for bit.
+``_runs`` splits a pair into its convex runs as slices, for
+``convex_runs`` and for steps with several runs alike.
 """
 
 from __future__ import annotations
@@ -51,6 +54,10 @@ class Pwl:
     def x_hi(self) -> float:
         return self.xs[-1]
 
+    def __iter__(self):
+        """Unpacks to ``(xs, ys)``, the pair every function here reads."""
+        return iter((self.xs, self.ys))
+
     def __call__(self, x: float) -> float:
         """Linear interpolation; outside the domain the endpoint value
         is held (callers are expected to stay in-domain)."""
@@ -68,27 +75,46 @@ def _at(xs, ys, x: float) -> float:
     return (1.0 - t) * ys[i] + t * ys[i + 1]
 
 
-def _hull(pts) -> tuple[list[float], list[float]]:
-    """Lower convex hull of exact samples of a convex function, given in
-    ascending x order, as breakpoint and value lists.
+def _convolve(fx, fy, gx, gy) -> tuple[list[float], list[float]]:
+    """Infimal convolution of convex f = (fx, fy) and g = (gx, gy) as
+    breakpoint and value lists: the lower convex hull of the vertices of
+    the slope-merge sweep of their merged ascending slope sequence, in
+    one pass.
 
-    The sample set must contain every kink of the target; duplicate x
-    values keep the smaller y, and interior points on or above the
-    chord of their neighbours are dropped, so float noise can only
-    produce an underestimate, never a non-convex result. A sample joins
-    the hull once the next one is no duplicate of it.
+    The sweep starts at the sum of the left domain endpoints and at each
+    vertex takes f's next segment when its slope is no steeper than g's.
+    Every vertex is the sum of one vertex of f and one of g, and is
+    computed as such, so rounding does not accumulate along the sweep,
+    and the vertices come in ascending x order (float addition is
+    monotone). Vertices that are duplicates in x keep the smaller y, and
+    interior vertices on or above the chord of their neighbours are
+    dropped, so float noise can only produce an underestimate, never a
+    non-convex result; a vertex joins the hull once the next one is no
+    duplicate of it. With g the single point (0.0, 0.0) this is the hull
+    of f's points, which then need only ascend in x.
     """
+    i = j = 0
+    m, n = len(fx) - 1, len(gx) - 1
     hx: list[float] = []
     hy: list[float] = []
-    pts = iter(pts)
-    px, py = next(pts)
-    # the scales are max(1.0, abs(x)) and max(1.0, abs(lhs), abs(rhs)), spelled
-    # out: this loop is most of a convex dynamic-program step
-    for x, y in (*pts, (None, None)):
-        if x is not None and x - px <= 1e-13 * (abs(x) if x > 1.0 or x < -1.0 else 1.0):
-            if y < py:
-                py = y
-            continue
+    px, py = fx[0] + gx[0], fy[0] + gy[0]
+    while True:
+        if i < m or j < n:
+            if j == n or (i < m and (fy[i + 1] - fy[i]) * (gx[j + 1] - gx[j])
+                          <= (gy[j + 1] - gy[j]) * (fx[i + 1] - fx[i])):
+                i += 1
+            else:
+                j += 1
+            x = fx[i] + gx[j]
+            y = fy[i] + gy[j]
+            # the scales are max(1.0, abs(x)) and max(1.0, abs(lhs), abs(rhs)), spelled
+            # out: this loop is most of a convex dynamic-program step
+            if x - px <= 1e-13 * (abs(x) if x > 1.0 or x < -1.0 else 1.0):
+                if y < py:
+                    py = y
+                continue
+        else:
+            x = None
         while len(hx) >= 2:
             x1 = hx[-1]
             y1 = hy[-1]
@@ -102,29 +128,9 @@ def _hull(pts) -> tuple[list[float], list[float]]:
                 break
         hx.append(px)
         hy.append(py)
+        if x is None:
+            return hx, hy
         px, py = x, y
-    return hx, hy
-
-
-def _sweep(fx, fy, gx, gy) -> list[tuple[float, float]]:
-    """The vertices of the slope-merge sweep of two convex functions,
-    from the sum of their left domain endpoints. Every vertex is the sum
-    of one vertex of f and one of g, and is computed as such, so rounding
-    does not accumulate along the sweep, and the vertices come in
-    ascending x order (float addition is monotone), which is the order
-    ``_hull`` needs."""
-    i = j = 0
-    m, n = len(fx) - 1, len(gx) - 1
-    pts = [(fx[0] + gx[0], fy[0] + gy[0])]
-    while i < m or j < n:
-        # take f's next segment when its slope is no steeper than g's
-        if j == n or (i < m and (fy[i + 1] - fy[i]) * (gx[j + 1] - gx[j])
-                      <= (gy[j + 1] - gy[j]) * (fx[i + 1] - fx[i])):
-            i += 1
-        else:
-            j += 1
-        pts.append((fx[i] + gx[j], fy[i] + gy[j]))
-    return pts
 
 
 def inf_convolve(f: Pwl, g: Pwl) -> Pwl:
@@ -133,7 +139,7 @@ def inf_convolve(f: Pwl, g: Pwl) -> Pwl:
     For convex piecewise-linear operands the result is the lower hull of
     the vertices of the sweep of their merged ascending slope sequence.
     """
-    hx, hy = _hull(_sweep(f.xs, f.ys, g.xs, g.ys))
+    hx, hy = _convolve(*f, *g)
     return Pwl(tuple(hx), tuple(hy))
 
 
@@ -141,17 +147,17 @@ def _convolve_on(fx, fy, gx, gy, lo: float, hi: float) -> tuple[tuple, tuple]:
     """``lower_envelope([inf_convolve(f, g)], lo, hi)`` as ``(xs, ys)``, bit
     for bit, for convex f = (fx, fy) and g = (gx, gy), with no ``Pwl``.
 
-    The hull of the sweep is cut to [lo, hi]: the ends take the value
+    The convolution is cut to [lo, hi]: the ends take the value
     ``lower_envelope``'s step 1 gives them (a hull vertex its own value,
     any other point ``slope*(x - xs[j]) + ys[j]``), the vertices strictly
     inside are kept, and ``_drop_flat`` runs on the result. A window that
     the hull does not cover is refused as ``lower_envelope`` refuses it.
     """
     lo, hi = float(lo), float(hi)
-    xs, ys = _hull(_sweep(fx, fy, gx, gy))
+    xs, ys = _convolve(fx, fy, gx, gy)
     i, j = bisect_right(xs, lo), bisect_left(xs, hi)
     if i == 0 or j == len(xs):
-        return lower_envelope([Pwl(tuple(xs), tuple(ys))], lo, hi)  # raises
+        return lower_envelope([(xs, ys)], lo, hi)  # raises
     if xs[i - 1] == lo:
         y_lo = ys[i - 1]
     else:
@@ -168,10 +174,23 @@ def _convolve_on(fx, fy, gx, gy, lo: float, hi: float) -> tuple[tuple, tuple]:
     return tuple(gx), tuple(gy)
 
 
-def _concave_kinks(xs, ys) -> list[int]:
-    """Indices of the breakpoints where the slope strictly falls."""
-    slopes = [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
-    return [i for i, (s0, s1) in enumerate(zip(slopes, slopes[1:]), 1) if s1 < s0]
+def _concave_kinks(xs, ys):
+    """Indices of the breakpoints where the slope strictly falls, in
+    ascending order, one at a time: ``next(_concave_kinks(xs, ys), None)
+    is None`` tests convexity without building a list."""
+    s0 = -math.inf
+    for k in range(1, len(xs)):
+        s = (ys[k] - ys[k - 1]) / (xs[k] - xs[k - 1])
+        if s < s0:
+            yield k - 1
+        s0 = s
+
+
+def _runs(xs, ys) -> list[tuple]:
+    """The maximal convex runs of ``(xs, ys)`` as ``(xs, ys)`` slices, split
+    at the concave kinks; consecutive runs share their end breakpoint."""
+    cuts = [0, *_concave_kinks(xs, ys), len(xs) - 1]
+    return [(xs[a:b + 1], ys[a:b + 1]) for a, b in zip(cuts, cuts[1:])]
 
 
 def convex_runs(f: Pwl) -> list[Pwl]:
@@ -180,21 +199,17 @@ def convex_runs(f: Pwl) -> list[Pwl]:
     Consecutive pieces share their end breakpoint, and f is the pointwise
     minimum of the pieces, each taken as +inf outside its own domain.
     """
-    kinks = _concave_kinks(f.xs, f.ys)
-    if not kinks:
-        return [f]
-    cuts = [0, *kinks, len(f.xs) - 1]
-    return [Pwl(f.xs[a:b + 1], f.ys[a:b + 1]) for a, b in zip(cuts, cuts[1:])]
+    return [Pwl(*run) for run in _runs(f.xs, f.ys)]
 
 
 def lower_envelope(fs, lo: float, hi: float) -> Pwl:
     """Exact pointwise minimum of continuous functions on [lo, hi].
 
-    Each function counts as +inf outside its own domain; together the
-    domains must cover [lo, hi], or a ``ValueError`` names the first grid
-    point or interval that none covers, and the minimum must be
-    continuous there. One function goes through the same four steps as
-    many:
+    Each function is an ``(xs, ys)`` pair (a ``Pwl`` unpacks to one) and
+    counts as +inf outside its own domain; together the domains must
+    cover [lo, hi], or a ``ValueError`` names the first grid point or
+    interval that none covers, and the minimum must be continuous there.
+    One function goes through the same four steps as many:
 
     1. The grid is lo, hi and every breakpoint strictly between. Each
        function is evaluated at the grid points of its domain with
@@ -217,25 +232,28 @@ def lower_envelope(fs, lo: float, hi: float) -> Pwl:
     """
     lo, hi = float(lo), float(hi)
     grid = {lo, hi}
-    for f in fs:
-        xs = f.xs
+    for xs, _ in fs:
         grid.update(xs[bisect_right(xs, lo):bisect_left(xs, hi)])
     grid = sorted(grid)
     low = [math.inf] * len(grid)  # the minimum at each grid point
     first = [-1] * len(grid)  # the first function in fs order that attains it
     spans = []  # per function: its first grid index and its values from there on
-    for k, f in enumerate(fs):
-        xs, ys = f.xs, f.ys
+    for k, (xs, ys) in enumerate(fs):
         s = i = bisect_left(grid, xs[0])
         j = 0
+        x_j = xs[0]  # the first breakpoint at or after x
         vals = []
         for x in grid[i:bisect_right(grid, xs[-1])]:
-            while xs[j] < x:
-                j += 1
-            if xs[j] == x:
+            if x_j < x:  # a new segment: its slope, once
+                while xs[j] < x:
+                    j += 1
+                x_j = xs[j]
+                x0, y0 = xs[j - 1], ys[j - 1]
+                slope = (ys[j] - y0) / (x_j - x0)
+            if x_j == x:
                 v = ys[j]
             else:  # between xs[j - 1] and xs[j]
-                v = (ys[j] - ys[j - 1]) / (xs[j] - xs[j - 1]) * (x - xs[j - 1]) + ys[j - 1]
+                v = slope * (x - x0) + y0
             vals.append(v)
             if v < low[i]:
                 low[i] = v
@@ -281,8 +299,20 @@ def _drop_flat(gx: list, gy: list) -> None:
             slope = (y2 - y0) / (x2 - x0)
             dev = abs(y1 - (y0 + (x1 - x0) * slope))
             # the tolerance is never below _TOL, which settles most flat points
-            flat[p] = dev <= _TOL or dev <= _TOL * (max(1.0, abs(y1), abs(y0), abs(y2))
-                                                    + abs(slope) * max(abs(x0), abs(x2)))
+            if dev <= _TOL:
+                flat[p] = True
+                continue
+            # the scale max(1.0, abs(y1), abs(y0), abs(y2)) + abs(slope) * max(abs(x0),
+            # abs(x2)), spelled out: the big envelopes run this for every grid point
+            y_scale = y1 if y1 > 1.0 else -y1 if y1 < -1.0 else 1.0
+            if y0 > y_scale or -y0 > y_scale:
+                y_scale = y0 if y0 > 0.0 else -y0
+            if y2 > y_scale or -y2 > y_scale:
+                y_scale = y2 if y2 > 0.0 else -y2
+            x_scale = x0 if x0 > 0.0 else -x0
+            if x2 > x_scale or -x2 > x_scale:
+                x_scale = x2 if x2 > 0.0 else -x2
+            flat[p] = dev <= _TOL * (y_scale + (slope if slope > 0.0 else -slope) * x_scale)
         if True not in flat:
             return
         on = [p for p, f in enumerate(flat) if f]

@@ -109,10 +109,10 @@ _MAX_PRICE = 1e12
 # Run steps, and samples of one synthetic series, in one command. A track
 # run peaks at ~145 B of RSS a step (measured at 10**5 and 10**6 steps),
 # so this bound keeps one under ~1.5 GB. The exact oracle's solve peaks at
-# ~0.7-0.8 KB a step more (tracemalloc on 7,200-step default-fleet DP
-# instances: 665-758 B; ~960 B of RSS growth at 72,000 steps).
+# ~0.8-0.9 KB a step more (tracemalloc on 7,200-step default-fleet DP
+# instances: 807-908 B; ~1,070 B of RSS growth at 72,000 steps).
 _MAX_STEPS = 10_000_000
-_MAX_ORACLE_STEPS = 1_000_000  # track --oracle: ~0.8 GB more
+_MAX_ORACLE_STEPS = 1_000_000  # track --oracle: ~1 GB more
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -256,18 +256,28 @@ def build_fleet(cfg: RunConfig) -> AssetFleet:
 def build_guard(cfg: RunConfig) -> GuardConfig | None:
     """The configured guard, or None when it is off. Raises ConfigError
     when one step at full power can carry the SoC across the buffer, so
-    the taper could not keep it inside the band."""
+    the taper could not keep it inside the band, or when the run would
+    start outside the band."""
     if not cfg.guard_enabled:
         return None
     guard = GuardConfig(cfg.guard_upper, cfg.guard_lower, cfg.guard_buffer)
+    errors = []
     ratio = containment_ratio(guard, _battery(cfg), cfg.dt_s / 3600.0)
     if ratio > 1.0:
-        raise ConfigError([
+        errors.append(
             f"guard.buffer = {cfg.guard_buffer:g} cannot contain one signal.dt_s = "
             f"{cfg.dt_s:g} s step at full power (battery.p_max_mw = {cfg.batt_p_max_mw:g}, "
             f"battery.e_cap_mwh = {cfg.batt_e_cap_mwh:g}, battery.eta_inv = {cfg.eta_inv:g}; "
             f"containment ratio {ratio:.3g} > 1)"
-        ])
+        )
+    if not cfg.guard_lower <= cfg.soc0 <= cfg.guard_upper:
+        errors.append(
+            f"battery.soc0 = {cfg.soc0:g} lies outside the guard band [guard.lower, "
+            f"guard.upper] = [{cfg.guard_lower:g}, {cfg.guard_upper:g}]; move it inside "
+            f"or run with --no-guard"
+        )
+    if errors:
+        raise ConfigError(errors)
     return guard
 
 

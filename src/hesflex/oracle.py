@@ -36,12 +36,15 @@ Strategy, cheapest first:
 
    ([] is infimal convolution) are continuous piecewise-linear. They are
    computed without a grid, by convolving convex runs and taking exact
-   lower envelopes, and kept as ``(xs, ys)`` tuples. A step where phi_k
-   and V_k+1 are each one convex run, most steps on the default fleet, is
-   one fused convolve-and-cut pass that equals the generic path bit for
-   bit. A forward pass then commits the drops that attain them. The
-   answer is certified when its objective is within 1e-9 (relative,
-   floor 1) of V_0(soc0), which holds to float rounding.
+   lower envelopes, on plain ``(xs, ys)`` float tuples with no ``Pwl``.
+   One numpy pass builds every phi_k and decides once whether each is
+   convex. A step where phi_k and V_k+1 are each one convex run, most
+   steps on the default fleet, is one fused convolve-and-cut pass that
+   equals the generic path bit for bit; any other step convolves every
+   pair of convex runs, taken as slices, and merges them exactly. A
+   forward pass then commits the drops that attain them. The answer is
+   certified when its objective is within 1e-9 (relative, floor 1) of
+   V_0(soc0), which holds to float rounding.
 """
 
 from __future__ import annotations
@@ -154,60 +157,68 @@ def _drop(a: float, e: float, p):
     return np.where(p >= 0.0, a * p / e, a * e * p)
 
 
-def _stage_costs(problem: OracleProblem) -> list[tuple[tuple, tuple]]:
-    """Per-step stage costs phi_k as functions of the SoC drop d, each as
-    its ``(xs, ys)`` breakpoints.
+def _breakpoints(problem: OracleProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The breakpoints of every phi_k (see :func:`_stage_costs`) in one
+    run, step after step, as drops and costs, and the number per step.
 
-    d > 0 on discharge (see :func:`_drop`). The cost is convex in d on
-    each side of d = 0, one side per mode; at d = 0 it is concave when
-    the target asks for more charging than the other assets can absorb,
-    convex otherwise.
+    Cost and drop are linear in p between -p_max, t - hi, t - lo, 0 and
+    p_max, so phi is linear between their drops. In ascending order, with
+    k1 <= k2 (t - hi <= t - lo, and _drop is monotone), a step's
+    breakpoints are the drop bound d_lo, the kinks in (d_lo, 0), 0.0, the
+    kinks in (0, d_hi) and d_hi. A kink equal to 0.0 (-0.0 too) or to k1
+    adds none and keeps the earlier cost; a drop bound that underflows to
+    0.0 shares the 0.0 breakpoint, whose cost is then the later bound's.
     """
     b = problem.fleet.battery
     a, e, pmax = problem.fleet.dt / b.e_cap, b.eta_inv, b.p_max
     d_lo, d_hi = -a * e * pmax, a * pmax / e
     _, lo, hi = problem._band
     t = problem.targets()
+    n = t.size
 
-    # cost and drop are linear in p between -p_max, t - hi, t - lo, 0 and p_max, so
-    # phi is linear between their drops; all steps at once, then one pair per step
     def cost(d):
         p = np.clip(np.where(d >= 0.0, d * e / a, d / (a * e)), -pmax, pmax)
-        return _distance(t - p, lo, hi).tolist()
+        return _distance(t - p, lo, hi)
 
-    kinks = [_drop(a, e, t - hi), _drop(a, e, t - lo)]
-    cols = [d.tolist() for d in kinks] + [cost(d) for d in (*kinks, d_lo, 0.0, d_hi)]
-    phi = []
-    # Breakpoints in ascending order, with k1 <= k2 (t - hi <= t - lo, and _drop
-    # is monotone). A kink equal to 0.0 (-0.0 too) or to k1 adds none and keeps
-    # the earlier cost; a drop bound that underflows to 0.0 shares the 0.0
-    # breakpoint, whose cost is then the later bound's
-    for k1, k2, c1, c2, y_lo, y_0, y_hi in zip(*cols):
-        xs, ys = [d_lo], [y_lo]
-        if d_lo < k1 < 0.0:
-            xs.append(k1)
-            ys.append(c1)
-        if d_lo < k2 < 0.0 and k2 != k1:
-            xs.append(k2)
-            ys.append(c2)
-        if d_lo < 0.0:
-            xs.append(0.0)
-            ys.append(y_0)
-        else:
-            ys[-1] = y_0
-        if 0.0 < k1 < d_hi:
-            xs.append(k1)
-            ys.append(c1)
-        if 0.0 < k2 < d_hi and k2 != k1:
-            xs.append(k2)
-            ys.append(c2)
-        if 0.0 < d_hi:
-            xs.append(d_hi)
-            ys.append(y_hi)
-        else:
-            ys[-1] = y_hi
-        phi.append((tuple(xs), tuple(ys)))
-    return phi
+    k1, k2 = _drop(a, e, t - hi), _drop(a, e, t - lo)
+    c1, c2 = cost(k1), cost(k2)
+    y_0, y_hi = cost(0.0), cost(d_hi)
+    # one column per candidate breakpoint, in ascending order
+    xs = np.stack([np.full(n, d_lo), k1, k2, np.zeros(n), k1, k2, np.full(n, d_hi)], axis=1)
+    ys = np.stack([cost(d_lo) if d_lo < 0.0 else y_0, c1, c2, y_0, c1, c2, y_hi], axis=1)
+    if not 0.0 < d_hi:
+        ys[:, 3 if d_lo < 0.0 else 0] = y_hi
+    keep = np.stack([np.full(n, True), (d_lo < k1) & (k1 < 0.0),
+                     (d_lo < k2) & (k2 < 0.0) & (k2 != k1), np.full(n, d_lo < 0.0),
+                     (0.0 < k1) & (k1 < d_hi), (0.0 < k2) & (k2 < d_hi) & (k2 != k1),
+                     np.full(n, 0.0 < d_hi)], axis=1)
+    return xs[keep], ys[keep], keep.sum(axis=1)
+
+
+def _stage_costs(problem: OracleProblem) -> tuple[list[tuple[tuple, tuple]], list[bool]]:
+    """Per-step stage costs phi_k as functions of the SoC drop d, each as
+    its ``(xs, ys)`` breakpoints, and per step whether phi_k is convex.
+
+    d > 0 on discharge (see :func:`_drop`). The cost is convex in d on
+    each side of d = 0, one side per mode; at d = 0 it is concave when
+    the target asks for more charging than the other assets can absorb,
+    convex otherwise. Convexity is decided for all steps at once with
+    ``_pwl._concave_kinks``' arithmetic: a slope strictly below the one
+    before it, at a breakpoint that is neither the first nor the last of
+    its step.
+    """
+    xs, ys, m = _breakpoints(problem)
+    ends = np.cumsum(m)
+    with np.errstate(all="ignore"):  # slopes across two steps are never used
+        slopes = np.diff(ys) / np.diff(xs)
+    inner = np.full(xs.size, True)
+    inner[ends - m] = inner[ends - 1] = False
+    kinks = inner[1:-1] & (slopes[1:] < slopes[:-1])
+    convex = np.full(m.size, True)
+    convex[np.repeat(np.arange(m.size), m)[1:-1][kinks]] = False
+    xs, ys, ends = xs.tolist(), ys.tolist(), ends.tolist()
+    phi = [(tuple(xs[i:j]), tuple(ys[i:j])) for i, j in zip([0, *ends], ends)]
+    return phi, convex.tolist()
 
 
 def _certificate_lower_bound(problem: OracleProblem) -> float:
@@ -286,29 +297,31 @@ def _records_from_battery(problem: OracleProblem, p_batt) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _value_functions(phi, e_min: float, e_max: float) -> list[tuple[tuple, tuple]]:
+def _value_functions(phi, phi_convex, e_min: float, e_max: float) -> list[tuple[tuple, tuple]]:
     """V_n = 0 and V_k = phi_k [] V_k+1 on the SoC window, each as its
-    ``(xs, ys)`` breakpoints, where [] is infimal convolution.
+    ``(xs, ys)`` breakpoints, where [] is infimal convolution;
+    ``phi_convex[k]`` tells whether phi_k is one convex run.
 
     When phi_k and V_k+1 are each one convex run, the step is one fused
     convolve-and-cut pass (``_pwl._convolve_on``). Otherwise both are
     minima of their convex runs and [] distributes over minima, so every
     pair of runs is convolved and the results are merged exactly; the
-    fused pass equals that path on one pair bit for bit.
+    fused pass equals that path on one pair bit for bit. Runs and parts
+    are ``(xs, ys)`` pairs throughout.
     """
     values = [((e_min, e_max), (0.0, 0.0))] * (len(phi) + 1)
     convex = True  # V_k+1 is one convex run
     for k in reversed(range(len(phi))):
         fx, fy = phi[k]
-        if convex and not _pwl._concave_kinks(fx, fy):
-            xs, ys = _pwl._convolve_on(fx, fy, *values[k + 1], e_min, e_max)
+        gx, gy = values[k + 1]
+        if convex and phi_convex[k]:
+            xs, ys = _pwl._convolve_on(fx, fy, gx, gy, e_min, e_max)
         else:
-            parts = [_pwl.inf_convolve(f, g) for f in _pwl.convex_runs(_pwl.Pwl(fx, fy))
-                     for g in _pwl.convex_runs(_pwl.Pwl(*values[k + 1]))]
-            v = _pwl.lower_envelope(parts, e_min, e_max)
-            xs, ys = v.xs, v.ys
+            runs = _pwl._runs(gx, gy)
+            parts = [_pwl._convolve(*f, *g) for f in _pwl._runs(fx, fy) for g in runs]
+            xs, ys = _pwl.lower_envelope(parts, e_min, e_max)
         values[k] = (xs, ys)
-        convex = not _pwl._concave_kinks(xs, ys)
+        convex = next(_pwl._concave_kinks(xs, ys), None) is None
     return values
 
 
@@ -316,46 +329,55 @@ def _optimal_powers(problem: OracleProblem, stage_costs, values) -> np.ndarray:
     """Walk forward committing, per step, the drop that attains V_k
     (the smallest |p| among exact ties). The candidate drops are the ends
     of the feasible range and every kink of phi_k and of V_k+1(s - d)
-    inside it, evaluated as ``_pwl._at`` evaluates. Drops and powers
-    convert with the arithmetic of :func:`_drop` and its inverse in
-    :func:`_stage_costs`, on floats."""
+    inside it, evaluated as ``_pwl._at`` evaluates; a candidate listed
+    twice gives the same key twice. Drops and powers convert with the
+    arithmetic of :func:`_drop` and its inverse in :func:`_stage_costs`,
+    on floats."""
     b = problem.fleet.battery
     a, e, pmax = problem.fleet.dt / b.e_cap, b.eta_inv, b.p_max
+    ae, nmax, e_min, e_max = a * e, -pmax, b.e_min, b.e_max
     s = problem.soc0
     powers = []
     for (fx, fy), (vx, vy) in zip(stage_costs, values[1:]):
-        lo = max(fx[0], s - vx[-1])
-        hi = min(fx[-1], s - vx[0])
-        cands = {lo, hi}
-        cands.update([x for x in fx if lo < x < hi])
-        cands.update([s - x for x in vx if lo < s - x < hi])
-        best = None
+        f_lo, f_hi, v_lo, v_hi = fx[0], fx[-1], vx[0], vx[-1]
+        lo = max(f_lo, s - v_hi)
+        hi = min(f_hi, s - v_lo)
+        cands = [lo, hi]
+        cands += [x for x in fx if lo < x < hi]
+        cands += [s - x for x in vx if lo < s - x < hi]
+        first = True
         for d in cands:
-            p = min(max(d * e / a if d >= 0.0 else d / (a * e), -pmax), pmax)
-            if d <= fx[0]:
+            p = d * e / a if d >= 0.0 else d / ae
+            if p < nmax:
+                p = nmax
+            elif p > pmax:
+                p = pmax
+            if d <= f_lo:
                 u = fy[0]
-            elif d >= fx[-1]:
+            elif d >= f_hi:
                 u = fy[-1]
             else:
                 i = bisect_right(fx, d) - 1
                 t = (d - fx[i]) / (fx[i + 1] - fx[i])
                 u = (1.0 - t) * fy[i] + t * fy[i + 1]
             x = s - d
-            if x <= vx[0]:
+            if x <= v_lo:
                 v = vy[0]
-            elif x >= vx[-1]:
+            elif x >= v_hi:
                 v = vy[-1]
             else:
                 i = bisect_right(vx, x) - 1
                 t = (x - vx[i]) / (vx[i + 1] - vx[i])
                 v = (1.0 - t) * vy[i] + t * vy[i + 1]
-            key = (u + v, abs(p), p)
-            if best is None or key < best:
-                best = key
-        p = best[2]
-        powers.append(p)
-        s -= a * p / e if p >= 0.0 else a * e * p
-        s = min(max(s, b.e_min), b.e_max)  # float dust only
+            # the least (u + v, |p|, p), compared as tuples are, without the tuples
+            c = u + v
+            m = abs(p)
+            if first or c < best_c or c == best_c and (m < best_m or m == best_m and p < best_p):
+                best_c, best_m, best_p = c, m, p
+                first = False
+        powers.append(best_p)
+        s -= a * best_p / e if best_p >= 0.0 else ae * best_p
+        s = e_min if s < e_min else e_max if s > e_max else s  # float dust only
     return np.array(powers, dtype=float)
 
 
@@ -376,8 +398,8 @@ def solve(problem: OracleProblem) -> OracleSolution:
             return OracleSolution(_records_from_battery(problem, p), obj, "tube-certificate",
                                   lb, True)
     b = problem.fleet.battery
-    phi = _stage_costs(problem)
-    values = _value_functions(phi, b.e_min, b.e_max)
+    phi, phi_convex = _stage_costs(problem)
+    values = _value_functions(phi, phi_convex, b.e_min, b.e_max)
     p = _optimal_powers(problem, phi, values)
     obj = _objective_of_powers(problem, p)
     lower = max(lb, _pwl._at(*values[0], problem.soc0))

@@ -188,10 +188,15 @@ def test_duplicate_config_key_is_reported(tmp_path, capsys):
     assert "duplicate" in err
 
 
-def test_guard_band_violation_is_a_runtime_error(capsys):
-    # start the run outside the guard band
-    code, _, _ = _run(capsys, ["track", "--hours", "0.01", "--set", "battery.soc0=0.35"])
-    assert code == EXIT_RUNTIME
+def test_guard_band_violation_is_a_config_error(capsys):
+    # a run that would start outside the guard band is refused before it runs
+    code, _, err = _run(capsys, ["track", "--hours", "0.01", "--set", "battery.soc0=0.35"])
+    assert code == EXIT_CONFIG
+    assert "battery.soc0" in err and "guard band" in err
+    # the commands that run no guard take the same setting
+    for argv in (["envelope"], ["bid-sweep", "--days", "1", "--eval-steps", "4"]):
+        code, _, err = _run(capsys, argv + ["--set", "battery.soc0=0.35"])
+        assert code == EXIT_OK, err
 
 
 def test_no_guard_flag_disables_the_band(capsys):
@@ -376,7 +381,7 @@ def test_non_finite_report_value_is_a_runtime_error(monkeypatch, tmp_path, capsy
 
 
 def test_oracle_runs_above_their_step_limit_are_config_errors(monkeypatch, capsys):
-    """The exact oracle needs ~0.8 KB a step, so ``--oracle`` has its own
+    """The exact oracle needs ~0.9 KB a step, so ``--oracle`` has its own
     step limit; a run above it is refused before anything is simulated."""
     monkeypatch.setattr(cli, "simulate", _no_allocation)
     monkeypatch.setattr(cli, "_MAX_ORACLE_STEPS", 17)
@@ -767,8 +772,8 @@ def _edge_argv(draw):
     its validated range given the keys drawn before it: the SoC window
     inside [0, 1], the guard band inside the window, the buffer in (0,
     half the band], soc0 in the window or, with the guard on, on an edge
-    of the band (a start outside the band is a runtime failure by design,
-    ``test_guard_band_violation_is_a_runtime_error``). The run lasts 2 or
+    of the band or of the window (a start outside the band is a
+    configuration error). The run lasts 2 or
     3 steps or none (``signal.hours`` at its least), or a day of
     ``bid-sweep``."""
     command = draw(st.sampled_from(["track", "track --oracle", "envelope", "synth-signal",
@@ -786,7 +791,8 @@ def _edge_argv(draw):
         cfg["guard.lower"] = lo = pick("guard.lower", [lo])
         cfg["guard.upper"] = hi = pick("guard.upper", [hi])
         cfg["guard.buffer"] = pick("guard.buffer", [_TINY, 0.5 * (hi - lo)])
-        cfg["battery.soc0"] = draw(st.sampled_from([lo, hi]))
+        cfg["battery.soc0"] = draw(st.sampled_from([lo, hi, cfg["battery.soc_min"],
+                                                     cfg["battery.soc_max"]]))
     else:
         cfg["battery.soc0"] = pick("battery.soc0", [lo, hi])
     steps = draw(st.sampled_from([0, 2, 3]))

@@ -389,6 +389,53 @@ def _generic_powers(problem: OracleProblem, phi, values) -> np.ndarray:
     return np.array(powers, dtype=float)
 
 
+def _loop_stage_costs(problem: OracleProblem):
+    """The stage costs built one step at a time, the reference for the
+    all-steps pass: per step d_lo, the kinks in (d_lo, 0), 0.0, the kinks
+    in (0, d_hi) and d_hi, each kink once, a drop bound that underflows
+    to 0.0 merged into the 0.0 breakpoint with the later bound's cost.
+    Drops and costs take numpy's arithmetic for all steps at once."""
+    b = problem.fleet.battery
+    a, e, pmax = problem.fleet.dt / b.e_cap, b.eta_inv, b.p_max
+    d_lo, d_hi = -a * e * pmax, a * pmax / e
+    _, lo, hi = problem._band
+    t = problem.targets()
+
+    def cost(d):
+        p = np.clip(np.where(d >= 0.0, d * e / a, d / (a * e)), -pmax, pmax)
+        return oracle._distance(t - p, lo, hi).tolist()
+
+    kinks = [oracle._drop(a, e, t - hi), oracle._drop(a, e, t - lo)]
+    cols = [d.tolist() for d in kinks] + [cost(d) for d in (*kinks, d_lo, 0.0, d_hi)]
+    phi = []
+    for k1, k2, c1, c2, y_lo, y_0, y_hi in zip(*cols):
+        xs, ys = [d_lo], [y_lo]
+        if d_lo < k1 < 0.0:
+            xs.append(k1)
+            ys.append(c1)
+        if d_lo < k2 < 0.0 and k2 != k1:
+            xs.append(k2)
+            ys.append(c2)
+        if d_lo < 0.0:
+            xs.append(0.0)
+            ys.append(y_0)
+        else:
+            ys[-1] = y_0
+        if 0.0 < k1 < d_hi:
+            xs.append(k1)
+            ys.append(c1)
+        if 0.0 < k2 < d_hi and k2 != k1:
+            xs.append(k2)
+            ys.append(c2)
+        if 0.0 < d_hi:
+            xs.append(d_hi)
+            ys.append(y_hi)
+        else:
+            ys[-1] = y_hi
+        phi.append((tuple(xs), tuple(ys)))
+    return phi
+
+
 def _bits(xs) -> bytes:
     return np.array(xs, dtype=float).tobytes()  # signed zeros too
 
@@ -442,19 +489,68 @@ def test_value_functions_equal_the_generic_dp_with_many_multi_part_steps(dp_runs
 
 
 def test_convex_steps_skip_the_generic_machinery(monkeypatch):
-    """On an instance whose every step is one convex pair, the DP makes no
-    ``inf_convolve`` and no ``lower_envelope`` call: each step is one fused
-    pass."""
-    calls = {"inf_convolve": 0, "lower_envelope": 0, "_convolve_on": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(_pwl, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(_pwl, name, counted)
-    prob = _default_instance(5, 1800, 0.6)
-    sol = solve(prob)
-    assert sol.backend == "exact-dp" and sol.certified_optimal
-    assert calls == {"inf_convolve": 0, "lower_envelope": 0, "_convolve_on": prob.horizon}
+    """Each step with one convex pair is one fused pass, with no
+    ``inf_convolve`` and no ``lower_envelope`` call; a step with several
+    pairs makes one ``lower_envelope`` call on ``(xs, ys)`` parts. No step
+    builds ``Pwl`` runs or calls ``inf_convolve``. The first instance has
+    only one-pair steps, the second 272 steps with several pairs."""
+    for seed, steps, bias, multi in [(5, 1800, 0.6, 0), (1, 7200, 0.3, 272)]:
+        calls = dict.fromkeys(["inf_convolve", "convex_runs", "lower_envelope", "_convolve_on"], 0)
+        for name in calls:
+            def counted(*args, _fn=getattr(_pwl, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(_pwl, name, counted)
+        prob = _default_instance(seed, steps, bias)
+        sol = solve(prob)
+        monkeypatch.undo()
+        assert sol.backend == "exact-dp" and sol.certified_optimal
+        assert calls == {"inf_convolve": 0, "convex_runs": 0, "lower_envelope": multi,
+                         "_convolve_on": steps - multi}
+
+
+@st.composite
+def _dp_instance(draw):
+    """A small instance in any mode: ratings near the default fleet's or
+    so small that the SoC drop bounds underflow to 0, SoC windows wide or
+    a few steps narrow, soc0 on a window edge or inside, one to eight
+    steps, and signals that are often 0, where many powers tie at p = 0."""
+    scenario = draw(st.sampled_from(list(hx.Scenario)))
+    e_min, e_max = draw(st.sampled_from([(0.1, 0.9), (0.0, 1.0), (0.45, 0.55)]))
+    fleet = hx.AssetFleet(
+        pv=hx.PvParams.scaled_to_rating(3.0),
+        battery=hx.BatteryParams(p_max=draw(st.sampled_from([0.5, 2.0, 5.0, 1e-30, 5e-324])),
+                                 e_cap=draw(st.sampled_from([0.05, 0.5, 5.0, 1e300])),
+                                 eta_inv=draw(st.sampled_from([0.8, 0.95, 1.0, 1e-10])),
+                                 e_min=e_min, e_max=e_max),
+        load=hx.LoadParams(p_max=draw(st.sampled_from([0.0, 1.0, 3.0]))),
+        dt=draw(st.sampled_from([2 / 3600, 0.25])),
+    )
+    n = draw(st.integers(1, 8))
+    level = st.sampled_from([-1.0, -0.5, 0.0, 0.0, 0.5, 1.0]) | st.floats(-1.0, 1.0)
+    r = draw(st.lists(level, min_size=n, max_size=n))
+    pv = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=n, max_size=n)))
+    if scenario is hx.Scenario.S2:
+        pv = np.minimum(pv, fleet.load.p_max)  # the green-load mode needs PV <= CL
+    soc0 = draw(st.sampled_from([e_min, e_max]) | st.floats(e_min, e_max))
+    return OracleProblem(fleet, draw(st.sampled_from([0.5, 6.5])), r, pv, soc0, scenario)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dp_instance())
+def test_dp_equals_the_generic_dp_on_small_instances(problem):
+    """The all-steps stage costs equal the per-step loop's, their
+    convexity flags ``convex_runs``', and the value functions and powers
+    the generic recursion's, bit for bit, signed zeros too."""
+    b = problem.fleet.battery
+    with np.errstate(all="ignore"):  # the drop of a power can overflow on tiny ratings
+        phi, convex = oracle._stage_costs(problem)
+        want = _loop_stage_costs(problem)
+    assert [tuple(map(_bits, f)) for f in phi] == [tuple(map(_bits, f)) for f in want]
+    assert convex == [len(convex_runs(Pwl(*f))) == 1 for f in phi]
+    values = oracle._value_functions(phi, convex, b.e_min, b.e_max)
+    _assert_dp_is_the_generic_dp(problem, phi, values,
+                                 oracle._optimal_powers(problem, phi, values))
 
 
 def _grid(lo: int, hi: int, den: int):

@@ -2,14 +2,24 @@
 runs and exact lower envelopes."""
 
 import math
+import operator
 import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hesflex._pwl import Pwl, _convolve_on, _hull, convex_runs, inf_convolve, lower_envelope
+from hesflex._pwl import (
+    Pwl,
+    _convolve,
+    _convolve_on,
+    _drop_flat,
+    convex_runs,
+    inf_convolve,
+    lower_envelope,
+)
 
 
 def test_interpolation_and_endpoint_hold():
@@ -37,8 +47,10 @@ def test_breakpoints_must_increase():
 
 
 def _hull_pwl(pts) -> Pwl:
-    """``_hull``'s breakpoint and value lists as a function."""
-    return Pwl(*map(tuple, _hull(pts)))
+    """The lower hull of points in ascending x order as a function:
+    ``_convolve`` with the single point (0.0, 0.0)."""
+    xs, ys = zip(*pts)
+    return Pwl(*map(tuple, _convolve(xs, ys, (0.0,), (0.0,))))
 
 
 def test_hull_dedupes():
@@ -338,3 +350,60 @@ def test_convolve_on_equals_the_generic_convolve_and_cut(f, g, data):
     assert type(xs) is tuple and type(ys) is tuple
     assert np.array(xs).tobytes() == np.array(want.xs).tobytes()
     assert np.array(ys).tobytes() == np.array(want.ys).tobytes()
+
+
+def _drop_flat_reference(gx: list, gy: list) -> None:
+    """``_drop_flat`` with its tolerance in ``max``/``abs`` form, one
+    point at a time: the reference for the spelled-out scale."""
+    tol = 8.0 * sys.float_info.epsilon
+    while True:
+        flat = []
+        for p in range(1, len(gx) - 1):
+            x0, x1, x2 = gx[p - 1], gx[p], gx[p + 1]
+            y0, y1, y2 = gy[p - 1], gy[p], gy[p + 1]
+            slope = (y2 - y0) / (x2 - x0)
+            dev = abs(y1 - (y0 + (x1 - x0) * slope))
+            if dev <= tol or dev <= tol * (max(1.0, abs(y1), abs(y0), abs(y2))
+                                           + abs(slope) * max(abs(x0), abs(x2))):
+                flat.append(p)
+        drop = flat[::2]  # every other flat point: never two neighbours
+        for p in reversed(drop):
+            del gx[p], gy[p]
+        if len(drop) == len(flat):  # as in _drop_flat, no second look at the neighbours
+            return
+
+
+@st.composite
+def _near_collinear(draw):
+    """Two to ten points on a few lines, at magnitudes from 1e-3 to 1e6 on
+    either side of 0, with values moved by up to a few hundred ulps, so
+    that a deviation falls on either side of the scaled tolerance."""
+    n = draw(st.integers(2, 10))
+    x = draw(st.sampled_from([-1e3, -1.0, 0.0]) | st.floats(-1e6, 1e6))
+    xs = [x]
+    for _ in range(n - 1):
+        x = x + draw(st.sampled_from([1e-3, 0.5, 1.0, 1e3, 1e6]) | st.floats(1e-3, 1e6))
+        xs.append(x)
+    assume(all(map(operator.lt, xs, xs[1:])))
+    slope = draw(st.sampled_from([0.0, 1.0, -3.0, 1e3]) | st.floats(-1e3, 1e3))
+    c = draw(st.sampled_from([0.0, 1e3, -1e6]) | st.floats(-1e6, 1e6))
+    ys = []
+    for x in xs:
+        if draw(st.integers(0, 4)) == 0:
+            slope = draw(st.floats(-1e3, 1e3))
+        y = c + slope * x
+        ys.append(y + draw(st.integers(-300, 300)) * math.ulp(y))
+    return xs, ys
+
+
+@settings(max_examples=500, deadline=None)
+@given(_near_collinear())
+def test_drop_flat_equals_its_max_abs_form(pts):
+    """The flat-point rounds keep the same breakpoints as their reference,
+    whose tolerance is spelled with ``max`` and ``abs``."""
+    gx, gy = list(pts[0]), list(pts[1])
+    want_x, want_y = list(gx), list(gy)
+    _drop_flat(gx, gy)
+    _drop_flat_reference(want_x, want_y)
+    assert np.array(gx).tobytes() == np.array(want_x).tobytes()
+    assert np.array(gy).tobytes() == np.array(want_y).tobytes()
