@@ -2,9 +2,9 @@
 
 Just enough machinery for exact one-dimensional dynamic programming
 with convex stage costs and non-convex value functions: evaluation,
-infimal convolution of convex functions by slope merging and a lower
-hull, splitting into maximal convex runs, and the exact pointwise
-minimum of several functions. A function is stored as
+infimal convolution of a convex function with a convex or any
+continuous one, splitting into maximal convex runs, and the exact
+pointwise minimum of several functions. A function is stored as
 strictly increasing breakpoints ``xs`` with values ``ys``; a
 single-point domain is legal.
 
@@ -13,11 +13,16 @@ are on a few breakpoints, where numpy's set-up would cost more than the
 arithmetic. The private helpers take and return plain ``(xs, ys)``
 pairs, and ``Pwl`` unpacks to its pair, so a dynamic program builds no
 ``Pwl`` at all. One loop, ``_convolve``, runs the slope-merge sweep and
-the lower hull of a convolution; ``inf_convolve`` wraps it, and
-``_convolve_on``, the commonest step (one convex pair convolved and cut
-to a window), cuts its result as ``lower_envelope`` would, bit for bit.
-``_runs`` splits a pair into its convex runs as slices, for
-``convex_runs`` and for steps with several runs alike.
+the lower hull of a convolution of two convex functions;
+``inf_convolve`` wraps it, and ``_convolve_on``, the commonest step (one
+convex pair convolved and cut to a window), cuts its result as
+``lower_envelope`` would, bit for bit. ``_convolve_any`` runs the same
+sweep over a g of any shape, one chain per stretch of g, and one sweep
+(``_sweep``, two functions at a time in ``_insert``) takes the minimum
+of chains, for it and for ``lower_envelope`` alike: it follows the lower
+function, inserts crossings where the lower one changes and keeps only
+that one's own breakpoints, so its cost follows the overlap, not a
+merged grid.
 """
 
 from __future__ import annotations
@@ -150,10 +155,11 @@ def _convolve_on(fx, fy, gx, gy, lo: float, hi: float) -> tuple[tuple, tuple]:
     The convolution is cut to [lo, hi]: the ends take the value
     ``lower_envelope``'s step 1 gives them (a hull vertex its own value,
     any other point ``slope*(x - xs[j]) + ys[j]``), the vertices strictly
-    inside are kept, and ``_drop_flat`` runs on the result. A window that
-    the hull does not cover is refused as ``lower_envelope`` refuses it.
+    inside are kept, and ``_drop_flat`` runs on the result. A reversed
+    window, or one that the hull does not cover, is refused as
+    ``lower_envelope`` refuses it.
     """
-    lo, hi = float(lo), float(hi)
+    lo, hi = _window(lo, hi)
     xs, ys = _convolve(fx, fy, gx, gy)
     i, j = bisect_right(xs, lo), bisect_left(xs, hi)
     if i == 0 or j == len(xs):
@@ -172,6 +178,61 @@ def _convolve_on(fx, fy, gx, gy, lo: float, hi: float) -> tuple[tuple, tuple]:
     gy = [y_lo, *ys[i:j], y_hi]
     _drop_flat(gx, gy)
     return tuple(gx), tuple(gy)
+
+
+def _convolve_any(fx, fy, gx, gy) -> tuple[list, list]:
+    """Infimal convolution of convex f = (fx, fy) with a continuous g = (gx, gy)
+    of any shape, as breakpoint and value lists, in one pass over g.
+
+    The graph of the convolution is the lower boundary of the Minkowski
+    sum of the two graphs, and only two kinds of its pieces can be on it:
+    an edge of g shifted by the vertex of f where the edge's slope fits
+    between f's neighbouring slopes, and an edge of f placed at a vertex
+    of g where its slope fits between g's. The pass is the slope-merge
+    sweep of ``_convolve`` run over all of g: at each vertex of g it
+    places the edges of f no steeper than g's next edge, then that edge
+    shifted; at a concave vertex where g's next edge is shallower than the
+    last edge of f placed, it steps back along f instead, and a new chain
+    starts there, left of where the last one ended. Points within 1e-13
+    (relative, floor 1) of the last one in x are one point with the lower
+    value. ``_sweep`` then merges the chains, each into the envelope of
+    those before it. For convex g there is one chain, ``_convolve``'s
+    sweep without its hull.
+    """
+    m, n = len(fx) - 1, len(gx) - 1
+    fdx = [fx[i + 1] - fx[i] for i in range(m)]
+    fdy = [fy[i + 1] - fy[i] for i in range(m)]
+    chains = []
+    cx, cy = [gx[0] + fx[0]], [gy[0] + fy[0]]
+    i = 0
+    for j in range(n + 1):
+        x0, y0 = gx[j], gy[j]
+        if j < n:
+            dx, dy = gx[j + 1] - x0, gy[j + 1] - y0
+            i0 = i
+            while i < m and fdy[i] * dx <= dy * fdx[i]:
+                i += 1
+            if i == i0 and i and fdy[i - 1] * dx > dy * fdx[i - 1]:
+                i -= 1  # a concave vertex of g: a new chain, further back on f
+                while i and fdy[i - 1] * dx > dy * fdx[i - 1]:
+                    i -= 1
+                chains.append((cx, cy))
+                cx, cy = [x0 + fx[i]], [y0 + fy[i]]
+                pts = ((gx[j + 1] + fx[i], gy[j + 1] + fy[i]),)
+            else:
+                pts = [(x0 + fx[q], y0 + fy[q]) for q in range(i0 + 1, i + 1)]
+                pts.append((gx[j + 1] + fx[i], gy[j + 1] + fy[i]))
+        else:
+            pts = [(x0 + fx[q], y0 + fy[q]) for q in range(i + 1, m + 1)]
+        for x, y in pts:
+            if x == cx[-1]:
+                if y < cy[-1]:
+                    cy[-1] = y
+            else:
+                cx.append(x)
+                cy.append(y)
+    chains.append((cx, cy))
+    return _sweep(chains)
 
 
 def _concave_kinks(xs, ys):
@@ -202,88 +263,229 @@ def convex_runs(f: Pwl) -> list[Pwl]:
     return [Pwl(*run) for run in _runs(f.xs, f.ys)]
 
 
+def _window(lo, hi) -> tuple[float, float]:
+    """The window ``[lo, hi]`` as floats; a reversed (or NaN) one is refused."""
+    lo, hi = float(lo), float(hi)
+    if not lo <= hi:
+        raise ValueError(f"the window [lo, hi] is reversed: lo = {lo!r} is above hi = {hi!r}")
+    return lo, hi
+
+
+def _cut(xs, ys, lo: float, hi: float) -> tuple[list, list]:
+    """``(xs, ys)`` restricted to [lo, hi], which it must meet, as lists: the
+    ends take a breakpoint's own value or ``slope*(x - xs[j]) + ys[j]`` on the
+    segment holding them, and the breakpoints strictly between are kept."""
+    a = xs[0] if xs[0] > lo else lo
+    b = xs[-1] if xs[-1] < hi else hi
+    i = bisect_right(xs, a)  # xs[i - 1] <= a < xs[i]
+    j = bisect_left(xs, b, i)  # xs[j - 1] < b <= xs[j]
+    if xs[i - 1] == a:
+        y = ys[i - 1]
+    else:
+        y = (ys[i] - ys[i - 1]) / (xs[i] - xs[i - 1]) * (a - xs[i - 1]) + ys[i - 1]
+    gx, gy = [a, *xs[i:j]], [y, *ys[i:j]]
+    if a < b:
+        if xs[j] == b:
+            y = ys[j]
+        else:
+            y = (ys[j] - ys[j - 1]) / (xs[j] - xs[j - 1]) * (b - xs[j - 1]) + ys[j - 1]
+        gx.append(b)
+        gy.append(y)
+    return gx, gy
+
+
 def lower_envelope(fs, lo: float, hi: float) -> Pwl:
     """Exact pointwise minimum of continuous functions on [lo, hi].
 
     Each function is an ``(xs, ys)`` pair (a ``Pwl`` unpacks to one) and
     counts as +inf outside its own domain; together the domains must
-    cover [lo, hi], or a ``ValueError`` names the first grid point or
+    cover [lo, hi], or a ``ValueError`` names lo, hi or the first
     interval that none covers, and the minimum must be continuous there.
-    One function goes through the same four steps as many:
+    A reversed window is refused.
 
-    1. The grid is lo, hi and every breakpoint strictly between. Each
-       function is evaluated at the grid points of its domain with
-       ``np.interp``'s arithmetic: a breakpoint gives its own value, any
-       other point ``slope*(x - xs[j]) + ys[j]``. Each grid point keeps
-       the minimum and the first function in ``fs`` order attaining it.
-    2. Between neighbouring grid points every function is linear, so the
-       minimum there is concave and lies on or above the chord of its end
-       values. Where the same function is first lowest at both ends, it
-       is the minimum on the whole interval.
-    3. Elsewhere, among the functions defined on the whole interval, the
-       crossing of the first lowest at the left end with the first lowest
-       at the right end is inserted, and both halves are checked again
-       (``_crossings``). A function counts as lowest when it is within
-       float rounding of the lowest, so the result can sit below the true
-       minimum by that much, never above it.
-    4. Breakpoints on the chord of their neighbours to rounding are
-       dropped, in rounds that each drop every other such point, so no
-       two neighbours go in one round.
+    Each function is cut to the window (``_cut``), the cut parts are
+    taken in order of their left ends, and ``_sweep`` merges them left to
+    right: where two overlap it keeps the lower, inserts their crossing
+    where the lower one changes and emits only the lower one's own
+    breakpoints. A function counts as lower only when it is below by more
+    than float rounding, so the result can sit below the true minimum by
+    that much, never above it. Breakpoints on the chord of their
+    neighbours to rounding are then dropped (``_drop_flat``). One function
+    is only cut and has its flat points dropped.
     """
-    lo, hi = float(lo), float(hi)
-    grid = {lo, hi}
-    for xs, _ in fs:
-        grid.update(xs[bisect_right(xs, lo):bisect_left(xs, hi)])
-    grid = sorted(grid)
-    low = [math.inf] * len(grid)  # the minimum at each grid point
-    first = [-1] * len(grid)  # the first function in fs order that attains it
-    spans = []  # per function: its first grid index and its values from there on
-    for k, (xs, ys) in enumerate(fs):
-        s = i = bisect_left(grid, xs[0])
-        j = 0
-        x_j = xs[0]  # the first breakpoint at or after x
-        vals = []
-        for x in grid[i:bisect_right(grid, xs[-1])]:
-            if x_j < x:  # a new segment: its slope, once
-                while xs[j] < x:
-                    j += 1
-                x_j = xs[j]
-                x0, y0 = xs[j - 1], ys[j - 1]
-                slope = (ys[j] - y0) / (x_j - x0)
-            if x_j == x:
-                v = ys[j]
-            else:  # between xs[j - 1] and xs[j]
-                v = slope * (x - x0) + y0
-            vals.append(v)
-            if v < low[i]:
-                low[i] = v
-                first[i] = k
-            i += 1
-        spans.append((s, vals))
-    if -1 in first:
-        raise ValueError(f"lower_envelope: no function is defined at {grid[first.index(-1)]!r}"
-                         f" in [{lo!r}, {hi!r}]")
-    gx, gy = grid, low
-    # the grid points where the first-lowest function changes: the intervals
-    # ending there may hold crossings
-    checks = ([] if first.count(first[0]) == len(first)
-              else [i for i in range(1, len(first)) if first[i - 1] != first[i]])
-    if checks:
-        ends = {i: ([], []) for i in checks}  # the functions defined on the whole interval
-        for s, vals in spans:
-            for i in checks[bisect_right(checks, s):bisect_left(checks, s + len(vals))]:
-                ends[i][0].append(vals[i - 1 - s])
-                ends[i][1].append(vals[i - s])
-        for i in reversed(checks):
-            left, right = ends[i]
-            if not left:
-                raise ValueError(f"lower_envelope: no function is defined on all of"
-                                 f" [{grid[i - 1]!r}, {grid[i]!r}]")
-            cx, cy = [], []
-            _crossings(grid[i - 1], grid[i], left, right, cx, cy)
-            gx[i:i], gy[i:i] = cx, cy
+    lo, hi = _window(lo, hi)
+    parts = [_cut(xs, ys, lo, hi) for xs, ys in fs if xs[0] <= hi and lo <= xs[-1]]
+    for x, covered in ((lo, any(p[0][0] == lo for p in parts)),
+                       (hi, any(p[0][-1] == hi for p in parts))):
+        if not covered:
+            raise ValueError(f"lower_envelope: no function is defined at {x!r}"
+                             f" in [{lo!r}, {hi!r}]")
+    parts.sort(key=lambda p: p[0][0])
+    gx, gy = _sweep(parts)
     _drop_flat(gx, gy)
     return Pwl(tuple(gx), tuple(gy))
+
+
+def _sweep(chains) -> tuple[list, list]:
+    """Lower envelope of continuous chains, each an ``(xs, ys)`` pair with
+    strictly increasing xs, as breakpoint and value lists: the first
+    chain, with every later one merged in by ``_insert``. Each later chain
+    starts at or after the first one's start; one that starts after the
+    envelope so far ends leaves a gap, which is refused. Jumps that the
+    merges leave (a breakpoint listed twice) take the lower value."""
+    chains = iter(chains)
+    ex, ey = map(list, next(chains))
+    for px, py in chains:
+        if px[0] > ex[-1]:
+            raise ValueError(f"lower_envelope: no function is defined on all of"
+                             f" [{ex[-1]!r}, {px[0]!r}]")
+        _insert(ex, ey, px, py)
+    if any(map(operator.eq, ex, ex[1:])):
+        gx, gy = [ex[0]], [ey[0]]
+        for x, y in zip(ex[1:], ey[1:]):
+            if x != gx[-1]:
+                gx.append(x)
+                gy.append(y)
+            elif y < gy[-1]:
+                gy[-1] = y
+        return gx, gy
+    return ex, ey
+
+
+def _insert(ex: list, ey: list, px, py) -> None:
+    """Merge the continuous chain ``(px, py)`` into the envelope ``(ex, ey)``
+    in place. The chain starts inside the envelope's domain; the envelope
+    may list a breakpoint twice, a jump from its left to its right value.
+
+    One sweep runs over the interval where both are defined, from one
+    breakpoint of either to the next, where both are linear. It keeps the
+    lower of the two (the envelope on ties), emits that one's own
+    breakpoints, and, where the other one ends a step below it by more
+    than rounding, inserts their crossing, found from the two gaps as
+    ``_drop_flat``'s neighbours would see them, and hands over. Past the
+    overlap the longer of the two goes on. Where one ends or starts above
+    or below the other by more than rounding, a jump is kept; the points
+    of the envelope before the chain and after the overlap are untouched.
+    """
+    s, t, e_end = px[0], px[-1], ex[-1]
+    n = len(ex)
+    k = bisect_left(ex, s)  # ex[:k] lie before the chain
+    if ex[k] == s:
+        i = bisect_right(ex, s, k)  # the envelope's next breakpoint after s
+        ya_left, ya0 = ey[k], ey[i - 1]
+    else:
+        i = k
+        x = ex[k - 1]
+        ya0 = ya_left = (ey[k] - ey[k - 1]) / (ex[k] - x) * (s - x) + ey[k - 1]
+    yb0 = py[0]
+    rx, ry = [], []
+    on_b = yb0 < ya0  # the chain is lower at s
+    if on_b:
+        keep = k
+        if abs(ya_left - yb0) > _TOL * max(1.0, abs(ya_left), abs(yb0)):
+            rx.append(s)  # a jump at s from the envelope's left value
+            ry.append(ya_left)
+        rx.append(s)
+        ry.append(yb0)
+        last = s
+    else:
+        keep = i
+        last = ex[i - 1] if i else -math.inf
+    b = 1
+    x0 = s
+    u = t if t < e_end else e_end
+    while x0 < u:
+        xa, xb = ex[i], px[b]
+        if xa <= xb:
+            x1 = xa
+            ya1 = ey[i]
+        else:
+            x1 = xb
+            x = ex[i - 1]
+            ya1 = (ey[i] - ey[i - 1]) / (xa - x) * (x1 - x) + ey[i - 1]
+        if xb <= xa:
+            yb1 = py[b]
+        else:
+            x = px[b - 1]
+            yb1 = (py[b] - py[b - 1]) / (xb - x) * (x1 - x) + py[b - 1]
+        # does the other one end this step below the lower one beyond rounding?
+        if (ya1 < yb1) if on_b else (yb1 < ya1):
+            if on_b:
+                lw0, lw1, up0, up1 = yb0, yb1, ya0, ya1
+            else:
+                lw0, lw1, up0, up1 = ya0, ya1, yb0, yb1
+            rise = max(abs(lw1 - lw0), abs(up1 - up0))
+            tol = _TOL * (max(1.0, abs(lw0), abs(up1))
+                          + rise / (x1 - x0) * max(abs(x0), abs(x1)))
+            excess_r = lw1 - up1
+            if excess_r > tol:
+                excess_l = up0 - lw0
+                if excess_l > tol:
+                    tau = excess_l / (excess_l + excess_r)
+                    x = x0 + tau * (x1 - x0)
+                    if x0 < x < x1:
+                        rx.append(x)
+                        ry.append(min(lw0 + tau * (lw1 - lw0), up0 + tau * (up1 - up0)))
+                        last = x
+                    elif x0 < x:  # within an ulp of x1
+                        rx.append(x1)
+                        ry.append(min(ya1, yb1))
+                        last = x1
+                    elif last < x0:
+                        rx.append(x0)
+                        ry.append(min(ya0, yb0))
+                        last = x0
+                elif last < x0:  # they part at x0
+                    rx.append(x0)
+                    ry.append(min(ya0, yb0))
+                    last = x0
+                on_b = not on_b
+        if xa <= xb:
+            if not on_b and last < x1:
+                rx.append(x1)
+                ry.append(ya1)
+                last = x1
+            i += 1
+            while i < n and ex[i] == x1:  # the envelope jumps at x1
+                y = ey[i]
+                if on_b:
+                    if y < yb1:  # down below the chain
+                        if last < x1 or ry[-1] != yb1:
+                            rx.append(x1)
+                            ry.append(yb1)
+                        rx.append(x1)
+                        ry.append(y)
+                        last = x1
+                        on_b = False
+                else:
+                    rx.append(x1)
+                    ry.append(y if y <= yb1 else yb1)
+                    last = x1
+                    on_b = yb1 < y  # up above the chain
+                ya1 = y
+                i += 1
+        if xb <= xa:
+            if on_b and last < x1:
+                rx.append(x1)
+                ry.append(yb1)
+                last = x1
+            b += 1
+        x0, ya0, yb0 = x1, ya1, yb1
+    if t < e_end:  # the envelope goes on from t
+        if on_b and ya0 - yb0 > _TOL * max(1.0, abs(ya0), abs(yb0)):
+            rx.append(t)  # a jump up to the envelope
+            ry.append(ya0)
+        ex[keep:i] = rx
+        ey[keep:i] = ry
+        return
+    if t > e_end:  # the chain goes on from e_end
+        if not on_b and yb0 - ya0 > _TOL * max(1.0, abs(ya0), abs(yb0)):
+            rx.append(e_end)  # a jump up to the chain
+            ry.append(yb0)
+        rx += px[b:]
+        ry += py[b:]
+    ex[keep:] = rx
+    ey[keep:] = ry
 
 
 def _drop_flat(gx: list, gy: list) -> None:
@@ -323,29 +525,3 @@ def _drop_flat(gx: list, gy: list) -> None:
             return
         # only the neighbours of a dropped point have new neighbours
         todo = [q for r, p in enumerate(drop) for q in (p - r - 1, p - r) if 0 < q < len(gx) - 1]
-
-
-def _crossings(x0: float, x1: float, left: list, right: list, gx: list, gy: list) -> None:
-    """Append to gx, gy, in ascending x, the crossings strictly inside
-    (x0, x1) of functions linear there, with values ``left`` at x0 and
-    ``right`` at x1. The crossing of the first lowest at each end is
-    inserted when each is above the other at the far end by more than
-    rounding; the halves on either side are then checked the same way.
-    An interval's result depends only on its own end values."""
-    a = left.index(min(left))
-    b = right.index(min(right))
-    excess_l = left[b] - left[a]  # how far b is above a at the left end
-    excess_r = right[a] - right[b]  # how far a is above b at the right end
-    rise = max(abs(right[a] - left[a]), abs(right[b] - left[b]))
-    tol = _TOL * (max(1.0, abs(left[a]), abs(right[b])) + rise / (x1 - x0) * max(abs(x0), abs(x1)))
-    if not (excess_l > tol and excess_r > tol):
-        return
-    t = excess_l / (excess_l + excess_r)
-    x = x0 + t * (x1 - x0)
-    if not x0 < x < x1:  # within an ulp of an end
-        return
-    mid = [u + t * (w - u) for u, w in zip(left, right)]
-    _crossings(x0, x, left, mid, gx, gy)
-    gx.append(x)
-    gy.append(min(mid))
-    _crossings(x, x1, mid, right, gx, gy)

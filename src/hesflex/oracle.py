@@ -49,7 +49,7 @@ Strategy, cheapest first:
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,26 +303,30 @@ def _value_functions(phi, phi_convex, e_min: float, e_max: float) -> list[tuple[
     ``phi_convex[k]`` tells whether phi_k is one convex run.
 
     When phi_k and V_k+1 are each one convex run, the step is one fused
-    convolve-and-cut pass (``_pwl._convolve_on``). Otherwise both are
-    minima of their convex runs and [] distributes over minima, so every
-    pair of runs is convolved and the results are merged exactly; the
-    fused pass equals that path on one pair bit for bit. Runs and parts
-    are ``(xs, ys)`` pairs throughout.
+    convolve-and-cut pass (``_pwl._convolve_on``); any other step is
+    :func:`_multi_part_step`.
     """
     values = [((e_min, e_max), (0.0, 0.0))] * (len(phi) + 1)
     convex = True  # V_k+1 is one convex run
     for k in reversed(range(len(phi))):
-        fx, fy = phi[k]
-        gx, gy = values[k + 1]
         if convex and phi_convex[k]:
-            xs, ys = _pwl._convolve_on(fx, fy, gx, gy, e_min, e_max)
+            xs, ys = _pwl._convolve_on(*phi[k], *values[k + 1], e_min, e_max)
         else:
-            runs = _pwl._runs(gx, gy)
-            parts = [_pwl._convolve(*f, *g) for f in _pwl._runs(fx, fy) for g in runs]
-            xs, ys = _pwl.lower_envelope(parts, e_min, e_max)
+            xs, ys = _multi_part_step(phi[k], values[k + 1], e_min, e_max)
         values[k] = (xs, ys)
         convex = next(_pwl._concave_kinks(xs, ys), None) is None
     return values
+
+
+def _multi_part_step(phi_k, v_next, e_min: float, e_max: float) -> tuple[tuple, tuple]:
+    """phi_k [] V_k+1 on the window as ``(xs, ys)``, for phi_k and V_k+1 of any
+    shape. phi_k is the minimum of its convex runs, one per battery mode,
+    and [] distributes over minima, so each mode is convolved with all of
+    V_k+1 in one pass (``_pwl._convolve_any``) and ``_pwl.lower_envelope``
+    takes the minimum of the modes."""
+    gx, gy = v_next
+    parts = [_pwl._convolve_any(*f, gx, gy) for f in _pwl._runs(*phi_k)]
+    return tuple(_pwl.lower_envelope(parts, e_min, e_max))
 
 
 def _optimal_powers(problem: OracleProblem, stage_costs, values) -> np.ndarray:
@@ -344,7 +348,19 @@ def _optimal_powers(problem: OracleProblem, stage_costs, values) -> np.ndarray:
         hi = min(f_hi, s - v_lo)
         cands = [lo, hi]
         cands += [x for x in fx if lo < x < hi]
-        cands += [s - x for x in vx if lo < s - x < hi]
+        # s - x falls as x rises, so the kinks of V_k+1 inside are one slice
+        # of vx: bisect near its ends, then settle them with the test itself
+        i = bisect_right(vx, s - hi)
+        while i and s - vx[i - 1] < hi:
+            i -= 1
+        while i < len(vx) and not s - vx[i] < hi:
+            i += 1
+        j = bisect_left(vx, s - lo, i)
+        while j < len(vx) and lo < s - vx[j]:
+            j += 1
+        while j > i and not lo < s - vx[j - 1]:
+            j -= 1
+        cands += [s - x for x in vx[i:j]]
         first = True
         for d in cands:
             p = d * e / a if d >= 0.0 else d / ae

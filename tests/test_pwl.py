@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from hesflex._pwl import (
     Pwl,
+    _at,
     _convolve,
+    _convolve_any,
     _convolve_on,
     _drop_flat,
     convex_runs,
@@ -184,6 +186,16 @@ def test_lower_envelope_inserts_crossings_and_drops_collinear_points():
 def test_lower_envelope_refuses_parts_that_do_not_cover_the_window(fs, match):
     with pytest.raises(ValueError, match=match):
         lower_envelope(fs, 0.0, 2.0)
+
+
+def test_reversed_windows_are_refused():
+    f = ((0.0, 1.0), (0.0, 1.0))
+    with pytest.raises(ValueError, match=r"lo = 0\.8 is above hi = 0\.2"):
+        lower_envelope([f], 0.8, 0.2)
+    with pytest.raises(ValueError, match=r"lo = 0\.8 is above hi = 0\.2"):
+        _convolve_on(*f, (0.0,), (0.0,), 0.8, 0.2)
+    with pytest.raises(ValueError, match=r"lo = nan"):
+        lower_envelope([f], math.nan, 0.2)
 
 
 _SLOPES = st.one_of(st.floats(-5.0, 5.0), st.integers(-2, 2).map(lambda i: i / 2))
@@ -407,3 +419,70 @@ def test_drop_flat_equals_its_max_abs_form(pts):
     _drop_flat_reference(want_x, want_y)
     assert np.array(gx).tobytes() == np.array(want_x).tobytes()
     assert np.array(gy).tobytes() == np.array(want_y).tobytes()
+
+
+@st.composite
+def _convex_and_any(draw):
+    """A convex f of zero to four pieces and a continuous g of zero to
+    twenty pieces: a sawtooth of runs narrower than f, with slopes often
+    equal to f's, or slopes at random."""
+    m = draw(st.integers(0, 4))
+    slopes = sorted(draw(st.lists(_SLOPES, min_size=m, max_size=m)))
+    fx, fy = [draw(st.floats(-1.0, 0.5))], [draw(st.floats(-1.0, 1.0))]
+    for m_ in slopes:
+        w = draw(st.floats(0.05, 1.0))
+        fx.append(fx[-1] + w)
+        fy.append(fy[-1] + m_ * w)
+    gx, gy = [draw(st.floats(0.0, 1.0))], [draw(st.floats(-1.0, 1.0))]
+    g_slopes = st.sampled_from(slopes or [0.0]) | _SLOPES
+    for _ in range(draw(st.integers(0, 20))):
+        w = draw(st.floats(0.005, 0.05) | st.floats(0.05, 1.0))
+        m_ = draw(g_slopes)
+        gx.append(gx[-1] + w)
+        gy.append(gy[-1] + m_ * w)
+    return (tuple(fx), tuple(fy)), (tuple(gx), tuple(gy))
+
+
+def _convolution_at(f, g, z: float) -> float:
+    """min over d of f(d) + g(z - d), over the kinks of d -> f(d) + g(z - d):
+    the breakpoints of f and the d putting z - d on one of g, clamped to
+    f's domain; z - d outside g's domain by rounding only is moved in."""
+    (fx, fy), (gx, gy) = f, g
+    slack = 4 * sys.float_info.epsilon * max(1.0, abs(z), abs(gx[0]), abs(gx[-1]))
+    best = math.inf
+    for d in (*fx, *(z - x for x in gx)):
+        x = z - min(max(d, fx[0]), fx[-1])
+        if gx[0] - slack <= x <= gx[-1] + slack:
+            x = min(max(x, gx[0]), gx[-1])
+            best = min(best, _at(fx, fy, min(max(z - x, fx[0]), fx[-1])) + _at(gx, gy, x))
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(_convex_and_any())
+def test_convolve_any_is_the_infimal_convolution(case):
+    """Over the whole domain, at the breakpoints of the result, every sum of
+    a breakpoint of f and one of g and the midpoints between these, the
+    one-pass convolution equals the minimum over the kinks to rounding:
+    a missed vertex or crossing would leave a chord above it."""
+    f, g = case
+    hx, hy = _convolve_any(*f, *g)
+    assert all(map(operator.lt, hx, hx[1:]))
+    assert hx[0] == f[0][0] + g[0][0] and hx[-1] == f[0][-1] + g[0][-1]
+    slope = max((abs((p[1][i + 1] - p[1][i]) / (p[0][i + 1] - p[0][i]))
+                 for p in (f, g) for i in range(len(p[0]) - 1)), default=0.0)
+    points = sorted({*hx, *(x + d for x in g[0] for d in f[0] if hx[0] <= x + d <= hx[-1])})
+    points += [a + (b - a) / 2 for a, b in zip(points, points[1:])]
+    for z in points:
+        want = _convolution_at(f, g, z)
+        tol = 64 * sys.float_info.epsilon * (max(1.0, abs(want)) + slope * max(1.0, abs(z)))
+        assert abs(_at(hx, hy, z) - want) <= tol, z
+
+
+def test_convolve_any_of_convex_g_is_the_sweep_of_convolve():
+    """For convex g there is one chain: the vertices of ``_convolve``'s
+    slope-merge sweep, which its hull keeps too when no two slopes are
+    equal."""
+    f = ((-1.0, 0.0, 2.0), (1.0, 0.0, 1.0))
+    g = ((0.0, 1.0, 2.0, 3.0), (0.0, -2.0, -2.0, 1.0))
+    assert _convolve_any(*f, *g) == _convolve(*f, *g)
