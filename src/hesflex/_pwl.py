@@ -193,11 +193,10 @@ def _convolve_any(fx, fy, gx, gy) -> tuple[list, list]:
     places the edges of f no steeper than g's next edge, then that edge
     shifted; at a concave vertex where g's next edge is shallower than the
     last edge of f placed, it steps back along f instead, and a new chain
-    starts there, left of where the last one ended. Points within 1e-13
-    (relative, floor 1) of the last one in x are one point with the lower
-    value. ``_sweep`` then merges the chains, each into the envelope of
-    those before it. For convex g there is one chain, ``_convolve``'s
-    sweep without its hull.
+    starts there, left of where the last one ended. A point at the x of
+    the one before is one point with the lower value. ``_sweep`` then
+    merges the chains, each into the envelope of those before it. For
+    convex g there is one chain, ``_convolve``'s sweep without its hull.
     """
     m, n = len(fx) - 1, len(gx) - 1
     fdx = [fx[i + 1] - fx[i] for i in range(m)]
@@ -205,32 +204,39 @@ def _convolve_any(fx, fy, gx, gy) -> tuple[list, list]:
     chains = []
     cx, cy = [gx[0] + fx[0]], [gy[0] + fy[0]]
     i = 0
-    for j in range(n + 1):
+    for j in range(n):
         x0, y0 = gx[j], gy[j]
-        if j < n:
-            dx, dy = gx[j + 1] - x0, gy[j + 1] - y0
-            i0 = i
-            while i < m and fdy[i] * dx <= dy * fdx[i]:
+        dx, dy = gx[j + 1] - x0, gy[j + 1] - y0
+        if i < m and fdy[i] * dx <= dy * fdx[i]:
+            while True:  # f's edges no steeper than g's edge j, placed at its start
                 i += 1
-            if i == i0 and i and fdy[i - 1] * dx > dy * fdx[i - 1]:
-                i -= 1  # a concave vertex of g: a new chain, further back on f
-                while i and fdy[i - 1] * dx > dy * fdx[i - 1]:
-                    i -= 1
-                chains.append((cx, cy))
-                cx, cy = [x0 + fx[i]], [y0 + fy[i]]
-                pts = ((gx[j + 1] + fx[i], gy[j + 1] + fy[i]),)
-            else:
-                pts = [(x0 + fx[q], y0 + fy[q]) for q in range(i0 + 1, i + 1)]
-                pts.append((gx[j + 1] + fx[i], gy[j + 1] + fy[i]))
-        else:
-            pts = [(x0 + fx[q], y0 + fy[q]) for q in range(i + 1, m + 1)]
-        for x, y in pts:
-            if x == cx[-1]:
-                if y < cy[-1]:
+                x, y = x0 + fx[i], y0 + fy[i]
+                if x != cx[-1]:  # sums of ascending terms never descend
+                    cx.append(x)
+                    cy.append(y)
+                elif y < cy[-1]:
                     cy[-1] = y
-            else:
-                cx.append(x)
-                cy.append(y)
+                if i == m or fdy[i] * dx > dy * fdx[i]:
+                    break
+        elif i and fdy[i - 1] * dx > dy * fdx[i - 1]:
+            i -= 1  # a concave vertex of g: a new chain, further back on f
+            while i and fdy[i - 1] * dx > dy * fdx[i - 1]:
+                i -= 1
+            chains.append((cx, cy))
+            cx, cy = [x0 + fx[i]], [y0 + fy[i]]
+        x, y = gx[j + 1] + fx[i], gy[j + 1] + fy[i]  # g's edge j, shifted
+        if x != cx[-1]:
+            cx.append(x)
+            cy.append(y)
+        elif y < cy[-1]:
+            cy[-1] = y
+    for i in range(i + 1, m + 1):  # f's steepest edges, at g's end
+        x, y = gx[n] + fx[i], gy[n] + fy[i]
+        if x != cx[-1]:
+            cx.append(x)
+            cy.append(y)
+        elif y < cy[-1]:
+            cy[-1] = y
     chains.append((cx, cy))
     return _sweep(chains)
 
@@ -327,20 +333,20 @@ def lower_envelope(fs, lo: float, hi: float) -> Pwl:
 
 
 def _sweep(chains) -> tuple[list, list]:
-    """Lower envelope of continuous chains, each an ``(xs, ys)`` pair with
-    strictly increasing xs, as breakpoint and value lists: the first
-    chain, with every later one merged in by ``_insert``. Each later chain
+    """Lower envelope of continuous chains, each an ``(xs, ys)`` pair of
+    lists with strictly increasing xs, as breakpoint and value lists: the
+    first chain's lists, with every later chain merged in by ``_insert``
+    in place. Each later chain
     starts at or after the first one's start; one that starts after the
     envelope so far ends leaves a gap, which is refused. Jumps that the
     merges leave (a breakpoint listed twice) take the lower value."""
-    chains = iter(chains)
-    ex, ey = map(list, next(chains))
-    for px, py in chains:
+    ex, ey = chains[0]
+    for px, py in chains[1:]:
         if px[0] > ex[-1]:
             raise ValueError(f"lower_envelope: no function is defined on all of"
                              f" [{ex[-1]!r}, {px[0]!r}]")
         _insert(ex, ey, px, py)
-    if any(map(operator.eq, ex, ex[1:])):
+    if len(chains) > 1 and any(map(operator.eq, ex, ex[1:])):
         gx, gy = [ex[0]], [ey[0]]
         for x, y in zip(ex[1:], ey[1:]):
             if x != gx[-1]:
@@ -361,11 +367,13 @@ def _insert(ex: list, ey: list, px, py) -> None:
     breakpoint of either to the next, where both are linear. It keeps the
     lower of the two (the envelope on ties), emits that one's own
     breakpoints, and, where the other one ends a step below it by more
-    than rounding, inserts their crossing, found from the two gaps as
-    ``_drop_flat``'s neighbours would see them, and hands over. Past the
-    overlap the longer of the two goes on. Where one ends or starts above
-    or below the other by more than rounding, a jump is kept; the points
-    of the envelope before the chain and after the overlap are untouched.
+    than rounding, inserts their crossing, found from the gaps between
+    the two at the step's ends, and hands over. Past the overlap the
+    longer of the two goes on. Where one ends or starts above or below
+    the other by more than rounding, a jump is kept; the points of the
+    envelope before the chain and after the overlap are untouched. Values
+    between breakpoints are interpolated as ``y0 + (y1 - y0) * t``, with
+    t in [0, 1], which overflows on no slope.
     """
     s, t, e_end = px[0], px[-1], ex[-1]
     n = len(ex)
@@ -376,7 +384,7 @@ def _insert(ex: list, ey: list, px, py) -> None:
     else:
         i = k
         x = ex[k - 1]
-        ya0 = ya_left = (ey[k] - ey[k - 1]) / (ex[k] - x) * (s - x) + ey[k - 1]
+        ya0 = ya_left = (ey[k] - ey[k - 1]) * ((s - x) / (ex[k] - x)) + ey[k - 1]
     yb0 = py[0]
     rx, ry = [], []
     on_b = yb0 < ya0  # the chain is lower at s
@@ -402,12 +410,12 @@ def _insert(ex: list, ey: list, px, py) -> None:
         else:
             x1 = xb
             x = ex[i - 1]
-            ya1 = (ey[i] - ey[i - 1]) / (xa - x) * (x1 - x) + ey[i - 1]
+            ya1 = (ey[i] - ey[i - 1]) * ((x1 - x) / (xa - x)) + ey[i - 1]
         if xb <= xa:
             yb1 = py[b]
         else:
             x = px[b - 1]
-            yb1 = (py[b] - py[b - 1]) / (xb - x) * (x1 - x) + py[b - 1]
+            yb1 = (py[b] - py[b - 1]) * ((x1 - x) / (xb - x)) + py[b - 1]
         # does the other one end this step below the lower one beyond rounding?
         if (ya1 < yb1) if on_b else (yb1 < ya1):
             if on_b:
