@@ -150,32 +150,16 @@ def inf_convolve(f: Pwl, g: Pwl) -> Pwl:
 
 def _convolve_on(fx, fy, gx, gy, lo: float, hi: float) -> tuple[tuple, tuple]:
     """``lower_envelope([inf_convolve(f, g)], lo, hi)`` as ``(xs, ys)``, bit
-    for bit, for convex f = (fx, fy) and g = (gx, gy), with no ``Pwl``.
-
-    The convolution is cut to [lo, hi]: the ends take the value
-    ``lower_envelope``'s step 1 gives them (a hull vertex its own value,
-    any other point ``slope*(x - xs[j]) + ys[j]``), the vertices strictly
-    inside are kept, and ``_drop_flat`` runs on the result. A reversed
-    window, or one that the hull does not cover, is refused as
-    ``lower_envelope`` refuses it.
+    for bit, for convex f = (fx, fy) and g = (gx, gy), with no ``Pwl``: the
+    convolution is cut to [lo, hi] (``_cut``) and ``_drop_flat`` runs on the
+    result. A reversed window, or one that the hull does not cover, is
+    refused as ``lower_envelope`` refuses it.
     """
     lo, hi = _window(lo, hi)
     xs, ys = _convolve(fx, fy, gx, gy)
-    i, j = bisect_right(xs, lo), bisect_left(xs, hi)
-    if i == 0 or j == len(xs):
+    if xs[0] > lo or xs[-1] < hi:
         return lower_envelope([(xs, ys)], lo, hi)  # raises
-    if xs[i - 1] == lo:
-        y_lo = ys[i - 1]
-    else:
-        y_lo = (ys[i] - ys[i - 1]) / (xs[i] - xs[i - 1]) * (lo - xs[i - 1]) + ys[i - 1]
-    if lo == hi:
-        return (lo,), (y_lo,)
-    if xs[j] == hi:
-        y_hi = ys[j]
-    else:
-        y_hi = (ys[j] - ys[j - 1]) / (xs[j] - xs[j - 1]) * (hi - xs[j - 1]) + ys[j - 1]
-    gx = [lo, *xs[i:j], hi]
-    gy = [y_lo, *ys[i:j], y_hi]
+    gx, gy = _cut(xs, ys, lo, hi)
     _drop_flat(gx, gy)
     return tuple(gx), tuple(gy)
 
@@ -313,11 +297,11 @@ def lower_envelope(fs, lo: float, hi: float) -> Pwl:
     taken in order of their left ends, and ``_sweep`` merges them left to
     right: where two overlap it keeps the lower, inserts their crossing
     where the lower one changes and emits only the lower one's own
-    breakpoints. A function counts as lower only when it is below by more
-    than float rounding, so the result can sit below the true minimum by
-    that much, never above it. Breakpoints on the chord of their
-    neighbours to rounding are then dropped (``_drop_flat``). One function
-    is only cut and has its flat points dropped.
+    breakpoints. The other one takes over only when it is below by more
+    than float rounding, so the result is the true minimum to rounding.
+    Breakpoints on the chord of their neighbours to rounding are then
+    dropped (``_drop_flat``). One function is only cut and has its flat
+    points dropped.
     """
     lo, hi = _window(lo, hi)
     parts = [_cut(xs, ys, lo, hi) for xs, ys in fs if xs[0] <= hi and lo <= xs[-1]]
@@ -336,10 +320,10 @@ def _sweep(chains) -> tuple[list, list]:
     """Lower envelope of continuous chains, each an ``(xs, ys)`` pair of
     lists with strictly increasing xs, as breakpoint and value lists: the
     first chain's lists, with every later chain merged in by ``_insert``
-    in place. Each later chain
-    starts at or after the first one's start; one that starts after the
-    envelope so far ends leaves a gap, which is refused. Jumps that the
-    merges leave (a breakpoint listed twice) take the lower value."""
+    in place. Each later chain starts at or after the first one's start;
+    one that starts after the envelope so far ends leaves a gap, which is
+    refused. Jumps that the merges leave (a breakpoint listed twice) take
+    the lower value."""
     ex, ey = chains[0]
     for px, py in chains[1:]:
         if px[0] > ex[-1]:

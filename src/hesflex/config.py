@@ -108,11 +108,15 @@ _MIN_CAPACITY_MW = 1e-6
 _MAX_PRICE = 1e12
 # Run steps, and samples of one synthetic series, in one command. A track
 # run peaks at ~145 B of RSS a step (measured at 10**5 and 10**6 steps),
-# so this bound keeps one under ~1.5 GB. The exact oracle's solve peaks at
-# ~0.8-0.9 KB a step more (tracemalloc on 7,200-step default-fleet DP
-# instances: 807-908 B; ~1,070 B of RSS growth at 72,000 steps).
+# so this bound keeps one under ~1.5 GB. The exact oracle's solve holds
+# every value function V_k, so its memory grows with V_k's breakpoints, not
+# only with the steps: ~0.75-0.9 KB a step where V_k has a few breakpoints
+# (tracemalloc on 7,200-step default-fleet DP instances: 746-900 B), ~57 KB
+# a step where it has ~900 (a 1 h, 0.5 MWh pack at 8 MW: 103 MB traced,
+# 161 MB peak RSS against 36 MB without the oracle). The limit fits the
+# first kind in ~1 GB; a tight pack would need ~57 GB at the limit.
 _MAX_STEPS = 10_000_000
-_MAX_ORACLE_STEPS = 1_000_000  # track --oracle: ~1 GB more
+_MAX_ORACLE_STEPS = 1_000_000  # track --oracle: ~1 GB more on the default fleet
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:

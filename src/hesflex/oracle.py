@@ -35,16 +35,18 @@ Strategy, cheapest first:
        V_n = 0,  V_k = phi_k [] V_k+1
 
    ([] is infimal convolution) are continuous piecewise-linear. They are
-   computed without a grid, by convolving convex runs and taking exact
-   lower envelopes, on plain ``(xs, ys)`` float tuples with no ``Pwl``.
-   One numpy pass builds every phi_k and decides once whether each is
-   convex. A step where phi_k and V_k+1 are each one convex run, most
-   steps on the default fleet, is one fused convolve-and-cut pass that
-   equals the generic path bit for bit; any other step convolves every
-   pair of convex runs, taken as slices, and merges them exactly. A
-   forward pass then commits the drops that attain them. The answer is
-   certified when its objective is within 1e-9 (relative, floor 1) of
-   V_0(soc0), which holds to float rounding.
+   computed without a grid, on plain ``(xs, ys)`` float tuples with no
+   ``Pwl``. One numpy pass builds every phi_k and decides once whether
+   each is convex. A step where phi_k and V_k+1 are each one convex run,
+   most steps on the default fleet, is one fused convolve-and-cut pass
+   that equals the generic path bit for bit. Any other step convolves
+   each mode's run of phi_k with all of V_k+1 in one pass, the pieces of
+   the Minkowski sum of their graphs that can be lowest, and one sweep
+   keeps the lowest piece; its cost follows the pieces that overlap, not
+   the breakpoints of all of them. A forward pass then commits the drops
+   that attain them. The answer is certified when its objective is
+   within 1e-9 (relative, floor 1) of V_0(soc0), which holds to float
+   rounding.
 """
 
 from __future__ import annotations

@@ -381,8 +381,9 @@ def test_non_finite_report_value_is_a_runtime_error(monkeypatch, tmp_path, capsy
 
 
 def test_oracle_runs_above_their_step_limit_are_config_errors(monkeypatch, capsys):
-    """The exact oracle needs ~0.9 KB a step, so ``--oracle`` has its own
-    step limit; a run above it is refused before anything is simulated."""
+    """The exact oracle needs ~0.9 KB a step on the default fleet, and more
+    where its value functions have many breakpoints, so ``--oracle`` has its
+    own step limit; a run above it is refused before anything is simulated."""
     monkeypatch.setattr(cli, "simulate", _no_allocation)
     monkeypatch.setattr(cli, "_MAX_ORACLE_STEPS", 17)
     code, _, err = _run(capsys, ["track", "--hours", "0.01", "--oracle"])  # 18 steps

@@ -30,6 +30,7 @@ from hesflex.oracle import (
 )
 from hesflex.simulation import _soc_scan
 from test_golden import CASES as GOLDEN_CASES
+from test_pwl import _exact_convolution
 
 TIGHT = hx.AssetFleet(
     pv=hx.PvParams.scaled_to_rating(3.0),
@@ -661,27 +662,6 @@ def _dp_instance(draw):
         pv = np.minimum(pv, fleet.load.p_max)  # the green-load mode needs PV <= CL
     soc0 = draw(st.sampled_from([e_min, e_max]) | st.floats(e_min, e_max))
     return OracleProblem(fleet, draw(st.sampled_from([0.5, 6.5])), r, pv, soc0, scenario)
-
-
-def _exact_convolution(fx, fy, gx, gy, z):
-    """min over d of phi(d) + V(z - d) by exhaustion, for each z: as a
-    function of d it is piecewise linear with its kinks where d is a
-    breakpoint of phi or z - d one of V, and these, clamped to phi's
-    domain, include the ends of the feasible range. A z - d outside V's
-    domain by rounding only (4 ulps of the largest magnitude) is moved
-    onto its end."""
-    z = np.asarray(z, dtype=float)[..., None]
-    fx, fy, gx, gy = map(np.asarray, (fx, fy, gx, gy))
-    d = np.concatenate([np.broadcast_to(fx, z.shape[:-1] + fx.shape), z - gx], axis=-1)
-    d = np.clip(d, fx[0], fx[-1])
-    x = z - d
-    slack = 4 * np.finfo(float).eps * np.maximum.reduce([np.ones_like(z), np.abs(z),
-                                                        np.full_like(z, abs(gx[0])),
-                                                        np.full_like(z, abs(gx[-1]))])
-    ok = (gx[0] - slack <= x) & (x <= gx[-1] + slack)
-    x = np.clip(x, gx[0], gx[-1])
-    d = np.clip(z - x, fx[0], fx[-1])
-    return np.where(ok, np.interp(d, fx, fy) + np.interp(x, gx, gy), np.inf).min(axis=-1)
 
 
 def _assert_exact_step(phi_k, v_next, v_k) -> None:

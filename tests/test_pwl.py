@@ -443,19 +443,25 @@ def _convex_and_any(draw):
     return (tuple(fx), tuple(fy)), (tuple(gx), tuple(gy))
 
 
-def _convolution_at(f, g, z: float) -> float:
-    """min over d of f(d) + g(z - d), over the kinks of d -> f(d) + g(z - d):
-    the breakpoints of f and the d putting z - d on one of g, clamped to
-    f's domain; z - d outside g's domain by rounding only is moved in."""
-    (fx, fy), (gx, gy) = f, g
-    slack = 4 * sys.float_info.epsilon * max(1.0, abs(z), abs(gx[0]), abs(gx[-1]))
-    best = math.inf
-    for d in (*fx, *(z - x for x in gx)):
-        x = z - min(max(d, fx[0]), fx[-1])
-        if gx[0] - slack <= x <= gx[-1] + slack:
-            x = min(max(x, gx[0]), gx[-1])
-            best = min(best, _at(fx, fy, min(max(z - x, fx[0]), fx[-1])) + _at(gx, gy, x))
-    return best
+def _exact_convolution(fx, fy, gx, gy, z):
+    """min over d of f(d) + g(z - d) by exhaustion, for each z: as a
+    function of d it is piecewise linear with its kinks where d is a
+    breakpoint of f or z - d one of g, and these, clamped to f's
+    domain, include the ends of the feasible range. A z - d outside g's
+    domain by rounding only (4 ulps of the largest magnitude) is moved
+    onto its end."""
+    z = np.asarray(z, dtype=float)[..., None]
+    fx, fy, gx, gy = map(np.asarray, (fx, fy, gx, gy))
+    d = np.concatenate([np.broadcast_to(fx, z.shape[:-1] + fx.shape), z - gx], axis=-1)
+    d = np.clip(d, fx[0], fx[-1])
+    x = z - d
+    slack = 4 * np.finfo(float).eps * np.maximum.reduce([np.ones_like(z), np.abs(z),
+                                                        np.full_like(z, abs(gx[0])),
+                                                        np.full_like(z, abs(gx[-1]))])
+    ok = (gx[0] - slack <= x) & (x <= gx[-1] + slack)
+    x = np.clip(x, gx[0], gx[-1])
+    d = np.clip(z - x, fx[0], fx[-1])
+    return np.where(ok, np.interp(d, fx, fy) + np.interp(x, gx, gy), np.inf).min(axis=-1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -473,8 +479,7 @@ def test_convolve_any_is_the_infimal_convolution(case):
                  for p in (f, g) for i in range(len(p[0]) - 1)), default=0.0)
     points = sorted({*hx, *(x + d for x in g[0] for d in f[0] if hx[0] <= x + d <= hx[-1])})
     points += [a + (b - a) / 2 for a, b in zip(points, points[1:])]
-    for z in points:
-        want = _convolution_at(f, g, z)
+    for z, want in zip(points, _exact_convolution(*f, *g, points).tolist()):
         tol = 64 * sys.float_info.epsilon * (max(1.0, abs(want)) + slope * max(1.0, abs(z)))
         assert abs(_at(hx, hy, z) - want) <= tol, z
 
