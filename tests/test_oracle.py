@@ -790,9 +790,9 @@ def _multi_part_case(draw):
 
 # The replaced step keeps breakpoints within 1e-13 of each other as one
 # and its hull takes kinks whose cross product is within 1e-12 of flat for
-# noise, so it can sit above the exact convolution. Over 1,500 examples of
-# _multi_part_case it sat at most 3.8e-12 above the multi-part step and
-# 1.8e-14 below it, relative to max(1, |V|).
+# noise, so it can sit above the exact convolution. In two runs of 1,500
+# examples of _multi_part_case it sat at most 3.8e-12 above the multi-part
+# step and 1.8e-14 below it, relative to max(1, |V|).
 STEP_BOUND = 1e-10
 
 
