@@ -2,7 +2,7 @@
 
 Just enough machinery for exact one-dimensional dynamic programming
 with convex stage costs and non-convex value functions: evaluation,
-infimal convolution of a convex function with a convex or any
+infimal convolution of a convex function with a convex one or with any
 continuous one, splitting into maximal convex runs, and the exact
 pointwise minimum of several functions. A function is stored as
 strictly increasing breakpoints ``xs`` with values ``ys``; a
