@@ -113,8 +113,9 @@ _MAX_PRICE = 1e12
 # only with the steps: ~0.75-0.9 KB a step where V_k has a few breakpoints
 # (tracemalloc on 7,200-step default-fleet DP instances: 746-900 B), ~57 KB
 # a step where it has ~900 (a 1 h, 0.5 MWh pack at 8 MW: 103 MB traced,
-# 161 MB peak RSS against 36 MB without the oracle). The limit fits the
-# first kind in ~1 GB; a tight pack would need ~57 GB at the limit.
+# 161 MB peak RSS against 36 MB without the oracle). The oracle step limit
+# fits the first kind in ~1 GB; the DP's own budget on the breakpoints it
+# holds (oracle._MAX_BREAKPOINTS_HELD) stops the second with exit 4.
 _MAX_STEPS = 10_000_000
 _MAX_ORACLE_STEPS = 1_000_000  # track --oracle: ~1 GB more on the default fleet
 

@@ -71,6 +71,14 @@ __all__ = [
 
 _CERT_TOL = 1e-12  # tube trajectory on the state-free bound
 _EXACT_REL_TOL = 1e-9  # dynamic program objective on its own bound
+# The DP keeps every V_k. A breakpoint held costs up to 64 B (two float
+# objects and two tuple slots), ~77 B of peak RSS, so this budget is
+# ~1.3 GB traced, about a `track` run at the step limit. The oracle-long
+# instances of the default fleet hold at most 4.8 a step (~4.8 M at the
+# 10^6-step oracle limit); the 1 h tight pack holds ~900 a step, and the
+# default fleet at bias -0.6 ~2,000-2,600 (1-4 h runs), so those stop
+# after ~22,000 and ~8,000-10,000 steps.
+_MAX_BREAKPOINTS_HELD = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -306,16 +314,24 @@ def _value_functions(phi, phi_convex, e_min: float, e_max: float) -> list[tuple[
 
     When phi_k and V_k+1 are each one convex run, the step is one fused
     convolve-and-cut pass (``_pwl._convolve_on``); any other step is
-    :func:`_multi_part_step`.
+    :func:`_multi_part_step`. Raises ValueError once the breakpoints held
+    exceed ``_MAX_BREAKPOINTS_HELD``.
     """
     values = [((e_min, e_max), (0.0, 0.0))] * (len(phi) + 1)
     convex = True  # V_k+1 is one convex run
+    held = 0
     for k in reversed(range(len(phi))):
         if convex and phi_convex[k]:
             xs, ys = _pwl._convolve_on(*phi[k], *values[k + 1], e_min, e_max)
         else:
             xs, ys = _multi_part_step(phi[k], values[k + 1], e_min, e_max)
         values[k] = (xs, ys)
+        held += len(xs)
+        if held > _MAX_BREAKPOINTS_HELD:
+            raise ValueError(
+                f"the exact oracle DP holds more than its budget of "
+                f"{_MAX_BREAKPOINTS_HELD:,} value-function breakpoints after "
+                f"{len(phi) - k:,} of {len(phi):,} steps; shorten the horizon")
         convex = next(_pwl._concave_kinks(xs, ys), None) is None
     return values
 

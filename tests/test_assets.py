@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hesflex import (
     AssetFleet,
@@ -18,6 +20,7 @@ from hesflex import (
     pv_power_interp,
     pv_power_series,
 )
+from hesflex import assets
 
 DT = 2.0 / 3600.0
 
@@ -115,19 +118,33 @@ def test_default_fleet_parameters():
 # PV plant
 # ---------------------------------------------------------------------------
 
-def _dense_sweep_mpp_mw(params: PvParams, irradiance: float) -> float:
-    """Independent maximum power point by brute force.
+def _probe_cell_w(params: PvParams, irradiance: float, n: int = 20_001) -> float:
+    """Independent maximum power point of one cell, in watts, by brute force.
 
-    Re-evaluates the equivalent-circuit law on a dense voltage grid and
-    takes the best point. Serves as the optimality oracle for the
-    plant's internal one-dimensional search.
+    Evaluates the equivalent-circuit law at n voltages over [0, v_top],
+    where v_top = min(log1p(i_sc / i_0) / c, i_sc * r_p) lies above v_oc,
+    then at n more between the neighbours of the best one, and takes the
+    best point. Serves as the optimality oracle for the plant's own search.
     """
     i_sc = params.i_sc_stc * irradiance / 1000.0
-    v = np.linspace(0.0, 0.7, 2_000_001)
-    i = i_sc - params.i_0 * np.expm1(params.thermal_coeff * v) - v / params.r_p
-    p = i * (v - i * params.r_s)
-    best_w = float(np.max(p))
-    return max(params.eta_pv * params.n_cell * best_w * 1e-6, 0.0)
+    if i_sc <= 0.0:
+        return 0.0
+    c = params.thermal_coeff
+    v_top = min(math.log1p(i_sc / params.i_0) / c, i_sc * params.r_p)
+
+    def power(v):
+        i = i_sc - params.i_0 * np.expm1(c * v) - v / params.r_p
+        return i * (v - i * params.r_s)
+
+    v = np.linspace(0.0, v_top, n)
+    p = power(v)
+    k = int(np.argmax(p))
+    fine = np.linspace(v[max(k - 1, 0)], v[min(k + 1, n - 1)], n)
+    return float(max(np.max(p), np.max(power(fine))))
+
+
+def _dense_sweep_mpp_mw(params: PvParams, irradiance: float) -> float:
+    return max(params.eta_pv * params.n_cell * _probe_cell_w(params, irradiance) * 1e-6, 0.0)
 
 
 @pytest.mark.parametrize("irradiance", [150.0, 400.0, 600.0, 850.0])
@@ -189,7 +206,7 @@ def test_pv_series_functions_refuse_irradiance_outside_the_range(series, irradia
 
 
 def test_pv_power_series_matches_scalar_calls():
-    # a few values are solved one at a time, and 300 distinct ones in one batch
+    # held values, the ends of the range and 300 distinct values
     inputs = ([0.0, 250.0, 250.0, 990.0, 1000.0, 250.0],
               np.random.default_rng(5).uniform(0.0, 2000.0, 300).tolist() + [0.0, 5e-324, 2000.0])
     for cell in ({}, {"i_sc_stc": 9.0, "i_0": 1e-7, "r_s": 0.02, "thermal_coeff": 20.0}):
@@ -198,6 +215,46 @@ def test_pv_power_series_matches_scalar_calls():
             p = pv_power_series(params, g)
             assert isinstance(p, np.ndarray) and p.dtype == float
             assert p.tobytes() == np.array([pv_power(params, x) for x in g]).tobytes()
+
+
+@pytest.mark.parametrize("cell", [{"thermal_coeff": 1e5}, {"i_0": 1e-300}, {"thermal_coeff": 1e-300}])
+def test_pv_cells_at_the_ends_of_their_range_give_their_power(cell):
+    # the first two used to overflow the open-circuit bracket search; a
+    # start at the diode bound alone is ~2e301 V on the third, where the
+    # power overflows and the solve gave 0 W
+    params = PvParams(**cell)
+    assert pv_power(params, 1000.0) == pytest.approx(_dense_sweep_mpp_mw(params, 1000.0), rel=1e-9)
+    assert pv_power(PvParams.scaled_to_rating(3.0, **cell), 1000.0) == 3.0
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0 ** x)
+
+
+_CELLS = st.fixed_dictionaries({
+    "i_sc_stc": _log_uniform(1e-3, 1e3),
+    "i_0": _log_uniform(1e-300, 1e2),
+    "r_p": _log_uniform(1e-3, 1e6),
+    "r_s": st.one_of(st.just(0.0), _log_uniform(1e-6, 1.0)),
+    "thermal_coeff": _log_uniform(1e-300, 1e5),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell=_CELLS, irradiance=st.lists(st.floats(0.0, 2000.0), min_size=1, max_size=6))
+def test_pv_mpp_on_arbitrary_cells(cell, irradiance):
+    """No probed voltage beats the solve by more than 4 ulps; the power is
+    monotone in irradiance to 4 ulps, since irradiances a few ulps apart
+    differ by less than the solve's rounding; and ``pv_power_series`` is
+    ``pv_power`` of each value, bit for bit."""
+    params = PvParams(**cell)
+    for g in irradiance:
+        got = assets._cell_mpp_power(params, g)
+        assert _probe_cell_w(params, g) <= got + 4 * math.ulp(got)
+    out = pv_power_series(params, sorted(irradiance))
+    assert np.all(out[1:] >= out[:-1] - 4 * np.spacing(out[:-1]))
+    want = np.array([pv_power(params, g) for g in irradiance])
+    assert pv_power_series(params, irradiance).tobytes() == want.tobytes()
 
 
 def test_pv_power_interp_close_to_exact(rng):
@@ -219,6 +276,11 @@ def test_pv_params_validation():
         PvParams(n_cell=0.5)
     with pytest.raises(ValueError):
         PvParams(p_pv_rated=-1.0)
+    # i_0 * exp(thermal_coeff * v) reaches ~i_sc near v_oc: past the
+    # largest float it overflowed
+    for cell in ({"i_0": 1e-310}, {"i_sc_stc": 1e300}):
+        with pytest.raises(ValueError, match="diode term overflows"):
+            PvParams(**cell)
 
 
 # ---------------------------------------------------------------------------

@@ -90,11 +90,11 @@ def test_output_bytes_are_pinned(tmp_path, case):
 SWEEP_CASES = {
     "sweep-default": (
         "bid-sweep --days 365 --statistic all --seed 1",
-        "f28cebfac2951ed31873d06e0f3245d43020ac5a68dd24e0e0fb70a6cc5550cd",
+        "a420214205a85ea6feded809240d38f73ceb52bc804a85d1bc6bca8ba4e443ee",
     ),
     "sweep-small-pack": (
         "bid-sweep --days 365 --statistic all --seed 2 --set battery.e_cap_mwh=0.5",
-        "c19f47e9336681b4168885d61a4dc495e612ab3f8543a84ba8d5b745bc3de585",
+        "e552b69663edee81a685a982bcefaa3dc440ad38d0393de5c9facd7c42084a50",
     ),
 }
 
@@ -113,7 +113,7 @@ _CSV_STEPS = 8 * 1800  # 8 h at 2 s, over 480 of the day's 60 s irradiance sampl
 CSV_CASE = (
     "track --guard",
     "d326ccc2876606a465f7fe49b781cf5d4388961feb52423c1eb7e1705fbbd765",
-    "3aba8218b58cca39dcfa452aa42cc547e4be9774712b89d7281ac02c7410be7e",
+    "75622a3f383f0a16215870c6036d4eb3d9b9de1e6b982a023d0647a79966c434",
 )
 
 
@@ -138,4 +138,4 @@ def test_pv_power_series_bits_are_pinned():
     irradiance = np.concatenate([np.linspace(0.0, 2000.0, 4001), [5e-324, 1e-9, 1999.999]])
     power = pv_power_series(PvParams.scaled_to_rating(3.0), irradiance)
     assert hashlib.sha256(power.tobytes()).hexdigest() == (
-        "f2558c2de3a7c44707193b85331eb6caaf8533079e8083b931aea4f4212423f2")
+        "48b61aa5bd01d46a92d4c8e5dcc637b03d4f528eaab989631dcec9eea87a5b82")

@@ -20,7 +20,7 @@ from scipy.optimize import linprog
 import hesflex as hx
 from hesflex import _pwl, oracle
 from hesflex._pwl import Pwl, convex_runs, inf_convolve, lower_envelope
-from hesflex.cli import EXIT_OK, main
+from hesflex.cli import EXIT_OK, EXIT_RUNTIME, main
 from hesflex.oracle import (
     OracleProblem,
     _certificate_lower_bound,
@@ -635,6 +635,21 @@ def test_tight_pack_is_certified(tmp_path):
     assert report["oracle_backend"] == "exact-dp"
     assert report["oracle_certified"] == "true"
     assert float(report["oracle_objective_mw"]) == pytest.approx(199.8265541362165, rel=1e-9)
+
+
+def test_dp_above_its_breakpoint_budget_is_a_runtime_error(monkeypatch, tmp_path, capsys):
+    """The step limit does not bound the DP's memory where V_k has many
+    breakpoints: the 0.1 h tight pack above holds ~94,000. The backward
+    pass counts them and stops at the budget, with exit 4."""
+    assert oracle._MAX_BREAKPOINTS_HELD == 20_000_000
+    monkeypatch.setattr(oracle, "_MAX_BREAKPOINTS_HELD", 50_000)
+    out = tmp_path / "report.txt"
+    argv = ("track --oracle --no-guard --hours 0.1 --seed 3 --bias -0.6 --capacity 8"
+            " --set battery.e_cap_mwh=0.5").split()
+    assert main(argv + ["--out", str(out)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "budget of 50,000 value-function breakpoints" in err and "of 180 steps" in err
+    assert not out.exists()
 
 
 @st.composite
