@@ -2,27 +2,24 @@
 
 Just enough machinery for exact one-dimensional dynamic programming
 with convex stage costs and non-convex value functions: evaluation,
-infimal convolution of a convex function with a convex one or with any
-continuous one, splitting into maximal convex runs, and the exact
-pointwise minimum of several functions. A function is stored as
-strictly increasing breakpoints ``xs`` with values ``ys``; a
-single-point domain is legal.
+infimal convolution of a convex function with any continuous one,
+splitting into maximal convex runs, and the exact pointwise minimum of
+several functions. A function is stored as strictly increasing
+breakpoints ``xs`` with values ``ys``; a single-point domain is legal.
 
 Everything works on Python floats: the hot calls of a dynamic program
 are on a few breakpoints, where numpy's set-up would cost more than the
 arithmetic. The private helpers take and return plain ``(xs, ys)``
 pairs, and ``Pwl`` unpacks to its pair, so a dynamic program builds no
-``Pwl`` at all. One loop, ``_convolve``, runs the slope-merge sweep and
-the lower hull of a convolution of two convex functions;
-``inf_convolve`` wraps it, and ``_convolve_on``, the commonest step (one
-convex pair convolved and cut to a window), cuts its result as
-``lower_envelope`` would, bit for bit. ``_convolve_any`` runs the same
-sweep over a g of any shape, one chain per stretch of g, and one sweep
-(``_sweep``, two functions at a time in ``_insert``) takes the minimum
-of chains, for it and for ``lower_envelope`` alike: it follows the lower
-function, inserts crossings where the lower one changes and keeps only
-that one's own breakpoints, so its cost follows the overlap, not a
-merged grid.
+``Pwl`` at all. One kernel convolves, ``_convolve_any``: a slope-merge
+sweep over g that lays down one chain per convex stretch of g. One
+sweep (``_sweep``, two functions at a time in ``_insert``) takes the
+minimum of chains, for it and for ``lower_envelope`` alike: it follows
+the lower function, inserts crossings where the lower one changes and
+keeps only that one's own breakpoints, so its cost follows the overlap,
+not a merged grid. A result is restricted to a window by ``_cut`` and
+has the breakpoints on the chord of their neighbours dropped by
+``_drop_flat``; no other step rounds it.
 """
 
 from __future__ import annotations
@@ -33,9 +30,8 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-__all__ = ["Pwl", "inf_convolve", "convex_runs", "lower_envelope"]
+__all__ = ["Pwl", "lower_envelope"]
 
-_KINK_TOL = 1e-12
 _TOL = 8.0 * sys.float_info.epsilon  # float rounding, with a few ulps to spare
 
 
@@ -80,111 +76,42 @@ def _at(xs, ys, x: float) -> float:
     return (1.0 - t) * ys[i] + t * ys[i + 1]
 
 
-def _convolve(fx, fy, gx, gy) -> tuple[list[float], list[float]]:
-    """Infimal convolution of convex f = (fx, fy) and g = (gx, gy) as
-    breakpoint and value lists: the lower convex hull of the vertices of
-    the slope-merge sweep of their merged ascending slope sequence, in
-    one pass.
-
-    The sweep starts at the sum of the left domain endpoints and at each
-    vertex takes f's next segment when its slope is no steeper than g's.
-    Every vertex is the sum of one vertex of f and one of g, and is
-    computed as such, so rounding does not accumulate along the sweep,
-    and the vertices come in ascending x order (float addition is
-    monotone). Vertices that are duplicates in x keep the smaller y, and
-    interior vertices on or above the chord of their neighbours are
-    dropped, so float noise can only produce an underestimate, never a
-    non-convex result; a vertex joins the hull once the next one is no
-    duplicate of it. With g the single point (0.0, 0.0) this is the hull
-    of f's points, which then need only ascend in x.
-    """
-    i = j = 0
-    m, n = len(fx) - 1, len(gx) - 1
-    hx: list[float] = []
-    hy: list[float] = []
-    px, py = fx[0] + gx[0], fy[0] + gy[0]
-    while True:
-        if i < m or j < n:
-            if j == n or (i < m and (fy[i + 1] - fy[i]) * (gx[j + 1] - gx[j])
-                          <= (gy[j + 1] - gy[j]) * (fx[i + 1] - fx[i])):
-                i += 1
-            else:
-                j += 1
-            x = fx[i] + gx[j]
-            y = fy[i] + gy[j]
-            # the scales are max(1.0, abs(x)) and max(1.0, abs(lhs), abs(rhs)), spelled
-            # out: this loop is most of a convex dynamic-program step
-            if x - px <= 1e-13 * (abs(x) if x > 1.0 or x < -1.0 else 1.0):
-                if y < py:
-                    py = y
-                continue
-        else:
-            x = None
-        while len(hx) >= 2:
-            x1 = hx[-1]
-            y1 = hy[-1]
-            lhs = (y1 - hy[-2]) * (px - x1)
-            rhs = (py - y1) * (x1 - hx[-2])
-            scale = abs(lhs) if abs(lhs) > abs(rhs) else abs(rhs)
-            if lhs >= rhs - _KINK_TOL * (scale if scale > 1.0 else 1.0):
-                hx.pop()  # middle point is no strict downward kink
-                hy.pop()
-            else:
-                break
-        hx.append(px)
-        hy.append(py)
-        if x is None:
-            return hx, hy
-        px, py = x, y
-
-
-def inf_convolve(f: Pwl, g: Pwl) -> Pwl:
-    """Infimal convolution ``h(z) = min over x of f(x) + g(z - x)``.
-
-    For convex piecewise-linear operands the result is the lower hull of
-    the vertices of the sweep of their merged ascending slope sequence.
-    """
-    hx, hy = _convolve(*f, *g)
-    return Pwl(tuple(hx), tuple(hy))
-
-
-def _convolve_on(fx, fy, gx, gy, lo: float, hi: float) -> tuple[tuple, tuple]:
-    """``lower_envelope([inf_convolve(f, g)], lo, hi)`` as ``(xs, ys)``, bit
-    for bit, for convex f = (fx, fy) and g = (gx, gy), with no ``Pwl``: the
-    convolution is cut to [lo, hi] (``_cut``) and ``_drop_flat`` runs on the
-    result. A reversed window, or one that the hull does not cover, is
-    refused as ``lower_envelope`` refuses it.
-    """
-    lo, hi = _window(lo, hi)
-    xs, ys = _convolve(fx, fy, gx, gy)
-    if xs[0] > lo or xs[-1] < hi:
-        return lower_envelope([(xs, ys)], lo, hi)  # raises
-    gx, gy = _cut(xs, ys, lo, hi)
-    _drop_flat(gx, gy)
-    return tuple(gx), tuple(gy)
-
-
 def _convolve_any(fx, fy, gx, gy) -> tuple[list, list]:
-    """Infimal convolution of convex f = (fx, fy) with a continuous g = (gx, gy)
-    of any shape, as breakpoint and value lists, in one pass over g.
+    """Infimal convolution ``h(z) = min over d of f(d) + g(z - d)`` of convex
+    f = (fx, fy) with a continuous g = (gx, gy) of any shape, as breakpoint
+    and value lists, in one pass over g.
 
     The graph of the convolution is the lower boundary of the Minkowski
     sum of the two graphs, and only two kinds of its pieces can be on it:
     an edge of g shifted by the vertex of f where the edge's slope fits
     between f's neighbouring slopes, and an edge of f placed at a vertex
-    of g where its slope fits between g's. The pass is the slope-merge
-    sweep of ``_convolve`` run over all of g: at each vertex of g it
-    places the edges of f no steeper than g's next edge, then that edge
-    shifted; at a concave vertex where g's next edge is shallower than the
-    last edge of f placed, it steps back along f instead, and a new chain
-    starts there, left of where the last one ended. A point at the x of
-    the one before is one point with the lower value. ``_sweep`` then
-    merges the chains, each into the envelope of those before it. For
-    convex g there is one chain, ``_convolve``'s sweep without its hull.
+    of g where its slope fits between g's. The pass is a slope-merge
+    sweep over all of g: it starts at the sum of the left domain ends,
+    and at each vertex of g it places the edges of f no steeper than g's
+    next edge, then that edge shifted; at a concave vertex where g's next
+    edge is shallower than the last edge of f placed, it steps back along
+    f instead, and a new chain starts there, left of where the last one
+    ended. Every point is the sum of a vertex of f and one of g, so
+    rounding does not build up along the sweep, and a point at the x of
+    the one before is one point with the lower value. A vertex of f
+    between two edges of equal slope is no kink and is left out. ``_sweep``
+    then merges the chains, each into the envelope of those before it;
+    for convex g there is one chain.
     """
+    fdx, fdy = [], []
+    px, py = [fx[0]], [fy[0]]
+    for x, y in zip(fx[1:], fy[1:]):
+        dx, dy = x - px[-1], y - py[-1]
+        if fdx and fdy[-1] * dx == dy * fdx[-1]:  # on the line of the last edge
+            px[-1], py[-1] = x, y
+            fdx[-1], fdy[-1] = x - px[-2], y - py[-2]
+        else:
+            px.append(x)
+            py.append(y)
+            fdx.append(dx)
+            fdy.append(dy)
+    fx, fy = px, py
     m, n = len(fx) - 1, len(gx) - 1
-    fdx = [fx[i + 1] - fx[i] for i in range(m)]
-    fdy = [fy[i + 1] - fy[i] for i in range(m)]
     chains = []
     cx, cy = [gx[0] + fx[0]], [gy[0] + fy[0]]
     i = 0
@@ -227,8 +154,7 @@ def _convolve_any(fx, fy, gx, gy) -> tuple[list, list]:
 
 def _concave_kinks(xs, ys):
     """Indices of the breakpoints where the slope strictly falls, in
-    ascending order, one at a time: ``next(_concave_kinks(xs, ys), None)
-    is None`` tests convexity without building a list."""
+    ascending order."""
     s0 = -math.inf
     for k in range(1, len(xs)):
         s = (ys[k] - ys[k - 1]) / (xs[k] - xs[k - 1])
@@ -242,15 +168,6 @@ def _runs(xs, ys) -> list[tuple]:
     at the concave kinks; consecutive runs share their end breakpoint."""
     cuts = [0, *_concave_kinks(xs, ys), len(xs) - 1]
     return [(xs[a:b + 1], ys[a:b + 1]) for a, b in zip(cuts, cuts[1:])]
-
-
-def convex_runs(f: Pwl) -> list[Pwl]:
-    """Split f at its concave kinks into maximal convex pieces.
-
-    Consecutive pieces share their end breakpoint, and f is the pointwise
-    minimum of the pieces, each taken as +inf outside its own domain.
-    """
-    return [Pwl(*run) for run in _runs(f.xs, f.ys)]
 
 
 def _window(lo, hi) -> tuple[float, float]:

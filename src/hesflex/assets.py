@@ -19,7 +19,7 @@ that value alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -51,6 +51,14 @@ class SocBoundsError(Exception):
         self.soc_clipped = soc_clipped
 
 
+def _require_finite(params) -> None:
+    """Refuse a NaN or infinite number in a field of ``params``, by name."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class PvParams:
     """Aggregated single-diode PV plant.
@@ -76,6 +84,7 @@ class PvParams:
     p_pv_rated: float = 3.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.i_sc_stc < 0:
             raise ValueError("i_sc_stc must be >= 0")
         if self.i_0 <= 0:
@@ -117,6 +126,7 @@ class BatteryParams:
     e_max: float = 0.9  # upper SoC bound, per-unit
 
     def __post_init__(self):
+        _require_finite(self)
         if self.p_max <= 0:
             raise ValueError("p_max must be > 0")
         if self.e_cap <= 0:
@@ -134,6 +144,7 @@ class LoadParams:
     p_max: float  # MW
 
     def __post_init__(self):
+        _require_finite(self)
         if self.p_max < 0:
             raise ValueError("load p_max must be >= 0")
 
@@ -148,6 +159,7 @@ class AssetFleet:
     dt: float  # simulation step, hours
 
     def __post_init__(self):
+        _require_finite(self)
         if self.dt <= 0:
             raise ValueError("dt must be > 0 hours")
 
@@ -191,15 +203,22 @@ def _cell_mpp_power(params: PvParams, irradiance: float) -> float:
     return i * (v - i * r_s)
 
 
+def _plant_power(params: PvParams, irradiance: float) -> float:
+    """Plant output in MW at one irradiance (already range-checked),
+    clamped to [0, p_pv_rated]."""
+    p_mw = params.eta_pv * params.n_cell * _cell_mpp_power(params, irradiance) * 1e-6
+    return 0.0 if p_mw <= 0.0 else params.p_pv_rated if params.p_pv_rated < p_mw else p_mw
+
+
 def _pv_power(params: PvParams, irradiance: np.ndarray) -> np.ndarray:
     """Plant output in MW at each irradiance (already range-checked)."""
-    cell_w = np.array([_cell_mpp_power(params, g) for g in irradiance.tolist()], dtype=float)
-    p_mw = params.eta_pv * params.n_cell * cell_w * 1e-6
-    return np.where(p_mw <= 0.0, 0.0, np.where(params.p_pv_rated < p_mw, params.p_pv_rated, p_mw))
+    return np.array([_plant_power(params, g) for g in irradiance.tolist()], dtype=float)
 
 
-def _check_irradiance(irradiance: np.ndarray) -> None:
-    if not np.all((0.0 <= irradiance) & (irradiance <= _IRRADIANCE_MAX_WM2)):
+def _check_irradiance(lo: float, hi: float) -> None:
+    """Refuse irradiance whose least value ``lo`` or greatest value ``hi``
+    lies outside [0, 2000] W/m2; a NaN bound fails too."""
+    if not (0.0 <= lo and hi <= _IRRADIANCE_MAX_WM2):
         raise ValueError(f"irradiance must lie in [0, {_IRRADIANCE_MAX_WM2:g}] W/m2")
 
 
@@ -209,9 +228,9 @@ def pv_power(params: PvParams, irradiance: float) -> float:
     Takes irradiance in [0, 2000] W/m2, and is non-decreasing in it and
     clamped to [0, p_pv_rated].
     """
-    g = np.array([irradiance], dtype=float)
-    _check_irradiance(g)
-    return float(_pv_power(params, g)[0])
+    g = float(irradiance)
+    _check_irradiance(g, g)
+    return _plant_power(params, g)
 
 
 def pv_power_series(params: PvParams, irradiance_values) -> np.ndarray:
@@ -221,7 +240,8 @@ def pv_power_series(params: PvParams, irradiance_values) -> np.ndarray:
     lookup, so each distinct value is solved once.
     """
     distinct, inverse = np.unique(np.asarray(irradiance_values, dtype=float), return_inverse=True)
-    _check_irradiance(distinct)
+    if distinct.size:
+        _check_irradiance(distinct[0], distinct[-1])  # sorted, NaN last
     return _pv_power(params, distinct)[inverse]
 
 
@@ -238,8 +258,8 @@ def pv_power_interp(params: PvParams, irradiance_values):
     g = np.asarray(irradiance_values, dtype=float)
     if g.size == 0:
         return np.empty(0)
-    _check_irradiance(g)
     hi = float(g.max())
+    _check_irradiance(float(g.min()), hi)
     if hi == 0.0:
         return np.zeros(g.shape)
     grid = np.linspace(0.0, hi, 1024)

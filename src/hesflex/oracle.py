@@ -37,16 +37,15 @@ Strategy, cheapest first:
    ([] is infimal convolution) are continuous piecewise-linear. They are
    computed without a grid, on plain ``(xs, ys)`` float tuples with no
    ``Pwl``. One numpy pass builds every phi_k and decides once whether
-   each is convex. A step where phi_k and V_k+1 are each one convex run,
-   most steps on the default fleet, is one fused convolve-and-cut pass
-   that equals the generic path bit for bit. Any other step convolves
-   each mode's run of phi_k with all of V_k+1 in one pass, the pieces of
-   the Minkowski sum of their graphs that can be lowest, and one sweep
-   keeps the lowest piece; its cost follows the pieces that overlap, not
-   the breakpoints of all of them. A forward pass then commits the drops
-   that attain them. The answer is certified when its objective is
-   within 1e-9 (relative, floor 1) of V_0(soc0), which holds to float
-   rounding.
+   each is convex. phi_k is the minimum of its convex runs, the whole of
+   it or one run per mode, and [] distributes over minima, so every step
+   convolves each run with all of V_k+1 in one pass, the pieces of the
+   Minkowski sum of their graphs that can be lowest; one run's result is
+   cut to the window, and one sweep keeps the lower of two runs' results.
+   Each step is the exact convolution to float rounding. A forward pass
+   then commits the drops that attain them. The answer is certified
+   when its objective is within 1e-9 (relative, floor 1) of V_0(soc0),
+   which holds to float rounding.
 """
 
 from __future__ import annotations
@@ -312,39 +311,30 @@ def _value_functions(phi, phi_convex, e_min: float, e_max: float) -> list[tuple[
     ``(xs, ys)`` breakpoints, where [] is infimal convolution;
     ``phi_convex[k]`` tells whether phi_k is one convex run.
 
-    When phi_k and V_k+1 are each one convex run, the step is one fused
-    convolve-and-cut pass (``_pwl._convolve_on``); any other step is
-    :func:`_multi_part_step`. Raises ValueError once the breakpoints held
-    exceed ``_MAX_BREAKPOINTS_HELD``.
+    phi_k is the minimum of its convex runs (the whole of it, or one run
+    per battery mode) and [] distributes over minima, so each run is
+    convolved with all of V_k+1 in one pass (``_pwl._convolve_any``). One
+    run's convolution is cut to the window and its flat points dropped;
+    ``_pwl.lower_envelope`` takes the minimum of two. Raises ValueError
+    once the breakpoints held exceed ``_MAX_BREAKPOINTS_HELD``.
     """
     values = [((e_min, e_max), (0.0, 0.0))] * (len(phi) + 1)
-    convex = True  # V_k+1 is one convex run
     held = 0
     for k in reversed(range(len(phi))):
-        if convex and phi_convex[k]:
-            xs, ys = _pwl._convolve_on(*phi[k], *values[k + 1], e_min, e_max)
+        if phi_convex[k]:  # one run, whose domain holds d = 0: it covers the window
+            xs, ys = _pwl._cut(*_pwl._convolve_any(*phi[k], *values[k + 1]), e_min, e_max)
+            _pwl._drop_flat(xs, ys)
         else:
-            xs, ys = _multi_part_step(phi[k], values[k + 1], e_min, e_max)
-        values[k] = (xs, ys)
+            parts = [_pwl._convolve_any(*f, *values[k + 1]) for f in _pwl._runs(*phi[k])]
+            xs, ys = _pwl.lower_envelope(parts, e_min, e_max)
+        values[k] = (tuple(xs), tuple(ys))
         held += len(xs)
         if held > _MAX_BREAKPOINTS_HELD:
             raise ValueError(
                 f"the exact oracle DP holds more than its budget of "
                 f"{_MAX_BREAKPOINTS_HELD:,} value-function breakpoints after "
                 f"{len(phi) - k:,} of {len(phi):,} steps; shorten the horizon")
-        convex = next(_pwl._concave_kinks(xs, ys), None) is None
     return values
-
-
-def _multi_part_step(phi_k, v_next, e_min: float, e_max: float) -> tuple[tuple, tuple]:
-    """phi_k [] V_k+1 on the window as ``(xs, ys)``, for phi_k and V_k+1 of any
-    shape. phi_k is the minimum of its convex runs, one per battery mode,
-    and [] distributes over minima, so each mode is convolved with all of
-    V_k+1 in one pass (``_pwl._convolve_any``) and ``_pwl.lower_envelope``
-    takes the minimum of the modes."""
-    gx, gy = v_next
-    parts = [_pwl._convolve_any(*f, gx, gy) for f in _pwl._runs(*phi_k)]
-    return tuple(_pwl.lower_envelope(parts, e_min, e_max))
 
 
 def _optimal_powers(problem: OracleProblem, stage_costs, values) -> np.ndarray:

@@ -283,6 +283,37 @@ def test_pv_params_validation():
             PvParams(**cell)
 
 
+def _fleet(**kwargs) -> AssetFleet:
+    parts = dict(pv=PvParams.scaled_to_rating(3.0), battery=BatteryParams(p_max=5.0, e_cap=5.0),
+                 load=LoadParams(p_max=3.0), dt=DT)
+    return AssetFleet(**{**parts, **kwargs})
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: PvParams(r_p=math.nan), "r_p"),
+    (lambda: PvParams(r_s=math.nan), "r_s"),
+    (lambda: PvParams(thermal_coeff=math.inf), "thermal_coeff"),
+    (lambda: PvParams(p_pv_rated=math.nan), "p_pv_rated"),
+    (lambda: PvParams(n_cell=math.nan), "n_cell"),
+    (lambda: PvParams(i_0=math.nan), "i_0"),
+    (lambda: PvParams.scaled_to_rating(3.0, i_sc_stc=math.inf), "i_sc_stc"),
+    (lambda: BatteryParams(p_max=math.nan, e_cap=1.0), "p_max"),
+    (lambda: BatteryParams(1.0, e_cap=math.inf), "e_cap"),
+    (lambda: BatteryParams(1.0, 1.0, e_min=-math.inf), "e_min"),
+    (lambda: LoadParams(math.nan), "p_max"),
+    (lambda: LoadParams(math.inf), "p_max"),
+    (lambda: _fleet(dt=math.nan), "dt"),
+    (lambda: _fleet(dt=math.inf), "dt"),
+], ids=["pv-r_p", "pv-r_s", "pv-thermal_coeff", "pv-p_pv_rated", "pv-n_cell", "pv-i_0",
+        "pv-i_sc_stc", "battery-p_max", "battery-e_cap", "battery-e_min", "load-nan",
+        "load-inf", "fleet-dt-nan", "fleet-dt-inf"])
+def test_asset_parameters_refuse_non_finite_values(make, field):
+    """A NaN passes every ``x <= 0`` check and an inf most range checks, so
+    each field is first required to be finite, by name."""
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got (nan|-?inf)$"):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # load and fleet
 # ---------------------------------------------------------------------------

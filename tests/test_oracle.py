@@ -19,7 +19,7 @@ from scipy.optimize import linprog
 
 import hesflex as hx
 from hesflex import _pwl, oracle
-from hesflex._pwl import Pwl, convex_runs, inf_convolve, lower_envelope
+from hesflex._pwl import Pwl
 from hesflex.cli import EXIT_OK, EXIT_RUNTIME, main
 from hesflex.oracle import (
     OracleProblem,
@@ -414,22 +414,74 @@ def _grid_crossings(x0, x1, left, right, gx, gy) -> None:
     _grid_crossings(x, x1, mid, right, gx, gy)
 
 
+def _hull_convolution(fx, fy, gx, gy) -> tuple[list, list]:
+    """The convolution kernel that ``_pwl._convolve_any`` replaced, the
+    reference's for convex f and g: the lower hull of the vertices of the
+    slope-merge sweep. Vertices within 1e-13 (relative, floor 1) of the one
+    before in x are one vertex with the smaller y, and a vertex whose
+    cross product with its neighbours is within 1e-12 (floor 1) of flat is
+    popped, so kinks narrower than that are lost."""
+    i = j = 0
+    m, n = len(fx) - 1, len(gx) - 1
+    hx, hy = [], []
+    px, py = fx[0] + gx[0], fy[0] + gy[0]
+    while True:
+        if i < m or j < n:
+            if j == n or (i < m and (fy[i + 1] - fy[i]) * (gx[j + 1] - gx[j])
+                          <= (gy[j + 1] - gy[j]) * (fx[i + 1] - fx[i])):
+                i += 1
+            else:
+                j += 1
+            x, y = fx[i] + gx[j], fy[i] + gy[j]
+            if x - px <= 1e-13 * max(1.0, abs(x)):
+                py = min(py, y)
+                continue
+        else:
+            x = None
+        while len(hx) >= 2:
+            lhs = (hy[-1] - hy[-2]) * (px - hx[-1])
+            rhs = (py - hy[-1]) * (hx[-1] - hx[-2])
+            if lhs >= rhs - 1e-12 * max(1.0, abs(lhs), abs(rhs)):
+                hx.pop()  # no strict downward kink
+                hy.pop()
+            else:
+                break
+        hx.append(px)
+        hy.append(py)
+        if x is None:
+            return hx, hy
+        px, py = x, y
+
+
+def _convex_runs(f: Pwl) -> list[Pwl]:
+    return [Pwl(*run) for run in _pwl._runs(*f)]
+
+
 def _old_step(phi_k, v_next: Pwl, e_min: float, e_max: float) -> Pwl:
     """The replaced generic step: every pair of convex runs of phi_k and
-    V_k+1 convolved, then their grid lower envelope."""
-    parts = [inf_convolve(f, g) for f in convex_runs(Pwl(*phi_k)) for g in convex_runs(v_next)]
+    V_k+1 convolved by the hull kernel, then their grid lower envelope."""
+    parts = [Pwl(*map(tuple, _hull_convolution(*f, *g)))
+             for f in _convex_runs(Pwl(*phi_k)) for g in _convex_runs(v_next)]
     return _grid_lower_envelope(parts, e_min, e_max)
+
+
+def _step(phi_k, v_next, e_min: float, e_max: float) -> tuple[tuple, tuple]:
+    """phi_k [] V_k+1 on the window from the DP's parts: each convex run of
+    phi_k convolved with all of V_k+1, then the runs' lower envelope. For
+    one run, ``lower_envelope`` only cuts and drops flat points, as the
+    DP's convex step does."""
+    parts = [_pwl._convolve_any(*f, *v_next) for f in _pwl._runs(*phi_k)]
+    return tuple(_pwl.lower_envelope(parts, e_min, e_max))
 
 
 def _generic_value_functions(phi, e_min: float, e_max: float):
     """The all-generic recursion of the replaced steps (``_old_step``), the
-    reference for the fused convex step and the multi-part step. Returns
-    the value functions and, per step, whether it had more than one pair
-    of convex runs."""
+    reference for the DP's steps. Returns the value functions and, per
+    step, whether it had more than one pair of convex runs."""
     values = [Pwl((e_min, e_max), (0.0, 0.0))]
     multi = []
     for fx, fy in reversed(phi):
-        multi.append(len(convex_runs(Pwl(fx, fy))) * len(convex_runs(values[-1])) > 1)
+        multi.append(len(_convex_runs(Pwl(fx, fy))) * len(_convex_runs(values[-1])) > 1)
         values.append(_old_step((fx, fy), values[-1], e_min, e_max))
     return values[::-1], multi[::-1]
 
@@ -512,11 +564,11 @@ def _bits(xs) -> bytes:
     return np.array(xs, dtype=float).tobytes()  # signed zeros too
 
 
-# Stated bound of the multi-part step against the replaced one, after any
+# Stated bound of the DP against the replaced generic recursion, after any
 # number of steps: |V_k(x) - reference V_k(x)| <= V_BOUND * max(1, |ref|).
-# Measured at most 1.1e-12 (4.6e-12 absolute) over the oracle-short and
-# oracle-long instances of seeds 1-3, the golden exact-DP cases, the
-# 1,800-step target instance and the tight pack at 0.1 h and 1 h.
+# Measured at most 1.4e-12 over the oracle-short and oracle-long instances
+# of seeds 1-3, the golden exact-DP cases, the 1,800-step target instance
+# and the tight pack at 0.1 h and 1 h.
 V_BOUND = 1e-11
 
 
@@ -530,28 +582,22 @@ def _assert_within(xs, ys, want: Pwl, bound: float) -> None:
 
 
 def _assert_dp_is_the_generic_dp(problem: OracleProblem, phi, values, powers) -> int:
-    """V_k equal the generic recursion's bit for bit down to the last step
-    with several convex-run pairs, and within V_BOUND from there on; the
-    committed powers are the ``Pwl`` forward pass's on these V_k bit for
-    bit, and their objective is the reference powers' to 1e-9. Returns the
-    number of multi-part steps."""
+    """Every V_k is within V_BOUND of the generic recursion's and every
+    step is phi_k [] V_k+1 by exhaustion to float rounding; the committed
+    powers are the ``Pwl`` forward pass's on these V_k bit for bit, and
+    their objective is the reference powers' to 1e-9. Returns the number
+    of multi-part steps of the generic recursion."""
     b = problem.fleet.battery
     want, multi = _generic_value_functions(phi, b.e_min, b.e_max)
     assert len(values) == len(want)
-    exact = True  # no multi-part step yet, going backwards
-    for k in reversed(range(len(values))):
-        (xs, ys), w = values[k], want[k]
-        exact = exact and not (k < len(multi) and multi[k])
-        if exact:
-            assert _bits(xs) == _bits(w.xs) and _bits(ys) == _bits(w.ys), k
-        else:
-            _assert_within(xs, ys, w, V_BOUND)
+    for k, ((xs, ys), w) in enumerate(zip(values, want)):
+        _assert_within(xs, ys, w, V_BOUND)
+        if k < len(phi):
+            _assert_exact_step(phi[k], values[k + 1], values[k])
     assert _generic_powers(problem, phi, [Pwl(*v) for v in values]).tobytes() == powers.tobytes()
     obj, ref = (_objective_of_powers(problem, p)
                 for p in (powers, _generic_powers(problem, phi, want)))
     assert obj == pytest.approx(ref, rel=1e-9, abs=1e-9)
-    if not any(multi):
-        assert powers.tobytes() == _generic_powers(problem, phi, want).tobytes()
     return sum(multi)
 
 
@@ -573,8 +619,8 @@ def dp_runs(monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(c for c in GOLDEN_CASES if c.startswith("exact-dp")))
 def test_value_functions_equal_the_generic_dp_on_golden_instances(tmp_path, dp_runs, case):
-    """The golden exact-DP runs: the fused convex steps and the generic
-    steps together give the generic recursion's V_k and powers bit for bit."""
+    """The golden exact-DP runs: every step exact, and V_k and objective
+    within their bounds of the generic recursion's."""
     argv = GOLDEN_CASES[case][0].split() + ["--out", str(tmp_path / "report.txt")]
     assert main(argv) == EXIT_OK
     assert len(dp_runs) == 1
@@ -583,8 +629,8 @@ def test_value_functions_equal_the_generic_dp_on_golden_instances(tmp_path, dp_r
 
 def test_value_functions_equal_the_generic_dp_with_many_multi_part_steps(dp_runs):
     """7,200 default-fleet steps, hundreds of them with several convex-run
-    pairs, so the path switches back and forth between the two kinds of
-    step."""
+    pairs, so the DP switches back and forth between its convex steps and
+    its two-run steps."""
     sol = solve(_default_instance(1, 7200, 0.3))
     assert sol.backend == "exact-dp" and sol.certified_optimal
     assert len(dp_runs) == 1
@@ -592,24 +638,22 @@ def test_value_functions_equal_the_generic_dp_with_many_multi_part_steps(dp_runs
 
 
 def test_convex_steps_skip_the_generic_machinery(monkeypatch):
-    """Each step with one convex pair is one fused pass, with no
-    ``inf_convolve`` and no ``lower_envelope`` call; a step with several
-    pairs makes one ``lower_envelope`` call on ``(xs, ys)`` parts. No step
-    builds ``Pwl`` runs or calls ``inf_convolve``. The first instance has
-    only one-pair steps, the second 272 steps with several pairs."""
-    for seed, steps, bias, multi in [(5, 1800, 0.6, 0), (1, 7200, 0.3, 272)]:
-        calls = dict.fromkeys(["inf_convolve", "convex_runs", "lower_envelope", "_convolve_on"], 0)
+    """A step whose phi_k is one convex run is one ``_convolve_any`` call,
+    cut to the window, with no ``_runs`` and no ``lower_envelope`` call;
+    any other step splits phi_k into its two runs, convolves each and
+    makes one ``lower_envelope`` call. The first instance has only convex
+    stage costs, the second 228 steps with two runs."""
+    for seed, steps, bias, two in [(5, 1800, 0.6, 0), (1, 7200, 0.3, 228)]:
+        calls = dict.fromkeys(["_convolve_any", "_runs", "lower_envelope"], 0)
         for name in calls:
             def counted(*args, _fn=getattr(_pwl, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(_pwl, name, counted)
-        prob = _default_instance(seed, steps, bias)
-        sol = solve(prob)
+        sol = solve(_default_instance(seed, steps, bias))
         monkeypatch.undo()
         assert sol.backend == "exact-dp" and sol.certified_optimal
-        assert calls == {"inf_convolve": 0, "convex_runs": 0, "lower_envelope": multi,
-                         "_convolve_on": steps - multi}
+        assert calls == {"_convolve_any": steps + two, "_runs": two, "lower_envelope": two}
 
 
 def test_target_instance_is_certified():
@@ -704,48 +748,62 @@ def _assert_exact_step(phi_k, v_next, v_k) -> None:
 
 @settings(max_examples=300, deadline=None)
 @given(_dp_instance())
+@example(OracleProblem(  # a forward pass one ulp of SoC short of V_0: 4e-4 MW on 30.75
+    hx.AssetFleet(pv=hx.PvParams.scaled_to_rating(3.0),
+                  battery=hx.BatteryParams(p_max=0.5, e_cap=0.5, eta_inv=1e-10),
+                  load=hx.LoadParams(p_max=1.0), dt=2 / 3600),
+    6.5, np.array([-1.0, -1.0, -1.0, -1.0, -0.375, -1.0, 0.5]),
+    np.array([0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0]), 0.9, hx.Scenario.S4))
+@example(OracleProblem(
+    hx.AssetFleet(pv=hx.PvParams.scaled_to_rating(3.0),
+                  battery=hx.BatteryParams(p_max=0.5, e_cap=0.05, eta_inv=0.8),
+                  load=hx.LoadParams(p_max=0.0), dt=2 / 3600),
+    0.5, np.array([-1.1920929e-07, 0.0, -7.8125e-03]), 0.0, 0.1))
 def test_dp_equals_the_generic_dp_on_small_instances(problem):
     """The all-steps stage costs equal the per-step loop's and their
-    convexity flags ``convex_runs``', bit for bit, signed zeros too. Step
-    by step on the DP's own V_k+1, a fused step equals the generic step
-    bit for bit and a multi-part step is the exact convolution to float
-    rounding; the powers are the ``Pwl`` forward pass's bit for bit, and
-    their objective is at most the generic recursion's. Where that
-    recursion has no multi-part step, all of it is equal bit for bit.
+    convexity flags ``_runs``', bit for bit, signed zeros too. Every step
+    is phi_k [] V_k+1 by exhaustion to float rounding, and is ``_step`` on
+    the DP's own V_k+1 bit for bit; the powers are the ``Pwl`` forward
+    pass's bit for bit, and their objective is at most the generic
+    recursion's, to 1e-9 plus an ulp of SoC a step at the steepest stage
+    cost (each forward pass rounds the SoC its own way, and on
+    ``eta_inv`` = 1e-10 fleets an ulp is worth ~1e-3 MW).
 
-    The generic step is not the reference for multi-part steps on these
-    fleets: on SoC widths near 1e-12 (``eta_inv`` = 1e-10) its hull drops
-    real kinks (see ``test_multi_part_step_keeps_kinks_the_replaced_step_lost``)."""
+    The generic recursion is not the reference for V_k here: its hull
+    drops real kinks whose cross product is within 1e-12 of flat, on SoC
+    widths near 1e-12 (``eta_inv`` = 1e-10, see
+    ``test_multi_part_step_keeps_kinks_the_replaced_step_lost``) and on
+    small costs too (the second example: a kink 5.3e-10 wide under a cost
+    of 0.0025, where it reads 2.1e-8 high)."""
     b = problem.fleet.battery
     with np.errstate(all="ignore"):  # the drop of a power can overflow on tiny ratings
         phi, convex = oracle._stage_costs(problem)
         want = _loop_stage_costs(problem)
     assert [tuple(map(_bits, f)) for f in phi] == [tuple(map(_bits, f)) for f in want]
-    assert convex == [len(convex_runs(Pwl(*f))) == 1 for f in phi]
+    assert convex == [len(_pwl._runs(*f)) == 1 for f in phi]
     values = oracle._value_functions(phi, convex, b.e_min, b.e_max)
     powers = oracle._optimal_powers(problem, phi, values)
-    ref, multi = _generic_value_functions(phi, b.e_min, b.e_max)
-    if not any(multi):
-        _assert_dp_is_the_generic_dp(problem, phi, values, powers)
-        return
+    ref, _ = _generic_value_functions(phi, b.e_min, b.e_max)
+    with np.errstate(all="ignore"):
+        steepest = max(float(np.max(np.abs(np.diff(ys) / np.diff(xs)), initial=0.0))
+                       for xs, ys in phi)
     for k, f in enumerate(phi):
-        if convex[k] and len(convex_runs(Pwl(*values[k + 1]))) == 1:
-            w = _old_step(f, Pwl(*values[k + 1]), b.e_min, b.e_max)
-            assert _bits(values[k][0]) == _bits(w.xs) and _bits(values[k][1]) == _bits(w.ys), k
-        else:
-            _assert_exact_step(f, values[k + 1], values[k])
+        _assert_exact_step(f, values[k + 1], values[k])
+        xs, ys = _step(f, values[k + 1], b.e_min, b.e_max)
+        assert _bits(values[k][0]) == _bits(xs) and _bits(values[k][1]) == _bits(ys), k
     assert _generic_powers(problem, phi, [Pwl(*v) for v in values]).tobytes() == powers.tobytes()
     obj, ref_obj = (_objective_of_powers(problem, p)
                     for p in (powers, _generic_powers(problem, phi, ref)))
-    assert obj <= ref_obj + 1e-9 * max(1.0, ref_obj)
+    soc_ulps = len(phi) * steepest * math.ulp(b.e_max)
+    assert obj <= ref_obj + 1e-9 * max(1.0, ref_obj) + soc_ulps
 
 
 def test_multi_part_step_keeps_kinks_the_replaced_step_lost():
     """Three steps of an ``eta_inv`` = 1e-10 fleet: charging moves the SoC
     by at most 5.6e-13 a step, and the replaced step's hull took a kink of
     that width for float noise (its cross-product tolerance is absolute),
-    so V_0 read 0.5 at a SoC where 0.25 is attained. The multi-part step
-    keeps the kink."""
+    so V_0 read 0.5 at a SoC where 0.25 is attained. The DP's step keeps
+    the kink."""
     fleet = hx.AssetFleet(pv=hx.PvParams.scaled_to_rating(3.0),
                           battery=hx.BatteryParams(p_max=0.5, e_cap=0.05, eta_inv=1e-10),
                           load=hx.LoadParams(p_max=0.0), dt=2 / 3600)
@@ -757,6 +815,24 @@ def test_multi_part_step_keeps_kinks_the_replaced_step_lost():
     assert _pwl._at(*values[0], z) == 0.25
     assert _generic_value_functions(phi, 0.1, 0.9)[0][0](z) == 0.5
     _assert_exact_step(phi[0], values[1], values[0])
+
+
+def test_convex_steps_keep_kinks_narrower_than_the_hull_saw():
+    """Two steps, each a convex phi_k on a convex V_k+1. phi_1 falls by 0.25
+    and then by 0.01 over two widths of 5e-13, so V_1 = phi_1 on the window
+    has a kink at 5e-13 where it is 0.01; phi_0 is steeper than V_1, so V_0
+    = V_1. The replaced hull took the kink for noise (its cross products
+    there are ~1e-13, below its absolute 1e-12) and read 0.13 at 5e-13 in
+    both. The DP keeps it, and each step is the exact convolution."""
+    phi = [((-0.25, 0.0, 0.25), (2.5e12, 0.0, 2.5e12)),
+           ((0.0, 5e-13, 1e-12, 1.0), (0.26, 0.01, 0.0, 0.0))]
+    values = oracle._value_functions(phi, [True, True], 0.0, 1.0)
+    for k in (0, 1):
+        assert _exact_convolution(*phi[k], *values[k + 1], 5e-13) == 0.01
+        assert _pwl._at(*values[k], 5e-13) == 0.01
+        _assert_exact_step(phi[k], values[k + 1], values[k])
+    old = _generic_value_functions(phi, 0.0, 1.0)[0]
+    assert [v(5e-13) for v in old[:2]] == pytest.approx([0.13, 0.13])
 
 
 @st.composite
@@ -806,21 +882,21 @@ def _multi_part_case(draw):
 # The replaced step keeps breakpoints within 1e-13 of each other as one
 # and its hull takes kinks whose cross product is within 1e-12 of flat for
 # noise, so it can sit above the exact convolution. In two runs of 1,500
-# examples of _multi_part_case it sat at most 3.8e-12 above the multi-part
-# step and 1.8e-14 below it, relative to max(1, |V|).
+# examples of _multi_part_case it sat at most 3.8e-12 above the DP's step
+# and 1.8e-14 below it, relative to max(1, |V|).
 STEP_BOUND = 1e-10
 
 
 @settings(max_examples=300, deadline=None)
 @given(_multi_part_case())
 def test_multi_part_step_matches_the_replaced_step(case):
-    """The multi-part step is the exact convolution to float rounding, and
-    the replaced one (convex runs, pair convolutions, the grid envelope) on
-    the same V_k+1 is at most rounding below it and STEP_BOUND above it at
-    every breakpoint of either."""
+    """The DP's step (``_step``) is the exact convolution to float rounding,
+    and the replaced one (convex runs, pair convolutions, the grid
+    envelope) on the same V_k+1 is at most rounding below it and
+    STEP_BOUND above it at every breakpoint of either."""
     phi_k, v_next = case
     lo, hi = v_next[0][0], v_next[0][-1]
-    v_k = oracle._multi_part_step(phi_k, v_next, lo, hi)
+    v_k = _step(phi_k, v_next, lo, hi)
     _assert_exact_step(phi_k, v_next, v_k)
     old = _old_step(phi_k, Pwl(*v_next), lo, hi)
     slope = max(abs((f[1][i + 1] - f[1][i]) / (f[0][i + 1] - f[0][i]))
