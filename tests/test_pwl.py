@@ -370,6 +370,37 @@ def test_convolve_any_is_the_infimal_convolution(case):
         assert abs(_at(hx, hy, z) - want) <= tol, z
 
 
+def test_inf_convolve_matches_brute_force(rng):
+    """Samples of a parabola convolved with samples of ``abs``, both convex,
+    against the exhaustive minimum over the kinks."""
+    for _ in range(10):
+        fx = np.unique(np.sort(rng.uniform(-2.0, 2.0, 5)))
+        gx = np.unique(np.sort(rng.uniform(-1.0, 3.0, 4)))
+        f = (tuple(fx), tuple((x - 0.3) ** 2 for x in fx))
+        g = (tuple(gx), tuple(abs(x - 1.0) for x in gx))
+        hx, hy = _convolve_any(*f, *g)
+        assert hx[0] == pytest.approx(fx[0] + gx[0], abs=1e-12)
+        assert hx[-1] == pytest.approx(fx[-1] + gx[-1], abs=1e-12)
+        zs = np.linspace(hx[0], hx[-1], 33)
+        for z, want in zip(zs.tolist(), _exact_convolution(*f, *g, zs).tolist()):
+            assert math.isfinite(want)
+            assert _at(hx, hy, z) == pytest.approx(want, abs=1e-9)
+
+
+def test_inf_convolve_of_vees():
+    # equal-slope vees convolve into one wider vee of the same slope
+    g = ((-2.0, 0.0, 2.0), (2.0, 0.0, 2.0))
+    h = _convolve_any((-1.0, 0.0, 1.0), (1.0, 0.0, 1.0), *g)
+    assert _at(*h, 0.0) == 0.0
+    assert _at(*h, -3.0) == pytest.approx(3.0, abs=1e-12)
+    assert _at(*h, 1.5) == pytest.approx(1.5, abs=1e-12)
+    # mismatched slopes: the shallow segment is consumed first, so the
+    # result kinks from slope 1 to slope 2 at x = 2
+    h2 = _convolve_any((-1.0, 0.0, 1.0), (2.0, 0.0, 2.0), *g)
+    assert _at(*h2, 2.0) == pytest.approx(2.0, abs=1e-12)
+    assert _at(*h2, 2.5) == pytest.approx(3.0, abs=1e-12)
+
+
 def test_convolve_any_of_convex_g_is_one_sweep():
     """For convex g there is one chain: the slope-merge sweep's points, each
     the sum of a vertex of f and one of g, with slopes -2, -1, 0, 0.5 and
