@@ -93,25 +93,13 @@ def _convolve_any(fx, fy, gx, gy) -> tuple[list, list]:
     f instead, and a new chain starts there, left of where the last one
     ended. Every point is the sum of a vertex of f and one of g, so
     rounding does not build up along the sweep, and a point at the x of
-    the one before is one point with the lower value. A vertex of f
-    between two edges of equal slope is no kink and is left out. ``_sweep``
-    then merges the chains, each into the envelope of those before it;
-    for convex g there is one chain.
+    the one before is one point with the lower value. ``_sweep`` then
+    merges the chains, each into the envelope of those before it; for
+    convex g there is one chain.
     """
-    fdx, fdy = [], []
-    px, py = [fx[0]], [fy[0]]
-    for x, y in zip(fx[1:], fy[1:]):
-        dx, dy = x - px[-1], y - py[-1]
-        if fdx and fdy[-1] * dx == dy * fdx[-1]:  # on the line of the last edge
-            px[-1], py[-1] = x, y
-            fdx[-1], fdy[-1] = x - px[-2], y - py[-2]
-        else:
-            px.append(x)
-            py.append(y)
-            fdx.append(dx)
-            fdy.append(dy)
-    fx, fy = px, py
     m, n = len(fx) - 1, len(gx) - 1
+    fdx = [fx[i + 1] - fx[i] for i in range(m)]
+    fdy = [fy[i + 1] - fy[i] for i in range(m)]
     chains = []
     cx, cy = [gx[0] + fx[0]], [gy[0] + fy[0]]
     i = 0

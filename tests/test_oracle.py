@@ -748,12 +748,6 @@ def _assert_exact_step(phi_k, v_next, v_k) -> None:
 
 @settings(max_examples=300, deadline=None)
 @given(_dp_instance())
-@example(OracleProblem(  # a forward pass one ulp of SoC short of V_0: 4e-4 MW on 30.75
-    hx.AssetFleet(pv=hx.PvParams.scaled_to_rating(3.0),
-                  battery=hx.BatteryParams(p_max=0.5, e_cap=0.5, eta_inv=1e-10),
-                  load=hx.LoadParams(p_max=1.0), dt=2 / 3600),
-    6.5, np.array([-1.0, -1.0, -1.0, -1.0, -0.375, -1.0, 0.5]),
-    np.array([0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0]), 0.9, hx.Scenario.S4))
 @example(OracleProblem(
     hx.AssetFleet(pv=hx.PvParams.scaled_to_rating(3.0),
                   battery=hx.BatteryParams(p_max=0.5, e_cap=0.05, eta_inv=0.8),
@@ -765,15 +759,13 @@ def test_dp_equals_the_generic_dp_on_small_instances(problem):
     is phi_k [] V_k+1 by exhaustion to float rounding, and is ``_step`` on
     the DP's own V_k+1 bit for bit; the powers are the ``Pwl`` forward
     pass's bit for bit, and their objective is at most the generic
-    recursion's, to 1e-9 plus an ulp of SoC a step at the steepest stage
-    cost (each forward pass rounds the SoC its own way, and on
-    ``eta_inv`` = 1e-10 fleets an ulp is worth ~1e-3 MW).
+    recursion's, to 1e-9.
 
     The generic recursion is not the reference for V_k here: its hull
     drops real kinks whose cross product is within 1e-12 of flat, on SoC
     widths near 1e-12 (``eta_inv`` = 1e-10, see
     ``test_multi_part_step_keeps_kinks_the_replaced_step_lost``) and on
-    small costs too (the second example: a kink 5.3e-10 wide under a cost
+    small costs too (the example: a kink 5.3e-10 wide under a cost
     of 0.0025, where it reads 2.1e-8 high)."""
     b = problem.fleet.battery
     with np.errstate(all="ignore"):  # the drop of a power can overflow on tiny ratings
@@ -784,9 +776,6 @@ def test_dp_equals_the_generic_dp_on_small_instances(problem):
     values = oracle._value_functions(phi, convex, b.e_min, b.e_max)
     powers = oracle._optimal_powers(problem, phi, values)
     ref, _ = _generic_value_functions(phi, b.e_min, b.e_max)
-    with np.errstate(all="ignore"):
-        steepest = max(float(np.max(np.abs(np.diff(ys) / np.diff(xs)), initial=0.0))
-                       for xs, ys in phi)
     for k, f in enumerate(phi):
         _assert_exact_step(f, values[k + 1], values[k])
         xs, ys = _step(f, values[k + 1], b.e_min, b.e_max)
@@ -794,8 +783,7 @@ def test_dp_equals_the_generic_dp_on_small_instances(problem):
     assert _generic_powers(problem, phi, [Pwl(*v) for v in values]).tobytes() == powers.tobytes()
     obj, ref_obj = (_objective_of_powers(problem, p)
                     for p in (powers, _generic_powers(problem, phi, ref)))
-    soc_ulps = len(phi) * steepest * math.ulp(b.e_max)
-    assert obj <= ref_obj + 1e-9 * max(1.0, ref_obj) + soc_ulps
+    assert obj <= ref_obj + 1e-9 * max(1.0, ref_obj)
 
 
 def test_multi_part_step_keeps_kinks_the_replaced_step_lost():

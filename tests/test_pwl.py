@@ -404,8 +404,7 @@ def test_inf_convolve_of_vees():
 def test_convolve_any_of_convex_g_is_one_sweep():
     """For convex g there is one chain: the slope-merge sweep's points, each
     the sum of a vertex of f and one of g, with slopes -2, -1, 0, 0.5 and
-    3. A vertex of f between two edges of one slope adds no point."""
+    3."""
     g = ((0.0, 1.0, 2.0, 3.0), (0.0, -2.0, -2.0, 1.0))
     want = ([-1.0, 0.0, 1.0, 2.0, 4.0, 5.0], [1.0, -1.0, -2.0, -2.0, -1.0, 2.0])
     assert _convolve_any((-1.0, 0.0, 2.0), (1.0, 0.0, 1.0), *g) == want
-    assert _convolve_any((-1.0, -0.5, 0.0, 1.0, 2.0), (1.0, 0.5, 0.0, 0.5, 1.0), *g) == want
