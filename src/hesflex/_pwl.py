@@ -1,25 +1,23 @@
 """Continuous piecewise-linear functions on a closed interval.
 
 Just enough machinery for exact one-dimensional dynamic programming
-with convex stage costs and non-convex value functions: evaluation,
-infimal convolution of a convex function with any continuous one,
-splitting into maximal convex runs, and the exact pointwise minimum of
-several functions. A function is stored as strictly increasing
-breakpoints ``xs`` with values ``ys``; a single-point domain is legal.
+with stage costs that are convex on each of a few runs and non-convex
+value functions: evaluation (``_at``) and one step's infimal
+convolution, restricted to a window (``_convolve_any``). A function is
+a pair ``(xs, ys)`` of strictly increasing breakpoints and their
+values; a single-point domain is legal.
 
 Everything works on Python floats: the hot calls of a dynamic program
 are on a few breakpoints, where numpy's set-up would cost more than the
-arithmetic. The private helpers take and return plain ``(xs, ys)``
-pairs, and ``Pwl`` unpacks to its pair, so a dynamic program builds no
-``Pwl`` at all. One kernel convolves, ``_convolve_any``: a slope-merge
-sweep over g that lays down one chain per convex stretch of g. One
-sweep (``_sweep``, two functions at a time in ``_insert``) takes the
-minimum of chains, for it and for ``lower_envelope`` alike: it follows
-the lower function, inserts crossings where the lower one changes and
-keeps only that one's own breakpoints, so its cost follows the overlap,
-not a merged grid. A result is restricted to a window by ``_cut`` and
-has the breakpoints on the chord of their neighbours dropped by
-``_drop_flat``; no other step rounds it.
+arithmetic. The kernel lays down, per convex run of f, one chain per
+convex stretch of g by a slope-merge sweep over g. One sweep
+(``_sweep``, two functions at a time in ``_insert``) takes the minimum
+of all the chains: it follows the lower function, inserts crossings
+where the lower one changes and keeps only that one's own breakpoints,
+so its cost follows the overlap, not a merged grid. The minimum is
+restricted to the window by ``_cut`` and has the breakpoints on the
+chord of their neighbours dropped by ``_drop_flat``; no other step
+rounds it.
 """
 
 from __future__ import annotations
@@ -28,45 +26,13 @@ import math
 import operator
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-
-__all__ = ["Pwl", "lower_envelope"]
 
 _TOL = 8.0 * sys.float_info.epsilon  # float rounding, with a few ulps to spare
 
 
-@dataclass(frozen=True)
-class Pwl:
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        xs = self.xs
-        if not xs or len(xs) != len(self.ys):
-            raise ValueError("xs and ys must be nonempty and equal length")
-        if not all(map(operator.lt, xs, xs[1:])):
-            raise ValueError("breakpoints must strictly increase")
-
-    @property
-    def x_lo(self) -> float:
-        return self.xs[0]
-
-    @property
-    def x_hi(self) -> float:
-        return self.xs[-1]
-
-    def __iter__(self):
-        """Unpacks to ``(xs, ys)``, the pair every function here reads."""
-        return iter((self.xs, self.ys))
-
-    def __call__(self, x: float) -> float:
-        """Linear interpolation; outside the domain the endpoint value
-        is held (callers are expected to stay in-domain)."""
-        return _at(self.xs, self.ys, x)
-
-
 def _at(xs, ys, x: float) -> float:
-    """``Pwl(xs, ys)(x)``, for loops that cannot afford the method call."""
+    """The value at ``x`` by linear interpolation; outside the domain the
+    endpoint value is held (callers are expected to stay in-domain)."""
     if x <= xs[0]:
         return ys[0]
     if x >= xs[-1]:
@@ -76,94 +42,78 @@ def _at(xs, ys, x: float) -> float:
     return (1.0 - t) * ys[i] + t * ys[i + 1]
 
 
-def _convolve_any(fx, fy, gx, gy) -> tuple[list, list]:
-    """Infimal convolution ``h(z) = min over d of f(d) + g(z - d)`` of convex
-    f = (fx, fy) with a continuous g = (gx, gy) of any shape, as breakpoint
-    and value lists, in one pass over g.
+def _convolve_any(runs, gx, gy, lo: float, hi: float) -> tuple[list, list]:
+    """Infimal convolution ``h(z) = min over d of f(d) + g(z - d)`` on
+    [lo, hi] of a continuous f, given as its convex runs, with a
+    continuous g = (gx, gy) of any shape, as breakpoint and value lists.
 
-    The graph of the convolution is the lower boundary of the Minkowski
+    ``runs`` are ``(xs, ys)`` pairs in ascending order, consecutive ones
+    sharing their end breakpoint; f is their minimum and [] distributes
+    over minima, so each run is convolved with g in one pass over g. The
+    graph of a run's convolution is the lower boundary of the Minkowski
     sum of the two graphs, and only two kinds of its pieces can be on it:
-    an edge of g shifted by the vertex of f where the edge's slope fits
-    between f's neighbouring slopes, and an edge of f placed at a vertex
-    of g where its slope fits between g's. The pass is a slope-merge
-    sweep over all of g: it starts at the sum of the left domain ends,
-    and at each vertex of g it places the edges of f no steeper than g's
-    next edge, then that edge shifted; at a concave vertex where g's next
-    edge is shallower than the last edge of f placed, it steps back along
-    f instead, and a new chain starts there, left of where the last one
-    ended. Every point is the sum of a vertex of f and one of g, so
-    rounding does not build up along the sweep, and a point at the x of
-    the one before is one point with the lower value. ``_sweep`` then
-    merges the chains, each into the envelope of those before it; for
-    convex g there is one chain.
+    an edge of g shifted by the vertex of the run where the edge's slope
+    fits between the run's neighbouring slopes, and an edge of the run
+    placed at a vertex of g where its slope fits between g's. The pass is
+    a slope-merge sweep over all of g: it starts at the sum of the left
+    domain ends, and at each vertex of g it places the run's edges no
+    steeper than g's next edge, then that edge shifted; at a concave
+    vertex where g's next edge is shallower than the last edge of the run
+    placed, it steps back along the run instead, and a new chain starts
+    there, left of where the last one ended. Every point is the sum of a
+    vertex of the run and one of g, so rounding does not build up along
+    the sweep, and a point at the x of the one before is one point with
+    the lower value. ``_sweep`` then merges all the chains, each into the
+    envelope of those before it; for one convex run and convex g there is
+    one chain. The result is cut to [lo, hi], which the convolution's
+    domain must meet (``_cut``), and its flat points are dropped
+    (``_drop_flat``).
     """
-    m, n = len(fx) - 1, len(gx) - 1
-    fdx = [fx[i + 1] - fx[i] for i in range(m)]
-    fdy = [fy[i + 1] - fy[i] for i in range(m)]
+    n = len(gx) - 1
     chains = []
-    cx, cy = [gx[0] + fx[0]], [gy[0] + fy[0]]
-    i = 0
-    for j in range(n):
-        x0, y0 = gx[j], gy[j]
-        dx, dy = gx[j + 1] - x0, gy[j + 1] - y0
-        if i < m and fdy[i] * dx <= dy * fdx[i]:
-            while True:  # f's edges no steeper than g's edge j, placed at its start
-                i += 1
-                x, y = x0 + fx[i], y0 + fy[i]
-                if x != cx[-1]:  # sums of ascending terms never descend
-                    cx.append(x)
-                    cy.append(y)
-                elif y < cy[-1]:
-                    cy[-1] = y
-                if i == m or fdy[i] * dx > dy * fdx[i]:
-                    break
-        elif i and fdy[i - 1] * dx > dy * fdx[i - 1]:
-            i -= 1  # a concave vertex of g: a new chain, further back on f
-            while i and fdy[i - 1] * dx > dy * fdx[i - 1]:
-                i -= 1
-            chains.append((cx, cy))
-            cx, cy = [x0 + fx[i]], [y0 + fy[i]]
-        x, y = gx[j + 1] + fx[i], gy[j + 1] + fy[i]  # g's edge j, shifted
-        if x != cx[-1]:
-            cx.append(x)
-            cy.append(y)
-        elif y < cy[-1]:
-            cy[-1] = y
-    for i in range(i + 1, m + 1):  # f's steepest edges, at g's end
-        x, y = gx[n] + fx[i], gy[n] + fy[i]
-        if x != cx[-1]:
-            cx.append(x)
-            cy.append(y)
-        elif y < cy[-1]:
-            cy[-1] = y
-    chains.append((cx, cy))
-    return _sweep(chains)
-
-
-def _concave_kinks(xs, ys):
-    """Indices of the breakpoints where the slope strictly falls, in
-    ascending order."""
-    s0 = -math.inf
-    for k in range(1, len(xs)):
-        s = (ys[k] - ys[k - 1]) / (xs[k] - xs[k - 1])
-        if s < s0:
-            yield k - 1
-        s0 = s
-
-
-def _runs(xs, ys) -> list[tuple]:
-    """The maximal convex runs of ``(xs, ys)`` as ``(xs, ys)`` slices, split
-    at the concave kinks; consecutive runs share their end breakpoint."""
-    cuts = [0, *_concave_kinks(xs, ys), len(xs) - 1]
-    return [(xs[a:b + 1], ys[a:b + 1]) for a, b in zip(cuts, cuts[1:])]
-
-
-def _window(lo, hi) -> tuple[float, float]:
-    """The window ``[lo, hi]`` as floats; a reversed (or NaN) one is refused."""
-    lo, hi = float(lo), float(hi)
-    if not lo <= hi:
-        raise ValueError(f"the window [lo, hi] is reversed: lo = {lo!r} is above hi = {hi!r}")
-    return lo, hi
+    for fx, fy in runs:
+        m = len(fx) - 1
+        fdx = [fx[i + 1] - fx[i] for i in range(m)]
+        fdy = [fy[i + 1] - fy[i] for i in range(m)]
+        cx, cy = [gx[0] + fx[0]], [gy[0] + fy[0]]
+        i = 0
+        for j in range(n):
+            x0, y0 = gx[j], gy[j]
+            dx, dy = gx[j + 1] - x0, gy[j + 1] - y0
+            if i < m and fdy[i] * dx <= dy * fdx[i]:
+                while True:  # the run's edges no steeper than g's edge j, placed at its start
+                    i += 1
+                    x, y = x0 + fx[i], y0 + fy[i]
+                    if x != cx[-1]:  # sums of ascending terms never descend
+                        cx.append(x)
+                        cy.append(y)
+                    elif y < cy[-1]:
+                        cy[-1] = y
+                    if i == m or fdy[i] * dx > dy * fdx[i]:
+                        break
+            elif i and fdy[i - 1] * dx > dy * fdx[i - 1]:
+                i -= 1  # a concave vertex of g: a new chain, further back on the run
+                while i and fdy[i - 1] * dx > dy * fdx[i - 1]:
+                    i -= 1
+                chains.append((cx, cy))
+                cx, cy = [x0 + fx[i]], [y0 + fy[i]]
+            x, y = gx[j + 1] + fx[i], gy[j + 1] + fy[i]  # g's edge j, shifted
+            if x != cx[-1]:
+                cx.append(x)
+                cy.append(y)
+            elif y < cy[-1]:
+                cy[-1] = y
+        for i in range(i + 1, m + 1):  # the run's steepest edges, at g's end
+            x, y = gx[n] + fx[i], gy[n] + fy[i]
+            if x != cx[-1]:
+                cx.append(x)
+                cy.append(y)
+            elif y < cy[-1]:
+                cy[-1] = y
+        chains.append((cx, cy))
+    xs, ys = _cut(*_sweep(chains), lo, hi)
+    _drop_flat(xs, ys)
+    return xs, ys
 
 
 def _cut(xs, ys, lo: float, hi: float) -> tuple[list, list]:
@@ -189,38 +139,6 @@ def _cut(xs, ys, lo: float, hi: float) -> tuple[list, list]:
     return gx, gy
 
 
-def lower_envelope(fs, lo: float, hi: float) -> Pwl:
-    """Exact pointwise minimum of continuous functions on [lo, hi].
-
-    Each function is an ``(xs, ys)`` pair (a ``Pwl`` unpacks to one) and
-    counts as +inf outside its own domain; together the domains must
-    cover [lo, hi], or a ``ValueError`` names lo, hi or the first
-    interval that none covers, and the minimum must be continuous there.
-    A reversed window is refused.
-
-    Each function is cut to the window (``_cut``), the cut parts are
-    taken in order of their left ends, and ``_sweep`` merges them left to
-    right: where two overlap it keeps the lower, inserts their crossing
-    where the lower one changes and emits only the lower one's own
-    breakpoints. The other one takes over only when it is below by more
-    than float rounding, so the result is the true minimum to rounding.
-    Breakpoints on the chord of their neighbours to rounding are then
-    dropped (``_drop_flat``). One function is only cut and has its flat
-    points dropped.
-    """
-    lo, hi = _window(lo, hi)
-    parts = [_cut(xs, ys, lo, hi) for xs, ys in fs if xs[0] <= hi and lo <= xs[-1]]
-    for x, covered in ((lo, any(p[0][0] == lo for p in parts)),
-                       (hi, any(p[0][-1] == hi for p in parts))):
-        if not covered:
-            raise ValueError(f"lower_envelope: no function is defined at {x!r}"
-                             f" in [{lo!r}, {hi!r}]")
-    parts.sort(key=lambda p: p[0][0])
-    gx, gy = _sweep(parts)
-    _drop_flat(gx, gy)
-    return Pwl(tuple(gx), tuple(gy))
-
-
 def _sweep(chains) -> tuple[list, list]:
     """Lower envelope of continuous chains, each an ``(xs, ys)`` pair of
     lists with strictly increasing xs, as breakpoint and value lists: the
@@ -232,8 +150,7 @@ def _sweep(chains) -> tuple[list, list]:
     ex, ey = chains[0]
     for px, py in chains[1:]:
         if px[0] > ex[-1]:
-            raise ValueError(f"lower_envelope: no function is defined on all of"
-                             f" [{ex[-1]!r}, {px[0]!r}]")
+            raise ValueError(f"no chain is defined on all of [{ex[-1]!r}, {px[0]!r}]")
         _insert(ex, ey, px, py)
     if len(chains) > 1 and any(map(operator.eq, ex, ex[1:])):
         gx, gy = [ex[0]], [ey[0]]

@@ -35,17 +35,17 @@ Strategy, cheapest first:
        V_n = 0,  V_k = phi_k [] V_k+1
 
    ([] is infimal convolution) are continuous piecewise-linear. They are
-   computed without a grid, on plain ``(xs, ys)`` float tuples with no
-   ``Pwl``. One numpy pass builds every phi_k and decides once whether
-   each is convex. phi_k is the minimum of its convex runs, the whole of
-   it or one run per mode, and [] distributes over minima, so every step
-   convolves each run with all of V_k+1 in one pass, the pieces of the
-   Minkowski sum of their graphs that can be lowest; one run's result is
-   cut to the window, and one sweep keeps the lower of two runs' results.
-   Each step is the exact convolution to float rounding. A forward pass
-   then commits the drops that attain them. The answer is certified
-   when its objective is within 1e-9 (relative, floor 1) of V_0(soc0),
-   which holds to float rounding.
+   computed without a grid, on plain ``(xs, ys)`` float tuples. One numpy
+   pass builds every phi_k and finds its concave kinks, and splits each
+   non-convex phi_k there into its convex runs, one per mode. phi_k is
+   the minimum of its runs and [] distributes over minima, so every step
+   is one kernel call: each run is convolved with all of V_k+1 in one
+   pass, the pieces of the Minkowski sum of their graphs that can be
+   lowest, one sweep keeps the lowest of all these chains, and the
+   result is cut to the window. Each step is the exact convolution to
+   float rounding. A forward pass then commits the drops that attain
+   them. The answer is certified when its objective is within 1e-9
+   (relative, floor 1) of V_0(soc0), which holds to float rounding.
 """
 
 from __future__ import annotations
@@ -204,30 +204,40 @@ def _breakpoints(problem: OracleProblem) -> tuple[np.ndarray, np.ndarray, np.nda
     return xs[keep], ys[keep], keep.sum(axis=1)
 
 
-def _stage_costs(problem: OracleProblem) -> tuple[list[tuple[tuple, tuple]], list[bool]]:
+def _stage_costs(problem: OracleProblem) -> tuple[list[tuple[tuple, tuple]], dict[int, list]]:
     """Per-step stage costs phi_k as functions of the SoC drop d, each as
-    its ``(xs, ys)`` breakpoints, and per step whether phi_k is convex.
+    its ``(xs, ys)`` breakpoints, and the convex runs of every phi_k that
+    is not convex, by step.
 
     d > 0 on discharge (see :func:`_drop`). The cost is convex in d on
     each side of d = 0, one side per mode; at d = 0 it is concave when
     the target asks for more charging than the other assets can absorb,
-    convex otherwise. Convexity is decided for all steps at once with
-    ``_pwl._concave_kinks``' arithmetic: a slope strictly below the one
-    before it, at a breakpoint that is neither the first nor the last of
-    its step.
+    convex otherwise. One scan over all steps finds the concave kinks: the
+    breakpoints, neither the first nor the last of their step, where the
+    slope falls strictly below the one before. A step with any is split
+    there into its maximal convex runs, ``(xs, ys)`` slices that share
+    their end breakpoints; a convex step, most of them, has no entry.
     """
     xs, ys, m = _breakpoints(problem)
     ends = np.cumsum(m)
+    starts = ends - m
     with np.errstate(all="ignore"):  # slopes across two steps are never used
         slopes = np.diff(ys) / np.diff(xs)
     inner = np.full(xs.size, True)
-    inner[ends - m] = inner[ends - 1] = False
-    kinks = inner[1:-1] & (slopes[1:] < slopes[:-1])
-    convex = np.full(m.size, True)
-    convex[np.repeat(np.arange(m.size), m)[1:-1][kinks]] = False
+    inner[starts] = inner[ends - 1] = False
+    kinks = np.flatnonzero(inner[1:-1] & (slopes[1:] < slopes[:-1])) + 1
+    steps = np.repeat(np.arange(m.size), m)[kinks]
     xs, ys, ends = xs.tolist(), ys.tolist(), ends.tolist()
     phi = [(tuple(xs[i:j]), tuple(ys[i:j])) for i, j in zip([0, *ends], ends)]
-    return phi, convex.tolist()
+    cuts = {}
+    for k, i in zip(steps.tolist(), (kinks - starts[steps]).tolist()):
+        cuts.setdefault(k, [0]).append(i)
+    runs = {}
+    for k, c in cuts.items():
+        fx, fy = phi[k]
+        c.append(len(fx) - 1)
+        runs[k] = [(fx[a:b + 1], fy[a:b + 1]) for a, b in zip(c, c[1:])]
+    return phi, runs
 
 
 def _certificate_lower_bound(problem: OracleProblem) -> float:
@@ -306,27 +316,22 @@ def _records_from_battery(problem: OracleProblem, p_batt) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _value_functions(phi, phi_convex, e_min: float, e_max: float) -> list[tuple[tuple, tuple]]:
+def _value_functions(phi, runs, e_min: float, e_max: float) -> list[tuple[tuple, tuple]]:
     """V_n = 0 and V_k = phi_k [] V_k+1 on the SoC window, each as its
-    ``(xs, ys)`` breakpoints, where [] is infimal convolution;
-    ``phi_convex[k]`` tells whether phi_k is one convex run.
+    ``(xs, ys)`` breakpoints, where [] is infimal convolution; ``runs``
+    holds the convex runs of each phi_k that is not convex (see
+    :func:`_stage_costs`), and a convex phi_k is its own one run.
 
-    phi_k is the minimum of its convex runs (the whole of it, or one run
-    per battery mode) and [] distributes over minima, so each run is
-    convolved with all of V_k+1 in one pass (``_pwl._convolve_any``). One
-    run's convolution is cut to the window and its flat points dropped;
-    ``_pwl.lower_envelope`` takes the minimum of two. Raises ValueError
-    once the breakpoints held exceed ``_MAX_BREAKPOINTS_HELD``.
+    Every step is one ``_pwl._convolve_any`` call: each run convolved with
+    all of V_k+1, the lowest of their chains, cut to the window, flat
+    points dropped. The runs' domains hold d = 0, so their convolutions
+    cover the window. Raises ValueError once the breakpoints held exceed
+    ``_MAX_BREAKPOINTS_HELD``.
     """
     values = [((e_min, e_max), (0.0, 0.0))] * (len(phi) + 1)
     held = 0
     for k in reversed(range(len(phi))):
-        if phi_convex[k]:  # one run, whose domain holds d = 0: it covers the window
-            xs, ys = _pwl._cut(*_pwl._convolve_any(*phi[k], *values[k + 1]), e_min, e_max)
-            _pwl._drop_flat(xs, ys)
-        else:
-            parts = [_pwl._convolve_any(*f, *values[k + 1]) for f in _pwl._runs(*phi[k])]
-            xs, ys = _pwl.lower_envelope(parts, e_min, e_max)
+        xs, ys = _pwl._convolve_any(runs.get(k, (phi[k],)), *values[k + 1], e_min, e_max)
         values[k] = (tuple(xs), tuple(ys))
         held += len(xs)
         if held > _MAX_BREAKPOINTS_HELD:
@@ -343,8 +348,8 @@ def _optimal_powers(problem: OracleProblem, stage_costs, values) -> np.ndarray:
     of the feasible range and every kink of phi_k and of V_k+1(s - d)
     inside it, evaluated as ``_pwl._at`` evaluates; a candidate listed
     twice gives the same key twice. Drops and powers convert with the
-    arithmetic of :func:`_drop` and its inverse in :func:`_stage_costs`,
-    on floats."""
+    arithmetic of :func:`_drop` and of its inverse, ``cost`` in
+    :func:`_breakpoints`, on floats."""
     b = problem.fleet.battery
     a, e, pmax = problem.fleet.dt / b.e_cap, b.eta_inv, b.p_max
     ae, nmax, e_min, e_max = a * e, -pmax, b.e_min, b.e_max
@@ -422,8 +427,8 @@ def solve(problem: OracleProblem) -> OracleSolution:
             return OracleSolution(_records_from_battery(problem, p), obj, "tube-certificate",
                                   lb, True)
     b = problem.fleet.battery
-    phi, phi_convex = _stage_costs(problem)
-    values = _value_functions(phi, phi_convex, b.e_min, b.e_max)
+    phi, runs = _stage_costs(problem)
+    values = _value_functions(phi, runs, b.e_min, b.e_max)
     p = _optimal_powers(problem, phi, values)
     obj = _objective_of_powers(problem, p)
     lower = max(lb, _pwl._at(*values[0], problem.soc0))

@@ -19,7 +19,6 @@ from scipy.optimize import linprog
 
 import hesflex as hx
 from hesflex import _pwl, oracle
-from hesflex._pwl import Pwl
 from hesflex.cli import EXIT_OK, EXIT_RUNTIME, main
 from hesflex.oracle import (
     OracleProblem,
@@ -30,7 +29,7 @@ from hesflex.oracle import (
 )
 from hesflex.simulation import _soc_scan
 from test_golden import CASES as GOLDEN_CASES
-from test_pwl import _exact_convolution
+from test_pwl import Pwl, _exact_convolution, _runs
 
 TIGHT = hx.AssetFleet(
     pv=hx.PvParams.scaled_to_rating(3.0),
@@ -454,7 +453,7 @@ def _hull_convolution(fx, fy, gx, gy) -> tuple[list, list]:
 
 
 def _convex_runs(f: Pwl) -> list[Pwl]:
-    return [Pwl(*run) for run in _pwl._runs(*f)]
+    return [Pwl(*run) for run in _runs(*f)]
 
 
 def _old_step(phi_k, v_next: Pwl, e_min: float, e_max: float) -> Pwl:
@@ -465,13 +464,10 @@ def _old_step(phi_k, v_next: Pwl, e_min: float, e_max: float) -> Pwl:
     return _grid_lower_envelope(parts, e_min, e_max)
 
 
-def _step(phi_k, v_next, e_min: float, e_max: float) -> tuple[tuple, tuple]:
-    """phi_k [] V_k+1 on the window from the DP's parts: each convex run of
-    phi_k convolved with all of V_k+1, then the runs' lower envelope. For
-    one run, ``lower_envelope`` only cuts and drops flat points, as the
-    DP's convex step does."""
-    parts = [_pwl._convolve_any(*f, *v_next) for f in _pwl._runs(*phi_k)]
-    return tuple(_pwl.lower_envelope(parts, e_min, e_max))
+def _step(phi_k, v_next, e_min: float, e_max: float) -> tuple[list, list]:
+    """phi_k [] V_k+1 on the window by the DP's kernel, on the convex runs
+    of phi_k that ``_runs`` finds."""
+    return _pwl._convolve_any(_runs(*phi_k), *v_next, e_min, e_max)
 
 
 def _generic_value_functions(phi, e_min: float, e_max: float):
@@ -629,8 +625,8 @@ def test_value_functions_equal_the_generic_dp_on_golden_instances(tmp_path, dp_r
 
 def test_value_functions_equal_the_generic_dp_with_many_multi_part_steps(dp_runs):
     """7,200 default-fleet steps, hundreds of them with several convex-run
-    pairs, so the DP switches back and forth between its convex steps and
-    its two-run steps."""
+    pairs, so the DP's one step body meets both convex and two-run stage
+    costs, in turn, on convex and non-convex V_k+1."""
     sol = solve(_default_instance(1, 7200, 0.3))
     assert sol.backend == "exact-dp" and sol.certified_optimal
     assert len(dp_runs) == 1
@@ -638,22 +634,33 @@ def test_value_functions_equal_the_generic_dp_with_many_multi_part_steps(dp_runs
 
 
 def test_convex_steps_skip_the_generic_machinery(monkeypatch):
-    """A step whose phi_k is one convex run is one ``_convolve_any`` call,
-    cut to the window, with no ``_runs`` and no ``lower_envelope`` call;
-    any other step splits phi_k into its two runs, convolves each and
-    makes one ``lower_envelope`` call. The first instance has only convex
-    stage costs, the second 228 steps with two runs."""
+    """Every step is one ``_convolve_any`` call. A step whose phi_k is
+    convex passes phi_k as its one run and has no entry among the stage
+    costs' split runs; any other step passes the runs that ``_runs``
+    finds, two of them (one per battery mode). The first instance has
+    only convex stage costs, the second 228 steps with two runs."""
     for seed, steps, bias, two in [(5, 1800, 0.6, 0), (1, 7200, 0.3, 228)]:
-        calls = dict.fromkeys(["_convolve_any", "_runs", "lower_envelope"], 0)
-        for name in calls:
-            def counted(*args, _fn=getattr(_pwl, name), _name=name):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(_pwl, name, counted)
+        calls, split = [], []
+        kernel, stage_costs = _pwl._convolve_any, oracle._stage_costs
+
+        def counted(runs, *args):
+            calls.append(len(runs))
+            return kernel(runs, *args)
+
+        def recorded(problem):
+            phi, runs = stage_costs(problem)
+            split.append((phi, runs))
+            return phi, runs
+
+        monkeypatch.setattr(_pwl, "_convolve_any", counted)
+        monkeypatch.setattr(oracle, "_stage_costs", recorded)
         sol = solve(_default_instance(seed, steps, bias))
         monkeypatch.undo()
         assert sol.backend == "exact-dp" and sol.certified_optimal
-        assert calls == {"_convolve_any": steps + two, "_runs": two, "lower_envelope": two}
+        [(phi, runs)] = split
+        assert len(calls) == steps and sum(calls) == steps + two
+        assert sorted(runs) == [k for k, f in enumerate(phi) if len(_runs(*f)) > 1]
+        assert len(runs) == two and all(len(r) == 2 for r in runs.values())
 
 
 def test_target_instance_is_certified():
@@ -754,8 +761,9 @@ def _assert_exact_step(phi_k, v_next, v_k) -> None:
                   load=hx.LoadParams(p_max=0.0), dt=2 / 3600),
     0.5, np.array([-1.1920929e-07, 0.0, -7.8125e-03]), 0.0, 0.1))
 def test_dp_equals_the_generic_dp_on_small_instances(problem):
-    """The all-steps stage costs equal the per-step loop's and their
-    convexity flags ``_runs``', bit for bit, signed zeros too. Every step
+    """The all-steps stage costs equal the per-step loop's, and every
+    step's runs (the split runs of a non-convex phi_k, or phi_k itself)
+    equal ``_runs``', bit for bit, signed zeros too. Every step
     is phi_k [] V_k+1 by exhaustion to float rounding, and is ``_step`` on
     the DP's own V_k+1 bit for bit; the powers are the ``Pwl`` forward
     pass's bit for bit, and their objective is at most the generic
@@ -769,11 +777,13 @@ def test_dp_equals_the_generic_dp_on_small_instances(problem):
     of 0.0025, where it reads 2.1e-8 high)."""
     b = problem.fleet.battery
     with np.errstate(all="ignore"):  # the drop of a power can overflow on tiny ratings
-        phi, convex = oracle._stage_costs(problem)
+        phi, runs = oracle._stage_costs(problem)
         want = _loop_stage_costs(problem)
     assert [tuple(map(_bits, f)) for f in phi] == [tuple(map(_bits, f)) for f in want]
-    assert convex == [len(_pwl._runs(*f)) == 1 for f in phi]
-    values = oracle._value_functions(phi, convex, b.e_min, b.e_max)
+    for k, f in enumerate(phi):
+        got = [tuple(map(_bits, r)) for r in runs.get(k, [f])]
+        assert got == [tuple(map(_bits, r)) for r in _runs(*f)], k
+    values = oracle._value_functions(phi, runs, b.e_min, b.e_max)
     powers = oracle._optimal_powers(problem, phi, values)
     ref, _ = _generic_value_functions(phi, b.e_min, b.e_max)
     for k, f in enumerate(phi):
@@ -796,13 +806,34 @@ def test_multi_part_step_keeps_kinks_the_replaced_step_lost():
                           battery=hx.BatteryParams(p_max=0.5, e_cap=0.05, eta_inv=1e-10),
                           load=hx.LoadParams(p_max=0.0), dt=2 / 3600)
     prob = OracleProblem(fleet, 0.5, np.array([-1.0, -0.5, -1.0]), 0.0, 0.1)
-    phi, convex = oracle._stage_costs(prob)
-    values = oracle._value_functions(phi, convex, 0.1, 0.9)
+    phi, runs = oracle._stage_costs(prob)
+    values = oracle._value_functions(phi, runs, 0.1, 0.9)
     z = 0.8999999999994445
     assert _exact_convolution(*phi[0], *values[1], z) == 0.25
     assert _pwl._at(*values[0], z) == 0.25
     assert _generic_value_functions(phi, 0.1, 0.9)[0][0](z) == 0.5
     _assert_exact_step(phi[0], values[1], values[0])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: a breakpoint of V_k is a rounded SoC that "
+                          "carries the value of the unrounded sum")
+def test_tiny_soc_moves_are_certified():
+    """An S1 fleet whose charge moves the SoC by ~1e-13 a step (``eta_inv``
+    = 1e-10, stage-cost slopes ~1e13 MW per unit of SoC): the breakpoint-
+    rounding defect of ROADMAP item 2. V_2 has a kink at the float SoC
+    fl(0.9 - 1.944e-13), valued as if a free charge reached 0.9 from there,
+    but from that SoC the charge costs 4e-4 MW, so the DP's objective
+    9.750399463493215 is above V_0(soc0) = 9.749999928 and the solve is
+    not certified. This instance makes
+    ``test_dp_equals_the_generic_dp_on_small_instances`` fail at
+    ``--hypothesis-seed=3``."""
+    fleet = hx.AssetFleet(pv=hx.PvParams.scaled_to_rating(3.0),
+                          battery=hx.BatteryParams(p_max=2.0, e_cap=0.5, eta_inv=1e-10),
+                          load=hx.LoadParams(p_max=3.0), dt=2 / 3600)
+    sol = solve(OracleProblem(fleet, 6.5, np.array([-1.0, -1.0, -0.5, 0.5]), 0.0, 0.9))
+    assert sol.backend == "exact-dp"
+    assert sol.certified_optimal, (sol.objective, sol.lower_bound)
 
 
 def test_convex_steps_keep_kinks_narrower_than_the_hull_saw():
@@ -814,7 +845,7 @@ def test_convex_steps_keep_kinks_narrower_than_the_hull_saw():
     both. The DP keeps it, and each step is the exact convolution."""
     phi = [((-0.25, 0.0, 0.25), (2.5e12, 0.0, 2.5e12)),
            ((0.0, 5e-13, 1e-12, 1.0), (0.26, 0.01, 0.0, 0.0))]
-    values = oracle._value_functions(phi, [True, True], 0.0, 1.0)
+    values = oracle._value_functions(phi, {}, 0.0, 1.0)
     for k in (0, 1):
         assert _exact_convolution(*phi[k], *values[k + 1], 5e-13) == 0.01
         assert _pwl._at(*values[k], 5e-13) == 0.01

@@ -1,47 +1,95 @@
-"""Piecewise-linear helper: evaluation, infimal convolution, convex runs
-and exact lower envelopes."""
+"""Piecewise-linear helper: evaluation, infimal convolution and the
+exact lower envelope of chains.
+
+``Pwl``, ``_runs`` and ``_lower_envelope`` are test-side harnesses: a
+function with its evaluation, the convex runs that the oracle's stage
+costs are split into, and the pointwise minimum of functions on a
+window, from the package's ``_cut``, ``_sweep`` and ``_drop_flat``.
+"""
 
 import math
 import operator
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hesflex._pwl import (
-    Pwl,
-    _at,
-    _convolve_any,
-    _drop_flat,
-    _runs,
-    lower_envelope,
-)
+from hesflex._pwl import _at, _convolve_any, _cut, _drop_flat, _sweep
+
+
+@dataclass(frozen=True)
+class Pwl:
+    """A function as its breakpoints ``xs`` and values ``ys``; it unpacks
+    to the ``(xs, ys)`` pair the package's functions take."""
+
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
+
+    @property
+    def x_lo(self) -> float:
+        return self.xs[0]
+
+    @property
+    def x_hi(self) -> float:
+        return self.xs[-1]
+
+    def __iter__(self):
+        return iter((self.xs, self.ys))
+
+    def __call__(self, x: float) -> float:
+        return _at(self.xs, self.ys, x)
+
+
+def _runs(xs, ys) -> list[tuple]:
+    """The maximal convex runs of ``(xs, ys)`` as ``(xs, ys)`` slices, split
+    where the slope strictly falls; consecutive runs share their end
+    breakpoint. The reference for the runs of the oracle's stage costs."""
+    cuts = [0]
+    s0 = -math.inf
+    for k in range(1, len(xs)):
+        s = (ys[k] - ys[k - 1]) / (xs[k] - xs[k - 1])
+        if s < s0:
+            cuts.append(k - 1)
+        s0 = s
+    cuts.append(len(xs) - 1)
+    return [(xs[a:b + 1], ys[a:b + 1]) for a, b in zip(cuts, cuts[1:])]
+
+
+def _lower_envelope(fs, lo: float, hi: float) -> Pwl:
+    """The pointwise minimum on [lo, hi] of continuous functions that
+    cover it, each +inf outside its own domain: the functions that meet
+    the window are cut to it (``_cut``), merged in order of their left
+    ends by ``_sweep`` and have their flat points dropped
+    (``_drop_flat``), as the convolution kernel does with its chains."""
+    parts = [_cut(xs, ys, lo, hi) for xs, ys in fs if xs[0] <= hi and lo <= xs[-1]]
+    parts.sort(key=lambda p: p[0][0])
+    gx, gy = _sweep(parts)
+    _drop_flat(gx, gy)
+    return Pwl(tuple(gx), tuple(gy))
+
+
+def _convolve(f, g) -> tuple[list, list]:
+    """The kernel's convolution of convex f with g on its whole domain."""
+    return _convolve_any([f], *g, f[0][0] + g[0][0], f[0][-1] + g[0][-1])
 
 
 def test_interpolation_and_endpoint_hold():
-    f = Pwl((0.0, 1.0, 3.0), (2.0, 0.0, 4.0))
-    assert f(0.0) == 2.0
-    assert f(0.5) == 1.0
-    assert f(2.0) == 2.0
-    assert f(3.0) == 4.0
+    xs, ys = (0.0, 1.0, 3.0), (2.0, 0.0, 4.0)
+    assert _at(xs, ys, 0.0) == 2.0
+    assert _at(xs, ys, 0.5) == 1.0
+    assert _at(xs, ys, 2.0) == 2.0
+    assert _at(xs, ys, 3.0) == 4.0
     # outside the domain the endpoint value is held
-    assert f(-5.0) == 2.0
-    assert f(9.0) == 4.0
+    assert _at(xs, ys, -5.0) == 2.0
+    assert _at(xs, ys, 9.0) == 4.0
 
 
 def test_single_point_function():
-    f = Pwl((1.5,), (0.7,))
-    assert f(1.5) == 0.7
-    assert f(-3.0) == 0.7
-
-
-def test_breakpoints_must_increase():
-    with pytest.raises(ValueError):
-        Pwl((0.0, 0.0), (1.0, 2.0))
-    with pytest.raises(ValueError):
-        Pwl((1.0, 0.5), (1.0, 2.0))
+    assert _at((1.5,), (0.7,), 1.5) == 0.7
+    assert _at((1.5,), (0.7,), -3.0) == 0.7
 
 
 def test_convex_runs_split_at_concave_kinks():
@@ -73,7 +121,7 @@ def test_lower_envelope_matches_dense_minimum(rng):
             g = _random_pwl(rng, *np.sort(rng.uniform(0.0, 1.0, 2)), 5)
             lift = max(0.0, *(min(f(x) for f in full) - g(x) for x in (g.x_lo, g.x_hi)))
             fs.append(Pwl(g.xs, tuple(y + lift for y in g.ys)))
-        env = lower_envelope(fs, 0.0, 1.0)
+        env = _lower_envelope(fs, 0.0, 1.0)
         assert env.x_lo == 0.0 and env.x_hi == 1.0
         for x in np.linspace(0.0, 1.0, 401):
             want = min(f(x) for f in fs if f.x_lo <= x <= f.x_hi)
@@ -85,29 +133,22 @@ def test_lower_envelope_inserts_crossings_and_drops_collinear_points():
     up = Pwl((0.0, 0.25, 1.0), (0.0, 0.25, 1.0))
     down = Pwl((0.0, 1.0), (1.0, 0.0))
     high = Pwl((0.0, 1.0), (5.0, 5.0))
-    env = lower_envelope([up, down, high], 0.0, 1.0)
+    env = _lower_envelope([up, down, high], 0.0, 1.0)
     assert env.xs == (0.0, 0.5, 1.0)
     assert env.ys == (0.0, 0.5, 0.0)
 
 
-@pytest.mark.parametrize("fs, match", [
-    ([], r"no function is defined at 0\.0 in \[0\.0, 2\.0\]"),
-    ([Pwl((0.0, 1.0), (0.0, 0.0))], r"no function is defined at 2\.0 in"),
-    ([Pwl((0.5, 2.0), (0.0, 0.0))], r"no function is defined at 0\.0 in"),
-    ([Pwl((0.0, 1.0), (0.0, 1.0)), Pwl((1.5, 2.0), (0.0, 0.0))],
-     r"no function is defined on all of \[1\.0, 1\.5\]"),
-], ids=["empty", "short-of-hi", "short-of-lo", "gap"])
-def test_lower_envelope_refuses_parts_that_do_not_cover_the_window(fs, match):
+@pytest.mark.parametrize("chains, match", [
+    ([([0.0, 1.0], [0.0, 1.0]), ([1.5, 2.0], [0.0, 0.0])],
+     r"no chain is defined on all of \[1\.0, 1\.5\]"),
+    ([([0.0, 1.0], [0.0, 1.0]), ([0.5, 1.2], [0.0, 0.0]), ([1.5, 2.0], [0.0, 0.0])],
+     r"no chain is defined on all of \[1\.2, 1\.5\]"),
+], ids=["gap", "gap-after-a-merge"])
+def test_lower_envelope_refuses_parts_that_do_not_cover_the_window(chains, match):
+    """``_sweep`` refuses a chain that starts past the end of the envelope
+    of those before it."""
     with pytest.raises(ValueError, match=match):
-        lower_envelope(fs, 0.0, 2.0)
-
-
-def test_reversed_windows_are_refused():
-    f = ((0.0, 1.0), (0.0, 1.0))
-    with pytest.raises(ValueError, match=r"lo = 0\.8 is above hi = 0\.2"):
-        lower_envelope([f], 0.8, 0.2)
-    with pytest.raises(ValueError, match=r"lo = nan"):
-        lower_envelope([f], math.nan, 0.2)
+        _sweep(chains)
 
 
 _SLOPES = st.one_of(st.floats(-5.0, 5.0), st.integers(-2, 2).map(lambda i: i / 2))
@@ -143,7 +184,7 @@ def test_lower_envelope_of_one_function_matches_a_duplicated_one(case):
     every grid point, so no crossing is inserted, and both must give the
     same breakpoints bit for bit."""
     f, lo, hi = case
-    one, two = lower_envelope([f], lo, hi), lower_envelope([f, f], lo, hi)
+    one, two = _lower_envelope([f], lo, hi), _lower_envelope([f, f], lo, hi)
     assert np.array(one.xs).tobytes() == np.array(two.xs).tobytes()  # signed zeros too
     assert np.array(one.ys).tobytes() == np.array(two.ys).tobytes()
     assert all(type(v) is float for v in one.xs + one.ys)
@@ -204,7 +245,7 @@ def test_lower_envelope_is_the_pointwise_minimum(case):
     the parts defined there to float rounding: a missed crossing would
     leave a chord above the minimum at a midpoint."""
     fs, lo, hi = case
-    env = lower_envelope(fs, lo, hi)
+    env = _lower_envelope(fs, lo, hi)
     assert env.xs[0] == lo and env.xs[-1] == hi
     assert all(a < b for a, b in zip(env.xs, env.xs[1:]))
     points = sorted({lo, hi, *env.xs, *(x for f in fs for x in f.xs if lo < x < hi)})
@@ -356,7 +397,7 @@ def test_convolve_any_is_the_infimal_convolution(case):
     stay convex), vees of equal and of unequal slopes, and samples of a
     parabola and of ``abs``."""
     f, g = case
-    hx, hy = _convolve_any(*f, *g)
+    hx, hy = _convolve(f, g)
     assert all(map(operator.lt, hx, hx[1:]))
     assert hx[0] == f[0][0] + g[0][0] and hx[-1] == f[0][-1] + g[0][-1]
     slope = max((abs((p[1][i + 1] - p[1][i]) / (p[0][i + 1] - p[0][i]))
@@ -378,7 +419,7 @@ def test_inf_convolve_matches_brute_force(rng):
         gx = np.unique(np.sort(rng.uniform(-1.0, 3.0, 4)))
         f = (tuple(fx), tuple((x - 0.3) ** 2 for x in fx))
         g = (tuple(gx), tuple(abs(x - 1.0) for x in gx))
-        hx, hy = _convolve_any(*f, *g)
+        hx, hy = _convolve(f, g)
         assert hx[0] == pytest.approx(fx[0] + gx[0], abs=1e-12)
         assert hx[-1] == pytest.approx(fx[-1] + gx[-1], abs=1e-12)
         zs = np.linspace(hx[0], hx[-1], 33)
@@ -390,13 +431,13 @@ def test_inf_convolve_matches_brute_force(rng):
 def test_inf_convolve_of_vees():
     # equal-slope vees convolve into one wider vee of the same slope
     g = ((-2.0, 0.0, 2.0), (2.0, 0.0, 2.0))
-    h = _convolve_any((-1.0, 0.0, 1.0), (1.0, 0.0, 1.0), *g)
+    h = _convolve(((-1.0, 0.0, 1.0), (1.0, 0.0, 1.0)), g)
     assert _at(*h, 0.0) == 0.0
     assert _at(*h, -3.0) == pytest.approx(3.0, abs=1e-12)
     assert _at(*h, 1.5) == pytest.approx(1.5, abs=1e-12)
     # mismatched slopes: the shallow segment is consumed first, so the
     # result kinks from slope 1 to slope 2 at x = 2
-    h2 = _convolve_any((-1.0, 0.0, 1.0), (2.0, 0.0, 2.0), *g)
+    h2 = _convolve(((-1.0, 0.0, 1.0), (2.0, 0.0, 2.0)), g)
     assert _at(*h2, 2.0) == pytest.approx(2.0, abs=1e-12)
     assert _at(*h2, 2.5) == pytest.approx(3.0, abs=1e-12)
 
@@ -407,4 +448,4 @@ def test_convolve_any_of_convex_g_is_one_sweep():
     3."""
     g = ((0.0, 1.0, 2.0, 3.0), (0.0, -2.0, -2.0, 1.0))
     want = ([-1.0, 0.0, 1.0, 2.0, 4.0, 5.0], [1.0, -1.0, -2.0, -2.0, -1.0, 2.0])
-    assert _convolve_any((-1.0, 0.0, 2.0), (1.0, 0.0, 1.0), *g) == want
+    assert _convolve(((-1.0, 0.0, 2.0), (1.0, 0.0, 1.0)), g) == want
