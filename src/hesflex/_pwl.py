@@ -236,16 +236,14 @@ def _insert(ex: list, ey: list, px, py) -> None:
                 excess_l = up0 - lw0
                 x = x0  # where they part, unless they cross inside
                 if excess_l > tol:
+                    # x < x1 where x1 - x0 is finite: excess_r > tol keeps
+                    # x1 - x above the rounding of x, by tol's slope term
                     tau = excess_l / (excess_l + excess_r)
                     x = x0 + tau * (x1 - x0)
                 if x0 < x < x1:
                     rx.append(x)
                     ry.append(min(lw0 + tau * (lw1 - lw0), up0 + tau * (up1 - up0)))
                     last = x
-                elif x0 < x:  # within an ulp of x1
-                    rx.append(x1)
-                    ry.append(min(ya1, yb1))
-                    last = x1
                 elif last < x0:
                     rx.append(x0)
                     ry.append(min(ya0, yb0))

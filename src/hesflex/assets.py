@@ -162,6 +162,15 @@ class AssetFleet:
         _require_finite(self)
         if self.dt <= 0:
             raise ValueError("dt must be > 0 hours")
+        alpha, eta = self.dt / self.battery.e_cap, self.battery.eta_inv
+        # else the scan's window truncation of a charge divides by zero
+        if _soc_drop(alpha, eta, -1.0) == 0.0:
+            raise ValueError("the SoC move per MW of a charging step, dt / e_cap * eta_inv, "
+                             "underflows to 0")
+        # else a discharge truncated to the window can be a subnormal power that overshoots it
+        if _soc_drop(alpha, eta, 1.0) == math.inf:
+            raise ValueError("the SoC move per MW of a discharging step, dt / e_cap / eta_inv, "
+                             "overflows to inf")
 
 
 # ---------------------------------------------------------------------------
@@ -270,38 +279,45 @@ def pv_power_interp(params: PvParams, irradiance_values):
 # Battery
 # ---------------------------------------------------------------------------
 
-def battery_step(
-    params: BatteryParams,
-    soc: float,
-    p_charge: float,
-    p_discharge: float,
-    dt: float,
-) -> float:
-    """Advance the SoC (per-unit of capacity) by one step; returns the
-    next SoC.
+def _soc_drop(alpha: float, eta: float, p):
+    """SoC drop of one step at signed battery power ``p`` (MW, > 0
+    discharges), a float or elementwise over an array:
+    ``alpha * (eta * min(p, 0) + max(p, 0) / eta)``, alpha = dt / e_cap and
+    ``eta`` the inverter efficiency. Every SoC move of the package takes
+    these float operations in this order, inline in the scalar hot loops."""
+    if isinstance(p, np.ndarray):
+        return alpha * (eta * np.where(p > 0.0, 0.0, p) + np.where(p < 0.0, 0.0, p) / eta)
+    return alpha * (eta * min(p, 0.0) + max(p, 0.0) / eta)
 
-    ``p_charge`` must lie in [-p_max, 0], ``p_discharge`` in [0, p_max],
-    and at most one of them may be nonzero. The update is
 
-        soc' = soc - (dt / e_cap) * (eta * p_charge + p_discharge / eta)
+def _soc_power(alpha: float, eta: float, d):
+    """Signed battery power whose :func:`_soc_drop` is ``d``, to rounding:
+    ``d / alpha * eta`` for d >= 0 and ``d / (alpha * eta)`` below, a
+    float or elementwise over an array."""
+    if isinstance(d, np.ndarray):
+        return np.where(d >= 0.0, d / alpha * eta, d / (alpha * eta))
+    return d / alpha * eta if d >= 0.0 else d / (alpha * eta)
 
-    so charging raises the SoC and discharging lowers it, both penalized
-    by the inverter efficiency ``eta = params.eta_inv``. A step that would
-    exit [e_min, e_max] raises :class:`SocBoundsError` carrying the
-    clipped SoC.
+
+def battery_step(params: BatteryParams, soc: float, p: float, dt: float) -> float:
+    """Advance the SoC (per-unit of capacity) by one step at the signed
+    battery power ``p`` in [-p_max, p_max] MW; returns the next SoC.
+
+    Charging (p < 0) raises the SoC and discharging (p > 0) lowers it,
+    both penalized by the inverter efficiency ``eta = params.eta_inv``:
+
+        soc' = soc - (dt / e_cap) * (eta * min(p, 0) + max(p, 0) / eta)
+
+    the drop of :func:`_soc_drop`. A step that would exit [e_min, e_max]
+    raises :class:`SocBoundsError` carrying the clipped SoC.
     """
-    eta = params.eta_inv
     if dt <= 0:
         raise ValueError("dt must be > 0 hours")
-    if not (-params.p_max - 1e-9 <= p_charge <= 0.0):
-        raise ValueError("p_charge must lie in [-p_max, 0] MW")
-    if not (0.0 <= p_discharge <= params.p_max + 1e-9):
-        raise ValueError("p_discharge must lie in [0, p_max] MW")
-    if abs(p_charge) > 1e-12 and abs(p_discharge) > 1e-12:
-        raise ValueError("simultaneous charge and discharge is not allowed")
-    soc_next = soc - (dt / params.e_cap) * (eta * p_charge + p_discharge / eta)
+    if not (-params.p_max - 1e-9 <= p <= params.p_max + 1e-9):
+        raise ValueError(f"battery power {p!r} must lie in [-p_max, p_max] MW")
+    eta = params.eta_inv
+    soc_next = soc - (dt / params.e_cap) * (eta * min(p, 0.0) + max(p, 0.0) / eta)
     lo, hi = params.e_min, params.e_max
     if soc_next < lo - _SOC_SNAP or soc_next > hi + _SOC_SNAP:
         raise SocBoundsError(soc_next, min(max(soc_next, lo), hi))
     return min(max(soc_next, lo), hi)
-

@@ -233,29 +233,19 @@ def build_fleet(cfg: RunConfig) -> AssetFleet:
     """The configured plant. Raises ConfigError when ``pv.rated_mw`` is
     below the output of one PV cell, so no whole cell count reaches it, or
     when ``battery.eta_inv`` makes the SoC move per MW of a step underflow
-    to 0 or overflow to inf, which ``simulate`` refuses."""
-    dt = cfg.dt_s / 3600.0
-    alpha = dt / cfg.batt_e_cap_mwh  # the SoC move per MW of a step is alpha * or / eta_inv
-    fault = ("dt / e_cap * eta_inv, underflows to 0" if alpha * cfg.eta_inv == 0.0
-             else "dt / e_cap / eta_inv, overflows to inf" if alpha / cfg.eta_inv == math.inf
-             else None)
-    if fault:
-        raise ConfigError([
-            f"battery.eta_inv = {cfg.eta_inv:g} is unusable with battery.e_cap_mwh = "
-            f"{cfg.batt_e_cap_mwh:g} and signal.dt_s = {cfg.dt_s:g}: the SoC move per MW "
-            f"of a step, {fault}"
-        ])
+    to 0 or overflow to inf, which ``AssetFleet`` refuses."""
     try:
         pv = PvParams.scaled_to_rating(cfg.pv_rated_mw)
     except ValueError as exc:
         raise ConfigError([f"pv.rated_mw = {cfg.pv_rated_mw:g} is below the output of one "
                            f"PV cell ({exc})"]) from None
-    return AssetFleet(
-        pv=pv,
-        battery=_battery(cfg),
-        load=LoadParams(p_max=cfg.load_max_mw),
-        dt=dt,
-    )
+    try:
+        return AssetFleet(pv, _battery(cfg), LoadParams(p_max=cfg.load_max_mw), cfg.dt_s / 3600.0)
+    except ValueError as exc:  # validate() has passed every other field
+        raise ConfigError([
+            f"battery.eta_inv = {cfg.eta_inv:g} is unusable with battery.e_cap_mwh = "
+            f"{cfg.batt_e_cap_mwh:g} and signal.dt_s = {cfg.dt_s:g}: {exc}"
+        ]) from None
 
 
 def build_guard(cfg: RunConfig) -> GuardConfig | None:

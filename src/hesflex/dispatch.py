@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .assets import AssetFleet
+from .assets import AssetFleet, _soc_drop
 from .flexibility import FlexEnvelope, Scenario, envelope
 
 _BALANCE_TOL = 1e-9
@@ -211,10 +211,7 @@ def validate_records(
                    lambda k: f"SoC {t.soc[k]:.9g} outside the window"))
     if soc0 is not None:
         prev = np.concatenate(([soc0], t.soc[:-1]))
-        eta = batt.eta_inv
-        expect = prev - (fleet.dt / batt.e_cap) * (
-            eta * np.minimum(t.p_batt, 0.0) + np.maximum(t.p_batt, 0.0) / eta
-        )
+        expect = prev - _soc_drop(fleet.dt / batt.e_cap, batt.eta_inv, t.p_batt)
         off = expect - t.soc
         checks.append((np.abs(off) <= tol, lambda k: f"SoC recursion off by {off[k]:.3e}"))
     failing = np.flatnonzero(~np.logical_and.reduce([ok for ok, _ in checks]))

@@ -46,6 +46,12 @@ Strategy, cheapest first:
    float rounding. A forward pass then commits the drops that attain
    them. The answer is certified when its objective is within 1e-9
    (relative, floor 1) of V_0(soc0), which holds to float rounding.
+
+Powers and SoC drops convert, in every pass, with the float operations
+of the rule's SoC scan (``assets._soc_drop`` and ``assets._soc_power``),
+so the scan moves the returned powers through the SoCs the passes
+walked, delivers each as it is, and the objective is the cost of the
+returned records.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _pwl
-from .assets import AssetFleet
+from .assets import AssetFleet, _soc_drop, _soc_power
 from .dispatch import Trajectory, _check_green_pv, _curtailment
 from .flexibility import Scenario, _band
 from .simulation import _soc_scan
@@ -159,20 +165,13 @@ def _distance(x, lo, hi):
     return np.maximum(np.maximum(x - hi, lo - x), 0.0)
 
 
-def _drop(a: float, e: float, p):
-    """SoC drop of battery power ``p``, elementwise: p > 0 discharges and
-    drops the SoC by a * p / e, p < 0 charges and raises it by a * e * |p|
-    (a = dt / e_cap, e the inverter efficiency)."""
-    return np.where(p >= 0.0, a * p / e, a * e * p)
-
-
 def _breakpoints(problem: OracleProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The breakpoints of every phi_k (see :func:`_stage_costs`) in one
     run, step after step, as drops and costs, and the number per step.
 
     Cost and drop are linear in p between -p_max, t - hi, t - lo, 0 and
     p_max, so phi is linear between their drops. In ascending order, with
-    k1 <= k2 (t - hi <= t - lo, and _drop is monotone), a step's
+    k1 <= k2 (t - hi <= t - lo, and the drop is monotone), a step's
     breakpoints are the drop bound d_lo, the kinks in (d_lo, 0), 0.0, the
     kinks in (0, d_hi) and d_hi. A kink equal to 0.0 (-0.0 too) or to k1
     adds none and keeps the earlier cost; a drop bound that underflows to
@@ -180,16 +179,16 @@ def _breakpoints(problem: OracleProblem) -> tuple[np.ndarray, np.ndarray, np.nda
     """
     b = problem.fleet.battery
     a, e, pmax = problem.fleet.dt / b.e_cap, b.eta_inv, b.p_max
-    d_lo, d_hi = -a * e * pmax, a * pmax / e
+    d_lo, d_hi = _soc_drop(a, e, -pmax), _soc_drop(a, e, pmax)
     _, lo, hi = problem._band
     t = problem.targets()
     n = t.size
 
     def cost(d):
-        p = np.clip(np.where(d >= 0.0, d * e / a, d / (a * e)), -pmax, pmax)
+        p = np.clip(_soc_power(a, e, d), -pmax, pmax)
         return _distance(t - p, lo, hi)
 
-    k1, k2 = _drop(a, e, t - hi), _drop(a, e, t - lo)
+    k1, k2 = _soc_drop(a, e, t - hi), _soc_drop(a, e, t - lo)
     c1, c2 = cost(k1), cost(k2)
     y_0, y_hi = cost(0.0), cost(d_hi)
     # one column per candidate breakpoint, in ascending order
@@ -209,14 +208,15 @@ def _stage_costs(problem: OracleProblem) -> tuple[list[tuple[tuple, tuple]], dic
     its ``(xs, ys)`` breakpoints, and the convex runs of every phi_k that
     is not convex, by step.
 
-    d > 0 on discharge (see :func:`_drop`). The cost is convex in d on
-    each side of d = 0, one side per mode; at d = 0 it is concave when
-    the target asks for more charging than the other assets can absorb,
-    convex otherwise. One scan over all steps finds the concave kinks: the
-    breakpoints, neither the first nor the last of their step, where the
-    slope falls strictly below the one before. A step with any is split
-    there into its maximal convex runs, ``(xs, ys)`` slices that share
-    their end breakpoints; a convex step, most of them, has no entry.
+    d > 0 on discharge (see ``assets._soc_drop``). The cost is convex in
+    d on each side of d = 0, one side per mode; at d = 0 it is concave
+    when the target asks for more charging than the other assets can
+    absorb, convex otherwise. One scan over all steps finds the concave
+    kinks: the breakpoints, neither the first nor the last of their step,
+    where the slope falls strictly below the one before. A step with any
+    is split there into its maximal convex runs, ``(xs, ys)`` slices that
+    share their end breakpoints; a convex step, most of them, has no
+    entry.
     """
     xs, ys, m = _breakpoints(problem)
     ends = np.cumsum(m)
@@ -270,7 +270,7 @@ def _tube_battery(problem: OracleProblem, tol: float) -> np.ndarray | None:
     greedy = np.clip(np.clip(0.0, t - hi, t - lo), -b.p_max, b.p_max)
     p_lo = np.maximum(np.minimum(t - hi, b.p_max) - tol, -b.p_max)
     p_hi = np.minimum(np.maximum(t - lo, -b.p_max) + tol, b.p_max)
-    d_lo, d_hi, d_greedy = (_drop(a, e, p).tolist() for p in (p_lo, p_hi, greedy))
+    d_lo, d_hi, d_greedy = (_soc_drop(a, e, p).tolist() for p in (p_lo, p_hi, greedy))
     p_lo, p_hi, powers = p_lo.tolist(), p_hi.tolist(), greedy.tolist()
     e_min = s_lo = b.e_min
     e_max = s_hi = b.e_max
@@ -287,7 +287,7 @@ def _tube_battery(problem: OracleProblem, tol: float) -> np.ndarray | None:
     for k, (s_lo, s_hi) in enumerate(tube[-2::-1]):
         d = min(max(d_greedy[k], d_lo[k], s - s_hi), d_hi[k], s - s_lo)
         if d != d_greedy[k]:
-            powers[k] = min(max(d * e / a if d >= 0.0 else d / (a * e), p_lo[k]), p_hi[k])
+            powers[k] = min(max(_soc_power(a, e, d), p_lo[k]), p_hi[k])
         s -= d
     return _soc_scan(problem.fleet, None, np.array(powers), problem.soc0)[0]
 
@@ -347,12 +347,17 @@ def _optimal_powers(problem: OracleProblem, stage_costs, values) -> np.ndarray:
     (the smallest |p| among exact ties). The candidate drops are the ends
     of the feasible range and every kink of phi_k and of V_k+1(s - d)
     inside it, evaluated as ``_pwl._at`` evaluates; a candidate listed
-    twice gives the same key twice. Drops and powers convert with the
-    arithmetic of :func:`_drop` and of its inverse, ``cost`` in
-    :func:`_breakpoints`, on floats."""
+    twice gives the same key twice. Drops and powers convert as in the
+    stage costs and the rule's SoC scan (``assets._soc_drop`` and
+    ``assets._soc_power``), so the SoCs walked are the scan's."""
     b = problem.fleet.battery
     a, e, pmax = problem.fleet.dt / b.e_cap, b.eta_inv, b.p_max
-    ae, nmax, e_min, e_max = a * e, -pmax, b.e_min, b.e_max
+    nmax, e_min, e_max = -pmax, b.e_min, b.e_max
+
+    def power(d):  # the power of a drop, clipped to the rating
+        p = _soc_power(a, e, d)
+        return nmax if p < nmax else pmax if p > pmax else p
+
     s = problem.soc0
     powers = []
     for (fx, fy), (vx, vy) in zip(stage_costs, values[1:]):
@@ -374,13 +379,8 @@ def _optimal_powers(problem: OracleProblem, stage_costs, values) -> np.ndarray:
         while j > i and not lo < s - vx[j - 1]:
             j -= 1
         cands += [s - x for x in vx[i:j]]
-        first = True
+        best_d = None
         for d in cands:
-            p = d * e / a if d >= 0.0 else d / ae
-            if p < nmax:
-                p = nmax
-            elif p > pmax:
-                p = pmax
             if d <= f_lo:
                 u = fy[0]
             elif d >= f_hi:
@@ -398,14 +398,18 @@ def _optimal_powers(problem: OracleProblem, stage_costs, values) -> np.ndarray:
                 i = bisect_right(vx, x) - 1
                 t = (x - vx[i]) / (vx[i + 1] - vx[i])
                 v = (1.0 - t) * vy[i] + t * vy[i + 1]
-            # the least (u + v, |p|, p), compared as tuples are, without the tuples
+            # the least (u + v, |p|, p), as tuples compare; p only on a tie of u + v
             c = u + v
-            m = abs(p)
-            if first or c < best_c or c == best_c and (m < best_m or m == best_m and p < best_p):
-                best_c, best_m, best_p = c, m, p
-                first = False
+            if best_d is None or c < best_c:
+                best_c, best_d, best_p = c, d, None
+            elif c == best_c:
+                best_p = power(best_d) if best_p is None else best_p
+                p = power(d)
+                if abs(p) < abs(best_p) or abs(p) == abs(best_p) and p < best_p:
+                    best_d, best_p = d, p
+        best_p = power(best_d) if best_p is None else best_p
         powers.append(best_p)
-        s -= a * best_p / e if best_p >= 0.0 else ae * best_p
+        s -= a * (e * min(best_p, 0.0) + max(best_p, 0.0) / e)  # _soc_drop, inline
         s = e_min if s < e_min else e_max if s > e_max else s  # float dust only
     return np.array(powers, dtype=float)
 

@@ -14,10 +14,10 @@ A batch of R runs of n steps, given as (R, n) arrays, takes the same
 numpy pass over all of it, and the scan runs once per row; a single
 horizon is one row. Where neither the guard nor the window changes a
 step, the scan takes the SoC of many steps from one sequential
-``np.cumsum`` of the increments :func:`battery_step` applies, which gives
-the same floats; near the window or the guard buffer it takes one scalar
-step at a time. Row r of a batch is therefore exactly the trajectory run
-r gives on its own.
+``np.cumsum`` of the SoC drops :func:`battery_step` applies
+(``assets._soc_drop``), which gives the same floats; near the window or
+the guard buffer it takes one scalar step at a time. Row r of a batch is
+therefore exactly the trajectory run r gives on its own.
 
 A run owns its own battery state; the module is stateless.
 """
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assets import AssetFleet, BatteryParams, battery_step
+from .assets import AssetFleet, BatteryParams, _soc_drop, _soc_power, battery_step
 from .dispatch import Trajectory, _curtailment, _position, _split
 from .flexibility import Scenario, envelope
 from .soc_guard import GuardConfig, guard_power_cap
@@ -68,13 +68,6 @@ def simulate(
                 f"{_position(series, bad[0])}: {name} = {flat[bad[0]]} is not finite"
             )
     batt = fleet.battery
-    if fleet.dt / batt.e_cap * batt.eta_inv == 0.0:
-        raise ValueError("the SoC move per MW of a charging step, dt / e_cap * eta_inv, "
-                         "underflows to 0")
-    # else a discharge truncated to the window can be a subnormal power that overshoots it
-    if fleet.dt / batt.e_cap / batt.eta_inv == np.inf:
-        raise ValueError("the SoC move per MW of a discharging step, dt / e_cap / eta_inv, "
-                         "overflows to inf")
     if not (batt.e_min - 1e-12 <= soc0 <= batt.e_max + 1e-12):
         raise ValueError(f"soc0 = {soc0} outside the battery window")
     if guard is not None:
@@ -133,14 +126,13 @@ def _soc_scan(fleet: AssetFleet, guard: GuardConfig | None, p_batt: np.ndarray, 
     soc = np.empty((delivered.shape[0], n + 1))
     soc[:, 0] = soc0
     # Inside [lo, hi] no full-power step reaches the window or the buffer.
-    reach = alpha * batt.p_max / eta
+    reach = _soc_drop(alpha, eta, batt.p_max)
     lo, hi = batt.e_min + reach, batt.e_max - reach
     if guard is not None:
         lo = max(lo, guard.e_lower + guard.buffer + reach)
         hi = min(hi, guard.e_upper - guard.buffer - reach)
     for p, s_row in zip(delivered, soc):
-        # SoC increments at the requested power, as battery_step forms them.
-        incr = -(alpha * (eta * np.where(p > 0.0, 0.0, p) + np.where(p < 0.0, 0.0, p) / eta))
+        incr = -_soc_drop(alpha, eta, p)  # SoC increments at the requested power
         requests = None
         k, block = 0, n
         while k < n:
@@ -164,7 +156,8 @@ def _soc_scan(fleet: AssetFleet, guard: GuardConfig | None, p_batt: np.ndarray, 
                 q = requests[i]
                 if guard is not None:
                     q = guard_power_cap(guard, batt, s, q)
-                # The battery cannot push the SoC past its physical window.
+                # The battery cannot push the SoC past its physical window:
+                # _soc_power of the drop to the window edge, spelled inline.
                 if q > 0.0:
                     lim = (s - batt.e_min) / alpha * eta
                     if q > lim:
@@ -173,7 +166,7 @@ def _soc_scan(fleet: AssetFleet, guard: GuardConfig | None, p_batt: np.ndarray, 
                     lim = -(batt.e_max - s) / (alpha * eta)
                     if q < lim:
                         q = min(lim, 0.0)
-                s = battery_step(batt, s, min(q, 0.0), max(q, 0.0), dt)
+                s = battery_step(batt, s, q, dt)
                 taken.append(q)
                 socs.append(s)
                 if len(taken) >= min_run and lo <= s <= hi:
@@ -190,12 +183,14 @@ def _unchanged(batt: BatteryParams, guard: GuardConfig | None, alpha: float, eta
     """Steps that the scalar step would deliver as requested, from the SoC
     ``before`` to the SoC ``after`` the unclamped update: within the
     rating, untouched by the guard taper and the window truncation, and
-    landing inside the window. Each test repeats the scalar step's own
-    float operations."""
+    landing inside the window. Each test takes the scalar step's decision:
+    its truncation limits are the :func:`_soc_power` of the drops to the
+    window edges, which the scalar step spells inline."""
     ok = (np.abs(p) <= batt.p_max) & (batt.e_min <= after) & (after <= batt.e_max)
-    ok &= ~((p > 0.0) & (p > (before - batt.e_min) / alpha * eta))
-    ok &= ~((p < 0.0) & (p < -(batt.e_max - before) / (alpha * eta)))
+    discharge = p > 0.0
+    lim = _soc_power(alpha, eta, np.where(discharge, before - batt.e_min, before - batt.e_max))
+    ok &= ~((discharge & (p > lim)) | ((p < 0.0) & (p < lim)))
     if guard is not None:
         ok &= ~((before > guard.e_upper - guard.buffer) & (p < 0.0))
-        ok &= ~((before < guard.e_lower + guard.buffer) & (p > 0.0))
+        ok &= ~((before < guard.e_lower + guard.buffer) & discharge)
     return ok

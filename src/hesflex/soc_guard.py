@@ -17,10 +17,9 @@ part shows up as tracking shortfall downstream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .assets import BatteryParams
+from .assets import BatteryParams, _soc_drop
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,8 +56,6 @@ def containment_ratio(cfg: GuardConfig, batt: BatteryParams, dt: float) -> float
 
     A ratio <= 1 guarantees the taper contains the SoC inside the band:
     the worst single step from the buffer edge cannot overshoot the bound.
+    With eta_inv <= 1 that step is a full-power discharge.
     """
-    charge_move = batt.p_max * batt.eta_inv * dt / batt.e_cap
-    den = batt.eta_inv * batt.e_cap  # underflows to 0 for a tiny efficiency
-    discharge_move = batt.p_max * dt / den if den > 0.0 else math.inf
-    return max(charge_move, discharge_move) / cfg.buffer
+    return _soc_drop(dt / batt.e_cap, batt.eta_inv, batt.p_max) / cfg.buffer

@@ -215,8 +215,8 @@ def test_criterion_09_bid_sweep_direction():
 def test_criterion_10_battery_step_numerics():
     batt = hx.BatteryParams(p_max=5.0, e_cap=5.0, eta_inv=0.95)
     dt = 2.0 / 3600.0
-    down = hx.battery_step(batt, 0.5, 0.0, 5.0, dt)
-    up = hx.battery_step(batt, 0.5, -5.0, 0.0, dt)
+    down = hx.battery_step(batt, 0.5, 5.0, dt)
+    up = hx.battery_step(batt, 0.5, -5.0, dt)
     assert down == pytest.approx(0.499415, abs=1e-6)
     assert up == pytest.approx(0.500528, abs=1e-6)
     print(f"criterion 10 PASS: discharge {down:.9f}, charge {up:.9f} (tol 1e-6)")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hesflex import (
@@ -21,6 +21,7 @@ from hesflex import (
     pv_power_series,
 )
 from hesflex import assets
+from hesflex.simulation import _soc_scan
 
 DT = 2.0 / 3600.0
 
@@ -32,14 +33,14 @@ DT = 2.0 / 3600.0
 def test_full_discharge_step_from_midpoint():
     """Hand check: 0.5 - (2/3600/5) * 5/0.95 = 0.4994152046783626."""
     batt = BatteryParams(p_max=5.0, e_cap=5.0, eta_inv=0.95)
-    nxt = battery_step(batt, 0.5, 0.0, 5.0, DT)
+    nxt = battery_step(batt, 0.5, 5.0, DT)
     assert nxt == pytest.approx(0.4994152046783626, abs=1e-12)
 
 
 def test_full_charge_step_from_midpoint():
     """Hand check: 0.5 + (2/3600/5) * 0.95*5 = 0.5005277777777778."""
     batt = BatteryParams(p_max=5.0, e_cap=5.0, eta_inv=0.95)
-    nxt = battery_step(batt, 0.5, -5.0, 0.0, DT)
+    nxt = battery_step(batt, 0.5, -5.0, DT)
     assert nxt == pytest.approx(0.5005277777777778, abs=1e-12)
 
 
@@ -47,33 +48,30 @@ def test_round_trip_loses_energy():
     # charge then discharge the same power for the same time: the
     # inverter eats eta^2 of it, so the SoC ends below where it started
     batt = BatteryParams(p_max=5.0, e_cap=5.0)
-    s = battery_step(batt, 0.5, -4.0, 0.0, DT)
-    s = battery_step(batt, s, 0.0, 4.0, DT)
+    s = battery_step(batt, 0.5, -4.0, DT)
+    s = battery_step(batt, s, 4.0, DT)
     assert s < 0.5
     expected = 0.5 + (DT / 5.0) * 4.0 * (0.95 - 1.0 / 0.95)
     assert s == pytest.approx(expected, abs=1e-15)
 
 
-@pytest.mark.parametrize(
-    "p_charge, p_discharge",
-    [(0.5, 0.0), (0.0, -0.5), (-6.0, 0.0), (0.0, 6.0), (-1.0, 1.0)],
-)
-def test_battery_step_rejects_bad_powers(p_charge, p_discharge):
+@pytest.mark.parametrize("p", [-6.0, 6.0, math.nan])
+def test_battery_step_rejects_bad_powers(p):
     batt = BatteryParams(p_max=5.0, e_cap=5.0)
-    with pytest.raises(ValueError):
-        battery_step(batt, 0.5, p_charge, p_discharge, DT)
+    with pytest.raises(ValueError, match=r"battery power .* must lie in \[-p_max, p_max\] MW"):
+        battery_step(batt, 0.5, p, DT)
 
 
 def test_battery_step_rejects_nonpositive_dt():
     batt = BatteryParams(p_max=5.0, e_cap=5.0)
     with pytest.raises(ValueError):
-        battery_step(batt, 0.5, 0.0, 1.0, 0.0)
+        battery_step(batt, 0.5, 1.0, 0.0)
 
 
 def test_soc_bounds_error_carries_clipped_state():
     batt = BatteryParams(p_max=5.0, e_cap=5.0)
     with pytest.raises(SocBoundsError) as exc:
-        battery_step(batt, 0.899, -5.0, 0.0, 0.5)
+        battery_step(batt, 0.899, -5.0, 0.5)
     err = exc.value
     assert err.soc_raw > batt.e_max
     assert err.soc_clipped == batt.e_max
@@ -83,9 +81,77 @@ def test_landing_on_the_bound_is_not_an_error():
     batt = BatteryParams(p_max=5.0, e_cap=5.0)
     # discharge exactly to e_min; float dust around the bound is snapped
     p = (0.5 - batt.e_min) * batt.e_cap / 0.5 * batt.eta_inv
-    nxt = battery_step(batt, 0.5, 0.0, p, 0.5)
+    nxt = battery_step(batt, 0.5, p, 0.5)
     assert nxt == pytest.approx(batt.e_min, abs=1e-12)
     assert nxt >= batt.e_min
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()  # signed zeros too
+
+
+_POWERS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                           -2.2250738585072014e-308, 5.0, -5.0]) | st.floats(-5.0, 5.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_POWERS, d=_POWERS.map(lambda x: x * 1e-4), eta=st.sampled_from([1e-10, 0.8, 0.95, 1.0]),
+       edge=st.floats(0.0, 1e-3))
+def test_every_spelling_of_the_soc_move_is_the_array_one(p, d, eta, edge):
+    """Every float spelling of the SoC move of a signed power and of its
+    inverse gives the bits of the array spelling, signed zeros and
+    subnormals too: ``_soc_drop`` and ``_soc_power`` on floats (the
+    oracle's forward passes), ``battery_step``'s update, and the window
+    truncation of the SoC scan's scalar step, from ``edge`` inside the
+    window at full power. The DP forward pass's inline SoC update is
+    pinned by ``test_oracle::test_objective_is_the_cost_of_the_returned_records``:
+    an SoC off the scan's by an ulp at the window truncates a power."""
+    batt = BatteryParams(p_max=5.0, e_cap=5.0, eta_inv=eta)
+    alpha = DT / batt.e_cap
+    drop = assets._soc_drop(alpha, eta, np.array([p]))[0]
+    assert _bits(assets._soc_drop(alpha, eta, p)) == _bits(drop)
+    power = assets._soc_power(alpha, eta, np.array([d]))[0]
+    assert _bits(assets._soc_power(alpha, eta, d)) == _bits(power)
+
+    raw = 0.5 - drop
+    if batt.e_min - 1e-12 <= raw <= batt.e_max + 1e-12:
+        assert _bits(battery_step(batt, 0.5, p, DT)) == _bits(min(max(raw, batt.e_min), batt.e_max))
+    else:
+        with pytest.raises(SocBoundsError) as exc:
+            battery_step(batt, 0.5, p, DT)
+        assert _bits(exc.value.soc_raw) == _bits(raw)
+
+    fleet = AssetFleet(PvParams(), batt, LoadParams(0.0), DT)
+    for soc0, q in ((batt.e_min + edge, batt.p_max), (batt.e_max - edge, -batt.p_max)):
+        # the drop to the window edge, as the scalar step forms it
+        to_edge = soc0 - batt.e_min if q > 0.0 else -(batt.e_max - soc0)
+        lim = assets._soc_power(alpha, eta, np.array([to_edge]))[0]
+        want = (max(lim, 0.0) if q > lim else q) if q > 0.0 else (min(lim, 0.0) if q < lim else q)
+        got = _soc_scan(fleet, None, np.array([q]), soc0)[0][0]
+        assert _bits(got) == _bits(want), (soc0, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eta=st.floats(0.0, 1.0, exclude_min=True), e_cap=st.floats(1e-6, 1e308),
+       dt=st.floats(1e-300, 24.0))
+# the scan's window truncation of a charge divided by zero
+@example(eta=5e-324, e_cap=1.0, dt=0.5)
+# a discharge truncated to the window was a subnormal power whose SoC move
+# left the window by 1.2e-12
+@example(eta=2.2250738585e-313, e_cap=0.5, dt=214.0 / 3600.0)
+def test_fleet_refuses_soc_moves_that_underflow_or_overflow(eta, e_cap, dt):
+    """A fleet is refused, naming the fault, where the SoC move of 1 MW
+    over one step underflows to 0 on charge or overflows to inf on
+    discharge; any other step and efficiency are accepted."""
+    battery = BatteryParams(1.0, e_cap, eta_inv=eta)
+    alpha = dt / e_cap
+    fault = ("underflows to 0" if alpha * eta == 0.0
+             else "overflows to inf" if alpha * (1.0 / eta) == math.inf else None)
+    if fault is None:
+        AssetFleet(PvParams(), battery, LoadParams(0.0), dt)
+    else:
+        with pytest.raises(ValueError, match=f"SoC move per MW .* {fault}"):
+            AssetFleet(PvParams(), battery, LoadParams(0.0), dt)
 
 
 @pytest.mark.parametrize(
@@ -276,6 +342,17 @@ def test_pv_params_validation():
         PvParams(n_cell=0.5)
     with pytest.raises(ValueError):
         PvParams(p_pv_rated=-1.0)
+    for cell, names in (({"i_sc_stc": -1.0}, "i_sc_stc must be >= 0"),
+                        ({"r_p": 0.0}, "r_p > 0 and r_s >= 0"),
+                        ({"r_s": -1e-3}, "r_p > 0 and r_s >= 0"),
+                        ({"thermal_coeff": 0.0}, "thermal_coeff must be > 0")):
+        with pytest.raises(ValueError, match=names):
+            PvParams(**cell)
+    # a dark cell: no cell count reaches a rating
+    with pytest.raises(ValueError, match="cell parameters produce no power at 1000 W/m2"):
+        PvParams.scaled_to_rating(3.0, i_sc_stc=0.0)
+    with pytest.raises(ValueError, match="load p_max must be >= 0"):
+        LoadParams(p_max=-1.0)
     # i_0 * exp(thermal_coeff * v) reaches ~i_sc near v_oc: past the
     # largest float it overflowed
     for cell in ({"i_0": 1e-310}, {"i_sc_stc": 1e300}):

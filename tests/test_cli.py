@@ -164,6 +164,37 @@ def test_config_errors_are_batched(capsys):
     assert err.count("error:") >= 2
 
 
+@pytest.mark.parametrize("argv, names", [
+    ("track --set market.lambda_capacity=-1", "market.lambda_capacity must be >= 0"),
+    ("track --set market.lambda_mileage=-0.5", "market.lambda_mileage must be >= 0"),
+    ("envelope --set pv.irradiance_wm2=-1", "pv.irradiance_wm2 must be >= 0"),
+    ("track --set battery.soc_min=0.6 --set battery.soc_max=0.6",
+     "battery.soc_min < battery.soc_max"),
+    ("track --guard --set guard.buffer=0.15", "guard.buffer must lie in"),
+    ("track --guard --set guard.buffer=0", "guard.buffer must lie in"),
+    ("track --seed -1", "signal.seed must be >= 0"),
+    ("track --set battery.eta_inv", "--set expects key=value, got 'battery.eta_inv'"),
+])
+def test_out_of_range_settings_are_config_errors(capsys, argv, names):
+    code, _, err = _run(capsys, argv.split())
+    assert code == EXIT_CONFIG
+    assert names in err
+
+
+def test_config_line_without_a_value_is_a_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("scenario = S1\nbattery.eta_inv 0.9\n")
+    code, _, err = _run(capsys, ["track", "--config", str(cfgfile)])
+    assert code == EXIT_CONFIG
+    assert f"{cfgfile}:2: expected 'key = value'" in err
+
+
+def test_unknown_bid_sweep_statistic_is_a_config_error():
+    # the command line offers only the known ones; the library names the other
+    with pytest.raises(config.ConfigError, match="unknown statistic 'p99'"):
+        bid_sweep_rows(RunConfig(), 1, 40, statistics=["p50", "p99"])
+
+
 def test_config_file_and_override(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(

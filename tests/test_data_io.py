@@ -266,6 +266,15 @@ def test_synth_series_reject_a_cadence_that_is_no_whole_second(cadence):
         synth_signal(1, 5, cadence=cadence)
 
 
+@pytest.mark.parametrize("make, names", [
+    (lambda: synth_signal(1, 0), "n_steps must be >= 1"),
+    (lambda: synth_irradiance(1, 0), "days must be >= 1"),
+])
+def test_synth_series_refuse_an_empty_span(make, names):
+    with pytest.raises(ValueError, match=names):
+        make()
+
+
 def test_synth_series_accept_a_whole_second_cadence():
     sig = synth_signal(1, 3, cadence=np.float64(900.0))
     np.testing.assert_array_equal(sig.timestamps, [0, 900, 1800])
@@ -417,6 +426,14 @@ def test_trace_refuses_a_time_that_is_no_whole_second(tmp_path, times):
     step = 1 if times[1] == 2.5 else 2
     with pytest.raises(ValueError, match=rf"^step {step}: time .* is not a whole second"):
         export_trace(traj, tmp_path / "trace.csv", times=times, signal=np.zeros(3))
+
+
+@pytest.mark.parametrize("times, signal", [([0, 2], np.zeros(3)), ([0, 2, 4], np.zeros(4))])
+def test_trace_refuses_times_or_signal_of_another_length(tmp_path, times, signal):
+    traj = Trajectory(*np.zeros((8, 3)))
+    with pytest.raises(ValueError, match="times and signal must match the number of steps"):
+        export_trace(traj, tmp_path / "trace.csv", times=times, signal=signal)
+    assert not (tmp_path / "trace.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hesflex import (
     LoadParams,
     PvParams,
     Scenario,
+    Trajectory,
     allocate,
     envelope,
     simulate,
@@ -221,6 +222,15 @@ def test_s5_bounds_match_brute_force_reachability(fleet):
     env = envelope(Scenario.S5, fleet, p_pv)
     assert net.max() == pytest.approx(env.p0 + env.dp_hi, abs=1e-12)
     assert net.min() == pytest.approx(env.p0 + env.dp_lo, abs=1e-12)
+
+
+@pytest.mark.parametrize("k, column", [(1, np.zeros(2)), (7, np.zeros((3, 1)))])
+def test_trajectory_columns_hold_one_value_per_step(k, column):
+    columns = list(np.zeros((8, 3)))
+    columns[k] = column
+    name = ("p_hes", "p0", "dp_req", "p_pv", "p_cl", "p_batt", "p_curtailed", "soc")[k]
+    with pytest.raises(ValueError, match=f"column {name} must be 1-D with one value per step"):
+        Trajectory(*columns)
 
 
 def test_validate_records_accepts_clean_run(fleet):

@@ -499,12 +499,12 @@ def _generic_powers(problem: OracleProblem, phi, values) -> np.ndarray:
         cands.update(s - x for x in v_next.xs if lo < s - x < hi)
         best = None
         for d in cands:
-            p = min(max(d * e / a if d >= 0.0 else d / (a * e), -pmax), pmax)
+            p = min(max(d / a * e if d >= 0.0 else d / (a * e), -pmax), pmax)
             key = (f(d) + v_next(s - d), abs(p), p)
             if best is None or key < best:
                 best = key
         powers.append(best[2])
-        s -= a * best[2] / e if best[2] >= 0.0 else a * e * best[2]
+        s -= a * (e * min(best[2], 0.0) + max(best[2], 0.0) / e)
         s = min(max(s, b.e_min), b.e_max)
     return np.array(powers, dtype=float)
 
@@ -517,15 +517,16 @@ def _loop_stage_costs(problem: OracleProblem):
     Drops and costs take numpy's arithmetic for all steps at once."""
     b = problem.fleet.battery
     a, e, pmax = problem.fleet.dt / b.e_cap, b.eta_inv, b.p_max
-    d_lo, d_hi = -a * e * pmax, a * pmax / e
+    d_lo, d_hi = a * (e * -pmax + 0.0 / e), a * (e * 0.0 + pmax / e)
     _, lo, hi = problem._band
     t = problem.targets()
 
     def cost(d):
-        p = np.clip(np.where(d >= 0.0, d * e / a, d / (a * e)), -pmax, pmax)
+        p = np.clip(np.where(d >= 0.0, d / a * e, d / (a * e)), -pmax, pmax)
         return oracle._distance(t - p, lo, hi).tolist()
 
-    kinks = [oracle._drop(a, e, t - hi), oracle._drop(a, e, t - lo)]
+    kinks = [a * (e * np.where(p > 0.0, 0.0, p) + np.where(p < 0.0, 0.0, p) / e)
+             for p in (t - hi, t - lo)]
     cols = [d.tolist() for d in kinks] + [cost(d) for d in (*kinks, d_lo, 0.0, d_hi)]
     phi = []
     for k1, k2, c1, c2, y_lo, y_0, y_hi in zip(*cols):
@@ -796,6 +797,47 @@ def test_dp_equals_the_generic_dp_on_small_instances(problem):
     assert obj <= ref_obj + 1e-9 * max(1.0, ref_obj)
 
 
+def _track_problem(scenario, fleet, n, seed, bias, capacity, soc0) -> OracleProblem:
+    """``n`` steps of the biased synthetic signal ``seed`` and PV drawn
+    from [0, 3] MW by the same seed (at most the load rating in S2)."""
+    r = hx.synth_signal(seed, n, bias=bias).values
+    pv = np.random.default_rng(seed).uniform(0.0, 3.0, n)
+    if scenario is hx.Scenario.S2:
+        pv = np.minimum(pv, fleet.load.p_max)  # the green-load mode needs PV <= CL
+    return OracleProblem(fleet, capacity, r, pv, soc0, scenario)
+
+
+@st.composite
+def _track_instance(draw):
+    """A track-sized instance in any mode: ratings, packs, efficiencies and
+    steps around the default fleet's, 10 to 150 steps, any start SoC."""
+    fleet = _fleet(p_max=draw(st.sampled_from([0.5, 2.0, 5.0, 8.0])),
+                   e_cap=draw(st.sampled_from([0.05, 0.2, 0.5, 2.0, 5.0])),
+                   load_max=draw(st.sampled_from([0.0, 1.0, 3.0])),
+                   eta=draw(st.sampled_from([0.8, 0.9, 0.95, 1.0])),
+                   dt_s=draw(st.sampled_from([2, 60, 900])))
+    return _track_problem(draw(st.sampled_from(list(hx.Scenario))), fleet,
+                          draw(st.integers(10, 150)), draw(st.integers(0, 999)),
+                          draw(st.floats(-0.6, 0.6)), draw(st.sampled_from([2.0, 6.5, 8.0])),
+                          draw(st.floats(0.1, 0.9)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_track_instance())
+# the forward pass walked the SoC as a * p / e and a * e * p: the scan then
+# truncated a committed power, and the objective read 30.245359653177545
+# against 30.24535965317755 for the records
+@example(_track_problem(hx.Scenario.S1, _fleet(8.0, 0.5, 1.0, 0.9, 60), 15, 477, -0.42, 8.0,
+                        0.68))
+def test_objective_is_the_cost_of_the_returned_records(problem):
+    """The reported objective is the cost of the records' battery powers,
+    bit for bit: the DP's forward pass moves the SoC with the rule's SoC
+    scan's float operations, so the scan delivers every committed power
+    as it is."""
+    sol = solve(problem)
+    assert sol.objective == _objective_of_powers(problem, sol.records.p_batt)
+
+
 def test_multi_part_step_keeps_kinks_the_replaced_step_lost():
     """Three steps of an ``eta_inv`` = 1e-10 fleet: charging moves the SoC
     by at most 5.6e-13 a step, and the replaced step's hull took a kink of
@@ -975,6 +1017,12 @@ def test_problem_validation(fleet):
         OracleProblem(fleet, 6.5, np.array([]))
     with pytest.raises(ValueError):
         OracleProblem(fleet, 6.5, np.array([0.1]), soc0=0.95)
+    with pytest.raises(ValueError, match="pv must be a scalar or match the signal length"):
+        OracleProblem(fleet, 6.5, np.array([0.1, 0.2]), pv=np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="pv must be nonnegative"):
+        OracleProblem(fleet, 6.5, np.array([0.1, 0.2]), pv=np.array([1.0, -1e-300]))
+    with pytest.raises(ValueError, match="scenario must be a Scenario, got 'S1'"):
+        OracleProblem(fleet, 6.5, np.array([0.1]), scenario="S1")
     # the green-load mode cannot feed more PV than the 3 MW load absorbs
     with pytest.raises(ValueError, match="step 1: green-load"):
         OracleProblem(fleet, 6.5, np.array([0.1, 0.2]), pv=np.array([3.0, 3.5]),

@@ -151,6 +151,23 @@ def test_lower_envelope_refuses_parts_that_do_not_cover_the_window(chains, match
         _sweep(chains)
 
 
+def test_sweep_hands_over_where_the_envelope_jumps_below_the_lower_chain():
+    """The second chain starts below the first, so the envelope jumps
+    down at x = 1; the third starts left of that, below the envelope,
+    which then jumps below it at x = 1, where the sweep hands over to the
+    envelope. The fourth, lowest of all left of x = 1, closes the jump,
+    so the minimum of all four is continuous, as ``_sweep``'s chains in
+    the kernel are."""
+    chains = [([0.0, 3.0], [10.0, 7.0]), ([1.0, 3.0], [0.0, 1.0]), ([0.0, 2.0], [5.0, 3.0]),
+              ([0.0, 1.0, 3.0], [5.0, 0.0, 1.0])]
+    gx, gy = _sweep(chains)
+    assert (gx, gy) == ([0.0, 1.0, 3.0], [5.0, 0.0, 1.0])
+    fs = [Pwl(tuple(xs), tuple(ys)) for xs, ys in chains]
+    for x in np.linspace(0.0, 3.0, 301).tolist():
+        want = min(f(x) for f in fs if f.x_lo <= x <= f.x_hi)
+        assert _at(gx, gy, x) == pytest.approx(want, abs=1e-12), x
+
+
 _SLOPES = st.one_of(st.floats(-5.0, 5.0), st.integers(-2, 2).map(lambda i: i / 2))
 
 
@@ -418,6 +435,9 @@ def _exact_convolution(fx, fy, gx, gy, z):
 @example((((245055.0, 245055.00000000614, 245056.00000000614), (0.0, -6.1409082263708115e-09,
                                                                 -6.1409082263708115e-09)),
           ((-244033.0,), (0.0,))))
+# f's last edge, steeper than g's, is placed at g's end, at the x of the
+# point before: its lower value replaces that point's
+@example((((0.0, 1e-17), (0.0, -1e-17)), ((0.0, 1.0), (2.0, 0.0))))
 def test_convolve_any_is_the_infimal_convolution(case):
     """Over the whole domain, at the breakpoints of the result, every sum of
     a breakpoint of f and one of g and the midpoints between these, the
