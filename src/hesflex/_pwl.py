@@ -175,9 +175,11 @@ def _insert(ex: list, ey: list, px, py) -> None:
     breakpoints, and, where the other one ends a step below it by more
     than rounding, inserts their crossing, found from the gaps between
     the two at the step's ends, and hands over. Past the overlap the
-    longer of the two goes on. Where one ends or starts above or below
-    the other by more than rounding, a jump is kept; the points of the
-    envelope before the chain and after the overlap are untouched. Values
+    longer of the two goes on, with a point of its own value at the
+    overlap's end if it is the lower one there. Where one ends or starts
+    above or below the other by more than rounding, a jump is kept; the
+    points of the envelope before the chain and after the overlap are
+    untouched. Values
     between breakpoints are interpolated as ``y0 + (y1 - y0) * t``, with
     t in [0, 1], which overflows on no slope.
     """
@@ -280,15 +282,25 @@ def _insert(ex: list, ey: list, px, py) -> None:
                 last = x1
             b += 1
         x0, ya0, yb0 = x1, ya1, yb1
+    # the one going on may have taken over where the two parted, from a
+    # point of the other's value, and its next breakpoint may be far off
     if t < e_end:  # the envelope goes on from t
-        if on_b and ya0 - yb0 > _TOL * max(1.0, abs(ya0), abs(yb0)):
+        if not on_b:
+            if last < t:
+                rx.append(t)
+                ry.append(ya0)
+        elif ya0 - yb0 > _TOL * max(1.0, abs(ya0), abs(yb0)):
             rx.append(t)  # a jump up to the envelope
             ry.append(ya0)
         ex[keep:i] = rx
         ey[keep:i] = ry
         return
     if t > e_end:  # the chain goes on from e_end
-        if not on_b and yb0 - ya0 > _TOL * max(1.0, abs(ya0), abs(yb0)):
+        if on_b:
+            if last < e_end:
+                rx.append(e_end)
+                ry.append(yb0)
+        elif yb0 - ya0 > _TOL * max(1.0, abs(ya0), abs(yb0)):
             rx.append(e_end)  # a jump up to the chain
             ry.append(yb0)
         rx += px[b:]

@@ -761,6 +761,11 @@ def _assert_exact_step(phi_k, v_next, v_k) -> None:
                   battery=hx.BatteryParams(p_max=0.5, e_cap=0.05, eta_inv=0.8),
                   load=hx.LoadParams(p_max=0.0), dt=2 / 3600),
     0.5, np.array([-1.1920929e-07, 0.0, -7.8125e-03]), 0.0, 0.1))
+@example(OracleProblem(
+    hx.AssetFleet(pv=hx.PvParams.scaled_to_rating(3.0),
+                  battery=hx.BatteryParams(p_max=0.5, e_cap=0.05, eta_inv=1e-10),
+                  load=hx.LoadParams(p_max=0.0), dt=2 / 3600),
+    0.5, np.array([-1.0, -1.0, -1.1920929e-07, -1.0]), 0.0, 0.9))
 def test_dp_equals_the_generic_dp_on_small_instances(problem):
     """The all-steps stage costs equal the per-step loop's, and every
     step's runs (the split runs of a non-convex phi_k, or phi_k itself)

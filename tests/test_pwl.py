@@ -168,7 +168,29 @@ def test_sweep_hands_over_where_the_envelope_jumps_below_the_lower_chain():
         assert _at(gx, gy, x) == pytest.approx(want, abs=1e-12), x
 
 
-_SLOPES = st.one_of(st.floats(-5.0, 5.0), st.integers(-2, 2).map(lambda i: i / 2))
+@pytest.mark.parametrize("chains", [
+    # a steep envelope, lowest up to x0 = 0.8999999999994445 and then up
+    # to 0.5 at its end 0.9; a flat chain, 6e-8 above it at x0, goes on
+    [([0.09999999999944445, 0.1, 0.8999999999994445, 0.9],
+      [0.499999940395355, 1.3234889800848443e-23, 1.3234889800848443e-23, 0.5]),
+     ([0.1, 0.8999999999994445, 55555556.45555555],
+      [5.9604645e-08, 5.9604645e-08, 0.500000059604645])],
+    # the same with the roles swapped: a flat envelope goes on past a steep chain
+    [([0.0, 1e8], [5.9604645e-08, 5.9604645e-08]), ([0.9 - 5.56e-13, 0.9], [0.0, 0.5])],
+])
+def test_sweep_keeps_the_value_of_the_one_that_goes_on_past_the_overlap(chains):
+    """The two part within rounding of the steep one at x0, so the flat
+    one takes over there from a point of the steep one's value; its next
+    breakpoint is far past the end of the overlap at 0.9. The envelope
+    still reads the flat one's value at 0.9, not one interpolated from
+    that point."""
+    gx, gy = _sweep([(list(xs), list(ys)) for xs, ys in chains])
+    want = min(_at(xs, ys, 0.9) for xs, ys in chains)
+    assert want > 5e-8
+    assert _at(gx, gy, 0.9) == pytest.approx(want, rel=1e-12)
+
+
+_SLOPES =st.one_of(st.floats(-5.0, 5.0), st.integers(-2, 2).map(lambda i: i / 2))
 
 
 @st.composite
