@@ -239,9 +239,11 @@ def _insert(ex: list, ey: list, px, py) -> None:
                 x = x0  # where they part, unless they cross inside
                 if excess_l > tol:
                     # x < x1 where x1 - x0 is finite: excess_r > tol keeps
-                    # x1 - x above the rounding of x, by tol's slope term
+                    # x1 - x above the rounding of x, by tol's slope term;
+                    # where it overflows, the weighted mean stays finite
                     tau = excess_l / (excess_l + excess_r)
-                    x = x0 + tau * (x1 - x0)
+                    span = x1 - x0
+                    x = x0 + tau * span if span < math.inf else (1.0 - tau) * x0 + tau * x1
                 if x0 < x < x1:
                     rx.append(x)
                     ry.append(min(lw0 + tau * (lw1 - lw0), up0 + tau * (up1 - up0)))

@@ -42,7 +42,7 @@ _FMT_MAX = 1.797693134862315e308
 _MAX_TIMESTAMP = 2**53  # from here on float seconds skip whole seconds
 _IRRADIANCE_STEP_S = 60  # synth_irradiance's cadence
 _NEUTRALITY_WINDOW = 450  # synth_signal demeans each window of this many steps
-_BLOCK_ROWS = 512  # rows formatted at a time
+_BLOCK_ROWS = 1536  # rows formatted at a time
 _TRAJECTORY_COLUMNS = tuple(f.name for f in fields(Trajectory))
 TRACE_COLUMNS = ("k", "t", "r") + _TRAJECTORY_COLUMNS
 
@@ -70,8 +70,11 @@ def _fmt(x: float) -> str:
 # in a block of rows. Byte 0 of a cell is its separator, and a 0 byte
 # stands for no character: one pass over the block deletes them. A float
 # cell is little-endian 64-bit words: separator, sign and %g prefix; the
-# digits and point; and, where some value of the block needs it, the
-# exponent.
+# digits and point; and, where some value of its column in the block
+# needs it, the exponent. The float columns are laid out one after
+# another, and each run of cells with the same 64 bits down a column is
+# formatted once, at its head, and repeated: a trace holds long runs (PV
+# held between samples, an idle battery, a SoC at rest).
 
 _WORD = np.dtype("<u8")
 
@@ -295,22 +298,53 @@ def _float_cells(x):
     return _patch(cells.view(np.uint8), other, [_fmt(v) for v in x[other].tolist()])
 
 
+def _float_columns(floats, as_repr):
+    """Each column of ``floats`` (rows, columns) as the cells of its runs
+    and their lengths, those numbered in ``as_repr`` written by ``repr``.
+
+    A run of equal cells is formatted once, at its head: the first row of
+    a column or a cell whose bits differ from the one above, so that
+    -0.0 below 0.0 and each NaN payload keep their own text."""
+    rows, columns = floats.shape
+    cols = np.ascontiguousarray(floats.T, dtype=float)  # one column after another
+    bits = cols.view(_WORD)
+    is_head = np.empty(bits.shape, bool)
+    is_head[:, :1] = True
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=is_head[:, 1:])
+    at = np.flatnonzero(is_head)
+    values = cols.ravel()[at]
+    cells = _float_cells(values)
+    first = np.searchsorted(at, np.arange(columns + 1) * rows)  # column j's heads
+    for j in as_repr:
+        heads = slice(first[j], first[j + 1])
+        cells = _patch(cells, heads, [repr(v) for v in values[heads].tolist()])
+    runs = np.diff(at, append=bits.size)
+    out = []
+    for j in range(columns):
+        heads = slice(first[j], first[j + 1])
+        # a column without a byte past the 24th keeps three-word cells
+        width = 24 if not cells[heads, 24:].any() else cells.shape[1]
+        out.append((cells[heads, :width], runs[heads]))
+    return out
+
+
 def _csv_rows(ints, floats, as_repr=()) -> bytearray:
     """CRLF-terminated CSV rows of the integer columns ``ints`` (1-D) and
     then the float columns of ``floats`` (rows, columns), those numbered
     in ``as_repr`` written by ``repr``."""
-    rows, columns = floats.shape
-    cells = [_int_cells(v) for v in ints]
-    if columns:
-        float_cells = _float_cells(floats.ravel())
-        for j in as_repr:
-            float_cells = _patch(float_cells, slice(j, None, columns),
-                                 [repr(v) for v in floats[:, j].tolist()])
-        cells.append(float_cells.reshape(rows, -1))
-    cells.append(np.broadcast_to(np.frombuffer(b"\r\n", np.uint8), (rows, 2)))
-    buf = bytearray(rows * sum(c.shape[1] for c in cells))
+    rows = floats.shape[0]
+    columns = [(_int_cells(v), None) for v in ints]
+    if floats.shape[1]:
+        columns += _float_columns(floats, as_repr)
+    widths = [cells.shape[1] for cells, _ in columns]
+    buf = bytearray(rows * (sum(widths) + 2))
     out = np.frombuffer(buf, np.uint8).reshape(rows, -1)
-    np.concatenate(cells, axis=1, out=out)
+    end = 0
+    for (cells, runs), width in zip(columns, widths):
+        # each column is expanded on its own, into its place in the rows
+        out[:, end:end + width] = cells if len(cells) == rows else np.repeat(cells, runs, axis=0)
+        end += width
+    out[:, end:] = np.frombuffer(b"\r\n", np.uint8)
     out[:, 0] = 0  # no separator before the first column
     return buf.translate(None, b"\0")
 
@@ -586,8 +620,8 @@ def export_trace(traj: Trajectory, path, *, times, signal) -> None:
         fh.write((",".join(TRACE_COLUMNS) + "\r\n").encode())
         for lo in range(0, n, _BLOCK_ROWS):
             hi = min(n, lo + _BLOCK_ROWS)
-            block = np.stack([col[lo:hi] for col in floats], axis=1)
-            fh.write(_csv_rows([np.arange(lo, hi), times[lo:hi]], block, as_repr))
+            block = np.stack([col[lo:hi] for col in floats])
+            fh.write(_csv_rows([np.arange(lo, hi), times[lo:hi]], block.T, as_repr))
 
 
 def report_lines(pairs: dict) -> list[str]:

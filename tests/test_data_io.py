@@ -3,6 +3,8 @@ the synthetic generators."""
 
 import csv
 import dataclasses
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -543,6 +545,51 @@ _any_float = st.one_of(st.floats(), st.sampled_from(_FORMAT_EDGES))
 def test_trace_bytes_match_the_row_generator_property(tmp_path, monkeypatch, block, case):
     """Blocks of a few rows, times as integers or whole floats, and every
     double, non-finite ones and columns written by repr included."""
+    monkeypatch.setattr(data_io, "_BLOCK_ROWS", block)
+    times, (signal, *columns) = case
+    export_trace(Trajectory(*columns), tmp_path / "new.csv", times=times, signal=signal)
+    _row_generator_trace(Trajectory(*columns), tmp_path / "old.csv", times=times, signal=signal)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# Runs of one value down a column, as traces hold them: both zeros, NaNs
+# of several signs and payloads, the infinities, the largest double (its
+# column is written by repr) and any other double. The writer finds a run
+# by its bits, so a -0.0 below a 0.0 starts a run of its own.
+_NANS = [struct.unpack("<d", struct.pack("<Q", bits))[0]
+         for bits in (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FFC0000DEADBEEF)]
+_N0, _N1, _N2, _N3 = _NANS
+_BIG = 1.7976931348623157e308
+_RUN_VALUES = st.one_of(st.sampled_from([0.0, -0.0]),
+                        st.sampled_from([math.inf, -math.inf, _BIG, *_NANS]), _any_float)
+
+
+def _runs(n):
+    """n cells made of runs of one value each, the last run filling up."""
+    def cells(runs):
+        column = [v for v, length in runs for _ in range(length)][:n]
+        return column + [runs[-1][0]] * (n - len(column))
+    return st.lists(st.tuples(_RUN_VALUES, st.integers(1, 6)), min_size=1, max_size=n).map(cells)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(block=st.integers(1, 5), case=st.integers(1, 24).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n),
+    st.lists(_runs(n), min_size=9, max_size=9),
+)))
+@example(block=2, case=(list(range(7)), [
+    [0.0, 0.0, -0.0, -0.0, 0.0, -0.0, -0.0],
+    [_N0, _N0, _N1, _N2, _N2, _N3, _N0],
+    [math.inf, math.inf, math.inf, -math.inf, -math.inf, math.inf, 1.0],
+    [_BIG, _BIG, _BIG, 0.1, 0.1, -_BIG, -_BIG],
+    [0.5] * 7,
+    [1e-5] * 4 + [2.5] * 3,
+    [-0.0] * 7,
+    [3.0, 3.0, 3.0, 0.0, 0.0, 0.0, -0.0],
+    [1e300] * 3 + [1e-300] * 4,
+]))
+def test_trace_bytes_match_the_row_generator_on_runs(tmp_path, monkeypatch, block, case):
+    """Columns of runs that cross the blocks of a few rows."""
     monkeypatch.setattr(data_io, "_BLOCK_ROWS", block)
     times, (signal, *columns) = case
     export_trace(Trajectory(*columns), tmp_path / "new.csv", times=times, signal=signal)

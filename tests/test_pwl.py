@@ -190,6 +190,19 @@ def test_sweep_keeps_the_value_of_the_one_that_goes_on_past_the_overlap(chains):
     assert _at(gx, gy, 0.9) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("chains", [
+    [([-1e308, 1e308], [0.0, 10.0]), ([-1e308, 1e308], [5.0, 4.0])],
+    [([-1e308, 1e308], [5.0, 4.0]), ([-1e308, 1e308], [0.0, 10.0])],
+])
+def test_sweep_finds_a_crossing_on_a_step_wider_than_the_largest_double(chains):
+    """Two lines on [-1e308, 1e308], whose width 2e308 overflows to inf,
+    cross at x = -1e308 / 11, where both read 50 / 11. The envelope keeps
+    that crossing, not the chord from 0 to 4, which reads ~1.82 there."""
+    gx, gy = _sweep([(list(xs), list(ys)) for xs, ys in chains])
+    assert gx == [-1e308, pytest.approx(-1e308 / 11, rel=1e-12), 1e308]
+    assert gy == [0.0, pytest.approx(50 / 11, rel=1e-12), 4.0]
+
+
 _SLOPES =st.one_of(st.floats(-5.0, 5.0), st.integers(-2, 2).map(lambda i: i / 2))
 
 
