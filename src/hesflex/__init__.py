@@ -12,7 +12,6 @@ from .assets import (
     BatteryParams,
     LoadParams,
     PvParams,
-    SocBoundsError,
     battery_step,
     pv_power,
     pv_power_interp,
@@ -79,7 +78,6 @@ __all__ = [
     "STATISTICS",
     "Scenario",
     "Series",
-    "SocBoundsError",
     "Trajectory",
     "allocate",
     "battery_step",

@@ -27,28 +27,11 @@ import numpy as np
 # random cells over the ranges of the property test; the cap only bounds
 # the loop.
 _NEWTON_MAX_STEPS = 100
-_SOC_SNAP = 1e-12  # float dust tolerated at the SoC bounds
+_SOC_SNAP = 1e-12  # float dust a start SoC may lie outside the battery window
 # Highest irradiance the PV model takes, above the 1,361 W/m2 solar
 # constant. From ~1e16 W/m2 i*r_s outgrows the junction voltage and the
 # output falls to 0; from ~1e155 the diode term overflows.
 _IRRADIANCE_MAX_WM2 = 2000.0
-
-
-class SocBoundsError(Exception):
-    """Raised when a battery step would leave the SoC window.
-
-    Carries the SoC the step would reach (``soc_raw``) and that SoC
-    clipped to the window (``soc_clipped``). No caller recovers: the SoC
-    scan truncates each step to the window first, so it is a failed step.
-    """
-
-    def __init__(self, soc_raw: float, soc_clipped: float):
-        super().__init__(
-            f"battery step would move SoC to {soc_raw:.9f}, outside the "
-            f"operating window (clipped to {soc_clipped:.9f})"
-        )
-        self.soc_raw = soc_raw
-        self.soc_clipped = soc_clipped
 
 
 def _require_finite(params) -> None:
@@ -163,7 +146,7 @@ class AssetFleet:
         if self.dt <= 0:
             raise ValueError("dt must be > 0 hours")
         alpha, eta = self.dt / self.battery.e_cap, self.battery.eta_inv
-        # else the scan's window truncation of a charge divides by zero
+        # else battery_step's window truncation of a charge divides by zero
         if _soc_drop(alpha, eta, -1.0) == 0.0:
             raise ValueError("the SoC move per MW of a charging step, dt / e_cap * eta_inv, "
                              "underflows to 0")
@@ -299,25 +282,40 @@ def _soc_power(alpha: float, eta: float, d):
     return d / alpha * eta if d >= 0.0 else d / (alpha * eta)
 
 
-def battery_step(params: BatteryParams, soc: float, p: float, dt: float) -> float:
-    """Advance the SoC (per-unit of capacity) by one step at the signed
-    battery power ``p`` in [-p_max, p_max] MW; returns the next SoC.
+def battery_step(params: BatteryParams, soc: float, p: float,
+                 dt: float) -> tuple[float, float]:
+    """One physical battery step from the SoC ``soc`` (per-unit of
+    capacity) at the requested signed power ``p`` in [-p_max, p_max] MW;
+    returns the power delivered and the next SoC.
 
-    Charging (p < 0) raises the SoC and discharging (p > 0) lowers it,
-    both penalized by the inverter efficiency ``eta = params.eta_inv``:
+    The battery cannot push the SoC past its window [e_min, e_max]: a
+    request that would is truncated to the :func:`_soc_power` of the drop
+    to the window edge, or to 0 from beyond it. Charging (p < 0) then
+    raises the SoC and discharging (p > 0) lowers it, both penalized by
+    the inverter efficiency ``eta = params.eta_inv``:
 
         soc' = soc - (dt / e_cap) * (eta * min(p, 0) + max(p, 0) / eta)
 
-    the drop of :func:`_soc_drop`. A step that would exit [e_min, e_max]
-    raises :class:`SocBoundsError` carrying the clipped SoC.
+    the drop of :func:`_soc_drop`, clamped to the window against float
+    dust. A bad ``dt``, a power outside the rating, and a start SoC more
+    than 1e-12 outside the window (NaN included) raise ``ValueError``.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0 hours")
     if not (-params.p_max - 1e-9 <= p <= params.p_max + 1e-9):
         raise ValueError(f"battery power {p!r} must lie in [-p_max, p_max] MW")
-    eta = params.eta_inv
-    soc_next = soc - (dt / params.e_cap) * (eta * min(p, 0.0) + max(p, 0.0) / eta)
     lo, hi = params.e_min, params.e_max
-    if soc_next < lo - _SOC_SNAP or soc_next > hi + _SOC_SNAP:
-        raise SocBoundsError(soc_next, min(max(soc_next, lo), hi))
-    return min(max(soc_next, lo), hi)
+    if not (lo - _SOC_SNAP <= soc <= hi + _SOC_SNAP):
+        raise ValueError(f"SoC {soc!r} outside the battery window [{lo}, {hi}]")
+    alpha = dt / params.e_cap
+    eta = params.eta_inv
+    if p > 0.0:
+        lim = (soc - lo) / alpha * eta
+        if p > lim:
+            p = max(lim, 0.0)
+    elif p < 0.0:
+        lim = -(hi - soc) / (alpha * eta)
+        if p < lim:
+            p = min(lim, 0.0)
+    soc_next = soc - alpha * (eta * min(p, 0.0) + max(p, 0.0) / eta)
+    return p, min(max(soc_next, lo), hi)

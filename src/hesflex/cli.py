@@ -18,10 +18,9 @@ config above the load rating, or a run or synthetic series above 10**7
 steps, 10**6 with ``--oracle``), 3 input data problems (including a file
 with fewer than two rows, a timestamp of 2**53 s or more in magnitude, an
 all-zero signal file, or a signal file spanning more run steps than the
-limit), 4 runtime failures (S2 PV from a file above the load rating,
-battery bound violations, a non-finite report value, a signal file so
-small that the score's capacity * sum |r| underflows, running out of
-memory).
+limit), 4 runtime failures (S2 PV from a file above the load rating, a
+non-finite report value, a signal file so small that the score's
+capacity * sum |r| underflows, running out of memory).
 Reports are deterministic: the same config and seed give identical bytes.
 """
 
@@ -35,7 +34,7 @@ import sys
 
 import numpy as np
 
-from .assets import SocBoundsError, pv_power, pv_power_interp, pv_power_series
+from .assets import pv_power, pv_power_interp, pv_power_series
 from .config import (
     _MAX_ORACLE_STEPS,
     _MAX_STEPS,
@@ -426,7 +425,7 @@ def main(argv=None) -> int:
     except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, SocBoundsError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except MemoryError as exc:

@@ -214,6 +214,8 @@ def validate(cfg: RunConfig) -> list[str]:
             out.append("guard band must sit inside the battery window")
         elif not 0.0 < cfg.guard_buffer <= 0.5 * (cfg.guard_upper - cfg.guard_lower):
             out.append("guard.buffer must lie in (0, half the band width]")
+    if math.isfinite(cfg.bias) and not -1.0 <= cfg.bias <= 1.0:
+        out.append("signal.bias must lie in [-1, 1]")
     if cfg.seed < 0:
         out.append("signal.seed must be >= 0")
     return out

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assets import AssetFleet, BatteryParams, _soc_drop, _soc_power, battery_step
+from .assets import _SOC_SNAP, AssetFleet, BatteryParams, _soc_drop, _soc_power, battery_step
 from .dispatch import Trajectory, _curtailment, _position, _split
 from .flexibility import Scenario, envelope
 from .soc_guard import GuardConfig, guard_power_cap
@@ -68,10 +68,10 @@ def simulate(
                 f"{_position(series, bad[0])}: {name} = {flat[bad[0]]} is not finite"
             )
     batt = fleet.battery
-    if not (batt.e_min - 1e-12 <= soc0 <= batt.e_max + 1e-12):
+    if not (batt.e_min - _SOC_SNAP <= soc0 <= batt.e_max + _SOC_SNAP):
         raise ValueError(f"soc0 = {soc0} outside the battery window")
     if guard is not None:
-        if guard.e_lower < batt.e_min - 1e-12 or guard.e_upper > batt.e_max + 1e-12:
+        if guard.e_lower < batt.e_min - _SOC_SNAP or guard.e_upper > batt.e_max + _SOC_SNAP:
             raise ValueError(
                 f"guard band [{guard.e_lower}, {guard.e_upper}] exceeds the battery "
                 f"window [{batt.e_min}, {batt.e_max}]"
@@ -111,7 +111,8 @@ def _soc_scan(fleet: AssetFleet, guard: GuardConfig | None, p_batt: np.ndarray, 
     A fast segment takes the SoC of a block of steps from one sequential
     cumsum prefixed by the current SoC, and keeps the steps before the
     first one that :func:`_unchanged` cannot vouch for. From there the
-    scan takes scalar steps while the SoC stays within one full-power
+    scan takes scalar steps, the guard taper and then :func:`battery_step`
+    (truncation and update), while the SoC stays within one full-power
     step of the window or the guard buffer. The first block spans the
     row; later ones double while they run clean and fall back to twice
     the steps the last one kept, so a request that keeps re-crossing the
@@ -156,17 +157,7 @@ def _soc_scan(fleet: AssetFleet, guard: GuardConfig | None, p_batt: np.ndarray, 
                 q = requests[i]
                 if guard is not None:
                     q = guard_power_cap(guard, batt, s, q)
-                # The battery cannot push the SoC past its physical window:
-                # _soc_power of the drop to the window edge, spelled inline.
-                if q > 0.0:
-                    lim = (s - batt.e_min) / alpha * eta
-                    if q > lim:
-                        q = max(lim, 0.0)
-                elif q < 0.0:
-                    lim = -(batt.e_max - s) / (alpha * eta)
-                    if q < lim:
-                        q = min(lim, 0.0)
-                s = battery_step(batt, s, q, dt)
+                q, s = battery_step(batt, s, q, dt)
                 taken.append(q)
                 socs.append(s)
                 if len(taken) >= min_run and lo <= s <= hi:
@@ -182,10 +173,11 @@ def _unchanged(batt: BatteryParams, guard: GuardConfig | None, alpha: float, eta
                p: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
     """Steps that the scalar step would deliver as requested, from the SoC
     ``before`` to the SoC ``after`` the unclamped update: within the
-    rating, untouched by the guard taper and the window truncation, and
-    landing inside the window. Each test takes the scalar step's decision:
-    its truncation limits are the :func:`_soc_power` of the drops to the
-    window edges, which the scalar step spells inline."""
+    rating, untouched by the guard taper and by :func:`battery_step`'s
+    window truncation, and landing inside the window. Each test takes the
+    scalar step's decision: its truncation limits are the
+    :func:`_soc_power` of the drops to the window edges, which
+    :func:`battery_step` spells inline."""
     ok = (np.abs(p) <= batt.p_max) & (batt.e_min <= after) & (after <= batt.e_max)
     discharge = p > 0.0
     lim = _soc_power(alpha, eta, np.where(discharge, before - batt.e_min, before - batt.e_max))

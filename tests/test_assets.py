@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from hesflex import (
@@ -13,7 +13,6 @@ from hesflex import (
     LoadParams,
     PvParams,
     RunConfig,
-    SocBoundsError,
     battery_step,
     build_fleet,
     pv_power,
@@ -33,14 +32,16 @@ DT = 2.0 / 3600.0
 def test_full_discharge_step_from_midpoint():
     """Hand check: 0.5 - (2/3600/5) * 5/0.95 = 0.4994152046783626."""
     batt = BatteryParams(p_max=5.0, e_cap=5.0, eta_inv=0.95)
-    nxt = battery_step(batt, 0.5, 5.0, DT)
+    p, nxt = battery_step(batt, 0.5, 5.0, DT)
+    assert p == 5.0
     assert nxt == pytest.approx(0.4994152046783626, abs=1e-12)
 
 
 def test_full_charge_step_from_midpoint():
     """Hand check: 0.5 + (2/3600/5) * 0.95*5 = 0.5005277777777778."""
     batt = BatteryParams(p_max=5.0, e_cap=5.0, eta_inv=0.95)
-    nxt = battery_step(batt, 0.5, -5.0, DT)
+    p, nxt = battery_step(batt, 0.5, -5.0, DT)
+    assert p == -5.0
     assert nxt == pytest.approx(0.5005277777777778, abs=1e-12)
 
 
@@ -48,8 +49,8 @@ def test_round_trip_loses_energy():
     # charge then discharge the same power for the same time: the
     # inverter eats eta^2 of it, so the SoC ends below where it started
     batt = BatteryParams(p_max=5.0, e_cap=5.0)
-    s = battery_step(batt, 0.5, -4.0, DT)
-    s = battery_step(batt, s, 4.0, DT)
+    _, s = battery_step(batt, 0.5, -4.0, DT)
+    _, s = battery_step(batt, s, 4.0, DT)
     assert s < 0.5
     expected = 0.5 + (DT / 5.0) * 4.0 * (0.95 - 1.0 / 0.95)
     assert s == pytest.approx(expected, abs=1e-15)
@@ -68,20 +69,43 @@ def test_battery_step_rejects_nonpositive_dt():
         battery_step(batt, 0.5, 1.0, 0.0)
 
 
-def test_soc_bounds_error_carries_clipped_state():
+@pytest.mark.parametrize("soc", [math.nan, 0.1 - 2e-12, 0.9 + 2e-12, -math.inf],
+                         ids=["nan", "below", "above", "-inf"])
+def test_battery_step_rejects_a_start_soc_outside_the_window(soc):
     batt = BatteryParams(p_max=5.0, e_cap=5.0)
-    with pytest.raises(SocBoundsError) as exc:
-        battery_step(batt, 0.899, -5.0, 0.5)
-    err = exc.value
-    assert err.soc_raw > batt.e_max
-    assert err.soc_clipped == batt.e_max
+    with pytest.raises(ValueError, match="outside the battery window"):
+        battery_step(batt, soc, 1.0, DT)
+
+
+@pytest.mark.parametrize("soc, p", [(0.899, -5.0), (0.101, 5.0)], ids=["charge", "discharge"])
+def test_a_step_past_the_window_is_truncated_to_its_edge(soc, p):
+    """Half an hour at full power from 1e-3 inside the window: the battery
+    delivers the power whose SoC move reaches the edge, and stops there."""
+    batt = BatteryParams(p_max=5.0, e_cap=5.0)
+    alpha = 0.5 / batt.e_cap
+    to_edge = soc - batt.e_min if p > 0.0 else -(batt.e_max - soc)
+    delivered, nxt = battery_step(batt, soc, p, 0.5)
+    assert delivered == assets._soc_power(alpha, batt.eta_inv, to_edge)
+    assert 0.0 < abs(delivered) < 0.011
+    edge = batt.e_min if p > 0.0 else batt.e_max
+    assert nxt == pytest.approx(edge, abs=1e-15)
+    assert batt.e_min <= nxt <= batt.e_max
+
+
+@pytest.mark.parametrize("soc, p", [(0.1 - 5e-13, 1.0), (0.9 + 5e-13, -1.0)],
+                         ids=["below", "above"])
+def test_a_start_soc_past_the_edge_by_dust_delivers_nothing_toward_it(soc, p):
+    batt = BatteryParams(p_max=5.0, e_cap=5.0)
+    delivered, nxt = battery_step(batt, soc, p, DT)
+    assert delivered == 0.0
+    assert nxt == (batt.e_min if p > 0.0 else batt.e_max)
 
 
 def test_landing_on_the_bound_is_not_an_error():
     batt = BatteryParams(p_max=5.0, e_cap=5.0)
     # discharge exactly to e_min; float dust around the bound is snapped
     p = (0.5 - batt.e_min) * batt.e_cap / 0.5 * batt.eta_inv
-    nxt = battery_step(batt, 0.5, p, 0.5)
+    _, nxt = battery_step(batt, 0.5, p, 0.5)
     assert nxt == pytest.approx(batt.e_min, abs=1e-12)
     assert nxt >= batt.e_min
 
@@ -101,9 +125,9 @@ def test_every_spelling_of_the_soc_move_is_the_array_one(p, d, eta, edge):
     """Every float spelling of the SoC move of a signed power and of its
     inverse gives the bits of the array spelling, signed zeros and
     subnormals too: ``_soc_drop`` and ``_soc_power`` on floats (the
-    oracle's forward passes), ``battery_step``'s update, and the window
-    truncation of the SoC scan's scalar step, from ``edge`` inside the
-    window at full power. The DP forward pass's inline SoC update is
+    oracle's forward passes), ``battery_step``'s update, and its window
+    truncation, alone and in the SoC scan's scalar step, from ``edge``
+    inside the window at full power. The DP forward pass's inline SoC update is
     pinned by ``test_oracle::test_objective_is_the_cost_of_the_returned_records``:
     an SoC off the scan's by an ulp at the window truncates a power."""
     batt = BatteryParams(p_max=5.0, e_cap=5.0, eta_inv=eta)
@@ -114,12 +138,11 @@ def test_every_spelling_of_the_soc_move_is_the_array_one(p, d, eta, edge):
     assert _bits(assets._soc_power(alpha, eta, d)) == _bits(power)
 
     raw = 0.5 - drop
-    if batt.e_min - 1e-12 <= raw <= batt.e_max + 1e-12:
-        assert _bits(battery_step(batt, 0.5, p, DT)) == _bits(min(max(raw, batt.e_min), batt.e_max))
-    else:
-        with pytest.raises(SocBoundsError) as exc:
-            battery_step(batt, 0.5, p, DT)
-        assert _bits(exc.value.soc_raw) == _bits(raw)
+    delivered, nxt = battery_step(batt, 0.5, p, DT)
+    if _bits(delivered) == _bits(p):
+        assert _bits(nxt) == _bits(min(max(raw, batt.e_min), batt.e_max))
+    else:  # truncated: the step stops at the window edge
+        assert min(nxt - batt.e_min, batt.e_max - nxt) <= 1e-12
 
     fleet = AssetFleet(PvParams(), batt, LoadParams(0.0), DT)
     for soc0, q in ((batt.e_min + edge, batt.p_max), (batt.e_max - edge, -batt.p_max)):
@@ -129,12 +152,57 @@ def test_every_spelling_of_the_soc_move_is_the_array_one(p, d, eta, edge):
         want = (max(lim, 0.0) if q > lim else q) if q > 0.0 else (min(lim, 0.0) if q < lim else q)
         got = _soc_scan(fleet, None, np.array([q]), soc0)[0][0]
         assert _bits(got) == _bits(want), (soc0, q)
+        assert _bits(battery_step(batt, soc0, q, DT)[0]) == _bits(want), (soc0, q)
+
+
+@st.composite
+def _battery_steps(draw):
+    """A battery of any accepted fleet, a step size, an SoC in its window
+    and a power within its rating."""
+    e_min = draw(st.floats(0.0, 0.99))
+    batt = BatteryParams(p_max=draw(st.floats(1e-3, 1e3)), e_cap=draw(st.floats(1e-6, 1e6)),
+                         eta_inv=draw(st.floats(0.0, 1.0, exclude_min=True)), e_min=e_min,
+                         e_max=draw(st.floats(e_min, 1.0, exclude_min=True)))
+    dt = draw(st.floats(1e-6, 24.0))
+    try:
+        AssetFleet(PvParams(), batt, LoadParams(0.0), dt)
+    except ValueError:
+        reject()
+    soc = draw(st.sampled_from([batt.e_min, batt.e_max]) | st.floats(batt.e_min, batt.e_max))
+    p = draw(st.sampled_from([0.0, -0.0, batt.p_max, -batt.p_max, 5e-324, -5e-324])
+             | st.floats(-batt.p_max, batt.p_max))
+    return batt, dt, soc, p
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_battery_steps(), excess=st.floats(2e-12, 1.0))
+def test_battery_step_delivers_what_the_window_allows(case, excess):
+    """The delivered power is the request or less of it, never the other
+    sign; it is the request unless the step stops at a window edge; its
+    SoC move stays in the window but for dust, which the clamp takes. A
+    start SoC past the 1e-12 slack, and a NaN SoC or power, are
+    refused."""
+    batt, dt, soc, p = case
+    delivered, nxt = battery_step(batt, soc, p, dt)
+    assert delivered == 0.0 or math.copysign(1.0, delivered) == math.copysign(1.0, p)
+    assert abs(delivered) <= abs(p)
+    if delivered != p:
+        assert min(nxt - batt.e_min, batt.e_max - nxt) <= 1e-12, (delivered, nxt)
+    assert batt.e_min <= nxt <= batt.e_max
+    # the delivered power's own SoC move, which leaves the window by dust at most
+    raw = soc - assets._soc_drop(dt / batt.e_cap, batt.eta_inv, delivered)
+    assert batt.e_min - 1e-12 <= raw <= batt.e_max + 1e-12, (delivered, raw)
+    assert _bits(nxt) == _bits(min(max(raw, batt.e_min), batt.e_max))
+    for bad_soc, bad_p in ((batt.e_min - excess, p), (batt.e_max + excess, p),
+                           (math.nan, p), (soc, math.nan)):
+        with pytest.raises(ValueError):
+            battery_step(batt, bad_soc, bad_p, dt)
 
 
 @settings(max_examples=200, deadline=None)
 @given(eta=st.floats(0.0, 1.0, exclude_min=True), e_cap=st.floats(1e-6, 1e308),
        dt=st.floats(1e-300, 24.0))
-# the scan's window truncation of a charge divided by zero
+# battery_step's window truncation of a charge divided by zero
 @example(eta=5e-324, e_cap=1.0, dt=0.5)
 # a discharge truncated to the window was a subnormal power whose SoC move
 # left the window by 1.2e-12

@@ -173,6 +173,10 @@ def test_config_errors_are_batched(capsys):
     ("track --guard --set guard.buffer=0.15", "guard.buffer must lie in"),
     ("track --guard --set guard.buffer=0", "guard.buffer must lie in"),
     ("track --seed -1", "signal.seed must be >= 0"),
+    ("track --bias 1.000000001", "signal.bias must lie in [-1, 1]"),
+    ("synth-signal --steps 3 --bias -1.000000001", "signal.bias must lie in [-1, 1]"),
+    ("track --set signal.bias=1.7976931348623157e+308", "signal.bias must lie in [-1, 1]"),
+    ("track --set signal.bias=-1.7976931348623157e+308", "signal.bias must lie in [-1, 1]"),
     ("track --set battery.eta_inv", "--set expects key=value, got 'battery.eta_inv'"),
 ])
 def test_out_of_range_settings_are_config_errors(capsys, argv, names):
@@ -785,7 +789,7 @@ _EDGES = {
     "market.lambda_mileage": [0.0, 1e12],
     "signal.dt_s": [1.0, 86400.0],
     "signal.seed": [0, 2**128],
-    "signal.bias": [-_HUGE, _HUGE],
+    "signal.bias": [-1.0, 1.0],
     "pv.rated_mw": [_TINY, 1e6],
     "pv.irradiance_wm2": [0.0, 2000.0],
     "battery.p_max_mw": [_TINY, 1e6],

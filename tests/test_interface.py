@@ -4,10 +4,13 @@
 its work counts from their arguments by position (falling back to a
 keyword) and from their results. A reordered parameter or a renamed
 result attribute makes a traced run fail its count hooks, so these
-tests pin what the hooks index.
+tests pin what the hooks index, with the size of the public API and the
+README's library sketch.
 """
 
 import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 
@@ -45,5 +48,14 @@ def test_count_hooks_find_their_results(tmp_path):
 
 
 def test_public_api_stays_small():
-    assert len(hx.__all__) <= 49
+    assert len(hx.__all__) <= 48
     assert len(set(hx.__all__)) == len(hx.__all__)
+
+
+def test_readme_library_sketch_runs(capsys):
+    """The README's one python block runs as written, and its battery step
+    prints the power delivered and the SoC its comment states."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (sketch,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(sketch, "README.md", "exec"), {})
+    assert "5.0 0.4994152046783626\n" in capsys.readouterr().out
