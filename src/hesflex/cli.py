@@ -321,29 +321,36 @@ def bid_sweep_rows(cfg: RunConfig, days: int, eval_steps: int = 900, statistics=
     irr = synth_irradiance(cfg.seed, days)
     groups = group_by_season_hour(irr.timestamps, pv_power_interp(fleet.pv, irr.values))
     del irr  # freed before the batches, which would otherwise add to its memory
-    runs = []  # (row so far, evaluation signal, bucket mean PV) per bid
+    heads, bids = [], []  # per bid: its row so far, and its capacity
+    signals, means = [], []  # per bucket: its evaluation signal and mean PV
     for idx, key in enumerate(list(groups)):  # calendar order
         samples = groups.pop(key)
-        eval_sig = synth_signal(
+        signals.append(synth_signal(
             cfg.seed + 7919 * (idx + 1), eval_steps, cadence=cfg.dt_s, full_scale=True
-        )
-        sig = RegSignal(eval_sig.values)
-        mean_mw = np.mean(samples)
-        for stat in stats:
-            stat_mw = pv_statistic(samples, stat)
-            bid = decomposed_bid(fleet.battery, stat_mw)
-            runs.append(((*key, stat, samples.size, stat_mw, bid), sig, mean_mw))
+        ).values)
+        means.append(np.mean(samples))
+        for stat, stat_mw in zip(stats, pv_statistic(samples, stats)):
+            bids.append(decomposed_bid(fleet.battery, stat_mw))
+            heads.append((*key, stat, samples.size, stat_mw, bids[-1]))
+    del samples  # the buckets share one array; the last one would hold all of it
+    bucket = np.repeat(np.arange(len(signals)), len(stats))  # each bid's bucket
+    bids = np.array(bids)
+    signals = np.array(signals)
+    means = np.array(means)
     prices = MarketPrices(cfg.lambda_capacity, cfg.lambda_mileage)
     rows = []
     per_batch = max(1, _SWEEP_BATCH_VALUES // eval_steps)
-    for lo in range(0, len(runs), per_batch):
-        batch = runs[lo:lo + per_batch]
-        requests = np.array([row[-1] * sig.values for row, sig, _ in batch])
-        pv = np.broadcast_to(np.array([[mean_mw] for *_, mean_mw in batch]), requests.shape)
-        trajs = simulate(fleet, Scenario.S2, requests, pv, cfg.soc0)
-        for (row, sig, _), traj in zip(batch, trajs):
-            outcome = settle(row[-1], sig, traj.p_hes - traj.p0, prices)
-            rows.append(row + (outcome.score, outcome.qualified, outcome.payment))
+    for lo in range(0, len(heads), per_batch):
+        runs = slice(lo, lo + per_batch)
+        sig = RegSignal(signals[bucket[runs]])
+        requests = bids[runs, None] * sig.values
+        pv = np.broadcast_to(means[bucket[runs], None], requests.shape)
+        traj = simulate(fleet, Scenario.S2, requests, pv, cfg.soc0)
+        delivered = traj.p_hes - traj.p0
+        del traj, requests
+        out = settle(bids[runs], sig, delivered, prices)
+        scored = zip(out.score.tolist(), out.qualified.tolist(), out.payment.tolist())
+        rows += [head + tail for head, tail in zip(heads[runs], scored)]
     return rows
 
 

@@ -488,10 +488,13 @@ def synth_signal(
     spans. ``full_scale`` rescales the result so its peak sits exactly at 1,
     the way capability test signals exercise a unit's whole range. A
     nonzero ``bias`` then shifts the whole signal (before the final
-    clip), deliberately breaking neutrality.
+    clip), deliberately breaking neutrality; it must be finite and in
+    [-1, 1], as ``signal.bias`` must.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if not (math.isfinite(bias) and -1.0 <= bias <= 1.0):
+        raise ValueError(f"bias must be a finite number in [-1, 1], got {bias!r}")
     # timestamps are whole epoch seconds, as config.validate has signal.dt_s
     if not (float(cadence) > 0.0 and float(cadence).is_integer()):
         raise ValueError(f"cadence must be a positive whole number of seconds, got {cadence!r}")
@@ -602,6 +605,8 @@ def export_trace(traj: Trajectory, path, *, times, signal) -> None:
     """Write a dispatch trajectory as CSV, one row per step, with the
     ``times`` (whole epoch seconds, written as integers) and ``signal``
     (normalized r) of its steps."""
+    if traj.p_hes.ndim != 1:
+        raise ValueError("export_trace writes one run, not a batch")
     n = len(traj)
     if len(times) != n or len(signal) != n:
         raise ValueError("times and signal must match the number of steps")

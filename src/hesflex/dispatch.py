@@ -15,7 +15,8 @@ rules take one step or a whole horizon of arrays alike; :func:`allocate`
 returns floats for one step and arrays for a horizon.
 
 A :class:`Trajectory` holds an executed run as equal-length columns, one
-row per step; :func:`validate_records` audits it column by column.
+value per step, or a batch of R runs as (R, n) columns, one row per run;
+:func:`validate_records` audits it column by column.
 """
 
 from __future__ import annotations
@@ -46,7 +47,10 @@ class InfeasibleDispatchError(ValueError):
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """An executed dispatch run as read-only float64 columns (MW, and
-    per-unit SoC); the step is the row index.
+    per-unit SoC), indexed by step; or a batch of R runs as (R, n)
+    columns, row r being run r. ``len`` is the number of steps. A
+    read-only float64 array that owns its memory is kept as it is; any
+    other column is copied.
 
     ``dp_req`` is the deviation requested before any envelope clipping
     or battery saturation; the delivered deviation is ``p_hes - p0``.
@@ -63,17 +67,21 @@ class Trajectory:
     soc: np.ndarray
 
     def __post_init__(self):
-        n = None
+        shape = None
         for f in fields(self):
-            col = np.array(getattr(self, f.name), dtype=float)
-            if col.ndim != 1 or (n is not None and col.size != n):
-                raise ValueError(f"column {f.name} must be 1-D with one value per step")
-            n = col.size
+            col = getattr(self, f.name)
+            if not (isinstance(col, np.ndarray) and col.dtype == np.float64
+                    and not col.flags.writeable and col.base is None):
+                col = np.array(col, dtype=float)
+            if col.ndim not in (1, 2) or (shape is not None and col.shape != shape):
+                raise ValueError(f"column {f.name} must be 1-D with one value per step, "
+                                 "or (runs, steps) like the other columns")
+            shape = col.shape
             col.flags.writeable = False
             object.__setattr__(self, f.name, col)
 
     def __len__(self) -> int:
-        return self.p_hes.size
+        return self.p_hes.shape[-1]
 
 
 def _priority_load(fleet: AssetFleet, p_pv, p0, dp):
@@ -182,7 +190,8 @@ def validate_records(
     scenario: Scenario | None = None,
     soc0: float | None = None,
 ) -> None:
-    """Audit a trajectory; raises ValueError naming the first bad step.
+    """Audit a trajectory, or each run of a batch; raises ValueError
+    naming the first bad step (and run).
 
     Checks the power balance residual, asset box constraints, the SoC
     window, and (when ``soc0`` is given) the SoC recursion under the
@@ -210,12 +219,12 @@ def validate_records(
     checks.append(((batt.e_min - tol <= t.soc) & (t.soc <= batt.e_max + tol),
                    lambda k: f"SoC {t.soc[k]:.9g} outside the window"))
     if soc0 is not None:
-        prev = np.concatenate(([soc0], t.soc[:-1]))
+        prev = np.concatenate((np.full_like(t.soc[..., :1], soc0), t.soc[..., :-1]), axis=-1)
         expect = prev - _soc_drop(fleet.dt / batt.e_cap, batt.eta_inv, t.p_batt)
         off = expect - t.soc
         checks.append((np.abs(off) <= tol, lambda k: f"SoC recursion off by {off[k]:.3e}"))
     failing = np.flatnonzero(~np.logical_and.reduce([ok for ok, _ in checks]))
     if failing.size:
-        k = failing[0]
+        k = np.unravel_index(failing[0], t.p_hes.shape)
         message = next(message for ok, message in checks if not ok[k])
-        raise ValueError(f"step {k}: {message(k)}")
+        raise ValueError(f"{_position(t.p_hes, failing[0])}: {message(k)}")

@@ -11,12 +11,14 @@ recorded ``p_hes`` is what the fleet actually delivers, so the power
 balance holds exactly on every row even when the request was truncated.
 
 A batch of R runs of n steps, given as (R, n) arrays, takes the same
-numpy pass over all of it, and the scan runs once per row; a single
-horizon is one row. Where neither the guard nor the window changes a
-step, the scan takes the SoC of many steps from one sequential
-``np.cumsum`` of the SoC drops :func:`battery_step` applies
+numpy pass over all of it and gives one :class:`Trajectory` of (R, n)
+columns; a single horizon is one row. Where neither the guard nor the
+window changes a step, the scan takes the SoC of many steps from one
+sequential ``np.cumsum`` of the SoC drops :func:`battery_step` applies
 (``assets._soc_drop``), which gives the same floats; near the window or
-the guard buffer it takes one scalar step at a time. Row r of a batch is
+the guard buffer it takes one scalar step at a time. The first block of
+every row is one array pass over the batch, and only a row that fails it
+is scanned on its own, from its first failing step. Row r of a batch is
 therefore exactly the trajectory run r gives on its own.
 
 A run owns its own battery state; the module is stateless.
@@ -43,13 +45,14 @@ def simulate(
     pv,
     soc0: float,
     guard: GuardConfig | None = None,
-) -> Trajectory | list[Trajectory]:
+) -> Trajectory:
     """Run the rule-based dispatcher over a whole horizon.
 
     ``dp_request`` and ``pv`` are equal-length, finite MW series, and the
     result is one :class:`Trajectory`. Given as equal-shape (R, n)
     arrays they are a batch of R runs sharing ``soc0`` and ``guard``, and
-    the result is a list of R trajectories, the r-th being run r.
+    the result is one :class:`Trajectory` of (R, n) columns, row r being
+    run r.
     ``soc0`` must lie inside the battery window, and inside the guard
     band when a ``guard`` is given.
     """
@@ -94,10 +97,9 @@ def simulate(
         p_curt = _curtailment(p_pv, p_cl, p_batt, p0 + dp)
     del dp
     p_hes = (p_pv - p_curt) - p_cl + p_batt
-    columns = (p_hes, p0, dp_req, p_pv, p_cl, p_batt, p_curt, soc)
-    if dp_req.ndim == 1:
-        return Trajectory(*columns)
-    return [Trajectory(*(col[r] for col in columns)) for r in range(dp_req.shape[0])]
+    for col in (p_hes, p_cl, p_batt, p_curt):
+        col.flags.writeable = False  # fresh arrays, which the trajectory keeps uncopied
+    return Trajectory(p_hes, p0, dp_req, p_pv, p_cl, p_batt, p_curt, soc)
 
 
 # Python floats overflow to inf silently; the vectorized steps do the same.
@@ -108,34 +110,75 @@ def _soc_scan(fleet: AssetFleet, guard: GuardConfig | None, p_batt: np.ndarray, 
     delivered battery power and the SoC after each step, shaped like
     ``p_batt``.
 
-    A fast segment takes the SoC of a block of steps from one sequential
-    cumsum prefixed by the current SoC, and keeps the steps before the
-    first one that :func:`_unchanged` cannot vouch for. From there the
-    scan takes scalar steps, the guard taper and then :func:`battery_step`
-    (truncation and update), while the SoC stays within one full-power
-    step of the window or the guard buffer. The first block spans the
-    row; later ones double while they run clean and fall back to twice
-    the steps the last one kept, so a request that keeps re-crossing the
-    margin costs O(n), not O(n^2).
+    The first block spans every row: one sequential cumsum along the rows,
+    prefixed by ``soc0``, and one :func:`_unchanged` over the batch. A row
+    that passes it is done; any other is scanned by :func:`_scan_row` from
+    the first step :func:`_unchanged` cannot vouch for.
+    """
+    batt = fleet.battery
+    alpha = fleet.dt / batt.e_cap
+    eta = batt.eta_inv
+    delivered = np.array(p_batt, dtype=float)
+    rows = delivered if delivered.ndim == 2 else delivered[None]  # a view, one row per run
+    n = rows.shape[1]
+    soc = np.empty((rows.shape[0], n + 1))
+    soc[:, 0] = soc0
+    soc[:, 1:] = -_soc_drop(alpha, eta, rows)  # SoC increments at the requested power
+    np.cumsum(soc, axis=1, out=soc)
+    ok = _unchanged(batt, guard, alpha, eta, rows, soc[:, :-1], soc[:, 1:])
+    for r in np.flatnonzero(~ok.all(axis=1)).tolist():
+        _scan_row(fleet, guard, rows[r], soc[r], int(ok[r].argmin()))
+    return delivered, soc[:, 1:].reshape(p_batt.shape)
+
+
+def _scan_row(fleet: AssetFleet, guard: GuardConfig | None, p: np.ndarray, s_row: np.ndarray,
+              k: int) -> None:
+    """Finish the scan of one run in place: ``p`` holds its requested
+    powers and ``s_row`` its SoC from the start, and a fast segment
+    holds up to step ``k``, which it cannot vouch for.
+
+    From a step a fast segment fails at, the scan takes scalar steps, the
+    guard taper and then :func:`battery_step` (truncation and update),
+    while the SoC stays within one full-power step of the window or the
+    guard buffer. A fast segment takes the SoC of a block of steps from
+    one sequential cumsum prefixed by the current SoC, and keeps the steps
+    before the first one that :func:`_unchanged` cannot vouch for. Blocks
+    double while they run clean and fall back to twice the steps the last
+    one kept, so a request that keeps re-crossing the margin costs O(n),
+    not O(n^2).
     """
     batt = fleet.battery
     dt = fleet.dt
     alpha = dt / batt.e_cap
     eta = batt.eta_inv
-    delivered = np.array(p_batt, dtype=float, ndmin=2)
-    n = delivered.shape[1]
-    soc = np.empty((delivered.shape[0], n + 1))
-    soc[:, 0] = soc0
+    n = p.size
     # Inside [lo, hi] no full-power step reaches the window or the buffer.
     reach = _soc_drop(alpha, eta, batt.p_max)
     lo, hi = batt.e_min + reach, batt.e_max - reach
     if guard is not None:
         lo = max(lo, guard.e_lower + guard.buffer + reach)
         hi = min(hi, guard.e_upper - guard.buffer - reach)
-    for p, s_row in zip(delivered, soc):
-        incr = -_soc_drop(alpha, eta, p)  # SoC increments at the requested power
-        requests = None
-        k, block = 0, n
+    incr = -_soc_drop(alpha, eta, p)
+    requests = p.tolist()
+    j = k  # the first block spanned the row from step 0
+    while True:
+        block = max(_BLOCK, 2 * j)
+        min_run = _BLOCK if j < _BLOCK else 1
+        s = float(s_row[k])
+        taken, socs = [], []
+        for i in range(k, n):
+            q = requests[i]
+            if guard is not None:
+                q = guard_power_cap(guard, batt, s, q)
+            q, s = battery_step(batt, s, q, dt)
+            taken.append(q)
+            socs.append(s)
+            if len(taken) >= min_run and lo <= s <= hi:
+                break
+        m = len(taken)
+        p[k:k + m] = taken
+        s_row[k + 1:k + 1 + m] = socs
+        k += m
         while k < n:
             end = min(n, k + block)
             seg = s_row[k:end + 1]
@@ -143,30 +186,12 @@ def _soc_scan(fleet: AssetFleet, guard: GuardConfig | None, p_batt: np.ndarray, 
             np.cumsum(seg, out=seg)
             ok = _unchanged(batt, guard, alpha, eta, p[k:end], seg[:-1], seg[1:])
             j = int(ok.argmin())
-            if ok[j]:
-                k, block = end, 2 * block
-                continue
-            k += j
-            block = max(_BLOCK, 2 * j)
-            min_run = _BLOCK if j < _BLOCK else 1
-            if requests is None:
-                requests = p.tolist()
-            s = float(seg[j])
-            taken, socs = [], []
-            for i in range(k, n):
-                q = requests[i]
-                if guard is not None:
-                    q = guard_power_cap(guard, batt, s, q)
-                q, s = battery_step(batt, s, q, dt)
-                taken.append(q)
-                socs.append(s)
-                if len(taken) >= min_run and lo <= s <= hi:
-                    break
-            m = len(taken)
-            p[k:k + m] = taken
-            s_row[k + 1:k + 1 + m] = socs
-            k += m
-    return delivered.reshape(p_batt.shape), soc[:, 1:].reshape(p_batt.shape)
+            if not ok[j]:
+                k += j
+                break
+            k, block = end, 2 * block
+        else:
+            return
 
 
 def _unchanged(batt: BatteryParams, guard: GuardConfig | None, alpha: float, eta: float,

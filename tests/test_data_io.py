@@ -251,6 +251,15 @@ def test_synth_signal_bias_survives_demeaning():
     assert sig.values.mean() > 0.2
 
 
+def test_synth_signal_refuses_a_bias_outside_the_unit_interval():
+    # a NaN bias gave an all-NaN signal and 5.0 a constant 1.0
+    for bias in (math.nan, math.inf, 5.0, -1.5):
+        with pytest.raises(ValueError, match="bias must be a finite number in"):
+            synth_signal(0, 10, bias=bias)
+    for bias in (-1.0, 1.0):
+        assert np.all(np.abs(synth_signal(0, 10, bias=bias).values) <= 1.0)
+
+
 def test_synth_signal_full_scale_peaks_at_one():
     sig = synth_signal(5, 900, full_scale=True)
     assert np.max(np.abs(sig.values)) == pytest.approx(1.0, abs=1e-12)
@@ -435,6 +444,13 @@ def test_trace_refuses_times_or_signal_of_another_length(tmp_path, times, signal
     traj = Trajectory(*np.zeros((8, 3)))
     with pytest.raises(ValueError, match="times and signal must match the number of steps"):
         export_trace(traj, tmp_path / "trace.csv", times=times, signal=signal)
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_trace_refuses_a_batch_of_runs(tmp_path):
+    traj = Trajectory(*np.zeros((8, 2, 3)))
+    with pytest.raises(ValueError, match="export_trace writes one run, not a batch"):
+        export_trace(traj, tmp_path / "trace.csv", times=[0, 2, 4], signal=np.zeros(3))
     assert not (tmp_path / "trace.csv").exists()
 
 

@@ -245,6 +245,16 @@ def test_validate_records_catches_corruption(fleet):
         validate_records(bad, fleet, scenario=Scenario.S1, soc0=0.5)
 
 
+def test_validate_records_audits_each_run_of_a_batch(fleet):
+    batch = simulate(fleet, Scenario.S4, [[3.0, -3.0, 0.5], [0.5, 0.0, -8.0]],
+                     np.full((2, 3), 2.0), 0.5)
+    validate_records(batch, fleet, scenario=Scenario.S4, soc0=0.5)
+    soc = batch.soc.copy()
+    soc[1, 2] += 1e-6
+    with pytest.raises(ValueError, match="run 1, step 2: SoC recursion off"):
+        validate_records(replace(batch, soc=soc), fleet, scenario=Scenario.S4, soc0=0.5)
+
+
 def test_validate_records_catches_curtailment_where_forbidden(fleet):
     recs = simulate(fleet, Scenario.S1, [0.0], [2.0], 0.5)
     # force a balanced but illegally-curtailing row

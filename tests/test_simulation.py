@@ -26,6 +26,7 @@ from hesflex import (
     synth_signal,
     validate_records,
 )
+from hesflex import simulation
 
 DT = 2.0 / 3600.0
 
@@ -172,34 +173,61 @@ def _batch_corpus(fleet, runs=6, n=400):
 
 
 @pytest.mark.parametrize("e_cap", [5.0, 0.5])
-def test_batch_rows_equal_single_runs(fleet, e_cap):
-    """Every row of an (R, n) batch is bit for bit the trajectory its run
-    gives on its own, over all scenarios, with and without the guard."""
+def test_batch_rows_equal_single_runs(fleet, e_cap, monkeypatch):
+    """Every row of the (R, n) columns of a batch is bit for bit the
+    trajectory its run gives on its own, over all scenarios, with and
+    without the guard. Started in the guard's lower buffer, the batch
+    holds rows that leave the scan's first array pass at step 0 (a
+    discharge there, which the guard tapers), at a middle step, and never
+    (an idle run)."""
     fleet = replace(fleet, battery=replace(fleet.battery, e_cap=e_cap))
     guard = GuardConfig(0.6, 0.4, 0.02)
+    soc0 = 0.41
     req, pv = _batch_corpus(fleet)
-    edge = buffer = 0
+    req[0] = 0.0
+    req[1, 0] = fleet.battery.p_max
+    entered = []  # the step each row scanned on its own starts at
+    scan_row = simulation._scan_row
+
+    def spy(fleet, guard, p, s_row, k):
+        entered.append(k)
+        return scan_row(fleet, guard, p, s_row, k)
+
+    edge = buffer = skipped = 0
+    starts = set()
     for scen in Scenario:
         for g in (None, guard):
-            batch = simulate(fleet, scen, req, pv, 0.5, g)
-            assert isinstance(batch, list) and len(batch) == len(req)
-            for r, traj in enumerate(batch):
-                single = simulate(fleet, scen, req[r], pv[r], 0.5, g)
+            entered.clear()
+            with monkeypatch.context() as m:
+                m.setattr(simulation, "_scan_row", spy)
+                batch = simulate(fleet, scen, req, pv, soc0, g)
+            starts.update(entered)
+            skipped += len(req) - len(entered)
+            assert len(batch) == req.shape[1] and batch.soc.shape == req.shape
+            for r in range(len(req)):
+                single = simulate(fleet, scen, req[r], pv[r], soc0, g)
                 for f in fields(Trajectory):
-                    a, b = getattr(traj, f.name), getattr(single, f.name)
+                    a, b = getattr(batch, f.name)[r], getattr(single, f.name)
                     assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), (scen, g, r, f)
-                soc = traj.soc
-                edge += bool(np.any((soc <= fleet.battery.e_min + 1e-12)
-                                    | (soc >= fleet.battery.e_max - 1e-12)))
-                if g is not None:
-                    buffer += bool(np.any((soc > g.e_upper - g.buffer)
-                                          | (soc < g.e_lower + g.buffer)))
-    assert buffer > 0
+            soc = batch.soc
+            edge += int(np.sum(np.any((soc <= fleet.battery.e_min + 1e-12)
+                                      | (soc >= fleet.battery.e_max - 1e-12), axis=1)))
+            if g is not None:
+                buffer += int(np.sum(np.any((soc > g.e_upper - g.buffer)
+                                            | (soc < g.e_lower + g.buffer), axis=1)))
+    assert buffer > 0 and skipped > 0
+    assert 0 in starts and max(starts) > 0
     if e_cap == 0.5:
         assert edge > 0
     # a batch of one is the single run too
-    one = simulate(fleet, Scenario.S1, req[:1], pv[:1], 0.5, guard)[0]
-    assert one.soc.tobytes() == simulate(fleet, Scenario.S1, req[0], pv[0], 0.5, guard).soc.tobytes()
+    one = simulate(fleet, Scenario.S1, req[2:3], pv[2:3], soc0, guard).soc[0]
+    assert one.tobytes() == simulate(fleet, Scenario.S1, req[2], pv[2], soc0, guard).soc.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 5), (3, 0)])
+def test_empty_runs_and_batches_give_empty_columns(fleet, shape):
+    traj = simulate(fleet, Scenario.S1, np.zeros(shape), np.zeros(shape), 0.5)
+    assert traj.soc.shape == traj.p_hes.shape == shape and len(traj) == shape[-1]
 
 
 def test_batch_validation_names_run_and_step(fleet):
@@ -255,9 +283,9 @@ def _assert_scan_matches_reference(fleet, scenario, req, pv, soc0, guard):
             simulate(fleet, scenario, req, pv, soc0, guard)
         return
     got = simulate(fleet, scenario, req, pv, soc0, guard)
-    for traj, (p_batt, soc) in zip(got if isinstance(got, list) else [got], expect):
-        assert traj.p_batt.tobytes() == p_batt.tobytes()
-        assert traj.soc.tobytes() == soc.tobytes()
+    p_batt, soc = (np.reshape([run[i] for run in expect], got.soc.shape) for i in (0, 1))
+    assert got.p_batt.tobytes() == p_batt.tobytes()
+    assert got.soc.tobytes() == soc.tobytes()
 
 
 def _accepted_fleet(battery, load, dt):
