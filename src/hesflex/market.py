@@ -122,7 +122,11 @@ def performance_score(capacity, sig: RegSignal, delivered_dp):
     if dp.shape != r.shape:
         raise ValueError("delivered_dp must match the signal's shape")
     _check_finite("delivered_dp", dp)
-    c = _capacities(capacity, r)
+    try:
+        c = np.broadcast_to(np.asarray(capacity, dtype=float), r.shape[:-1])
+    except ValueError:
+        raise ValueError(f"capacity must be one value or one per run, got shape "
+                         f"{np.shape(capacity)} for {r.shape[:-1]} runs") from None
     l1 = np.sum(np.abs(r), axis=-1)
     scale = c * l1
     bad = ~((c > 0.0) & np.isfinite(c))
@@ -135,16 +139,6 @@ def performance_score(capacity, sig: RegSignal, delivered_dp):
                          "capacity * sum |r| underflows to 0")
     err = np.sum(np.abs(c[..., None] * r - dp), axis=-1)
     return _per_run(1.0 - err / scale)
-
-
-def _capacities(capacity, r: np.ndarray) -> np.ndarray:
-    """The capacity of each run of ``r``, one value given for all of them
-    or one per run."""
-    try:
-        return np.broadcast_to(np.asarray(capacity, dtype=float), r.shape[:-1])
-    except ValueError:
-        raise ValueError(f"capacity must be one value or one per run, got shape "
-                         f"{np.shape(capacity)} for {r.shape[:-1]} runs") from None
 
 
 def _run(mask: np.ndarray) -> str:
@@ -230,16 +224,13 @@ def group_by_season_hour(timestamps, values) -> dict[tuple[str, int], np.ndarray
     if ts.shape != vals.shape:
         raise ValueError("timestamps and values must have the same length")
     ts = ts.ravel()
-    if ts.dtype.kind not in "iu":
-        as_float = ts.astype(float)
-        bad = np.flatnonzero(~(np.abs(as_float) < _MAX_TIMESTAMP)
-                             | (as_float != np.floor(as_float)))
-        ts = as_float
-    elif ts.size and not (ts.min() > -_MAX_TIMESTAMP and ts.max() < _MAX_TIMESTAMP):
-        bad = np.flatnonzero((ts <= -_MAX_TIMESTAMP) | (ts >= _MAX_TIMESTAMP))
+    if ts.dtype.kind in "iu":
+        ok = (ts > -_MAX_TIMESTAMP) & (ts < _MAX_TIMESTAMP)
     else:
-        bad = ()
-    if len(bad):
+        ts = ts.astype(float)
+        ok = (np.abs(ts) < _MAX_TIMESTAMP) & (ts == np.floor(ts))  # NaN fails both
+    bad = np.flatnonzero(~ok)
+    if bad.size:
         raise ValueError(f"{_position(timestamps, bad[0])}: timestamp {ts[bad[0]].item()!r} "
                          "is not a whole second below 2**53 in magnitude")
     if not ts.size:

@@ -134,8 +134,8 @@ def _soc_scan(fleet: AssetFleet, guard: GuardConfig | None, p_batt: np.ndarray, 
 def _scan_row(fleet: AssetFleet, guard: GuardConfig | None, p: np.ndarray, s_row: np.ndarray,
               k: int) -> None:
     """Finish the scan of one run in place: ``p`` holds its requested
-    powers and ``s_row`` its SoC from the start, and a fast segment
-    holds up to step ``k``, which it cannot vouch for.
+    powers and ``s_row`` its SoC before each step, right up to step ``k``,
+    the first step the array pass cannot vouch for.
 
     From a step a fast segment fails at, the scan takes scalar steps, the
     guard taper and then :func:`battery_step` (truncation and update),
