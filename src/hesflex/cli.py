@@ -11,16 +11,17 @@ Subcommands:
 signal's timestamps, both by one zero-order hold: each sample holds until
 the next, the last one for one cadence.
 
-Exit codes: 0 success, 2 configuration problems (including a step above
-one day, irradiance above 2000 W/m2, capacity outside [1e-6, 1e6] MW, a
-rating above 1e6 MW, a PV rating below one cell, S2 PV from a flag or the
-config above the load rating, or a run or synthetic series above 10**7
-steps, 10**6 with ``--oracle``), 3 input data problems (including a file
-with fewer than two rows, a timestamp of 2**53 s or more in magnitude, an
-all-zero signal file, or a signal file spanning more run steps than the
-limit), 4 runtime failures (S2 PV from a file above the load rating, a
-non-finite report value, a signal file so small that the score's
-capacity * sum |r| underflows, running out of memory).
+Exit codes: 0 success, 2 configuration problems (including a shared flag
+that the subcommand does not read, a step above one day, irradiance
+above 2000 W/m2, capacity outside [1e-6, 1e6] MW, a rating above 1e6 MW,
+a PV rating below one cell, S2 PV from a flag or the config above the
+load rating, or a run or synthetic series above 10**7 steps, 10**6 with
+``--oracle``), 3 input data problems (including a file with fewer than
+two rows, a timestamp of 2**53 s or more in magnitude, an all-zero
+signal file, or a signal file spanning more run steps than the limit), 4
+runtime failures (S2 PV from a file above the load rating, a non-finite
+report value, a signal file so small that the score's capacity * sum |r|
+underflows, running out of memory).
 Reports are deterministic: the same config and seed give identical bytes.
 """
 
@@ -82,9 +83,14 @@ EXIT_RUNTIME = 4
 
 _CONFIG_PV = "pv.rated_mw/pv.irradiance_wm2"
 
-# Runs x steps per bid-sweep batch: a year's 384 runs of 900 steps make one
-# batch, and a long --eval-steps cannot make a batch's columns outgrow ~4 MB.
-_SWEEP_BATCH_VALUES = 1 << 19
+# Runs x steps per bid-sweep block, sized so that a block's columns (256 KB
+# each) and `simulate`'s temporaries stay near the 2 MiB L2 of a core: a
+# year's 384 runs of 900 steps go in 11 blocks of 36 runs. Median ms of 15
+# in-process year sweeps per size (2-core Xeon, 2 MiB L2 per core, numpy
+# 2.4), rows equal at every size:
+#   1<<19: 122.5  1<<18: 116.9  1<<17: 99.6  1<<16: 94.3
+#   1<<15:  92.7  1<<14:  95.2  1<<13: 100.0
+_SWEEP_BATCH_VALUES = 1 << 15
 _SWEEP_COLUMNS = (
     "season", "hour", "statistic", "n_samples",
     "pv_stat_mw", "capacity_mw", "score", "qualified", "payment_usd",
@@ -321,22 +327,30 @@ def bid_sweep_rows(cfg: RunConfig, days: int, eval_steps: int = 900, statistics=
     irr = synth_irradiance(cfg.seed, days)
     groups = group_by_season_hour(irr.timestamps, pv_power_interp(fleet.pv, irr.values))
     del irr  # freed before the batches, which would otherwise add to its memory
-    heads, bids = [], []  # per bid: its row so far, and its capacity
-    signals, means = [], []  # per bucket: its evaluation signal and mean PV
-    for idx, key in enumerate(list(groups)):  # calendar order
-        samples = groups.pop(key)
+    keys = list(groups)  # calendar order
+    sizes = [groups[key].size for key in keys]
+    # The mean is always taken: it is the evaluation PV. Buckets of one size
+    # are stacked into one statistics call; within a season every hour holds
+    # days x 60 samples, so a year makes three calls.
+    names = stats if "mean" in stats else stats + ("mean",)
+    values = np.empty((len(keys), len(names)))
+    for size in set(sizes):
+        same = [b for b, n in enumerate(sizes) if n == size]
+        batch = np.stack([groups[keys[b]] for b in same])
+        values[same] = np.transpose(pv_statistic(batch, names))
+    del groups, batch  # the buckets share one array; freed before the runs
+    means = values[:, names.index("mean")]
+    heads, bids, signals = [], [], []  # per bid: its row so far and capacity; per bucket: r
+    for idx, (key, size, row) in enumerate(zip(keys, sizes, values.tolist())):
         signals.append(synth_signal(
             cfg.seed + 7919 * (idx + 1), eval_steps, cadence=cfg.dt_s, full_scale=True
         ).values)
-        means.append(np.mean(samples))
-        for stat, stat_mw in zip(stats, pv_statistic(samples, stats)):
+        for stat, stat_mw in zip(stats, row):
             bids.append(decomposed_bid(fleet.battery, stat_mw))
-            heads.append((*key, stat, samples.size, stat_mw, bids[-1]))
-    del samples  # the buckets share one array; the last one would hold all of it
+            heads.append((*key, stat, size, stat_mw, bids[-1]))
     bucket = np.repeat(np.arange(len(signals)), len(stats))  # each bid's bucket
     bids = np.array(bids)
     signals = np.array(signals)
-    means = np.array(means)
     prices = MarketPrices(cfg.lambda_capacity, cfg.lambda_mileage)
     rows = []
     per_batch = max(1, _SWEEP_BATCH_VALUES // eval_steps)
@@ -370,20 +384,19 @@ def cmd_bid_sweep(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Each subcommand takes only the shared flags it reads, so that a flag
+    # it would ignore is refused (exit 2) rather than silently dropped.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
-    common.add_argument("--scenario", choices=sorted(Scenario.__members__))
-    common.add_argument("--capacity", type=float, help="regulation capacity bid, MW")
-    common.add_argument("--hours", type=float, help="synthetic signal duration")
-    common.add_argument("--seed", type=int, help="random seed for synthetic inputs")
-    common.add_argument("--bias", type=float, help="synthetic signal bias in [-1, 1]")
-    guard = common.add_mutually_exclusive_group()
-    guard.add_argument("--guard", dest="guard", action="store_true", default=None,
-                       help="enable the SoC guard band")
-    guard.add_argument("--no-guard", dest="guard", action="store_false", default=None)
     common.add_argument("--out", help="output file (default: stdout)")
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--scenario", choices=sorted(Scenario.__members__))
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, help="random seed for synthetic inputs")
+    bias = argparse.ArgumentParser(add_help=False)
+    bias.add_argument("--bias", type=float, help="synthetic signal bias in [-1, 1]")
 
     parser = argparse.ArgumentParser(
         prog="hesflex",
@@ -391,13 +404,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("envelope", parents=[common],
+    p = sub.add_parser("envelope", parents=[common, scenario],
                        help="flexibility envelope at one PV operating point")
     p.add_argument("--pv-mw", type=float, help="PV power (default: from irradiance)")
     p.set_defaults(func=cmd_envelope)
 
-    p = sub.add_parser("track", parents=[common],
+    p = sub.add_parser("track", parents=[common, scenario, seed, bias],
                        help="dispatch against a regulation signal and settle it")
+    p.add_argument("--capacity", type=float, help="regulation capacity bid, MW")
+    p.add_argument("--hours", type=float, help="synthetic signal duration")
+    guard = p.add_mutually_exclusive_group()
+    guard.add_argument("--guard", dest="guard", action="store_true", default=None,
+                       help="enable the SoC guard band")
+    guard.add_argument("--no-guard", dest="guard", action="store_false", default=None)
     p.add_argument("--signal-csv", help="timestamp,r input (default: synthetic)")
     p.add_argument("--pv-csv", help="timestamp,ghi_wm2 input (default: constant)")
     p.add_argument("--trace", help="write the per-step dispatch trace CSV here")
@@ -405,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also solve the offline optimal benchmark in the same scenario")
     p.set_defaults(func=cmd_track)
 
-    p = sub.add_parser("bid-sweep", parents=[common],
+    p = sub.add_parser("bid-sweep", parents=[common, seed],
                        help="seasonal/hourly capacity bids from PV statistics")
     p.add_argument("--days", type=int, default=365, help="synthetic PV days (default 365)")
     p.add_argument("--eval-steps", type=int, default=900,
@@ -413,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--statistic", choices=STATISTICS + ("all",), default="all")
     p.set_defaults(func=cmd_bid_sweep)
 
-    p = sub.add_parser("synth-signal", parents=[common],
+    p = sub.add_parser("synth-signal", parents=[common, seed, bias],
                        help="write a synthetic regulation signal as CSV")
     p.add_argument("--steps", type=int, required=True, help="number of samples")
     p.set_defaults(func=cmd_synth_signal)

@@ -17,8 +17,9 @@ A signal, a delivered deviation and a capacity may also be a batch of R
 runs: (R, n) arrays and one capacity per run (or one for all). Mileage,
 score, payment and settlement then work row-wise and return one value per
 run, each bit for bit the one-row call's; a one-row call is the same code
-on a 1-D series and returns floats. Non-finite inputs are refused, naming
-the run and step.
+on a 1-D series and returns floats. PV statistics take an (R, m) batch of
+sample sets the same way. Non-finite inputs are refused, naming the run
+and step.
 """
 
 from __future__ import annotations
@@ -195,9 +196,15 @@ def pv_statistic(samples, statistic):
 
     ``statistic`` is one name of :data:`STATISTICS`, which gives a float,
     or a tuple of them, which gives a tuple of floats from one
-    ``np.percentile`` call.
+    ``np.percentile`` call. ``samples`` may also be an (R, m) batch of R
+    sample sets of m samples each; every float is then an array of one
+    value per row, bit for bit the one-row call's.
     """
-    x = np.asarray(samples, dtype=float)
+    # C order, as for RegSignal: numpy sums a row pairwise only along a
+    # contiguous last axis
+    x = np.ascontiguousarray(samples, dtype=float)
+    if x.ndim > 2:
+        raise ValueError("samples must be one sample set or an (R, m) batch of them")
     if x.size == 0:
         raise ValueError("cannot take a statistic of an empty sample set")
     _check_finite("sample", x)
@@ -206,8 +213,9 @@ def pv_statistic(samples, statistic):
         if name not in STATISTICS:
             raise ValueError(f"unknown statistic {name!r}; pick one of {STATISTICS}")
     q = [_PERCENTILES[name] for name in names if name != "mean"]
-    percentiles = iter(np.percentile(x, q).tolist() if q else ())
-    out = tuple(float(np.mean(x)) if name == "mean" else next(percentiles) for name in names)
+    percentiles = iter(np.percentile(x, q, axis=-1) if q else ())
+    out = tuple(_per_run(np.mean(x, axis=-1) if name == "mean" else next(percentiles))
+                for name in names)
     return out[0] if isinstance(statistic, str) else out
 
 

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,44 @@ def test_no_guard_flag_disables_the_band(capsys):
     assert _parse_report(out)["guard.enabled"] == "false"
 
 
+# Flags that a subcommand does not read: each once exited 0 with the output
+# of the run without it (the bid-sweep CSV byte for byte).
+@pytest.mark.parametrize("argv, flag", [
+    ("bid-sweep --days 1 --scenario S4", "--scenario"),
+    ("bid-sweep --days 1 --bias 0.5", "--bias"),
+    ("bid-sweep --days 1 --hours 3", "--hours"),
+    ("bid-sweep --days 1 --capacity 9", "--capacity"),
+    ("bid-sweep --days 1 --guard", "--guard"),
+    ("bid-sweep --days 1 --no-guard", "--no-guard"),
+    ("envelope --pv-mw 2 --hours 3", "--hours"),
+    ("envelope --pv-mw 2 --capacity 9", "--capacity"),
+    ("envelope --pv-mw 2 --bias 1", "--bias"),
+    ("envelope --pv-mw 2 --seed 4", "--seed"),
+    ("envelope --pv-mw 2 --guard", "--guard"),
+    ("envelope --pv-mw 2 --no-guard", "--no-guard"),
+    ("synth-signal --steps 3 --scenario S1", "--scenario"),
+    ("synth-signal --steps 3 --capacity 9", "--capacity"),
+    ("synth-signal --steps 3 --hours 3", "--hours"),
+    ("synth-signal --steps 3 --guard", "--guard"),
+])
+def test_a_subcommand_refuses_a_flag_it_does_not_read(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_the_flags_a_subcommand_reads_still_run(capsys):
+    for argv in ("envelope --scenario S1 --pv-mw 2.0",
+                 "synth-signal --steps 3 --seed 2 --bias 0.5",
+                 "track --hours 0.01 --scenario S2 --capacity 2 --seed 3 --bias 0.1 --no-guard"):
+        code, _, err = _run(capsys, argv.split())
+        assert code == EXIT_OK, err
+    code, out, err = _run(capsys, "bid-sweep --days 1 --eval-steps 4 --seed 3".split())
+    assert code == EXIT_OK, err
+    assert out != _run(capsys, "bid-sweep --days 1 --eval-steps 4 --seed 4".split())[1]
+
+
 def test_bid_sweep_csv_shape_and_ordering(capsys):
     code, out, _ = _run(capsys, [
         "bid-sweep", "--days", "3", "--eval-steps", "40", "--seed", "1",
@@ -318,6 +357,7 @@ def test_step_limit_is_inclusive():
 
 def test_bid_sweep_rows_do_not_depend_on_the_batch_size(monkeypatch):
     cfg = RunConfig(seed=4)
+    monkeypatch.setattr(cli, "_SWEEP_BATCH_VALUES", 1 << 30)
     whole = bid_sweep_rows(cfg, 2, 40)
     batches = []
     simulate = cli.simulate
@@ -327,9 +367,24 @@ def test_bid_sweep_rows_do_not_depend_on_the_batch_size(monkeypatch):
         return simulate(fleet, scenario, dp_request, *args)
 
     monkeypatch.setattr(cli, "simulate", counting)
-    monkeypatch.setattr(cli, "_SWEEP_BATCH_VALUES", 3 * 40)
-    assert bid_sweep_rows(cfg, 2, 40) == whole
-    assert batches == [3] * (len(whole) // 3)
+    for per_batch in (1, 3, 5):  # 5 runs a batch splits a bucket's 4 statistics
+        batches.clear()
+        monkeypatch.setattr(cli, "_SWEEP_BATCH_VALUES", per_batch * 40)
+        assert bid_sweep_rows(cfg, 2, 40) == whole, per_batch
+        full, rest = divmod(len(whole), per_batch)
+        assert batches == [per_batch] * full + [rest] * (rest > 0)
+
+
+def test_a_year_sweep_stays_within_its_memory():
+    # traced peak: 42.3 MB with the year's 384 runs as one batch, 26.3 MB in
+    # blocks with each season's statistics in one call
+    tracemalloc.start()
+    try:
+        bid_sweep_rows(RunConfig(), 365)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, f"{peak / 1e6:.1f} MB"
 
 
 def test_non_finite_signal_value_is_a_data_error(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hesflex import (
+    STATISTICS,
     BatteryParams,
     MarketOutcome,
     MarketPrices,
@@ -331,3 +332,40 @@ def test_pv_statistic_tuple_is_the_one_name_calls(samples):
             assert type(value) is float and _bytes(value) == _bytes(one)
     with pytest.raises(ValueError, match="unknown statistic 'p33'"):
         pv_statistic(samples, ("mean", "p33"))
+
+
+_NAMES = st.one_of(st.sampled_from(STATISTICS),
+                   st.lists(st.sampled_from(STATISTICS), max_size=4, unique=True).map(tuple))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["random", "equal", "zero"]), min_size=1, max_size=5),
+       m=st.one_of(st.just(1), st.integers(2, 8), st.integers(60, 400)),
+       layout=st.sampled_from(["C", "F", "strided"]), names=_NAMES,
+       seed=st.integers(0, 2**32 - 1), bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+@example(kinds=["random", "random"], m=300, layout="F", names=STATISTICS, seed=0, bad=math.nan)
+@example(kinds=["zero", "equal", "random"], m=1, layout="strided", names="p95", seed=1,
+         bad=math.inf)
+def test_pv_statistic_on_a_batch_is_the_one_row_calls(kinds, m, layout, names, seed, bad):
+    rng = np.random.default_rng(seed)
+    rows = np.empty((len(kinds), m))
+    for r, kind in enumerate(kinds):
+        rows[r] = {"random": rng.gamma(2.0, 1.0, m), "equal": rng.uniform(0.0, 5.0),
+                   "zero": 0.0}[kind]
+    if layout == "F":
+        batch = np.asfortranarray(rows)
+    elif layout == "strided":
+        batch = np.repeat(rows, 2, axis=1)[:, ::2]  # a view that steps over every other value
+    else:
+        batch = rows
+    assert np.array_equal(batch, rows)
+    got = pv_statistic(batch, names)
+    for i, name in enumerate((names,) if isinstance(names, str) else names):
+        values = got if isinstance(names, str) else got[i]
+        assert isinstance(values, np.ndarray) and values.shape == (len(kinds),)
+        for r in range(len(kinds)):
+            assert _bytes(values[r]) == _bytes(pv_statistic(rows[r], name)), (name, r)
+    r, k = int(rng.integers(len(kinds))), int(rng.integers(m))
+    rows[r, k] = bad
+    with pytest.raises(ValueError, match=rf"run {r}, step {k}: sample = {bad} is not finite"):
+        pv_statistic(rows, names)
