@@ -43,7 +43,6 @@ from .market import (
     MarketPrices,
     RegSignal,
     decomposed_bid,
-    group_by_season_hour,
     max_flex_bid,
     mileage,
     payment,
@@ -87,7 +86,6 @@ __all__ = [
     "decomposed_bid",
     "envelope",
     "export_trace",
-    "group_by_season_hour",
     "guard_power_cap",
     "max_flex_bid",
     "mileage",

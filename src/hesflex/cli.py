@@ -49,6 +49,7 @@ from .config import (
 )
 from .data_io import (
     _IRRADIANCE_STEP_S,
+    _IRRADIANCE_T0,
     DataFormatError,
     Series,
     _fmt,
@@ -63,12 +64,10 @@ from .data_io import (
 from .dispatch import _check_green_pv
 from .flexibility import Scenario, envelope
 from .market import (
-    _SEASONS,
     STATISTICS,
     MarketPrices,
     RegSignal,
     decomposed_bid,
-    group_by_season_hour,
     max_flex_bid,
     pv_statistic,
     settle,
@@ -82,6 +81,10 @@ EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
 _CONFIG_PV = "pv.rated_mw/pv.irradiance_wm2"
+
+_SEASONS = ("winter", "spring", "summer", "fall")
+# Meteorological season (an index into _SEASONS) by month, January = 0.
+_SEASON_OF_MONTH = np.array([0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0])
 
 # Runs x steps per bid-sweep block, sized so that a block's columns (256 KB
 # each) and `simulate`'s temporaries stay near the 2 MiB L2 of a core: a
@@ -293,6 +296,21 @@ def cmd_track(args) -> int:
     return EXIT_OK
 
 
+def _season_hour_batches(pv: np.ndarray):
+    """Bucket a (days, 1440) grid of minutes from ``synth_irradiance``'s
+    first day by (season, UTC hour of day): per season that has days, in
+    calendar order, its name and a (24, n_days x 60) batch whose row h
+    holds the samples of hour h in time order."""
+    first = np.datetime64(_IRRADIANCE_T0 // 86400, "D")
+    months = (first + np.arange(len(pv))).astype("datetime64[M]").astype(np.int64) % 12
+    season_of_day = _SEASON_OF_MONTH[months]
+    by_day = pv.reshape(len(pv), 24, -1)  # day x hour x minute
+    for k, season in enumerate(_SEASONS):
+        days = np.flatnonzero(season_of_day == k)
+        if days.size:
+            yield season, by_day[days].transpose(1, 0, 2).reshape(24, -1)
+
+
 def bid_sweep_rows(cfg: RunConfig, days: int, eval_steps: int = 900, statistics=None):
     """Capacity bids and scored test tracking per (season, hour) bucket.
 
@@ -324,21 +342,20 @@ def bid_sweep_rows(cfg: RunConfig, days: int, eval_steps: int = 900, statistics=
         if s not in STATISTICS:
             raise ConfigError([f"unknown statistic '{s}'"])
     fleet = build_fleet(cfg)
-    irr = synth_irradiance(cfg.seed, days)
-    groups = group_by_season_hour(irr.timestamps, pv_power_interp(fleet.pv, irr.values))
-    del irr  # freed before the batches, which would otherwise add to its memory
-    keys = list(groups)  # calendar order
-    sizes = [groups[key].size for key in keys]
-    # The mean is always taken: it is the evaluation PV. Buckets of one size
-    # are stacked into one statistics call; within a season every hour holds
-    # days x 60 samples, so a year makes three calls.
+    # the series starts at midnight with one sample a minute, so row d is day d
+    ghi = synth_irradiance(cfg.seed, days).values.reshape(days, -1)  # no timestamps kept
+    pv = pv_power_interp(fleet.pv, ghi)
+    del ghi  # freed before the buckets, which would otherwise add to its memory
+    # The mean is always taken: it is the evaluation PV. Each season's 24
+    # hour buckets are one statistics call.
     names = stats if "mean" in stats else stats + ("mean",)
-    values = np.empty((len(keys), len(names)))
-    for size in set(sizes):
-        same = [b for b, n in enumerate(sizes) if n == size]
-        batch = np.stack([groups[keys[b]] for b in same])
-        values[same] = np.transpose(pv_statistic(batch, names))
-    del groups, batch  # the buckets share one array; freed before the runs
+    keys, sizes, values = [], [], []
+    for season, batch in _season_hour_batches(pv):
+        keys += [(season, hour) for hour in range(24)]
+        sizes += [batch.shape[1]] * 24
+        values.append(np.transpose(pv_statistic(batch, names)))
+    del pv, batch  # freed before the runs
+    values = np.concatenate(values)
     means = values[:, names.index("mean")]
     heads, bids, signals = [], [], []  # per bid: its row so far and capacity; per bucket: r
     for idx, (key, size, row) in enumerate(zip(keys, sizes, values.tolist())):

@@ -41,6 +41,8 @@ _FLOAT_FMT = ".15g"
 _FMT_MAX = 1.797693134862315e308
 _MAX_TIMESTAMP = 2**53  # from here on float seconds skip whole seconds
 _IRRADIANCE_STEP_S = 60  # synth_irradiance's cadence
+_IRRADIANCE_T0 = 1609459200  # synth_irradiance's first sample, 2021-01-01T00:00:00Z
+_IRRADIANCE_BLOCK_DAYS = 32  # days of noise drawn, and of irradiance formed, at a time
 _NEUTRALITY_WINDOW = 450  # synth_signal demeans each window of this many steps
 _BLOCK_ROWS = 1536  # rows formatted at a time
 _TRAJECTORY_COLUMNS = tuple(f.name for f in fields(Trajectory))
@@ -575,29 +577,39 @@ def synth_irradiance(seed: int, days: int) -> Series:
     seasonal factor is taken once per day, the sun's elevation once per
     minute of the day, and the cloud filter runs the days side by side
     (:func:`_ar1_days`), with the float operations that a pass over the
-    whole series makes."""
+    whole series makes. The noise is drawn, and the irradiance formed, in
+    blocks of days, so that no whole-series temporary is made beyond the
+    filter's input and output; the timestamps are built last."""
     if days < 1:
         raise ValueError("days must be >= 1")
     step = _IRRADIANCE_STEP_S
     per_day = 86400 // step
-    t0 = 1609459200  # 2021-01-01T00:00:00Z, so day 0 is January 1st
-    ts = np.arange(t0, t0 + days * 86400, step, dtype=np.int64)
     doy = np.arange(days) % 365
     hod = np.arange(per_day) * step / 3600.0
     elevation = np.sin(np.pi * (hod - 6.0) / 12.0)
     np.clip(elevation, 0.0, None, out=elevation)
     seasonal = 0.7 + 0.3 * np.cos(2.0 * np.pi * (doy - 171) / 365.0)
     rng = np.random.default_rng(seed)
-    # transposed, so that each minute of the day is one contiguous row
-    innov = rng.normal(0.0, 0.18, (days, per_day)).T.copy()
+    blocks = [slice(lo, min(days, lo + _IRRADIANCE_BLOCK_DAYS))
+              for lo in range(0, days, _IRRADIANCE_BLOCK_DAYS)]
+    # minute-major, so that each minute of the day is one contiguous row;
+    # the blocks take the normals in the order of one (days, per_day) draw
+    innov = np.empty((per_day, days))
+    for b in blocks:
+        innov[:, b] = rng.normal(0.0, 0.18, (b.stop - b.start, per_day)).T
     cloud = _ar1_days(innov, 0.995)
-    del innov  # its memory takes ghi
-    cloud *= 0.25
-    cloud += 0.75
-    np.clip(cloud, 0.05, 1.0, out=cloud)
-    ghi = (1000.0 * seasonal)[:, None] * elevation
-    ghi *= cloud.T
-    np.clip(ghi, 0.0, None, out=ghi)
+    del innov
+    ghi = np.empty((days, per_day))
+    for b in blocks:
+        c = cloud[:, b].T * 0.25
+        c += 0.75
+        np.clip(c, 0.05, 1.0, out=c)
+        g = ghi[b]
+        np.multiply((1000.0 * seasonal[b])[:, None], elevation, out=g)
+        g *= c
+        np.clip(g, 0.0, None, out=g)
+    del cloud
+    ts = np.arange(_IRRADIANCE_T0, _IRRADIANCE_T0 + days * 86400, step, dtype=np.int64)
     return Series(ts, ghi.reshape(-1), step)
 
 

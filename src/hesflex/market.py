@@ -34,12 +34,6 @@ from .dispatch import _position
 
 QUALIFICATION_THRESHOLD = 0.75
 
-_SEASONS = ("winter", "spring", "summer", "fall")
-# Meteorological season (an index into _SEASONS) by month number 1-12.
-_SEASON_OF_MONTH = np.array([-1, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0])
-# Timestamps must be whole seconds below this in magnitude, as in data_io.
-_MAX_TIMESTAMP = 2**53
-
 _PERCENTILES = {"p50": 50.0, "p75": 75.0, "p95": 95.0}
 STATISTICS = ("mean", "p50", "p75", "p95")
 
@@ -217,51 +211,3 @@ def pv_statistic(samples, statistic):
     out = tuple(_per_run(np.mean(x, axis=-1) if name == "mean" else next(percentiles))
                 for name in names)
     return out[0] if isinstance(statistic, str) else out
-
-
-def group_by_season_hour(timestamps, values) -> dict[tuple[str, int], np.ndarray]:
-    """Bucket samples by (season, UTC hour of day).
-
-    Timestamps are whole epoch seconds below 2**53 in magnitude; any other
-    is refused, naming its index. Buckets come in calendar order, winter
-    to fall and hour 0 to 23 within a season, and keep their samples in
-    input order.
-    """
-    ts = np.asarray(timestamps)
-    vals = np.asarray(values, dtype=float)
-    if ts.shape != vals.shape:
-        raise ValueError("timestamps and values must have the same length")
-    ts = ts.ravel()
-    if ts.dtype.kind in "iu":
-        ok = (ts > -_MAX_TIMESTAMP) & (ts < _MAX_TIMESTAMP)
-    else:
-        ts = ts.astype(float)
-        ok = (np.abs(ts) < _MAX_TIMESTAMP) & (ts == np.floor(ts))  # NaN fails both
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        raise ValueError(f"{_position(timestamps, bad[0])}: timestamp {ts[bad[0]].item()!r} "
-                         "is not a whole second below 2**53 in magnitude")
-    if not ts.size:
-        return {}
-    hours = ts.astype(np.int64, copy=False) // 3600
-    # Runs of samples within one UTC hour: a year of regular samples makes
-    # one run per hour. Each run's key is found once and only the runs are
-    # sorted, stably, so every bucket keeps its samples in input order.
-    starts = np.concatenate(([0], np.flatnonzero(hours[1:] != hours[:-1]) + 1))
-    lengths = np.diff(starts, append=ts.size)
-    run_hours = hours[starts]
-    days = run_hours // 24
-    month = days.astype("datetime64[D]").astype("datetime64[M]").astype(np.int64) % 12 + 1
-    keys = (_SEASON_OF_MONTH[month] * 24 + (run_hours - days * 24)).astype(np.uint8)
-    ends = np.cumsum(np.bincount(keys, lengths, len(_SEASONS) * 24)).astype(np.int64).tolist()
-    by_key = np.argsort(keys, kind="stable")  # a radix sort on 8-bit keys
-    lengths, starts = lengths[by_key], starts[by_key]
-    # sample j of the sorted order lies at its run's start + (j - the run's place)
-    order = np.arange(ts.size) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    ordered = vals.ravel()[order]
-    groups, lo = {}, 0
-    for k, hi in enumerate(ends):
-        if hi > lo:
-            groups[_SEASONS[k // 24], k % 24] = ordered[lo:hi]
-        lo = hi
-    return groups

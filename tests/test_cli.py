@@ -5,13 +5,14 @@ import dataclasses
 import math
 import sys
 import tracemalloc
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hesflex import RunConfig, build_fleet, pv_power
+from hesflex import RunConfig, build_fleet, pv_power, synth_irradiance
 from hesflex import cli, config
 from hesflex.config import _KEYS
 from hesflex.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, bid_sweep_rows, main
@@ -377,14 +378,45 @@ def test_bid_sweep_rows_do_not_depend_on_the_batch_size(monkeypatch):
 
 def test_a_year_sweep_stays_within_its_memory():
     # traced peak: 42.3 MB with the year's 384 runs as one batch, 26.3 MB in
-    # blocks with each season's statistics in one call
+    # blocks with each season's statistics in one call, 27.0 MB of it on a
+    # first call; ~10 MB with the PV year bucketed on its day x minute grid
+    # and drawn in blocks of days
     tracemalloc.start()
     try:
         bid_sweep_rows(RunConfig(), 365)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32e6, f"{peak / 1e6:.1f} MB"
+    assert peak < 14e6, f"{peak / 1e6:.1f} MB"
+
+
+_SEASON_OF_MONTH = {12: "winter", 1: "winter", 2: "winter", 3: "spring", 4: "spring",
+                    5: "spring", 6: "summer", 7: "summer", 8: "summer", 9: "fall",
+                    10: "fall", 11: "fall"}
+
+
+def test_season_hour_batches_match_calendar_reference():
+    """Each (season, hour) row of the sweep's day x minute bucketing holds,
+    in time order, the samples that bucketing every timestamp of
+    ``synth_irradiance`` through ``datetime`` puts there, with the buckets
+    in calendar order: over one day, the end of February (59 and 60
+    days), a year, a year and a day, and four years across 29 Feb 2024."""
+    seasons = ["winter", "spring", "summer", "fall"]
+    for days in (1, 59, 60, 365, 366, 1461):
+        ts = synth_irradiance(0, days).timestamps
+        expect = {}
+        for i, t in enumerate(ts.tolist()):
+            stamp = datetime.fromtimestamp(t, tz=timezone.utc)
+            expect.setdefault((_SEASON_OF_MONTH[stamp.month], stamp.hour), []).append(i)
+        keys, rows = [], []
+        for season, batch in cli._season_hour_batches(np.arange(ts.size, dtype=float)
+                                                      .reshape(days, -1)):
+            assert batch.shape[0] == 24, days
+            keys += [(season, hour) for hour in range(24)]
+            rows += list(batch)
+        assert keys == sorted(expect, key=lambda k: (seasons.index(k[0]), k[1])), days
+        for key, row in zip(keys, rows):
+            assert np.array_equal(row, expect[key]), (days, key)
 
 
 def test_non_finite_signal_value_is_a_data_error(tmp_path, capsys):

@@ -355,6 +355,17 @@ def test_synth_irradiance_equals_the_sample_loop_over_a_year(seed, days):
     _assert_irradiance_bytes(seed, days)
 
 
+_BLOCK = data_io._IRRADIANCE_BLOCK_DAYS
+
+
+@pytest.mark.parametrize("seed, days", [(2, 1), (3, _BLOCK - 1), (4, _BLOCK), (5, _BLOCK + 1),
+                                        (6, 100)])
+def test_synth_irradiance_equals_the_sample_loop_around_a_draw_block(seed, days):
+    """The noise is drawn in blocks of days; the blocks must take the
+    normals in the order of one draw of the whole series."""
+    _assert_irradiance_bytes(seed, days)
+
+
 # ---------------------------------------------------------------------------
 # trace and report export
 # ---------------------------------------------------------------------------

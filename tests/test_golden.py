@@ -9,7 +9,8 @@ fleet, where most steps restrict one convex part; two more cases run it
 in the green-load mode S2, whose band follows the PV, and in the
 asymmetric mode S5 under the guard; both are certified. The
 ``bid-sweep`` cases pin a year of batched runs, one of them on a small
-pack where 109 of the 384 runs reach the SoC window edge. One more
+pack where 109 of the 384 runs reach the SoC window edge, and four years
+of PV buckets across three year boundaries and the leap day of 2024. One more
 ``track`` case reads its signal and its irradiance from CSV files, so the
 CSV reader and the exact PV solve over hundreds of distinct irradiances
 are pinned too, and one pin holds the bits of ``pv_power_series`` over
@@ -101,6 +102,10 @@ SWEEP_CASES = {
     "sweep-small-pack": (
         "bid-sweep --days 365 --statistic all --seed 2 --set battery.e_cap_mwh=0.5",
         "e552b69663edee81a685a982bcefaa3dc440ad38d0393de5c9facd7c42084a50",
+    ),
+    "sweep-leap-years": (
+        "bid-sweep --days 1461 --statistic p95 --seed 3 --eval-steps 60",
+        "d0086195f4babd251f3364bbe3acfa36effb46a824344a176a652a0e3ac9cd88",
     ),
 }
 

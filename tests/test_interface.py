@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import hesflex as hx
-from hesflex import assets, data_io, market, oracle, simulation
+from hesflex import assets, data_io, oracle, simulation
 
 
 def _params(fn) -> list[str]:
@@ -26,7 +26,6 @@ def _params(fn) -> list[str]:
 def test_count_hooks_find_their_arguments():
     assert _params(simulation.simulate)[2] == "dp_request"
     assert _params(assets.pv_power_series)[1] == "irradiance_values"
-    assert _params(market.group_by_season_hour)[0] == "timestamps"
     assert _params(data_io.export_trace)[:2] == ["traj", "path"]
     for reader in (data_io.read_signal_csv, data_io.read_irradiance_csv):
         assert _params(reader) == ["path"]
@@ -48,7 +47,7 @@ def test_count_hooks_find_their_results(tmp_path):
 
 
 def test_public_api_stays_small():
-    assert len(hx.__all__) <= 48
+    assert len(hx.__all__) <= 47
     assert len(set(hx.__all__)) == len(hx.__all__)
 
 

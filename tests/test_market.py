@@ -1,7 +1,6 @@
 """Market accounting: mileage, performance score, payments, bids."""
 
 import math
-from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from hesflex import (
     MarketPrices,
     RegSignal,
     decomposed_bid,
-    group_by_season_hour,
     max_flex_bid,
     mileage,
     payment,
@@ -23,10 +21,6 @@ from hesflex import (
     pv_statistic,
     settle,
 )
-
-
-def _utc(y, m, d, h=0):
-    return int(datetime(y, m, d, h, tzinfo=timezone.utc).timestamp())
 
 
 def test_reg_signal_validation():
@@ -149,74 +143,10 @@ def test_pv_statistic_hand_examples():
         pv_statistic([1.0], "p33")
 
 
-def test_group_by_season_hour():
-    ts = [_utc(2021, 7, 1, h % 24) + 86400 * (h // 24) for h in range(48)]
-    vals = np.arange(48.0)
-    groups = group_by_season_hour(ts, vals)
-    assert set(k[0] for k in groups) == {"summer"}
-    assert sorted(k[1] for k in groups) == list(range(24))
-    np.testing.assert_allclose(groups[("summer", 5)], [5.0, 29.0])
-    with pytest.raises(ValueError):
-        group_by_season_hour(ts, vals[:-1])
-
-
-_SEASON_OF_MONTH = {12: "winter", 1: "winter", 2: "winter", 3: "spring", 4: "spring",
-                    5: "spring", 6: "summer", 7: "summer", 8: "summer", 9: "fall",
-                    10: "fall", 11: "fall"}
-
-
-def test_group_by_season_hour_matches_calendar_reference():
-    """Same keys and arrays as bucketing each sample through ``datetime``,
-    over a year boundary, a leap day and pre-1970 stamps; buckets in
-    calendar order, whatever order the samples come in, shuffled or
-    sorted."""
-    rng = np.random.default_rng(5)
-    windows = [
-        (_utc(1969, 12, 30), _utc(1970, 1, 2)),   # the epoch, negative stamps
-        (_utc(1900, 2, 27), _utc(1900, 3, 2)),    # 1900 is no leap year
-        (_utc(1999, 12, 31), _utc(2000, 1, 2)),   # year boundary
-        (_utc(2020, 2, 28), _utc(2020, 3, 2)),    # 29 Feb, winter -> spring
-        (_utc(2021, 5, 31), _utc(2021, 6, 2)),    # spring -> summer
-        (_utc(2021, 8, 31), _utc(2021, 12, 2)),   # fall -> winter
-    ]
-    ts = np.concatenate([rng.integers(lo, hi, 400) for lo, hi in windows])
-    # first appearances out of calendar order, and sorted into runs of one hour
-    for ts in (rng.permutation(ts), np.sort(ts)):
-        vals = rng.normal(size=ts.size)
-        expect = {}
-        for t, v in zip(ts.tolist(), vals.tolist()):
-            stamp = datetime.fromtimestamp(t, tz=timezone.utc)
-            expect.setdefault((_SEASON_OF_MONTH[stamp.month], stamp.hour), []).append(v)
-        groups = group_by_season_hour(ts, vals)
-        seasons = ["winter", "spring", "summer", "fall"]
-        assert list(groups) == sorted(expect, key=lambda k: (seasons.index(k[0]), k[1]))
-        for key, samples in expect.items():
-            assert groups[key].dtype == np.float64
-            assert np.array_equal(groups[key], samples)
-    assert group_by_season_hour([], []) == {}
-
-
 def test_reg_signal_rejects_non_finite_values():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             RegSignal(np.array([0.5, bad]))
-
-
-def test_group_by_season_hour_refuses_timestamps_that_are_not_whole_seconds():
-    """1e20 s was cast to garbage and bucketed under (spring, 8), and -0.7 s
-    truncated into (winter, 0); both are refused, naming the index."""
-    for stamps, where in (([1e20, 0.0], "step 0"), ([0.0, -0.7], "step 1"),
-                          ([0.0, math.nan], "step 1"), ([-math.inf, 0.0], "step 0"),
-                          ([0.0, 2.0**53], "step 1"), (np.array([0, -2**53]), "step 1"),
-                          (np.array([[0, 1], [2**60, 3]]), "run 1, step 0")):
-        with pytest.raises(ValueError, match=f"{where}: timestamp .* is not a whole second"):
-            group_by_season_hour(stamps, np.zeros(np.shape(stamps)))
-    # a whole second before the epoch is 1969-12-31 23:59:59, in floats or integers
-    as_floats = group_by_season_hour([-1.0, 2.0**53 - 1], [1.0, 2.0])
-    as_ints = group_by_season_hour(np.array([-1, 2**53 - 1]), [1.0, 2.0])
-    assert as_floats.keys() == as_ints.keys() and len(as_ints) == 2
-    assert np.array_equal(as_ints[("winter", 23)], [1.0])
-    assert np.array_equal(group_by_season_hour([-0.0, 3600.0], [1.0, 2.0])[("winter", 1)], [2.0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
